@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import WorkLimitExceeded, all_lambda_permutations, count_all
+from .core import WorkLimitExceeded, _pair_distances, all_lambda_permutations, count_all
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +301,10 @@ def exact_max_size(
 
     mat = np.array(words, dtype=np.int16)
     adj_bool = np.zeros((v_count, v_count), dtype=bool)
-    for i in range(v_count - 1):
-        hits = (mat[i + 1 :] != mat[i]).sum(axis=1) >= d
-        adj_bool[i, i + 1 :] = hits
-        adj_bool[i + 1 :, i] = hits
+    for i, j, dists in _pair_distances(mat):
+        hits = dists >= d
+        adj_bool[i, j : j + len(hits)] = hits
+        adj_bool[j : j + len(hits), i] = hits
     degrees = adj_bool.sum(axis=1)
     order = sorted(range(v_count), key=lambda v: (-int(degrees[v]), v))
     rank = {v: idx for idx, v in enumerate(order)}
@@ -411,14 +411,11 @@ class BoundsReport:
     trivial_upper: int
     exact_value: int | None = None
     exact_proven: bool | None = None
-    pa_chain_upper: int | None = None
 
     def best_upper(self) -> int:
         options = [self.hamming_upper, self.trivial_upper]
         if self.plotkin_upper is not None:
             options.append(self.plotkin_upper)
-        if self.pa_chain_upper is not None:
-            options.append(self.pa_chain_upper)
         return min(options)
 
 
@@ -430,13 +427,9 @@ def bounds_report(
     vertex_budget: int = 2000,
     node_budget: int = 200_000,
 ) -> BoundsReport:
-    """Assemble every bound; exact search only on request and in budget.
-
-    The chain bound via single-frequency arrays (value M_1/lam rounded
-    down) is reported only when that search also completes proven.
-    """
+    """Assemble every bound; exact search only on request and in budget."""
     _check_nd(n, lam, d)
-    exact_value = exact_proven = pa_chain = None
+    exact_value = exact_proven = None
     if d <= 2:
         # Two distinct words over the same symbol multiset always differ in
         # at least two positions, so the whole space is an optimal array.
@@ -447,13 +440,6 @@ def bounds_report(
             exact_value, exact_proven = result.value, result.proven
         except WorkLimitExceeded:
             pass
-        if lam > 1:
-            try:
-                single = exact_max_size(n, 1, d, vertex_budget, node_budget)
-                if single.proven:
-                    pa_chain = single.value // lam
-            except WorkLimitExceeded:
-                pass
     return BoundsReport(
         n=n,
         m=n // lam,
@@ -466,5 +452,4 @@ def bounds_report(
         trivial_upper=trivial_upper(n, lam, d),
         exact_value=exact_value,
         exact_proven=exact_proven,
-        pa_chain_upper=pa_chain,
     )

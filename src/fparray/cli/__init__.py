@@ -346,8 +346,6 @@ def _cmd_bounds(args) -> int:
         ("trivial_upper", str(report.trivial_upper)),
         ("exact", _format_exact(report)),
     ]
-    if report.pa_chain_upper is not None:
-        rows.append(("pa_chain_upper", str(report.pa_chain_upper)))
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
         print(f"{key:<{width}}  {value}")

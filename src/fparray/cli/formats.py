@@ -119,7 +119,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
         f"d={array.min_distance_claim} size={array.size}",
     ]
     for row in array.rows:
-        out.append(" ".join(str(s + offset) for s in row.symbols))
+        out.append(" ".join(str(s + offset) for s in row))
     return "\n".join(out) + "\n"
 
 

@@ -9,8 +9,10 @@ operators re-verify what they claim instead of trusting the algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 from . import core
 from .core import FrequencyPermutationArray
@@ -19,8 +21,8 @@ from .constructions import FrequencySquare, fpa_from_mofs
 
 def pad(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
     """Append lam copies of a brand-new symbol to every row."""
-    tail = [a.m] * a.lam
-    rows = [list(row.symbols) + tail for row in a.rows]
+    tail = (a.m,) * a.lam
+    rows = [row + tail for row in a.rows]
     return FrequencyPermutationArray.from_rows(
         rows, a.m + 1, a.lam, a.min_distance_claim
     )
@@ -32,10 +34,7 @@ def juxtapose(
     """Concatenate rows pairwise by index, up to the shorter array."""
     if a.m != b.m:
         raise ValueError(f"symbol counts differ: {a.m} vs {b.m}")
-    size = min(a.size, b.size)
-    rows = [
-        list(a.rows[i].symbols) + list(b.rows[i].symbols) for i in range(size)
-    ]
+    rows = [x + y for x, y in zip(a.rows, b.rows)]
     return FrequencyPermutationArray.from_rows(
         rows, a.m, a.lam + b.lam, a.min_distance_claim + b.min_distance_claim
     )
@@ -60,14 +59,9 @@ def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
     lam = a.lam
     rows = []
     for row in a.rows:
-        occ = _occurrence_indices(row.symbols, a.m)
+        occ = _occurrence_indices(row, a.m)
         for shift in range(lam):
-            rows.append(
-                [
-                    s * lam + (j + shift) % lam
-                    for s, j in zip(row.symbols, occ)
-                ]
-            )
+            rows.append([s * lam + (j + shift) % lam for s, j in zip(row, occ)])
     return FrequencyPermutationArray.from_rows(
         rows, a.n, 1, a.min_distance_claim
     )
@@ -87,14 +81,9 @@ def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
     patterns = core.canonical_max_distance_fpa(per_symbol, l).row_symbols()
     rows = []
     for row in a.rows:
-        occ = _occurrence_indices(row.symbols, a.m)
+        occ = _occurrence_indices(row, a.m)
         for pattern in patterns:
-            rows.append(
-                [
-                    s * per_symbol + pattern[j]
-                    for s, j in zip(row.symbols, occ)
-                ]
-            )
+            rows.append([s * per_symbol + pattern[j] for s, j in zip(row, occ)])
     return FrequencyPermutationArray.from_rows(
         rows, a.m * per_symbol, l, a.min_distance_claim
     )
@@ -120,7 +109,7 @@ def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArra
         raise ValueError("pair profile is not a single constant")
     t = values.pop()
     claim = a.n - t * a.m * a.m // r
-    rows = [[s % r for s in row.symbols] for row in a.rows]
+    rows = [[s % r for s in row] for row in a.rows]
     out = FrequencyPermutationArray.from_rows(rows, r, a.n // r, claim)
     check = core.verify(out)
     if not check.valid:
@@ -159,14 +148,9 @@ def compose_columns(
     depth = min(f.size for f in fpas)
     rows = []
     for crow in c.rows:
-        occ = _occurrence_indices(crow.symbols, b)
+        occ = _occurrence_indices(crow, b)
         for j in range(depth):
-            rows.append(
-                [
-                    fpas[i].rows[j].symbols[t] + i * m
-                    for i, t in zip(crow.symbols, occ)
-                ]
-            )
+            rows.append([fpas[i].rows[j][t] + i * m for i, t in zip(crow, occ)])
     return FrequencyPermutationArray.from_rows(rows, b * m, lam, b * d)
 
 
@@ -177,10 +161,8 @@ def direct_product(
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
     rows = []
-    for ra in a.rows:
-        left = list(ra.symbols)
-        for rb in b.rows:
-            rows.append(left + [s + a.m for s in rb.symbols])
+    shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
+    rows = [ra + rb for ra in a.rows for rb in shifted]
     return FrequencyPermutationArray.from_rows(
         rows,
         a.m + b.m,
@@ -211,20 +193,14 @@ class SeparableArray:
     def __post_init__(self) -> None:
         if not self.classes:
             raise ValueError("need at least one class")
-        all_rows: list[Sequence[int]] = []
         for idx, cls in enumerate(self.classes):
             if (cls.n, cls.m, cls.lam) != (self.n, self.m, self.lam):
                 raise ValueError(f"class {idx} has mismatched parameters")
-            reclaimed = FrequencyPermutationArray.from_rows(
-                cls.row_symbols(), self.m, self.lam, self.delta
-            )
-            report = core.verify(reclaimed)
+            report = core.verify(replace(cls, min_distance_claim=self.delta))
             if not report.valid:
                 raise ValueError(f"class {idx} fails at delta={self.delta}: {report.reasons}")
-            all_rows.extend(cls.row_symbols())
-        union = FrequencyPermutationArray.from_rows(
-            all_rows, self.m, self.lam, self.d
-        )
+        rows = itertools.chain.from_iterable(cls.rows for cls in self.classes)
+        union = FrequencyPermutationArray(self.m, self.lam, tuple(rows), self.d)
         report = core.verify(union)
         if not report.valid:
             raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
@@ -243,20 +219,20 @@ class SeparableArray:
                 f"{num_classes} classes do not evenly split {fpa.size} rows"
             )
         chunk = fpa.size // num_classes
-        groups = [
-            fpa.rows[i * chunk : (i + 1) * chunk] for i in range(num_classes)
-        ]
-        delta = fpa.n
-        for group in groups:
-            if len(group) > 1:
-                probe = FrequencyPermutationArray(
-                    fpa.n, fpa.m, fpa.lam, tuple(group), 0
-                )
-                delta = min(delta, core.min_distance(probe))
-        d = core.min_distance(fpa) if fpa.size > 1 else fpa.n
+        delta = d = fpa.n
+        if fpa.size > 1:
+            mat = np.array(fpa.rows, dtype=np.int64)
+            for i, j, dists in core._pair_distances(mat):
+                d = min(d, int(dists.min()))
+                # the first `same` rows of this block lie in row i's class
+                same = (i // chunk + 1) * chunk - j
+                if same > 0:
+                    delta = min(delta, int(dists[:same].min()))
         classes = tuple(
-            FrequencyPermutationArray(fpa.n, fpa.m, fpa.lam, tuple(g), delta)
-            for g in groups
+            FrequencyPermutationArray(
+                fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta
+            )
+            for k in range(num_classes)
         )
         return cls(fpa.n, fpa.m, fpa.lam, classes, delta, d)
 
@@ -276,10 +252,7 @@ def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
             raise ValueError("need latin squares of one common order")
     classes = []
     for sq in squares:
-        block = fpa_from_mofs([sq])
-        classes.append(
-            FrequencyPermutationArray.from_rows(block.row_symbols(), n, 1, n)
-        )
+        classes.append(replace(fpa_from_mofs([sq]), min_distance_claim=n))
     return SeparableArray(n, n, 1, tuple(classes), n, n - 1)
 
 

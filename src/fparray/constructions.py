@@ -21,6 +21,7 @@ from .gf import (
     FieldElement,
     FiniteField,
     LinearizedPolynomial,
+    _prime_power,
     associate_matrix,
     census_permutation_polynomials,
     field_of_order,
@@ -516,15 +517,6 @@ class HadamardMatrix:
         return all(e == 1 for e in self.rows[0])
 
 
-def _is_prime_power(x: int) -> bool:
-    if x < 2:
-        return False
-    p = min(f for f in range(2, x + 1) if x % f == 0)
-    while x % p == 0:
-        x //= p
-    return x == 1
-
-
 def _hadamard_constructible(n: int, memo: dict[int, bool]) -> bool:
     if n in memo:
         return memo[n]
@@ -536,7 +528,7 @@ def _hadamard_constructible(n: int, memo: dict[int, bool]) -> bool:
         result = (
             (n % 2 == 0 and _hadamard_constructible(n // 2, memo))
             or (n - 1) % 4 == 3
-            and _is_prime_power(n - 1)
+            and _prime_power(n - 1) is not None
             or any(
                 _hadamard_constructible(a, memo)
                 and _hadamard_constructible(n // a, memo)
@@ -580,7 +572,7 @@ def _build_hadamard(n: int, memo: dict[int, bool]) -> list[list[int]]:
         top = [row + row for row in half]
         bottom = [row + [-e for e in row] for row in half]
         return top + bottom
-    if (n - 1) % 4 == 3 and _is_prime_power(n - 1):
+    if (n - 1) % 4 == 3 and _prime_power(n - 1) is not None:
         return _paley_rows(n - 1)
     for a in range(2, n):
         if n % a == 0 and a <= n // a:

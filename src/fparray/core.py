@@ -3,29 +3,23 @@
 A lambda-permutation over m symbols is a word of length n = m * lambda in
 which every symbol 0..m-1 occurs exactly lambda times.  An array of such
 words whose rows are pairwise at Hamming distance >= d is the package's
-central object.  Constructions elsewhere in the package only ever *claim*
-parameters; `verify` re-derives all of them from the raw rows.
+central object.  Rows are plain tuples of ints; only the array carries
+(m, lambda), and n is always m * lambda.  Constructions elsewhere in the
+package only ever *claim* parameters; `verify` re-derives all of them
+from the raw rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
-
-RowLike = Union["MultiPermutation", Sequence[int]]
 
 
 class WorkLimitExceeded(RuntimeError):
     """An exhaustive computation would exceed its declared work budget."""
-
-
-def _symbols_of(row: RowLike) -> tuple[int, ...]:
-    if isinstance(row, MultiPermutation):
-        return row.symbols
-    return tuple(row)
 
 
 def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
@@ -40,45 +34,24 @@ def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
     return all(c == lam for c in counts)
 
 
-def hamming_distance(a: RowLike, b: RowLike) -> int:
+def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Number of positions where the two words differ."""
-    xs, ys = _symbols_of(a), _symbols_of(b)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    return sum(x != y for x, y in zip(xs, ys))
-
-
-@dataclass(frozen=True)
-class MultiPermutation:
-    """One word, together with the (m, lam) parameters it is meant to satisfy.
-
-    Construction is permissive so that broken rows can still be held and
-    reported on; `is_valid` performs the composition check.
-    """
-
-    symbols: tuple[int, ...]
-    m: int
-    lam: int
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-    def is_valid(self) -> bool:
-        return is_lambda_permutation(self.symbols, self.m, self.lam)
-
-    def distance(self, other: RowLike) -> int:
-        return hamming_distance(self, other)
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return sum(x != y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
 class FrequencyPermutationArray:
-    """Rows of lambda-permutations with a claimed pairwise minimum distance."""
+    """Rows of lambda-permutations with a claimed pairwise minimum distance.
 
-    n: int
+    Construction is permissive so that broken rows can still be held and
+    reported on; `verify` performs every check.
+    """
+
     m: int
     lam: int
-    rows: tuple[MultiPermutation, ...]
+    rows: tuple[tuple[int, ...], ...]
     min_distance_claim: int
 
     @classmethod
@@ -89,17 +62,19 @@ class FrequencyPermutationArray:
         lam: int,
         min_distance_claim: int,
     ) -> "FrequencyPermutationArray":
-        wrapped = tuple(
-            MultiPermutation(tuple(int(s) for s in row), m, lam) for row in rows
-        )
-        return cls(m * lam, m, lam, wrapped, min_distance_claim)
+        plain = tuple(tuple(int(s) for s in row) for row in rows)
+        return cls(m, lam, plain, min_distance_claim)
+
+    @property
+    def n(self) -> int:
+        return self.m * self.lam
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
     def row_symbols(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row.symbols for row in self.rows)
+        return self.rows
 
     def summary(self) -> str:
         return (
@@ -161,21 +136,28 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     return FrequencyPermutationArray.from_rows(rows, m, lam, n)
 
 
-def _distance_scan(
-    mat: np.ndarray, max_pairs: int
-) -> tuple[int, int]:
-    """(min, max) Hamming distance over all row pairs, streaming in blocks."""
+def _pair_distances(
+    mat: np.ndarray, max_pairs: int = 10_000_000
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Hamming distances of every row pair i < j, streamed in blocks.
+
+    Yields (i, j, dists) with dists[t] the distance between rows i and
+    j + t.  A block compares at most max(1, max_pairs // n) rows at once,
+    which bounds the memory of one step.
+    """
     size, n = mat.shape
     block = max(1, max_pairs // max(1, n))
-    lo, hi = n, 0
     for i in range(size - 1):
-        j = i + 1
-        while j < size:
-            stop = min(size, j + block)
-            diffs = (mat[j:stop] != mat[i]).sum(axis=1)
-            lo = min(lo, int(diffs.min()))
-            hi = max(hi, int(diffs.max()))
-            j = stop
+        for j in range(i + 1, size, block):
+            yield i, j, (mat[j : j + block] != mat[i]).sum(axis=1)
+
+
+def _distance_scan(mat: np.ndarray, max_pairs: int) -> tuple[int, int]:
+    """(min, max) Hamming distance over all row pairs."""
+    lo, hi = mat.shape[1], 0
+    for _, _, dists in _pair_distances(mat, max_pairs):
+        lo = min(lo, int(dists.min()))
+        hi = max(hi, int(dists.max()))
     return lo, hi
 
 
@@ -183,9 +165,8 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    mat = np.array(array.row_symbols(), dtype=np.int64)
-    lo, _ = _distance_scan(mat, 10_000_000)
-    return lo
+    mat = np.array(array.rows, dtype=np.int64)
+    return min(int(dists.min()) for _, _, dists in _pair_distances(mat))
 
 
 def _pair_profile(
@@ -232,19 +213,15 @@ def verify(
     vacuous: actual_min_distance reports n and equidistant is True.
     """
     reasons: list[str] = []
-    if array.m < 1 or array.lam < 1 or array.n != array.m * array.lam:
-        reasons.append(
-            f"parameters inconsistent: n={array.n}, m={array.m}, lam={array.lam}"
-        )
-    rows = array.row_symbols()
+    if array.m < 1 or array.lam < 1:
+        reasons.append(f"parameters out of range: m={array.m}, lam={array.lam}")
+    rows = array.rows
     shapes_ok = True
-    for idx, row in enumerate(array.rows):
-        if (row.m, row.lam) != (array.m, array.lam):
-            reasons.append(f"row {idx} declares ({row.m}, {row.lam})")
-        if len(row.symbols) != array.n:
-            reasons.append(f"row {idx} has length {len(row.symbols)}")
+    for idx, row in enumerate(rows):
+        if len(row) != array.n:
+            reasons.append(f"row {idx} has length {len(row)}")
             shapes_ok = False
-        elif not row.is_valid():
+        elif not is_lambda_permutation(row, array.m, array.lam):
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )

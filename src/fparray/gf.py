@@ -99,15 +99,16 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k for a prime p, or None if q is no prime power."""
+    if q < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ class FieldElement:
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
     """GF(p^k) with the deterministic modulus; instances are cached."""
-    if not _is_prime(p):
+    if _prime_power(p) != (p, 1):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
@@ -320,15 +321,10 @@ def field_of_order(q: int) -> FiniteField:
     """GF(q) for a prime power q, factoring q deterministically."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p = min(f for f in range(2, q + 1) if q % f == 0)
-    k = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        k += 1
-    if qq != 1:
+    factors = _prime_power(q)
+    if factors is None:
         raise ValueError(f"{q} is not a prime power")
-    return make_field(p, k)
+    return make_field(*factors)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +358,6 @@ class Polynomial:
         return self.field.element(acc)
 
     __call__ = evaluate
-
-
-def eval_poly(f: Polynomial, x: FieldElement) -> FieldElement:
-    return f.evaluate(x)
 
 
 def is_permutation_polynomial(f: Polynomial) -> bool:
@@ -451,11 +443,7 @@ class LinearizedPolynomial:
     alphas: tuple[FieldElement, ...]
 
     def __post_init__(self) -> None:
-        a = self._a
-        if self.q != self.field.p**a or self.field.k % a:
-            raise ValueError(
-                f"base {self.q} is not a power of {self.field.p} dividing the extension"
-            )
+        a = _base_exponent(self.field, self.q)
         if len(self.alphas) != self.field.k // a:
             raise ValueError(
                 f"need {self.field.k // a} coefficients, got {len(self.alphas)}"
@@ -467,17 +455,6 @@ class LinearizedPolynomial:
     @classmethod
     def of(cls, field: FiniteField, q: int, values: Sequence[int]) -> "LinearizedPolynomial":
         return cls(field, q, tuple(field.element(int(v)) for v in values))
-
-    @property
-    def _a(self) -> int:
-        a = 0
-        qq = self.q
-        while qq > 1 and qq % self.field.p == 0:
-            qq //= self.field.p
-            a += 1
-        if qq != 1 or a == 0:
-            raise ValueError(f"base {self.q} is not a power of {self.field.p}")
-        return a
 
     @property
     def i(self) -> int:
@@ -494,7 +471,7 @@ class LinearizedPolynomial:
     def evaluate(self, x: FieldElement) -> FieldElement:
         if x.field is not self.field:
             raise TypeError("argument from a different field")
-        field, a = self.field, self._a
+        field, a = self.field, _base_exponent(self.field, self.q)
         acc, xv = 0, x.val
         for s, alpha in enumerate(self.alphas):
             if s:
@@ -532,13 +509,11 @@ class LinearizedPolynomial:
 
 
 def _base_exponent(field: FiniteField, q: int) -> int:
-    a, qq = 0, q
-    while qq > 1 and qq % field.p == 0:
-        qq //= field.p
-        a += 1
-    if qq != 1 or a == 0 or field.k % a:
+    """a with q = p^a, for a dividing the field's extension degree."""
+    factors = _prime_power(q)
+    if factors is None or factors[0] != field.p or field.k % factors[1]:
         raise ValueError(f"base {q} is not a power of {field.p} dividing the extension")
-    return a
+    return factors[1]
 
 
 def linearized_trace(field: FiniteField, q: int, h: int) -> LinearizedPolynomial:
@@ -667,7 +642,7 @@ def associate_matrix(
     The kernel size q^(i - rank) is cross-checked against a full value
     table whenever the field is small enough to afford one.
     """
-    field, i, a = L.field, L.i, L._a
+    field, i, a = L.field, L.i, _base_exponent(L.field, L.q)
     rows = []
     for j in range(i):
         row = []

@@ -208,9 +208,8 @@ def test_report_distance_two_needs_no_search():
     assert (report.exact_value, report.exact_proven) == (count_all(10, 5), True)
 
 
-def test_report_chain_bound_uses_proven_single_frequency_search():
+def test_report_odd_distance_is_exact_and_plotkin_bounded():
     report = bounds_report(4, 2, 3, with_exact=True)
-    assert report.pa_chain_upper == exact_max_size(4, 1, 3).value // 2 == 6
     # balanced binary words sit at even distances, so d=3 behaves like d=4
     assert (report.exact_value, report.exact_proven) == (2, True)
     assert report.best_upper() == 3  # Plotkin: 3 // (3 - 4 + 2)
@@ -220,7 +219,6 @@ def test_report_without_exact_leaves_search_fields_empty():
     report = bounds_report(6, 3, 4)
     assert report.exact_value is None
     assert report.exact_proven is None
-    assert report.pa_chain_upper is None
 
 
 def test_report_survives_budget_exhaustion():

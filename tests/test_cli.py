@@ -312,10 +312,9 @@ def test_sep_product_transform(tmp_path, capsys):
 def test_bounds_table_and_machine_line(capsys):
     assert main(["bounds", "--n", "4", "--lambda", "2", "--d", "3", "--exact", "--machine"]) == 0
     stdout = capsys.readouterr().out
-    assert "parameters      n=4 m=2 lambda=2 d=3" in stdout
-    assert "total           6" in stdout
-    assert "exact           2 (proven)" in stdout
-    assert "pa_chain_upper  6" in stdout
+    assert "parameters     n=4 m=2 lambda=2 d=3" in stdout
+    assert "total          6" in stdout
+    assert "exact          2 (proven)" in stdout
     assert stdout.rstrip().endswith("gv=2 hamming=6 plotkin=3 trivial=6 exact=2")
 
 

@@ -1,6 +1,11 @@
 """Array-to-array transforms: padding, splitting, products, class products."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fparray import (
     FrequencyPermutationArray,
@@ -228,3 +233,56 @@ def test_class_product_preconditions():
         sep_product([sep4, sep5])  # mismatched (n, m, lam)
     with pytest.raises(ValueError):
         sep_product([])
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: every transform's claim verifies on random small arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _words(m, lam):
+    return list(all_lambda_permutations(m, lam))
+
+
+def _brute_min(rows, n):
+    return min(
+        (sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(rows, 2)),
+        default=n,
+    )
+
+
+def _draw_array(data, m, lam, label):
+    words = _words(m, lam)
+    rows = data.draw(
+        st.lists(st.sampled_from(words), min_size=1, max_size=min(5, len(words)), unique=True),
+        label=label,
+    )
+    return FrequencyPermutationArray.from_rows(rows, m, lam, _brute_min(rows, m * lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_transforms_keep_their_claims(data):
+    m = data.draw(st.integers(2, 3), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    a = _draw_array(data, m, lam, "a")
+    same_m = _draw_array(data, m, data.draw(st.integers(1, 2), label="lam_b"), "b")
+    same_lam = _draw_array(data, data.draw(st.integers(2, 3), label="m_c"), lam, "c")
+    l = data.draw(st.sampled_from([f for f in range(1, lam + 1) if lam % f == 0]), label="l")
+
+    for out, size in [
+        (pad(a), a.size),
+        (juxtapose(a, same_m), min(a.size, same_m.size)),
+        (expand_to_pa(a), a.size * lam),
+        (refine(a, l), a.size * (lam // l)),
+        (direct_product(a, same_lam), a.size * same_lam.size),
+    ]:
+        assert out.size == size
+        assert verify(out).reasons == ()
+
+    k = data.draw(st.sampled_from([f for f in range(1, a.size + 1) if a.size % f == 0]), label="k")
+    sep = SeparableArray.from_fpa(a, k)
+    chunk = a.size // k
+    classes = [a.rows[i : i + chunk] for i in range(0, a.size, chunk)]
+    assert sep.d == a.min_distance_claim
+    assert sep.delta == min(_brute_min(rows, a.n) for rows in classes)

@@ -1,15 +1,16 @@
 """Core row/array model, distance scanning, and the verifier."""
 
+import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fparray.core import (
     FrequencyPermutationArray,
-    MultiPermutation,
     all_lambda_permutations,
     canonical_max_distance_fpa,
     count_all,
@@ -47,11 +48,21 @@ def test_hamming_distance_basics():
 
 
 def test_multipermutation_validity_and_distance():
-    row = MultiPermutation((0, 1, 1, 0), 2, 2)
-    assert row.is_valid()
-    assert row.n == 4
-    assert row.distance(MultiPermutation((1, 0, 0, 1), 2, 2)) == 4
-    assert not MultiPermutation((0, 0, 0, 1), 2, 2).is_valid()
+    row = (0, 1, 1, 0)
+    assert is_lambda_permutation(row, 2, 2)
+    assert len(row) == 4
+    assert hamming_distance(row, (1, 0, 0, 1)) == 4
+    assert not is_lambda_permutation((0, 0, 0, 1), 2, 2)
+
+
+def test_from_rows_normalises_to_int_tuples():
+    fpa = FrequencyPermutationArray.from_rows(
+        [[0, 1, 1, 0], np.array([1, 0, 0, 1], dtype=np.int16)], 2, 2, 4
+    )
+    assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
+    assert all(type(s) is int for row in fpa.rows for s in row)
+    assert fpa.row_symbols() is fpa.rows
+    assert (fpa.n, fpa.size) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +139,10 @@ def test_verify_rejects_duplicate_rows():
 
 
 def test_verify_rejects_inconsistent_parameters():
-    fpa = FrequencyPermutationArray(5, 2, 2, (MultiPermutation((0, 1, 0, 1), 2, 2),), 1)
+    fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1), (0, 1, 0, 1, 1)], 2, 2, 1)
     report = verify(fpa)
     assert not report.valid
+    assert "row 1 has length 5" in report.reasons
 
 
 def test_verify_single_row_is_vacuous():
@@ -176,12 +188,17 @@ def test_verify_distance_matches_bruteforce(data):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _words(m, lam):
+    return list(all_lambda_permutations(m, lam))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_distance_is_a_metric_on_rows(data):
     m = data.draw(st.integers(2, 4), label="m")
     lam = data.draw(st.integers(1, 3), label="lam")
-    words = list(all_lambda_permutations(m, lam))
+    words = _words(m, lam)
     a = data.draw(st.sampled_from(words), label="a")
     b = data.draw(st.sampled_from(words), label="b")
     c = data.draw(st.sampled_from(words), label="c")

@@ -11,7 +11,6 @@ from fparray.gf import (
     Polynomial,
     associate_matrix,
     census_permutation_polynomials,
-    eval_poly,
     field_of_order,
     is_permutation_polynomial,
     linearized_monomial,
@@ -130,7 +129,7 @@ def test_polynomial_evaluation_horner_matches_powers():
         x = field.element(v)
         expected = field.element(2) + x**2 + x**3
         assert poly.evaluate(x) == expected
-        assert eval_poly(poly, x) == expected
+        assert poly(x) == expected
 
 
 def test_permutation_polynomial_detection():
