@@ -288,7 +288,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     array = _load_fpa(args.file)
-    report = verify(array, max_pairs=args.max_pairs)
+    report = verify(array)
     print(f"valid: {_bool(report.valid)}")
     print(f"size: {report.size}")
     print(f"actual_min_distance: {report.actual_min_distance}")
@@ -502,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("file")
     ver.add_argument("--expect-d", type=int, default=None)
     ver.add_argument("--expect-size", type=int, default=None)
-    ver.add_argument("--max-pairs", type=int, default=10_000_000)
     ver.set_defaults(func=_cmd_verify)
 
     # bounds ------------------------------------------------------------------

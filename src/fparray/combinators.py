@@ -180,12 +180,10 @@ class SeparableArray:
     """An array split into classes with a stronger within-class distance.
 
     delta is the declared within-class minimum, d the declared minimum over
-    the whole union.  Both are re-verified, as is row disjointness.
+    the whole union.  Both are re-verified, as is row disjointness.  The
+    classes share one (m, lam), read from the first class.
     """
 
-    n: int
-    m: int
-    lam: int
     classes: tuple[FrequencyPermutationArray, ...]
     delta: int
     d: int
@@ -194,7 +192,7 @@ class SeparableArray:
         if not self.classes:
             raise ValueError("need at least one class")
         for idx, cls in enumerate(self.classes):
-            if (cls.n, cls.m, cls.lam) != (self.n, self.m, self.lam):
+            if (cls.m, cls.lam) != (self.m, self.lam):
                 raise ValueError(f"class {idx} has mismatched parameters")
             report = core.verify(replace(cls, min_distance_claim=self.delta))
             if not report.valid:
@@ -204,6 +202,18 @@ class SeparableArray:
         report = core.verify(union)
         if not report.valid:
             raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
+
+    @property
+    def n(self) -> int:
+        return self.classes[0].n
+
+    @property
+    def m(self) -> int:
+        return self.classes[0].m
+
+    @property
+    def lam(self) -> int:
+        return self.classes[0].lam
 
     @property
     def num_classes(self) -> int:
@@ -234,7 +244,7 @@ class SeparableArray:
             )
             for k in range(num_classes)
         )
-        return cls(fpa.n, fpa.m, fpa.lam, classes, delta, d)
+        return cls(classes, delta, d)
 
 
 def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
@@ -253,7 +263,7 @@ def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
     classes = []
     for sq in squares:
         classes.append(replace(fpa_from_mofs([sq]), min_distance_claim=n))
-    return SeparableArray(n, n, 1, tuple(classes), n, n - 1)
+    return SeparableArray(tuple(classes), n, n - 1)
 
 
 def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
@@ -266,10 +276,10 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     """
     if not inputs:
         raise ValueError("need at least one separable array")
-    n, m, lam = inputs[0].n, inputs[0].m, inputs[0].lam
+    m, lam = inputs[0].m, inputs[0].lam
     for s in inputs[1:]:
-        if (s.n, s.m, s.lam) != (n, m, lam):
-            raise ValueError("inputs must share (n, m, lam)")
+        if (s.m, s.lam) != (m, lam):
+            raise ValueError("inputs must share (m, lam)")
     delta = min(s.delta for s in inputs)
     if sum(s.d for s in inputs) < delta:
         raise ValueError(

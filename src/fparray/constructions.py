@@ -18,9 +18,10 @@ from typing import Sequence
 
 from .core import FrequencyPermutationArray, WorkLimitExceeded
 from .gf import (
-    FieldElement,
     FiniteField,
     LinearizedPolynomial,
+    _check_range,
+    _field_images,
     _prime_power,
     associate_matrix,
     census_permutation_polynomials,
@@ -202,14 +203,7 @@ def fpa_from_linearized(
     seen: set[tuple[int, ...]] = set()
     order = field.q
     for f in census.witnesses:
-        cvals = [c.val for c in f.coeffs]
-        row = []
-        for x in range(order):
-            acc = 0
-            for c in reversed(cvals):
-                acc = field.add_val(field.mul_val(acc, x), c)
-            row.append(table[acc])
-        key = tuple(row)
+        key = tuple(table[v] for v in _field_images(f))
         if key not in seen:
             seen.add(key)
             raw_rows.append(key)
@@ -420,7 +414,7 @@ def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
 
 def reed_solomon_generator(
     q: int, k: int, n: int
-) -> tuple[FiniteField, tuple[tuple[FieldElement, ...], ...]]:
+) -> tuple[FiniteField, tuple[tuple[int, ...], ...]]:
     """Vandermonde generator on the first n evaluation points; n = q+1 adds
     the column (0, ..., 0, 1)."""
     if not 1 <= k <= n:
@@ -438,29 +432,26 @@ def reed_solomon_generator(
         cols.append(col)
     if n == q + 1:
         cols.append([0] * (k - 1) + [1])
-    rows = tuple(
-        tuple(field.element(cols[j][t]) for j in range(n)) for t in range(k)
-    )
+    rows = tuple(tuple(cols[j][t] for j in range(n)) for t in range(k))
     return field, rows
 
 
 def fpa_from_mds(
     field: FiniteField,
-    generator: Sequence[Sequence[FieldElement | int]],
+    generator: Sequence[Sequence[int]],
     max_subsets: int = 1_000_000,
 ) -> FrequencyPermutationArray:
     """One row per generator column: entries col . x over all x, odometer order.
 
-    Column pairs must be linearly independent (always checked); full MDS
-    (every k columns independent) is checked exhaustively when the subset
-    count is affordable, otherwise only pairwise with a warning.
+    Entries must be field elements 0..q-1.  Column pairs must be linearly
+    independent (always checked); full MDS (every k columns independent) is
+    checked exhaustively when the subset count is affordable, otherwise
+    only pairwise with a warning.
     """
-    rows_in = [
-        [e.val if isinstance(e, FieldElement) else int(e) for e in row]
-        for row in generator
-    ]
+    rows_in = [[int(e) for e in row] for row in generator]
     if not rows_in or len({len(r) for r in rows_in}) != 1:
         raise ValueError("generator must be a nonempty rectangular matrix")
+    _check_range(field, (e for row in rows_in for e in row))
     k, n = len(rows_in), len(rows_in[0])
     cols = [[rows_in[t][j] for t in range(k)] for j in range(n)]
     for a, b in itertools.combinations(range(n), 2):

@@ -136,26 +136,27 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     return FrequencyPermutationArray.from_rows(rows, m, lam, n)
 
 
-def _pair_distances(
-    mat: np.ndarray, max_pairs: int = 10_000_000
-) -> Iterator[tuple[int, int, np.ndarray]]:
+_BLOCK_CELLS = 10_000_000
+
+
+def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """Hamming distances of every row pair i < j, streamed in blocks.
 
     Yields (i, j, dists) with dists[t] the distance between rows i and
-    j + t.  A block compares at most max(1, max_pairs // n) rows at once,
-    which bounds the memory of one step.
+    j + t.  A block compares at most max(1, _BLOCK_CELLS // n) rows at
+    once, which bounds the memory of one step.
     """
     size, n = mat.shape
-    block = max(1, max_pairs // max(1, n))
+    block = max(1, _BLOCK_CELLS // max(1, n))
     for i in range(size - 1):
         for j in range(i + 1, size, block):
             yield i, j, (mat[j : j + block] != mat[i]).sum(axis=1)
 
 
-def _distance_scan(mat: np.ndarray, max_pairs: int) -> tuple[int, int]:
+def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
     """(min, max) Hamming distance over all row pairs."""
     lo, hi = mat.shape[1], 0
-    for _, _, dists in _pair_distances(mat, max_pairs):
+    for _, _, dists in _pair_distances(mat):
         lo = min(lo, int(dists.min()))
         hi = max(hi, int(dists.max()))
     return lo, hi
@@ -203,7 +204,6 @@ def _pair_profile(
 def verify(
     array: FrequencyPermutationArray,
     *,
-    max_pairs: int = 10_000_000,
     profile_limit: int = 10_000_000,
 ) -> VerificationReport:
     """Re-derive composition, distinctness, and distances from the raw rows.
@@ -233,7 +233,7 @@ def verify(
     profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
         mat = np.array(rows, dtype=np.int64)
-        lo, hi = _distance_scan(mat, max_pairs)
+        lo, hi = _distance_scan(mat)
         actual, equidistant = lo, lo == hi
         if not reasons:
             profile = _pair_profile(mat, array.m, profile_limit)

@@ -6,9 +6,10 @@ depends on two conventions fixed here once and for all:
 * the modulus is the monic irreducible of degree k whose coefficient
   vector has the smallest integer encoding sum(c_i * p^i), matching the
   classical small-field tables (x^2+x+1, x^3+x+1, x^4+x+1, ...);
-* elements are encoded as integers v = sum(a_i * p^i) over the polynomial
+* elements are the plain integers v = sum(a_i * p^i) over the polynomial
   basis, with the constant term as the least significant digit, and are
-  always enumerated as v = 0, 1, ..., q-1 (so 0 first, 1 second).
+  always enumerated as v = 0, 1, ..., q-1 (so 0 first, 1 second); every
+  function here takes and returns elements in that form.
 
 Also here: plain and linearized polynomials, the associate matrix of a
 linearized map with its rank/kernel bookkeeping, and a brute-force census
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import WorkLimitExceeded
 
@@ -112,11 +113,11 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# fields and elements
+# fields
 
 
 class FiniteField:
-    """GF(p^k) with integer-encoded elements; build via `make_field`."""
+    """GF(p^k) whose elements are the plain ints 0..q-1; build via `make_field`."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -161,8 +162,6 @@ class FiniteField:
             v += (d % self.p) * mult
             mult *= self.p
         return v
-
-    # -- integer-level arithmetic ------------------------------------------
 
     def add_val(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -231,68 +230,6 @@ class FiniteField:
             a = self.pow_val(a, self.p)
         return a
 
-    # -- element-level API ---------------------------------------------------
-
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self, v)
-
-    def elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, v) for v in range(self.q)]
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element, encoded as its base-p coefficient integer."""
-
-    field: FiniteField
-    val: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.val < self.field.q:
-            raise ValueError(f"value {self.val} outside GF order {self.field.q}")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.val)
-
-    def _peer(self, other: object) -> int:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise TypeError("operands must come from the same field instance")
-        return other.val
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add_val(self.val, self._peer(other)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub_val(self.val, self._peer(other)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul_val(self.val, self._peer(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        peer = self._peer(other)
-        return FieldElement(self.field, self.field.mul_val(self.val, self.field.inv_val(peer)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow_val(self.val, e))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_val(self.val))
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}[{self.val}]"
-
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
@@ -331,47 +268,57 @@ def field_of_order(q: int) -> FiniteField:
 # plain polynomials
 
 
+def _check_range(field: FiniteField, values: Iterable[int]) -> None:
+    for v in values:
+        if not 0 <= v < field.q:
+            raise ValueError(f"field element {v} outside 0..{field.q - 1}")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficients low-to-high over one field; () is the zero polynomial."""
 
     field: FiniteField
-    coeffs: tuple[FieldElement, ...]
+    coeffs: tuple[int, ...]
 
     @classmethod
     def of(cls, field: FiniteField, values: Sequence[int]) -> "Polynomial":
         vals = [int(v) for v in values]
+        _check_range(field, vals)
         while vals and vals[-1] == 0:
             vals.pop()
-        return cls(field, tuple(field.element(v) for v in vals))
+        return cls(field, tuple(vals))
 
     @property
     def degree(self) -> float:
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        if x.field is not self.field:
-            raise TypeError("argument from a different field")
+    def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
-            acc = self.field.add_val(self.field.mul_val(acc, x.val), c.val)
-        return self.field.element(acc)
+            acc = self.field.add_val(self.field.mul_val(acc, x), c)
+        return acc
 
     __call__ = evaluate
 
 
-def is_permutation_polynomial(f: Polynomial) -> bool:
-    """True iff f hits every field element exactly once."""
-    field = f.field
-    cvals = [c.val for c in f.coeffs]
-    seen = bytearray(field.q)
+def _field_images(f: Polynomial) -> Iterator[int]:
+    """f(x) for x = 0, 1, ..., q-1 by Horner's rule, computed as consumed."""
+    field, coeffs = f.field, f.coeffs[::-1]
     for x in range(field.q):
         acc = 0
-        for c in reversed(cvals):
+        for c in coeffs:
             acc = field.add_val(field.mul_val(acc, x), c)
-        if seen[acc]:
+        yield acc
+
+
+def is_permutation_polynomial(f: Polynomial) -> bool:
+    """True iff f hits every field element exactly once."""
+    seen = bytearray(f.field.q)
+    for v in _field_images(f):
+        if seen[v]:
             return False
-        seen[acc] = 1
+        seen[v] = 1
     return True
 
 
@@ -417,7 +364,7 @@ def census_permutation_polynomials(
             for _ in range(d + 1):
                 vals.append(vv % q)
                 vv //= q
-            f = Polynomial(field, tuple(field.element(c) for c in vals))
+            f = Polynomial(field, tuple(vals))
             if is_permutation_polynomial(f):
                 found += 1
                 witnesses.append(f)
@@ -440,7 +387,7 @@ class LinearizedPolynomial:
 
     field: FiniteField
     q: int
-    alphas: tuple[FieldElement, ...]
+    alphas: tuple[int, ...]
 
     def __post_init__(self) -> None:
         a = _base_exponent(self.field, self.q)
@@ -448,13 +395,11 @@ class LinearizedPolynomial:
             raise ValueError(
                 f"need {self.field.k // a} coefficients, got {len(self.alphas)}"
             )
-        for alpha in self.alphas:
-            if alpha.field is not self.field:
-                raise ValueError("coefficient from a different field instance")
+        _check_range(self.field, self.alphas)
 
     @classmethod
     def of(cls, field: FiniteField, q: int, values: Sequence[int]) -> "LinearizedPolynomial":
-        return cls(field, q, tuple(field.element(int(v)) for v in values))
+        return cls(field, q, tuple(int(v) for v in values))
 
     @property
     def i(self) -> int:
@@ -464,26 +409,24 @@ class LinearizedPolynomial:
     def top_exponent(self) -> int:
         """Largest s with alphas[s] nonzero; the map's degree is q^s."""
         for s in range(self.i - 1, -1, -1):
-            if self.alphas[s].val:
+            if self.alphas[s]:
                 return s
         raise ValueError("linearized polynomial is identically zero")
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        if x.field is not self.field:
-            raise TypeError("argument from a different field")
+    def evaluate(self, x: int) -> int:
         field, a = self.field, _base_exponent(self.field, self.q)
-        acc, xv = 0, x.val
+        acc = 0
         for s, alpha in enumerate(self.alphas):
             if s:
-                xv = field.frobenius_val(xv, a)
-            if alpha.val:
-                acc = field.add_val(acc, field.mul_val(alpha.val, xv))
-        return field.element(acc)
+                x = field.frobenius_val(x, a)
+            if alpha:
+                acc = field.add_val(acc, field.mul_val(alpha, x))
+        return acc
 
     __call__ = evaluate
 
     def value_table(self) -> list[int]:
-        """L(x).val for every x in enumeration order, via additivity.
+        """L(x) for every x in enumeration order, via additivity.
 
         Images of the p-power basis elements are combined digit by digit,
         so the table costs O(q) field additions instead of O(q) full
@@ -491,7 +434,7 @@ class LinearizedPolynomial:
         """
         field = self.field
         p, k, order = field.p, field.k, field.q
-        basis_img = [self.evaluate(field.element(p**j)).val for j in range(k)]
+        basis_img = [self.evaluate(p**j) for j in range(k)]
         scaled = [[0] * p for _ in range(k)]
         for j in range(k):
             for c in range(1, p):
@@ -503,7 +446,7 @@ class LinearizedPolynomial:
                 vv //= p
                 j += 1
             c = vv % p
-            # digitwise: element(v) = element(v - c*p^j) + c * element(p^j)
+            # digitwise: v = (v - c*p^j) + c * p^j as field elements
             table[v] = field.add_val(table[v - c * p**j], scaled[j][c])
         return table
 
@@ -544,45 +487,23 @@ def linearized_monomial(field: FiniteField, q: int) -> LinearizedPolynomial:
     return LinearizedPolynomial.of(field, q, values)
 
 
-def relative_trace(E: FiniteField, h: int, x: FieldElement) -> FieldElement:
+def relative_trace(E: FiniteField, h: int, x: int) -> int:
     """Trace of x onto the subfield GF(p^h); h must divide the degree.
 
-    Computes x + x^(p^h) + x^(p^2h) + ... over all K/h conjugates.  Callers
-    thinking in terms of a base power q = p^a use h_prime = a * h_base.
+    Evaluates x + x^(p^h) + x^(p^2h) + ... over all K/h conjugates as the
+    base-p trace map.  Callers thinking in terms of a base power q = p^a
+    use h_prime = a * h_base.
     """
-    if E.k % h:
-        raise ValueError(f"subfield degree {h} does not divide {E.k}")
-    if x.field is not E:
-        raise TypeError("element from a different field")
-    acc, cur = x.val, x.val
-    for _ in range(E.k // h - 1):
-        cur = E.frobenius_val(cur, h)
-        acc = E.add_val(acc, cur)
-    return E.element(acc)
+    return linearized_trace(E, E.p, h).evaluate(x)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over a field (small dense matrices)
 
 
-def _as_value_rows(field: FiniteField, rows: Sequence[Sequence[object]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        vals = []
-        for entry in row:
-            if isinstance(entry, FieldElement):
-                if entry.field is not field:
-                    raise TypeError("matrix entry from a different field")
-                vals.append(entry.val)
-            else:
-                vals.append(int(entry))  # type: ignore[arg-type]
-        out.append(vals)
-    return out
-
-
-def matrix_rank(field: FiniteField, rows: Sequence[Sequence[object]]) -> int:
+def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Row-reduction rank over the field."""
-    mat = _as_value_rows(field, rows)
+    mat = [list(row) for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -607,9 +528,9 @@ def matrix_rank(field: FiniteField, rows: Sequence[Sequence[object]]) -> int:
     return rank
 
 
-def matrix_det(field: FiniteField, rows: Sequence[Sequence[object]]) -> FieldElement:
+def matrix_det(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Determinant by elimination (square matrices only)."""
-    mat = _as_value_rows(field, rows)
+    mat = [list(row) for row in rows]
     nrows = len(mat)
     if any(len(r) != nrows for r in mat):
         raise ValueError("determinant needs a square matrix")
@@ -617,7 +538,7 @@ def matrix_det(field: FiniteField, rows: Sequence[Sequence[object]]) -> FieldEle
     for col in range(nrows):
         pivot = next((r for r in range(col, nrows) if mat[r][col]), None)
         if pivot is None:
-            return field.zero
+            return 0
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
             det = field.neg_val(det)
@@ -630,12 +551,12 @@ def matrix_det(field: FiniteField, rows: Sequence[Sequence[object]]) -> FieldEle
                     field.sub_val(v, field.mul_val(factor, w))
                     for v, w in zip(mat[r], mat[col])
                 ]
-    return field.element(det)
+    return det
 
 
 def associate_matrix(
     L: LinearizedPolynomial,
-) -> tuple[tuple[tuple[FieldElement, ...], ...], int, int]:
+) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """(matrix, rank, kernel_size) for a linearized map.
 
     Entry (j, col) is alphas[(j - col) mod i] raised to the q^col power.
@@ -643,14 +564,10 @@ def associate_matrix(
     table whenever the field is small enough to afford one.
     """
     field, i, a = L.field, L.i, _base_exponent(L.field, L.q)
-    rows = []
-    for j in range(i):
-        row = []
-        for col in range(i):
-            v = L.alphas[(j - col) % i].val
-            row.append(field.element(field.frobenius_val(v, a * col)))
-        rows.append(tuple(row))
-    matrix = tuple(rows)
+    matrix = tuple(
+        tuple(field.frobenius_val(L.alphas[(j - col) % i], a * col) for col in range(i))
+        for j in range(i)
+    )
     rank = matrix_rank(field, matrix)
     kernel_size = L.q ** (i - rank)
     if field.q <= 2**16:

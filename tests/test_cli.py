@@ -164,6 +164,18 @@ def test_mds_requires_exactly_one_source(tmp_path, capsys):
     assert main(["construct", "mds", "--q", "3"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["-1", "3", "7"])
+def test_mds_rejects_generator_entries_outside_the_field(tmp_path, capsys, entry):
+    gen = tmp_path / "g.txt"
+    gen.write_text(f"1 0 1 2\n0 1 {entry} 1\n")
+    out = tmp_path / "mds.fpa"
+    assert main(["construct", "mds", "--q", "3", "--gen", str(gen), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: field element {entry} outside 0..2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_oa_ingredient_roundtrip(tmp_path):
     a = tmp_path / "a.fpa"
     b = tmp_path / "b.fpa"

@@ -204,7 +204,7 @@ def test_separable_split_of_an_equidistant_array():
 def test_separable_rejects_an_overstated_class_distance():
     a = _nine_column_array()
     with pytest.raises(ValueError):
-        SeparableArray(9, 3, 3, (a,), 7, 6)  # rows are at distance 6, not 7
+        SeparableArray((a,), 7, 6)  # rows are at distance 6, not 7
 
 
 def test_class_product_reproduces_the_48_row_listing():

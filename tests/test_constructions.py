@@ -182,7 +182,7 @@ def test_resolvable_design_validation():
 def test_reed_solomon_generator_shape():
     field, rows = reed_solomon_generator(3, 2, 4)
     assert field.q == 3
-    grid = [[e.val for e in row] for row in rows]
+    grid = [list(row) for row in rows]
     assert grid == [[1, 1, 1, 0], [0, 1, 2, 1]]
     with pytest.raises(ValueError):
         reed_solomon_generator(3, 2, 5)  # n > q + 1
