@@ -20,7 +20,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import WorkLimitExceeded, _pair_distances, all_lambda_permutations, count_all
+from .core import (
+    WorkLimitExceeded,
+    _pair_distances,
+    all_lambda_permutations,
+    count_all,
+    hamming_distance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +152,9 @@ class PartitionTerm:
         return len(self.parts)
 
     @property
-    def s(self) -> int:
-        return len(set(self.parts))
-
-    @property
     def multiplicities(self) -> tuple[int, ...]:
         counter = Counter(self.parts)
         return tuple(counter[v] for v in sorted(counter, reverse=True))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
 
 def partition_terms(k: int, max_part: int) -> list[PartitionTerm]:
@@ -194,7 +192,7 @@ def sphere_volume(
         return sum(
             1
             for w in all_lambda_permutations(m, lam)
-            if sum(a != b for a, b in zip(w, centre)) <= r
+            if hamming_distance(w, centre) <= r
         )
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")

@@ -96,6 +96,16 @@ def _parse_header(
     return values
 
 
+def _groups_after_header(lines: list[str]) -> list[list[str]]:
+    """`_groups` of lines whose first data line is the header; the header is
+    dropped from the first group, and so is that group if nothing is left."""
+    groups = _groups(lines)
+    del groups[0][0]
+    if not groups[0]:
+        groups.pop(0)
+    return groups
+
+
 def _int_row(line: str, width: int, what: str) -> tuple[int, ...]:
     parts = line.split()
     try:
@@ -178,12 +188,7 @@ def parse_squares(text: str) -> list[FrequencySquare]:
         raise FormatError("missing square header line")
     header = _parse_header(data[0], ("n", "m", "lambda", "count"))
     n = header["n"]
-    grids = _groups(rest)
-    # the first group begins with the header line; strip it
-    if grids and grids[0] and grids[0][0] == data[0]:
-        grids[0] = grids[0][1:]
-        if not grids[0]:
-            grids.pop(0)
+    grids = _groups_after_header(rest)
     if len(grids) != header["count"]:
         raise FormatError(f"header says count={header['count']}, found {len(grids)} grids")
     squares = []
@@ -254,11 +259,7 @@ def parse_design(text: str) -> ResolvableDesign:
     if not data:
         raise FormatError("missing design header line")
     header = _parse_header(data[0], ("v", "k", "classes"), optional=("lambda_d",))
-    groups = _groups(rest)
-    if groups and groups[0] and groups[0][0] == data[0]:
-        groups[0] = groups[0][1:]
-        if not groups[0]:
-            groups.pop(0)
+    groups = _groups_after_header(rest)
     if len(groups) != header["classes"]:
         raise FormatError(
             f"header says classes={header['classes']}, found {len(groups)} classes"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core
 from .core import FrequencyPermutationArray
-from .constructions import FrequencySquare, fpa_from_mofs
+from .constructions import FrequencySquare, _latin_order, fpa_from_mofs
 
 
 def pad(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
@@ -254,12 +254,7 @@ def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
     single-square case of fpa_from_mofs); orthogonality keeps rows from
     different squares at distance n-1.
     """
-    if not squares:
-        raise ValueError("need at least one square")
-    n = squares[0].n
-    for sq in squares:
-        if sq.lam != 1 or sq.n != n:
-            raise ValueError("need latin squares of one common order")
+    n = _latin_order(squares)
     classes = []
     for sq in squares:
         classes.append(replace(fpa_from_mofs([sq]), min_distance_claim=n))

@@ -16,7 +16,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FrequencyPermutationArray, WorkLimitExceeded
+import numpy as np
+
+from .core import (
+    FrequencyPermutationArray,
+    WorkLimitExceeded,
+    _pair_counts,
+    _pair_distances,
+    is_lambda_permutation,
+)
 from .gf import (
     FiniteField,
     LinearizedPolynomial,
@@ -52,19 +60,10 @@ class FrequencySquare:
             )
         if len(self.cells) != self.n or any(len(r) != self.n for r in self.cells):
             raise ValueError("cells must form an n x n grid")
-        target = {s: self.lam for s in range(self.m)}
-        for r, row in enumerate(self.cells):
-            counts: dict[int, int] = {}
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-            if counts != target:
-                raise ValueError(f"row {r} is not {self.lam}-uniform")
-        for c in range(self.n):
-            counts = {}
-            for row in self.cells:
-                counts[row[c]] = counts.get(row[c], 0) + 1
-            if counts != target:
-                raise ValueError(f"column {c} is not {self.lam}-uniform")
+        for what, lines in (("row", self.cells), ("column", zip(*self.cells))):
+            for idx, line in enumerate(lines):
+                if not is_lambda_permutation(line, self.m, self.lam):
+                    raise ValueError(f"{what} {idx} is not {self.lam}-uniform")
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "FrequencySquare":
@@ -80,12 +79,39 @@ def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
     """Superimposing must show every ordered symbol pair lam_a*lam_b times."""
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    counts: dict[tuple[int, int], int] = {}
-    for ra, rb in zip(a.cells, b.cells):
-        for va, vb in zip(ra, rb):
-            counts[(va, vb)] = counts.get((va, vb), 0) + 1
-    want = a.lam * b.lam
-    return len(counts) == a.m * b.m and all(c == want for c in counts.values())
+    counts = _pair_counts(_flat_cells(a), _flat_cells(b)[None], a.m, b.m)
+    return bool((counts == a.lam * b.lam).all())
+
+
+def _flat_cells(sq: FrequencySquare) -> np.ndarray:
+    return np.array(sq.cells, dtype=np.int64).ravel()
+
+
+def _symbol_cells(sq: FrequencySquare) -> list[tuple[int, ...]]:
+    """Per symbol, the row-major cell indices r*n + c that hold it."""
+    flat = _flat_cells(sq)
+    return [tuple(np.flatnonzero(flat == s).tolist()) for s in range(sq.m)]
+
+
+def _unbalanced_pair(mat: np.ndarray, m: int, want: int) -> tuple[int, int] | None:
+    """First row pair a < b whose symbol-pair table is not `want` in every
+    cell, or None.  Symbols must lie in 0..m-1."""
+    for a in range(mat.shape[0] - 1):
+        tables = _pair_counts(mat[a], mat[a + 1 :], m, m)
+        bad = np.flatnonzero((tables != want).any(axis=(1, 2)))
+        if bad.size:
+            return a, a + 1 + int(bad[0])
+    return None
+
+
+def _latin_order(squares: Sequence[FrequencySquare]) -> int:
+    """The order n shared by a nonempty list of latin squares."""
+    if not squares:
+        raise ValueError("need at least one square")
+    n = squares[0].n
+    if any(sq.lam != 1 or sq.n != n for sq in squares):
+        raise ValueError("need latin squares of one common order")
+    return n
 
 
 def mols_from_field(q: int) -> list[FrequencySquare]:
@@ -163,17 +189,12 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
     for s in squares[1:]:
         if (s.n, s.m, s.lam) != (first.n, first.m, first.lam):
             raise ValueError("squares must share (n, m, lam)")
-    for a, b in itertools.combinations(range(len(squares)), 2):
-        if not are_orthogonal(squares[a], squares[b]):
-            raise ValueError(f"squares {a} and {b} are not orthogonal")
+    flat = np.stack([_flat_cells(sq) for sq in squares])
+    pair = _unbalanced_pair(flat, first.m, first.lam * first.lam)
+    if pair:
+        raise ValueError(f"squares {pair[0]} and {pair[1]} are not orthogonal")
     n, lam = first.n, first.lam
-    rows = []
-    for sq in squares:
-        for symbol in range(sq.m):
-            row = [
-                c for r in range(n) for c in range(n) if sq.cells[r][c] == symbol
-            ]
-            rows.append(row)
+    rows = [[p % n for p in cells] for sq in squares for cells in _symbol_cells(sq)]
     return FrequencyPermutationArray.from_rows(rows, n, lam, n * lam - lam * lam)
 
 
@@ -262,29 +283,23 @@ class OrthogonalArray:
     def __post_init__(self) -> None:
         if self.t != 2:
             raise ValueError("only strength 2 is supported")
+        if self.s < 1 or self.v < 1:
+            raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
         if len(self.rows) != self.r or any(len(row) != self.v for row in self.rows):
             raise ValueError("rows must form an r x v grid")
-        index = self.v // self.s**2
-        for a, b in itertools.combinations(range(self.r), 2):
-            counts: dict[tuple[int, int], int] = {}
-            for va, vb in zip(self.rows[a], self.rows[b]):
-                if not (0 <= va < self.s and 0 <= vb < self.s):
-                    raise ValueError("symbol outside 0..s-1")
-                counts[(va, vb)] = counts.get((va, vb), 0) + 1
-            if len(counts) != self.s**2 or any(c != index for c in counts.values()):
-                raise ValueError(f"rows {a}, {b} break strength-2 uniformity")
+        if any(min(row) < 0 or max(row) >= self.s for row in self.rows):
+            raise ValueError("symbol outside 0..s-1")
+        mat = np.array(self.rows, dtype=np.int64).reshape(self.r, self.v)
+        pair = _unbalanced_pair(mat, self.s, self.v // self.s**2)
+        if pair:
+            raise ValueError(f"rows {pair[0]}, {pair[1]} break strength-2 uniformity")
 
 
 def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
-    if not squares:
-        raise ValueError("need at least one square")
-    n = squares[0].n
-    for sq in squares:
-        if sq.lam != 1 or sq.n != n:
-            raise ValueError("need latin squares of one common order")
+    n = _latin_order(squares)
     cells = [(r, c) for r in range(n) for c in range(n)]
     rows = [
         tuple(r for r, _ in cells),
@@ -320,6 +335,8 @@ class ResolvableDesign:
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
+        if self.v < 1:
+            raise ValueError(f"need v >= 1 points, got v={self.v}")
         if self.k < 1 or self.v % self.k:
             raise ValueError(f"block size {self.k} must divide {self.v}")
         per_class = self.v // self.k
@@ -334,14 +351,13 @@ class ResolvableDesign:
             if len(seen) != self.v:
                 raise ValueError(f"class {idx} does not partition the points")
         if self.lambda_d is not None:
-            pair_counts: dict[tuple[int, int], int] = {}
-            for cls in self.classes:
-                for block in cls:
-                    for x, y in itertools.combinations(sorted(block), 2):
-                        pair_counts[(x, y)] = pair_counts.get((x, y), 0) + 1
-            total_pairs = self.v * (self.v - 1) // 2
-            if len(pair_counts) != total_pairs or any(
-                c != self.lambda_d for c in pair_counts.values()
+            # points x, y share a block in every class where columns x, y of
+            # the class rows agree.  Distances alone would accept lambda_d = 0
+            # when k = 1, so a covering count below 1 is rejected outright.
+            cols = np.ascontiguousarray(_class_rows(self.v, self.classes).T)
+            apart = len(self.classes) - self.lambda_d
+            if (self.v >= 2 and self.lambda_d < 1) or any(
+                (dists != apart).any() for _, _, dists in _pair_distances(cols)
             ):
                 raise ValueError(f"point pairs are not covered exactly {self.lambda_d} times")
 
@@ -349,40 +365,27 @@ class ResolvableDesign:
         """k^2/v integral and non-parallel blocks always meet in k^2/v points."""
         if (self.k * self.k) % self.v:
             return False
-        mu = self.k * self.k // self.v
-        for (i, ci), (j, cj) in itertools.combinations(enumerate(self.classes), 2):
-            for ba in ci:
-                sa = set(ba)
-                for bb in cj:
-                    if len(sa.intersection(bb)) != mu:
-                        return False
-        return True
+        rows = _class_rows(self.v, self.classes)
+        return _unbalanced_pair(rows, self.v // self.k, self.k * self.k // self.v) is None
+
+
+def _class_rows(v: int, classes: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
+    """R[i, p] = index of point p's block in class i (classes partition 0..v-1)."""
+    rows = np.zeros((len(classes), v), dtype=np.int64)
+    for i, cls in enumerate(classes):
+        for b_idx, block in enumerate(cls):
+            rows[i, list(block)] = b_idx
+    return rows
 
 
 def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDesign:
     """Row class, column class, and one class per latin square, on n^2 points."""
-    if not squares:
-        raise ValueError("need at least one square")
-    n = squares[0].n
-    for sq in squares:
-        if sq.lam != 1 or sq.n != n:
-            raise ValueError("need latin squares of one common order")
+    n = _latin_order(squares)
     classes = [
         tuple(tuple(range(r * n, r * n + n)) for r in range(n)),
         tuple(tuple(range(c, n * n, n)) for c in range(n)),
     ]
-    for sq in squares:
-        blocks = []
-        for symbol in range(n):
-            blocks.append(
-                tuple(
-                    r * n + c
-                    for r in range(n)
-                    for c in range(n)
-                    if sq.cells[r][c] == symbol
-                )
-            )
-        classes.append(tuple(blocks))
+    classes += [tuple(_symbol_cells(sq)) for sq in squares]
     lambda_d = 1 if len(squares) == n - 1 else None
     return ResolvableDesign(n * n, n, tuple(classes), lambda_d)
 
@@ -395,13 +398,7 @@ def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
     """
     if not design.is_affine():
         raise ValueError("design is not affine; the v - k distance claim needs k^2/v-point intersections")
-    rows = []
-    for cls in design.classes:
-        row = [0] * design.v
-        for b_idx, block in enumerate(cls):
-            for p in block:
-                row[p] = b_idx
-        rows.append(row)
+    rows = _class_rows(design.v, design.classes).tolist()
     m = design.v // design.k
     return FrequencyPermutationArray.from_rows(
         rows, m, design.k, design.v - design.k
@@ -467,16 +464,8 @@ def fpa_from_mds(
     else:
         warnings.warn("generator too wide for the full MDS check; columns only checked pairwise")
     q = field.q
-    rows = []
-    for col in cols:
-        row = []
-        for x in itertools.product(range(q), repeat=k):
-            acc = 0
-            for c, xv in zip(col, x):
-                if c and xv:
-                    acc = field.add_val(acc, field.mul_val(c, xv))
-            row.append(acc)
-        rows.append(row)
+    points = list(itertools.product(range(q), repeat=k))
+    rows = [[_dot(field, col, x) for x in points] for col in cols]
     return FrequencyPermutationArray.from_rows(
         rows, q, q ** (k - 1), q ** (k - 1) * (q - 1)
     )
@@ -502,10 +491,6 @@ class HadamardMatrix:
         for a, b in itertools.combinations(range(self.n), 2):
             if sum(x * y for x, y in zip(self.rows[a], self.rows[b])):
                 raise ValueError(f"rows {a} and {b} are not orthogonal")
-
-    @property
-    def is_normalized(self) -> bool:
-        return all(e == 1 for e in self.rows[0])
 
 
 def _hadamard_constructible(n: int, memo: dict[int, bool]) -> bool:

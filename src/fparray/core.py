@@ -170,6 +170,18 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     return min(int(dists.min()) for _, _, dists in _pair_distances(mat))
 
 
+def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
+    """Symbol-pair tables of row x against each row of ys.
+
+    Returns counts with counts[t, a, b] the number of positions p where
+    x[p] == a and ys[t, p] == b.  Symbols must already lie in 0..mx-1 (x)
+    and 0..my-1 (ys).
+    """
+    rows = ys.shape[0]
+    codes = (np.arange(rows)[:, None] * mx + x) * my + ys
+    return np.bincount(codes.ravel(), minlength=rows * mx * my).reshape(rows, mx, my)
+
+
 def _pair_profile(
     mat: np.ndarray, m: int, limit: int
 ) -> dict[tuple[int, int], int] | None:
@@ -180,22 +192,17 @@ def _pair_profile(
     ordered pair of distinct rows (so it must also equal its own transpose),
     and the m*m*pairs work stays within `limit`.
     """
-    size, n = mat.shape
+    size = mat.shape[0]
     npairs = size * (size - 1) // 2
     if npairs < 1 or m * m * npairs > limit:
         return None
-    ref = None
+    table = None
     for i in range(size - 1):
-        rest = mat[i + 1 :]
-        codes = mat[i] * m + rest  # (size-i-1, n) pair codes
-        counts = np.zeros((rest.shape[0], m * m), dtype=np.int64)
-        rows_idx = np.repeat(np.arange(rest.shape[0]), n)
-        np.add.at(counts, (rows_idx, codes.ravel()), 1)
-        if ref is None:
-            ref = counts[0].copy()
-        if not (counts == ref).all():
+        counts = _pair_counts(mat[i], mat[i + 1 :], m, m)
+        if table is None:
+            table = counts[0]
+        if not (counts == table).all():
             return None
-    table = ref.reshape(m, m)
     if not (table == table.T).all():
         return None
     return {(a, b): int(table[a, b]) for a in range(m) for b in range(m)}

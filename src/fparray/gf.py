@@ -503,6 +503,7 @@ def relative_trace(E: FiniteField, h: int, x: int) -> int:
 
 def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Row-reduction rank over the field."""
+    _check_range(field, (v for row in rows for v in row))
     mat = [list(row) for row in rows]
     if not mat:
         return 0
@@ -530,6 +531,7 @@ def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
 
 def matrix_det(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Determinant by elimination (square matrices only)."""
+    _check_range(field, (v for row in rows for v in row))
     mat = [list(row) for row in rows]
     nrows = len(mat)
     if any(len(r) != nrows for r in mat):

@@ -194,6 +194,26 @@ def test_oa_ingredient_roundtrip(tmp_path):
     assert main(["construct", "oa"]) == 2
 
 
+@pytest.mark.parametrize(
+    "method, text, message",
+    [
+        ("oa", "#ing v1 oa\nv=4 r=2 s=0 t=2\n0 0 0 0\n0 0 0 0\n", "need s >= 1"),
+        ("ard", "#ing v1 ard\nv=0 k=1 classes=0\n", "need v >= 1 points"),
+    ],
+)
+def test_ingredient_with_nothing_to_count_exits_two(tmp_path, capsys, method, text, message):
+    # both headers used to die with a ZeroDivisionError traceback and exit 1
+    ingredient = tmp_path / "ingredient.txt"
+    ingredient.write_text(text)
+    out = tmp_path / "a.fpa"
+    flag = "--oa" if method == "oa" else "--design"
+    assert main(["construct", method, flag, str(ingredient), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # remaining construct methods
 

@@ -1,5 +1,6 @@
 """Direct construction routes: squares, fields, arrays, designs, codes."""
 
+import collections
 import itertools
 
 import pytest
@@ -98,6 +99,19 @@ def test_are_orthogonal_negative_cases():
         are_orthogonal(sq, other)
 
 
+def test_are_orthogonal_with_different_symbol_counts():
+    latin = FrequencySquare(4, 4, 1, tuple(tuple((r + c) % 4 for c in range(4)) for r in range(4)))
+    good = FrequencySquare(4, 2, 2, ((0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)))
+    bad = FrequencySquare(4, 2, 2, ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)))
+    for freq, expected in ((good, True), (bad, False)):
+        pairs = collections.Counter(
+            zip(itertools.chain(*freq.cells), itertools.chain(*latin.cells))
+        )
+        assert (len(pairs) == 8 and set(pairs.values()) == {2}) == expected
+        assert are_orthogonal(freq, latin) == expected
+        assert are_orthogonal(latin, freq) == expected
+
+
 def test_complete_mofs_family():
     squares = mofs_complete(2, 2)
     assert len(squares) == 9  # (q^i - 1)^2 / (q - 1)
@@ -155,8 +169,13 @@ def test_orthogonal_array_validation():
     with pytest.raises(ValueError):
         OrthogonalArray(8, 4, 3, 2, tuple(r[:8] for r in rows))  # bad index
     broken = (rows[0], rows[0]) + rows[2:]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows 0, 1 break strength-2 uniformity"):
         OrthogonalArray(9, 4, 3, 2, broken)
+    with pytest.raises(ValueError, match="need s >= 1"):
+        OrthogonalArray(9, 4, 0, 2, rows)
+    # the symbol range is checked before any row pair, even an unbalanced one
+    with pytest.raises(ValueError, match="symbol outside 0..s-1"):
+        OrthogonalArray(9, 4, 3, 2, broken[:3] + ((3,) + rows[3][1:],))
 
 
 def test_affine_design_route():
@@ -177,6 +196,23 @@ def test_resolvable_design_validation():
         ResolvableDesign(4, 2, (((0, 1), (2, 2)),))  # not a partition
     with pytest.raises(ValueError):
         ResolvableDesign(4, 2, (((0, 1), (2, 3)),), lambda_d=1)  # pairs uncovered
+
+
+def test_design_pair_cover_count_must_be_positive():
+    singletons = (((0,), (1,), (2,)),)
+    # with k = 1 no pair shares a block, yet lambda_d = 0 is still rejected
+    for lambda_d in (0, -1):
+        with pytest.raises(ValueError, match=f"covered exactly {lambda_d} times"):
+            ResolvableDesign(3, 1, singletons, lambda_d=lambda_d)
+    assert ResolvableDesign(1, 1, (((0,),),), lambda_d=0).lambda_d == 0
+    one_factorisation = (
+        ((0, 1), (2, 3)),
+        ((0, 2), (1, 3)),
+        ((0, 3), (1, 2)),
+    )
+    assert ResolvableDesign(4, 2, one_factorisation, lambda_d=1).is_affine()
+    with pytest.raises(ValueError, match="covered exactly 2 times"):
+        ResolvableDesign(4, 2, one_factorisation, lambda_d=2)
 
 
 def test_reed_solomon_generator_shape():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fparray.core import (
     FrequencyPermutationArray,
+    _pair_counts,
     all_lambda_permutations,
     canonical_max_distance_fpa,
     count_all,
@@ -208,3 +209,38 @@ def test_distance_is_a_metric_on_rows(data):
     if a != b:
         # distinct words over one symbol multiset differ in >= 2 positions
         assert hamming_distance(a, b) >= 2
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the symbol-pair kernel agrees with a plain dict count
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pair_counts_match_a_dict_count(data):
+    mx = data.draw(st.integers(1, 4), label="mx")
+    my = data.draw(st.integers(1, 4), label="my")
+    n = data.draw(st.integers(0, 8), label="n")
+    x = data.draw(st.lists(st.integers(0, mx - 1), min_size=n, max_size=n), label="x")
+    ys = data.draw(
+        st.lists(
+            st.lists(st.integers(0, my - 1), min_size=n, max_size=n),
+            min_size=0,
+            max_size=5,
+        ),
+        label="ys",
+    )
+    tables = _pair_counts(
+        np.array(x, dtype=np.int64),
+        np.array(ys, dtype=np.int64).reshape(len(ys), n),
+        mx,
+        my,
+    )
+    assert tables.shape == (len(ys), mx, my)
+    for t, y in enumerate(ys):
+        counts = {}
+        for a, b in zip(x, y):
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+        for a in range(mx):
+            for b in range(my):
+                assert tables[t, a, b] == counts.get((a, b), 0)

@@ -266,3 +266,13 @@ def test_matrix_rank_and_det():
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert matrix_det(field, identity) == 1
     assert matrix_rank(field, identity) == 3
+
+
+@pytest.mark.parametrize("entry", [-1, 5])
+def test_matrix_entries_outside_the_field_are_rejected(entry):
+    # -1 used to loop forever in add_val, 5 to die with an IndexError
+    field = make_field(3, 1)
+    with pytest.raises(ValueError, match=f"field element {entry} outside 0..2"):
+        matrix_rank(field, [[1, 2], [entry, 0]])
+    with pytest.raises(ValueError, match=f"field element {entry} outside 0..2"):
+        matrix_det(field, [[1, 2], [entry, 0]])
