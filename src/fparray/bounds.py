@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,6 +268,138 @@ class ExactResult:
     rows: tuple[tuple[int, ...], ...]
 
 
+# The search refuses word spaces whose V x V adjacency has more cells than
+# this: its set-up takes O(V^2) time and V^2 / 4 bytes.  The 5 040 words of
+# n = 7, lambda = 1 fit.
+_ADJACENCY_CELLS = 1 << 25
+
+
+def _bits(p: int) -> list[int]:
+    """Indices of the set bits of p, ascending."""
+    out = []
+    while p:
+        low = p & -p
+        out.append(low.bit_length() - 1)
+        p ^= low
+    return out
+
+
+def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
+    """Neighbour bitsets: bit u of adj[v] is set iff words u, v are >= d apart.
+
+    The rows are filled packed, 8 vertices to a byte: a pair i < j sets
+    bit j of row i and bit i of row j.
+    """
+    size = len(words)
+    packed = np.zeros((size, (size + 7) // 8), dtype=np.uint8)
+    for i, j, dists in _pair_distances(np.array(words, dtype=np.int16)):
+        hits = dists >= d
+        upper = np.zeros(size, dtype=bool)
+        upper[j : j + len(hits)] = hits
+        packed[i] |= np.packbits(upper, bitorder="little")
+        packed[j : j + len(hits), i >> 3] |= hits.astype(np.uint8) << (i & 7)
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _greedy_clique(adj: Sequence[int]) -> list[int]:
+    """Keep taking the candidate that keeps the most candidates.
+
+    Ties go to the lowest index; candidates that are pairwise adjacent
+    are taken at once.  keeps[u] counts u's neighbours among the
+    candidates, and drops by the rows of the candidates that leave, so
+    the whole pass unpacks each row at most twice.
+    """
+    size = len(adj)
+    width = (size + 7) // 8
+    packed = np.empty((size, width), dtype=np.uint8)
+    for v, a in enumerate(adj):
+        packed[v] = np.frombuffer(a.to_bytes(width, "little"), dtype=np.uint8)
+    keeps = np.array([a.bit_count() for a in adj], dtype=np.int64)
+    inside = np.ones(size, dtype=bool)
+    clique: list[int] = []
+    while inside.any():
+        cand = np.flatnonzero(inside)
+        if keeps[cand].min() == len(cand) - 1:
+            return clique + cand.tolist()
+        v = int(cand[keeps[cand].argmax()])
+        clique.append(v)
+        near = np.unpackbits(packed[v], count=size, bitorder="little").astype(bool)
+        gone = np.flatnonzero(inside & ~near)
+        inside &= near
+        for start in range(0, len(gone), 64):  # 64 unpacked rows at a time
+            rows = packed[gone[start : start + 64]]
+            unpacked = np.unpackbits(rows, axis=1, count=size, bitorder="little")
+            keeps -= unpacked.sum(axis=0, dtype=np.int64)
+    return clique
+
+
+def _clique_search(adj: Sequence[int], state: dict, node_budget: int) -> None:
+    """Branch and bound from the incumbent in state, updating state.
+
+    adj[v] is the neighbour bitset of vertex v.  state holds "best", a
+    clique, and gains "nodes" and "aborted".  Each node colours its
+    candidates class by class in index order, keeps only the vertices
+    whose colour can still beat the incumbent (BBMC's k_min), and
+    branches on them in reverse colour order.  A colouring with one
+    colour per candidate means the candidates are pairwise adjacent; they
+    are then taken at once.  The node that exceeds node_budget aborts the
+    search.
+    """
+    state["nodes"], state["aborted"] = 0, False
+
+    def branches(p: int, k_min: int) -> list[tuple[int, int]]:
+        """(vertex, colour) in colouring order, for colours >= k_min only."""
+        out = []
+        colour = 0
+        while p:
+            colour += 1
+            avail = p
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~adj[v]
+                avail ^= low
+                p ^= low
+                if colour >= k_min:
+                    out.append((v, colour))
+        return out
+
+    # frames[k] = [candidates, branches left] of the open node whose
+    # clique is clique[:k]; each pass of the loop enters one node.
+    clique: list[int] = []
+    frames: list[list] = []
+    p = (1 << len(adj)) - 1
+    while True:
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            state["aborted"] = True
+            return
+        size = len(clique)
+        if not p:
+            if size > len(state["best"]):
+                state["best"] = list(clique)
+        elif size + p.bit_count() > len(state["best"]):
+            todo = branches(p, len(state["best"]) - size + 1)
+            if todo and todo[-1][1] == p.bit_count():
+                state["best"] = clique + _bits(p)
+            else:
+                frames.append([p, todo])
+        while frames:
+            depth = len(frames) - 1
+            frame = frames[-1]
+            todo = frame[1]
+            if todo and depth + todo[-1][1] > len(state["best"]):
+                v = todo.pop()[0]
+                del clique[depth:]
+                clique.append(v)
+                p = frame[0] & adj[v]
+                frame[0] ^= 1 << v
+                break
+            frames.pop()
+        else:
+            return
+
+
 def exact_max_size(
     n: int,
     lam: int,
@@ -278,12 +409,20 @@ def exact_max_size(
 ) -> ExactResult:
     """Maximum array size, proven by exhausting the word space.
 
-    Vertices are all lambda-permutations (lex order), edges join words at
-    distance >= d; the answer is the maximum clique.  Branching order is
-    descending degree with lexicographic ties; the bound is a greedy
-    colouring, plus a take-all shortcut when the remaining candidates are
-    pairwise adjacent.  Exceeding vertex_budget raises; exceeding
-    node_budget returns the best clique found with proven=False.
+    Vertices are all lambda-permutations in lexicographic order, edges join
+    words at distance >= d; the answer is the maximum clique.  Position
+    permutations act transitively on the words and keep distances, so all
+    vertices have one degree, and the lexicographic order is kept as the
+    branching order (a degree sort would leave it unchanged).
+
+    The first incumbent keeps taking the candidate that keeps the most
+    candidates, the lowest index on ties.  The search then colours each
+    node's candidates class by class in index order and branches only on
+    the vertices whose colour can still beat the incumbent (BBMC's k_min),
+    in reverse colour order, on an explicit stack; see `_clique_search`.
+    More than vertex_budget words, or more than _ADJACENCY_CELLS adjacency
+    cells, raise before any set-up; exceeding node_budget returns the best
+    clique found with proven=False.
     """
     _check_nd(n, lam, d)
     m = n // lam
@@ -292,102 +431,21 @@ def exact_max_size(
         raise WorkLimitExceeded(
             f"{total} vertices exceed vertex_budget {vertex_budget}"
         )
+    if total * total > _ADJACENCY_CELLS:
+        raise WorkLimitExceeded(
+            f"{total} vertices need {total * total} adjacency cells, "
+            f"over the limit of {_ADJACENCY_CELLS}"
+        )
     words = list(all_lambda_permutations(m, lam))
-    v_count = len(words)
-    if v_count == 1:
+    if len(words) == 1:
         return ExactResult(1, True, (words[0],))
 
-    mat = np.array(words, dtype=np.int16)
-    adj_bool = np.zeros((v_count, v_count), dtype=bool)
-    for i, j, dists in _pair_distances(mat):
-        hits = dists >= d
-        adj_bool[i, j : j + len(hits)] = hits
-        adj_bool[j : j + len(hits), i] = hits
-    degrees = adj_bool.sum(axis=1)
-    order = sorted(range(v_count), key=lambda v: (-int(degrees[v]), v))
-    rank = {v: idx for idx, v in enumerate(order)}
-    adj: list[int] = []
-    for idx in range(v_count):
-        row = adj_bool[order[idx]][order]
-        adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-
-    # greedy incumbent along the branching order
-    best: list[int] = []
-    for v in range(v_count):
-        if all(adj[v] >> u & 1 for u in best):
-            best.append(v)
-    best_size = len(best)
-
-    full = (1 << v_count) - 1
-    state = {"nodes": 0, "aborted": False, "best": best, "best_size": best_size}
-
-    def candidates_complete(p: int) -> bool:
-        probe = p
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            if p & ~adj[v] != 1 << v:
-                return False
-            probe &= probe - 1
-        return True
-
-    def bits(p: int) -> list[int]:
-        out = []
-        while p:
-            v = (p & -p).bit_length() - 1
-            out.append(v)
-            p &= p - 1
-        return out
-
-    def expand(r_stack: list[int], p: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["aborted"] = True
-            return
-        if not p:
-            if len(r_stack) > state["best_size"]:
-                state["best_size"] = len(r_stack)
-                state["best"] = list(r_stack)
-            return
-        if len(r_stack) + p.bit_count() <= state["best_size"]:
-            return
-        if candidates_complete(p):
-            clique = r_stack + bits(p)
-            if len(clique) > state["best_size"]:
-                state["best_size"] = len(clique)
-                state["best"] = clique
-            return
-        # greedy colouring of the candidates, in mask order
-        coloured: list[tuple[int, int]] = []
-        rest = p
-        colour = 0
-        while rest:
-            colour += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                coloured.append((v, colour))
-                avail &= ~adj[v]
-                avail &= ~(1 << v)
-                rest &= ~(1 << v)
-        for v, colour in reversed(coloured):
-            if state["aborted"]:
-                return
-            if len(r_stack) + colour <= state["best_size"]:
-                return
-            r_stack.append(v)
-            expand(r_stack, p & adj[v])
-            r_stack.pop()
-            p &= ~(1 << v)
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, v_count + 100))
-    try:
-        expand([], full)
-    finally:
-        sys.setrecursionlimit(limit)
-
-    rows = tuple(sorted(words[order[v]] for v in state["best"]))
-    return ExactResult(state["best_size"], not state["aborted"], rows)
+    adj = _adjacency(words, d)
+    # bench/tracing.py reads the node count from this local after the call
+    state = {"best": _greedy_clique(adj)}
+    _clique_search(adj, state, node_budget)
+    rows = tuple(sorted(words[v] for v in state["best"]))
+    return ExactResult(len(rows), not state["aborted"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,16 @@ def verify(
     equidistant = True
     profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
-        mat = np.array(rows, dtype=np.int64)
+        try:
+            mat = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            # A symbol beyond int64 has already failed the composition
+            # check; dense relabelling keeps every distance.
+            codes: dict[int, int] = {}
+            mat = np.array(
+                [[codes.setdefault(s, len(codes)) for s in row] for row in rows],
+                dtype=np.int64,
+            )
         lo, hi = _distance_scan(mat)
         actual, equidistant = lo, lo == hi
         if not reasons:

@@ -1,5 +1,6 @@
 """Counting formulas, size bounds, and the exact clique search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fparray import (
     BoundsReport,
     WorkLimitExceeded,
+    all_lambda_permutations,
     bounds_report,
     count_all,
     exact_max_size,
@@ -23,6 +25,8 @@ from fparray import (
     verify,
     FrequencyPermutationArray,
 )
+from fparray import core
+from fparray.bounds import _adjacency, _clique_search, _greedy_clique
 from fixtures import DERANGEMENTS, SPHERE_VOLUMES
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,124 @@ def test_exact_search_is_deterministic():
     b = exact_max_size(6, 2, 4)
     assert a == b
     assert a.value == 15 and a.proven
+
+
+def _bron_kerbosch_max(adj: dict[int, set[int]]) -> int:
+    """Largest maximal clique, listing every maximal clique (Tomita pivot)."""
+    best = 0
+
+    def rec(size: int, p: set[int], x: set[int]) -> None:
+        nonlocal best
+        if not p and not x:
+            best = max(best, size)
+            return
+        pivot = max(p | x, key=lambda u: len(p & adj[u]))
+        for v in list(p - adj[pivot]):
+            rec(size + 1, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    rec(0, set(adj), set())
+    return best
+
+
+def _small_spaces():
+    """Every (n, lam, d) with at most 24 words, apart from the one-word
+    spaces lam = n; beyond n = 8 only those have so few words."""
+    for n in range(2, 9):
+        for lam in range(1, n):
+            if n % lam == 0 and count_all(n, lam) <= 24:
+                for d in range(1, n + 1):
+                    yield n, lam, d
+
+
+def test_exact_matches_an_unpruned_bron_kerbosch():
+    checked = 0
+    for n, lam, d in _small_spaces():
+        m = n // lam
+        base = [s for s in range(m) for _ in range(lam)]
+        words = sorted(set(itertools.permutations(base)))
+        adj = {
+            i: {j for j, b in enumerate(words)
+                if sum(x != y for x, y in zip(a, b)) >= d}
+            for i, a in enumerate(words)
+        }
+        result = exact_max_size(n, lam, d)
+        assert result.proven, (n, lam, d)
+        assert result.value == _bron_kerbosch_max(adj), (n, lam, d)
+        fpa = FrequencyPermutationArray.from_rows(result.rows, m, lam, d)
+        assert verify(fpa).valid and fpa.size == result.value, (n, lam, d)
+        checked += 1
+    assert checked == 19  # (2,1), (3,1), (4,1), (4,2) and (6,3) at every d
+
+
+@pytest.mark.parametrize("block_cells", [10_000_000, 10])
+def test_adjacency_bitsets_match_pairwise_distances(monkeypatch, block_cells):
+    # 10 cells stream one or two rows per block, so rows fill piecewise
+    monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+    for m, lam, d in ((3, 1, 2), (4, 1, 3), (3, 2, 4), (2, 3, 4)):
+        words = list(all_lambda_permutations(m, lam))
+        want = [
+            sum(1 << u for u, b in enumerate(words)
+                if sum(x != y for x, y in zip(a, b)) >= d)
+            for a in words
+        ]
+        assert _adjacency(words, d) == want, (m, lam, d)
+
+
+def _max_candidates_reference(adj: list[int]) -> list[int]:
+    """The incumbent rule as a plain loop: recount every candidate each step."""
+    clique: list[int] = []
+    p = (1 << len(adj)) - 1
+    while p:
+        cand = [u for u in range(len(adj)) if p >> u & 1]
+        keeps = [(p & adj[u]).bit_count() for u in cand]
+        if min(keeps) == len(cand) - 1:
+            return clique + cand
+        v = cand[keeps.index(max(keeps))]
+        clique.append(v)
+        p &= adj[v]
+    return clique
+
+
+def test_incumbent_matches_the_loop_rule_on_word_spaces():
+    # up to 455 candidates leave at one step here, over several row blocks
+    words = list(all_lambda_permutations(6, 1))
+    for d in range(2, 7):
+        adj = _adjacency(words, d)
+        assert _greedy_clique(adj) == _max_candidates_reference(adj), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_clique_search_matches_bron_kerbosch_on_random_graphs(data):
+    # On the word spaces above the first incumbent is already optimal, so
+    # random graphs are what make the branch and bound find better cliques.
+    size = data.draw(st.integers(1, 18), label="vertices")
+    pairs = list(itertools.combinations(range(size), 2))
+    edges = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = {v: set() for v in range(size)}
+    for (a, b), edge in zip(pairs, edges):
+        if edge:
+            adj[a].add(b)
+            adj[b].add(a)
+    bitsets = [sum(1 << u for u in adj[v]) for v in range(size)]
+    want = _bron_kerbosch_max(adj)
+    greedy = _greedy_clique(bitsets)
+    assert greedy == _max_candidates_reference(bitsets)
+    assert all(b in adj[a] for a, b in itertools.combinations(greedy, 2))
+    for incumbent in ([], greedy):
+        state = {"best": incumbent}
+        _clique_search(bitsets, state, node_budget=10**6)
+        assert not state["aborted"]
+        assert len(state["best"]) == want
+        assert all(b in adj[a] for a, b in itertools.combinations(state["best"], 2))
+
+
+def test_exact_proves_six_one_four_at_the_root():
+    # the first incumbent already has the 120 rows the root colouring allows
+    result = exact_max_size(6, 1, 4, node_budget=1)
+    assert (result.value, result.proven) == (120, True)
 
 
 # ---------------------------------------------------------------------------

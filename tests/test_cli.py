@@ -390,6 +390,15 @@ def test_search_vertex_budget_exit(capsys):
     assert "work limit exceeded" in capsys.readouterr().err
 
 
+def test_search_adjacency_limit_exit(capsys):
+    # 40 320 words pass this vertex budget, but their adjacency does not fit
+    argv = ["search", "--n", "8", "--lambda", "1", "--d", "8", "--vertex-budget", "100000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: work limit exceeded")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # on-disk format round trips (library level)
 

@@ -132,6 +132,15 @@ def test_verify_rejects_bad_composition():
     assert not report.valid
 
 
+def test_verify_reports_symbols_beyond_int64():
+    huge = verify(FrequencyPermutationArray.from_rows([[0, 2**70], [0, 1]], 2, 1, 1))
+    small = verify(FrequencyPermutationArray.from_rows([[0, 7], [0, 1]], 2, 1, 1))
+    assert huge == small
+    assert not huge.valid
+    assert huge.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
+    assert huge.actual_min_distance == 1
+
+
 def test_verify_rejects_duplicate_rows():
     fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1), (0, 1, 0, 1)], 2, 2, 1)
     report = verify(fpa)
