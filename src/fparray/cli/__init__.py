@@ -1,16 +1,20 @@
 """Command-line front end: construct, transform, verify, bounds, search.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input or parameter error.  Array output goes to `-o/--out` or standard
-output; the one-line parameter summary goes to standard output when a
-file is written, to standard error otherwise, so piped output stays
-machine-readable.
+2 input or parameter error, 3 internal error (a failed self-check, a
+recursion or memory failure), reported without a traceback.  Array output
+goes to `-o/--out` or standard output; the one-line parameter summary goes
+to standard output when a file is written, to standard error otherwise,
+so piped output stays machine-readable.  The `fparray` logger reports the
+seconds of each stage at debug level and is silent by default.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -63,20 +67,42 @@ from .formats import (
 )
 
 
+_log = logging.getLogger("fparray")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.lap = _lap_timer(args)
     try:
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except WorkLimitExceeded as exc:
+    except WorkLimitExceeded as exc:  # a RuntimeError, but the input's fault
         print(f"error: work limit exceeded: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, RecursionError, MemoryError) as exc:
+        print(f"internal error: {exc or type(exc).__name__}", file=sys.stderr)
+        return 3
+
+
+def _lap_timer(args):
+    """lap(stage) logs the seconds since the previous lap, or since the start."""
+    names = (args.command, getattr(args, "method", None), getattr(args, "op", None))
+    command = " ".join(name for name in names if name)
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        _log.debug("%s: %s %.3f s", command, stage, now - last)
+        last = now
+
+    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +127,10 @@ def _check_one_based(args) -> None:
 
 def _finish_array(array: FrequencyPermutationArray, args) -> int:
     """Verify, write, and summarize a finished array; the caller's result."""
+    args.lap("build")
     _check_one_based(args)
     report = verify(array)
+    args.lap("verify")
     if not report.valid:
         for reason in report.reasons:
             print(f"verification failed: {reason}", file=sys.stderr)
@@ -110,6 +138,7 @@ def _finish_array(array: FrequencyPermutationArray, args) -> int:
     offset = 1 if getattr(args, "one_based", False) else 0
     _emit(write_fpa(array, offset=offset), args.out)
     _summary(array.summary(), to_file=args.out is not None)
+    args.lap("write")
     return 0
 
 
@@ -125,26 +154,24 @@ def _bool(flag: bool) -> str:
 # construct
 
 
-def _cmd_construct_mols(args) -> int:
-    squares = mols_from_field(args.q)
+def _finish_squares(squares, args) -> int:
+    args.lap("build")
     _emit(write_squares(squares), args.out)
     first = squares[0]
     _summary(
         f"FSQ(n={first.n}, m={first.m}, lambda={first.lam}, count={len(squares)})",
         to_file=args.out is not None,
     )
+    args.lap("write")
     return 0
+
+
+def _cmd_construct_mols(args) -> int:
+    return _finish_squares(mols_from_field(args.q), args)
 
 
 def _cmd_construct_mofs(args) -> int:
-    squares = mofs_complete(args.q, args.i, max_work=args.max_work)
-    _emit(write_squares(squares), args.out)
-    first = squares[0]
-    _summary(
-        f"FSQ(n={first.n}, m={first.m}, lambda={first.lam}, count={len(squares)})",
-        to_file=args.out is not None,
-    )
-    return 0
+    return _finish_squares(mofs_complete(args.q, args.i, max_work=args.max_work), args)
 
 
 def _cmd_construct_fpa_from_mofs(args) -> int:
@@ -221,8 +248,10 @@ def _cmd_construct_hadamard(args) -> int:
     matrix = hadamard_matrix(args.order)
     if args.to_fpa:
         return _finish_array(fpa_from_hadamard(matrix), args)
+    args.lap("build")
     _emit(write_hadamard(matrix), args.out)
     _summary(f"HAD(n={matrix.n})", to_file=args.out is not None)
+    args.lap("write")
     return 0
 
 
@@ -234,52 +263,31 @@ def _cmd_construct_steiner(args) -> int:
 # transform
 
 
+# op -> (exact input count or None for any, required option or None, builder)
+_TRANSFORMS = {
+    "pad": (1, None, lambda ins, args: pad(ins[0])),
+    "juxtapose": (2, None, lambda ins, args: juxtapose(*ins)),
+    "expand-to-pa": (1, None, lambda ins, args: expand_to_pa(ins[0])),
+    "refine": (1, "l", lambda ins, args: refine(ins[0], args.l)),
+    "reduce-mod": (1, "r", lambda ins, args: reduce_mod(ins[0], args.r)),
+    "compose": (None, "c", lambda ins, args: compose_columns(ins, _load_fpa(args.c))),
+    "product": (2, None, lambda ins, args: direct_product(*ins)),
+    "sep-product": (
+        None,
+        "classes",
+        lambda ins, args: sep_product([SeparableArray.from_fpa(a, args.classes) for a in ins]),
+    ),
+}
+
+
 def _cmd_transform(args) -> int:
-    op = args.op
+    count, option, build = _TRANSFORMS[args.op]
     inputs = [_load_fpa(p) for p in args.inputs]
-
-    def need(count: int) -> None:
-        if len(inputs) != count:
-            raise ValueError(f"{op} takes exactly {count} input file(s), got {len(inputs)}")
-
-    if op == "pad":
-        need(1)
-        result = pad(inputs[0])
-    elif op == "juxtapose":
-        need(2)
-        result = juxtapose(inputs[0], inputs[1])
-    elif op == "expand-to-pa":
-        need(1)
-        result = expand_to_pa(inputs[0])
-    elif op == "refine":
-        need(1)
-        if args.l is None:
-            raise ValueError("refine requires --l")
-        result = refine(inputs[0], args.l)
-    elif op == "reduce-mod":
-        need(1)
-        if args.r is None:
-            raise ValueError("reduce-mod requires --r")
-        result = reduce_mod(inputs[0], args.r)
-    elif op == "compose":
-        if args.c is None:
-            raise ValueError("compose requires --c with the coarse array file")
-        if not inputs:
-            raise ValueError("compose needs at least one ingredient file")
-        result = compose_columns(inputs, _load_fpa(args.c))
-    elif op == "product":
-        need(2)
-        result = direct_product(inputs[0], inputs[1])
-    elif op == "sep-product":
-        if args.classes is None:
-            raise ValueError("sep-product requires --classes")
-        if not inputs:
-            raise ValueError("sep-product needs at least one input file")
-        separables = [SeparableArray.from_fpa(a, args.classes) for a in inputs]
-        result = sep_product(separables)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown transform {op!r}")
-    return _finish_array(result, args)
+    if count is not None and len(inputs) != count:
+        raise ValueError(f"{args.op} takes exactly {count} input file(s), got {len(inputs)}")
+    if option is not None and getattr(args, option) is None:
+        raise ValueError(f"{args.op} requires --{option}")
+    return _finish_array(build(inputs, args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     array = _load_fpa(args.file)
+    args.lap("parse")
     report = verify(array)
+    args.lap("verify")
     print(f"valid: {_bool(report.valid)}")
     print(f"size: {report.size}")
     print(f"actual_min_distance: {report.actual_min_distance}")
@@ -334,6 +344,7 @@ def _cmd_bounds(args) -> int:
         vertex_budget=args.vertex_budget,
         node_budget=args.budget,
     )
+    args.lap("bounds")
     rows = [
         ("parameters", f"n={report.n} m={report.m} lambda={report.lam} d={report.d}"),
         ("total", str(report.total)),
@@ -367,6 +378,7 @@ def _cmd_search(args) -> int:
     result = exact_max_size(
         args.n, args.lam, args.d, vertex_budget=args.vertex_budget, node_budget=args.budget
     )
+    args.lap("search")
     status = "proven" if result.proven else "search incomplete"
     print(f"M(n={args.n}, lambda={args.lam}, d={args.d}) = {result.value} ({status})")
     if args.out is not None:
@@ -374,12 +386,14 @@ def _cmd_search(args) -> int:
             result.rows, args.n // args.lam, args.lam, args.d
         )
         report = verify(witness)
+        args.lap("verify")
         if not report.valid:
             for reason in report.reasons:
                 print(f"verification failed: {reason}", file=sys.stderr)
             return 1
         Path(args.out).write_text(write_fpa(witness))
         print(witness.summary())
+        args.lap("write")
     return 0
 
 
@@ -475,17 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # transform ---------------------------------------------------------------
     transform = sub.add_parser("transform", help="apply a combinator to array files")
     transform.add_argument(
-        "op",
-        choices=(
-            "pad",
-            "juxtapose",
-            "expand-to-pa",
-            "refine",
-            "reduce-mod",
-            "compose",
-            "product",
-            "sep-product",
-        ),
+        "op", choices=tuple(_TRANSFORMS)
     )
     transform.add_argument("inputs", nargs="+", help="input array files")
     transform.add_argument("--l", type=int, default=None, help="refine: output frequency")

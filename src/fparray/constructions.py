@@ -12,6 +12,7 @@ row-major.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,13 +27,14 @@ from .core import (
     is_lambda_permutation,
 )
 from .gf import (
+    _CHUNK_CELLS,
     FiniteField,
     LinearizedPolynomial,
     _check_range,
-    _field_images,
     _prime_power,
     associate_matrix,
     census_permutation_polynomials,
+    evaluate_whole_field,
     field_of_order,
     linearized_monomial,
     linearized_subfield_kernel,
@@ -119,14 +121,16 @@ def mols_from_field(q: int) -> list[FrequencySquare]:
     if q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     field = field_of_order(q)
+    xs = np.arange(q, dtype=np.int32)
     squares = []
     for a in range(1, q):
-        cells = []
-        for x in range(q):
-            ax = field.mul_val(a, x)
-            cells.append(tuple(field.add_val(ax, y) for y in range(q)))
-        squares.append(FrequencySquare(q, q, 1, tuple(cells)))
+        cells = field.add_val(field.mul_array(a, xs)[:, None], xs)
+        squares.append(FrequencySquare(q, q, 1, _grid(cells)))
     return squares
+
+
+def _grid(cells: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, cells.tolist()))
 
 
 def mofs_complete(q: int, i: int, max_work: int = 1_000_000) -> list[FrequencySquare]:
@@ -145,35 +149,35 @@ def mofs_complete(q: int, i: int, max_work: int = 1_000_000) -> list[FrequencySq
     if q ** (2 * i) > max_work:
         raise WorkLimitExceeded(f"{q ** (2 * i)} forms exceed max_work {max_work}")
     n = q**i
-    points = list(itertools.product(range(q), repeat=i))
-    squares = []
-    for coeffs in itertools.product(range(q), repeat=2 * i):
-        left, right = coeffs[:i], coeffs[i:]
-        if not any(left) or not any(right):
-            continue
-        lead = next(v for v in right if v)
-        if lead != 1:
-            continue
-        lvals = [
-            _dot(field, left, x) for x in points
-        ]
-        rvals = [_dot(field, right, y) for y in points]
-        cells = tuple(
-            tuple(field.add_val(lv, rv) for rv in rvals) for lv in lvals
-        )
-        squares.append(FrequencySquare(n, q, n // q, cells))
+    vectors = _odometer(q, i)[1:]
+    leads = vectors[np.arange(n - 1), (vectors != 0).argmax(axis=1)]
+    left = _linear_forms(field, vectors)
+    right = _linear_forms(field, vectors[leads == 1])
+    squares = [
+        FrequencySquare(n, q, n // q, _grid(field.add_val(lv[:, None], rv)))
+        for lv in left
+        for rv in right
+    ]
     expected = (q**i - 1) ** 2 // (q - 1)
     if len(squares) != expected:
         raise RuntimeError(f"built {len(squares)} squares, expected {expected}")
     return squares
 
 
-def _dot(field: FiniteField, coeffs: Sequence[int], xs: Sequence[int]) -> int:
-    acc = 0
-    for c, x in zip(coeffs, xs):
-        if c and x:
-            acc = field.add_val(acc, field.mul_val(c, x))
-    return acc
+def _odometer(q: int, k: int) -> np.ndarray:
+    """All q^k vectors over 0..q-1 as int32 rows, first coordinate most
+    significant."""
+    codes = np.arange(q**k, dtype=np.int64)[:, None]
+    return (codes // q ** np.arange(k - 1, -1, -1) % q).astype(np.int32)
+
+
+def _linear_forms(field: FiniteField, coeffs: np.ndarray) -> np.ndarray:
+    """Row r, column x: coeffs[r] . x for every x in odometer order."""
+    points = _odometer(field.q, coeffs.shape[1])
+    out = np.zeros((coeffs.shape[0], points.shape[0]), dtype=np.int32)
+    for t in range(coeffs.shape[1]):
+        out = field.add_val(out, field.mul_array(coeffs[:, t, None], points[:, t]))
+    return out
 
 
 def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArray:
@@ -220,28 +224,38 @@ def fpa_from_linearized(
     _, rank, kernel_size = associate_matrix(L)
     census = census_permutation_polynomials(field, d, max_work)
     table = L.value_table()
-    raw_rows: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     order = field.q
-    for f in census.witnesses:
-        key = tuple(table[v] for v in _field_images(f))
-        if key not in seen:
-            seen.add(key)
-            raw_rows.append(key)
+    # one chunk of witnesses at a time: images, then their first-seen rows
+    raw_rows: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    step = max(1, _CHUNK_CELLS // order)
+    for lo in range(0, len(census.witnesses), step):
+        coeffs = [
+            f.coeffs + (0,) * (d + 1 - len(f.coeffs))
+            for f in census.witnesses[lo : lo + step]
+        ]
+        chunk = table[evaluate_whole_field(field, coeffs)]
+        distinct, first = np.unique(chunk, axis=0, return_index=True)
+        for row in distinct[np.argsort(first)]:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                raw_rows.append(row)
     expected, rem = divmod(census.total, kernel_size)
     if rem or len(raw_rows) != expected:
         raise RuntimeError(
             f"row dedup gave {len(raw_rows)} rows, expected {expected}"
         )
-    labels: dict[int, int] = {}
-    rows = []
-    for raw in raw_rows:
-        rows.append([labels.setdefault(v, len(labels)) for v in raw])
+    raw = np.array(raw_rows, dtype=np.int32).reshape(-1, order)
+    # symbol labels by first appearance, scanning rows left to right
+    values, first = np.unique(raw, return_index=True)
+    labels = np.zeros(order, dtype=np.int32)
+    labels[values[np.argsort(first)]] = np.arange(len(values))
     m = q**rank
-    if len(labels) != m:
-        raise RuntimeError(f"image used {len(labels)} symbols, expected {m}")
+    if len(values) != m:
+        raise RuntimeError(f"image used {len(values)} symbols, expected {m}")
     return FrequencyPermutationArray.from_rows(
-        rows, m, q ** (i - rank), order - d * q**l
+        labels[raw].tolist(), m, q ** (i - rank), order - d * q**l
     )
 
 
@@ -419,18 +433,12 @@ def reed_solomon_generator(
     if n > q + 1:
         raise ValueError(f"need n <= q+1 = {q + 1}, got {n}")
     field = field_of_order(q)
-    cols = []
-    for j in range(min(n, q)):
-        alpha = j
-        col, cur = [], 1
-        for _ in range(k):
-            col.append(cur)
-            cur = field.mul_val(cur, alpha)
-        cols.append(col)
+    points = np.arange(min(n, q), dtype=np.int32)
+    rows = [[1] * len(points)] + [field.pow_array(points, t).tolist() for t in range(1, k)]
     if n == q + 1:
-        cols.append([0] * (k - 1) + [1])
-    rows = tuple(tuple(cols[j][t] for j in range(n)) for t in range(k))
-    return field, rows
+        for t, row in enumerate(rows):
+            row.append(int(t == k - 1))
+    return field, tuple(map(tuple, rows))
 
 
 def fpa_from_mds(
@@ -454,20 +462,16 @@ def fpa_from_mds(
     for a, b in itertools.combinations(range(n), 2):
         if matrix_rank(field, [cols[a], cols[b]]) != 2:
             raise ValueError(f"columns {a} and {b} are linearly dependent")
-    n_subsets = 1
-    for t in range(k):
-        n_subsets = n_subsets * (n - t) // (t + 1)
-    if n_subsets * k**3 <= max_subsets:
+    if math.comb(n, k) * k**3 <= max_subsets:
         for subset in itertools.combinations(range(n), k):
             if matrix_rank(field, [cols[j] for j in subset]) != k:
                 raise ValueError(f"columns {subset} are dependent; not MDS")
     else:
         warnings.warn("generator too wide for the full MDS check; columns only checked pairwise")
     q = field.q
-    points = list(itertools.product(range(q), repeat=k))
-    rows = [[_dot(field, col, x) for x in points] for col in cols]
+    rows = _linear_forms(field, np.array(cols, dtype=np.int32))
     return FrequencyPermutationArray.from_rows(
-        rows, q, q ** (k - 1), q ** (k - 1) * (q - 1)
+        rows.tolist(), q, q ** (k - 1), q ** (k - 1) * (q - 1)
     )
 
 
@@ -493,74 +497,55 @@ class HadamardMatrix:
                 raise ValueError(f"rows {a} and {b} are not orthogonal")
 
 
-def _hadamard_constructible(n: int, memo: dict[int, bool]) -> bool:
-    if n in memo:
-        return memo[n]
-    if n in (1, 2):
-        result = True
-    elif n % 4:
-        result = False
-    else:
-        result = (
-            (n % 2 == 0 and _hadamard_constructible(n // 2, memo))
-            or (n - 1) % 4 == 3
-            and _prime_power(n - 1) is not None
-            or any(
-                _hadamard_constructible(a, memo)
-                and _hadamard_constructible(n // a, memo)
-                for a in range(2, n)
-                if n % a == 0 and a <= n // a
-            )
-        )
-    memo[n] = result
-    return result
+def _hadamard_route(n: int, memo: dict[int, int | None]) -> int | None:
+    """How to build order n: 0 for the base orders 1 and 2, -1 for the
+    quadratic residue matrix on q = n - 1, a >= 2 for the Kronecker product
+    of orders a and n/a (a = 2 is doubling), None when no route exists."""
+    if n not in memo:
+        if n in (1, 2):
+            memo[n] = 0
+        elif n % 4:
+            memo[n] = None
+        else:
+            products = [
+                a for a in range(2, math.isqrt(n) + 1)
+                if n % a == 0 and _hadamard_route(a, memo) is not None
+                and _hadamard_route(n // a, memo) is not None
+            ]
+            paley = (n - 1) % 4 == 3 and _prime_power(n - 1) is not None
+            # doubling first, then the quadratic residues, then other products
+            if products[:1] == [2] or not paley:
+                memo[n] = products[0] if products else None
+            else:
+                memo[n] = -1
+    return memo[n]
 
 
 def _paley_rows(q: int) -> list[list[int]]:
     field = field_of_order(q)
-    squares = {field.mul_val(v, v) for v in range(1, q)}
-
-    def chi(v: int) -> int:
-        return 0 if v == 0 else (1 if v in squares else -1)
-
-    size = q + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = 0
-    for j in range(1, size):
-        rows[0][j] = 1
-        rows[j][0] = -1
-    for a in range(q):
-        for b in range(q):
-            rows[a + 1][b + 1] = chi(field.sub_val(a, b))
-    for idx in range(size):
-        rows[idx][idx] += 1
+    xs = np.arange(q, dtype=np.int32)
+    # quadratic character: 0 at 0, 1 on nonzero squares, -1 elsewhere
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[field.mul_array(xs, xs)] = 1
+    chi[0] = 0
+    rows = np.zeros((q + 1, q + 1), dtype=np.int64)
+    rows[0, 1:] = 1
+    rows[1:, 0] = -1
+    rows[1:, 1:] = chi[field.sub_val(xs[:, None], xs)]
+    rows += np.eye(q + 1, dtype=np.int64)
     # rows with a leading -1 flip so the matrix comes out normalized
-    return [[-e for e in row] if row[0] == -1 else row for row in rows]
+    rows[rows[:, 0] == -1] *= -1
+    return rows.tolist()
 
 
-def _build_hadamard(n: int, memo: dict[int, bool]) -> list[list[int]]:
-    if n == 1:
-        return [[1]]
-    if n == 2:
-        return [[1, 1], [1, -1]]
-    if n % 2 == 0 and _hadamard_constructible(n // 2, memo):
-        half = _build_hadamard(n // 2, memo)
-        top = [row + row for row in half]
-        bottom = [row + [-e for e in row] for row in half]
-        return top + bottom
-    if (n - 1) % 4 == 3 and _prime_power(n - 1) is not None:
+def _build_hadamard(n: int, memo: dict[int, int | None]) -> list[list[int]]:
+    route = _hadamard_route(n, memo)
+    if route == 0:
+        return [[1]] if n == 1 else [[1, 1], [1, -1]]
+    if route == -1:
         return _paley_rows(n - 1)
-    for a in range(2, n):
-        if n % a == 0 and a <= n // a:
-            if _hadamard_constructible(a, memo) and _hadamard_constructible(n // a, memo):
-                left = _build_hadamard(a, memo)
-                right = _build_hadamard(n // a, memo)
-                out = []
-                for la in left:
-                    for rb in right:
-                        out.append([x * y for x in la for y in rb])
-                return out
-    raise ValueError(f"no doubling/quadratic-residue/product route to order {n}")
+    left, right = _build_hadamard(route, memo), _build_hadamard(n // route, memo)
+    return [[x * y for x in la for y in rb] for la in left for rb in right]
 
 
 def hadamard_matrix(n: int) -> HadamardMatrix:
@@ -568,8 +553,8 @@ def hadamard_matrix(n: int) -> HadamardMatrix:
     residue route, then Kronecker products of smaller orders."""
     if n < 1 or (n > 2 and n % 4):
         raise ValueError(f"order {n} impossible (must be 1, 2, or a multiple of 4)")
-    memo: dict[int, bool] = {}
-    if not _hadamard_constructible(n, memo):
+    memo: dict[int, int | None] = {}
+    if _hadamard_route(n, memo) is None:
         raise ValueError(f"no construction route implemented for order {n}")
     rows = _build_hadamard(n, memo)
     return HadamardMatrix(n, tuple(tuple(r) for r in rows))

@@ -11,9 +11,15 @@ depends on two conventions fixed here once and for all:
   always enumerated as v = 0, 1, ..., q-1 (so 0 first, 1 second); every
   function here takes and returns elements in that form.
 
+Scalar arithmetic works on Python ints: `mul_val` multiplies polynomials
+digit by digit and reduces by the modulus.  Whole-field work runs on numpy
+int arrays instead: `mul_array` looks products up in exp/log tables that
+each field builds with `mul_val` on first use (O(q) entries), and
+`add_val`/`neg_val` take ints and arrays alike.
+
 Also here: plain and linearized polynomials, the associate matrix of a
-linearized map with its rank/kernel bookkeeping, and a brute-force census
-of permutation polynomials up to a given degree.
+linearized map with its rank/kernel bookkeeping, and a census of
+permutation polynomials up to a given degree.
 """
 
 from __future__ import annotations
@@ -21,11 +27,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import WorkLimitExceeded
 
 _ORDER_GUARDRAIL = 2**20
+# whole-field evaluation handles blocks of about this many images at once
+_CHUNK_CELLS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -124,37 +134,18 @@ class FiniteField:
         self.k = k
         self.q = p**k
         self.modulus = modulus  # low-to-high, length k+1, monic
-        # x^(k+t) mod modulus for t = 0..k-2, as length-k digit tuples
-        red = []
-        cur = [(-m) % p for m in modulus[:-1]]
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(k):
-                    nxt[j] = (nxt[j] + top * red[0][j]) % p
-            cur = nxt
-            red.append(tuple(cur))
-        self._red = red
-        self._digits: list[tuple[int, ...]] | None = None
-        if self.q <= 2**16:
-            self._digits = [self._decode_slow(v) for v in range(self.q)]
+        self._exp_log: tuple[np.ndarray, np.ndarray] | None = None
+        # digit tuples of every element, while the field is small enough to list
+        self._digits = [self._decode(v) for v in range(self.q)] if self.q <= 2**16 else []
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
-    def _decode_slow(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
+    def _decode(self, v: int) -> tuple[int, ...]:
+        return tuple(v // self.p**j % self.p for j in range(self.k))
 
     def decode(self, v: int) -> tuple[int, ...]:
-        if self._digits is not None:
-            return self._digits[v]
-        return self._decode_slow(v)
+        return self._digits[v] if self._digits else self._decode(v)
 
     def encode(self, digits: Iterable[int]) -> int:
         v, mult = 0, 1
@@ -163,51 +154,35 @@ class FiniteField:
             mult *= self.p
         return v
 
-    def add_val(self, a: int, b: int) -> int:
+    def add_val(self, a, b):
+        """a + b digit by digit; ints and numpy int arrays alike."""
         if self.p == 2:
             return a ^ b
-        v, mult = 0, 1
-        while a or b:
-            v += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return v
+        p, out = self.p, 0
+        for j in range(self.k):
+            w = p**j
+            out = out + ((a // w + b // w) % p) * w
+        return out
 
-    def neg_val(self, a: int) -> int:
+    def neg_val(self, a):
+        """-a digit by digit; ints and numpy int arrays alike."""
         if self.p == 2:
             return a
-        v, mult = 0, 1
-        while a:
-            d = a % self.p
-            if d:
-                v += (self.p - d) * mult
-            a //= self.p
-            mult *= self.p
-        return v
+        p, out = self.p, 0
+        for j in range(self.k):
+            w = p**j
+            out = out + (-(a // w) % p) * w
+        return out
 
-    def sub_val(self, a: int, b: int) -> int:
+    def sub_val(self, a, b):
         return self.add_val(a, self.neg_val(b))
 
     def mul_val(self, a: int, b: int) -> int:
+        """a * b as a polynomial product reduced by the modulus."""
         if a == 0 or b == 0:
             return 0
-        da, db = self.decode(a), self.decode(b)
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:k]
-        for t in range(k, 2 * k - 1):
-            c = conv[t]
-            if c:
-                row = self._red[t - k]
-                for j in range(k):
-                    if row[j]:
-                        out[j] = (out[j] + c * row[j]) % p
-        return self.encode(out)
+        product = _pmul(self.decode(a), self.decode(b), self.p)
+        return self.encode(_pmod(product, self.modulus, self.p))
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:
@@ -230,6 +205,47 @@ class FiniteField:
             a = self.pow_val(a, self.p)
         return a
 
+    def primitive_element(self) -> int:
+        """The smallest g with g^((q-1)/r) != 1 for every prime r | q-1."""
+        order = self.q - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _prime_power(r) == (r, 1)]
+        return next(
+            g for g in range(1, self.q)
+            if all(self.pow_val(g, order // r) != 1 for r in primes)
+        )
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) for the primitive element g, built on first use.
+
+        exp[i] = g^i for 0 <= i <= 2q-4 and 0 beyond; log[0] is the
+        sentinel 2q-3, so any log sum involving a zero lands in the zero
+        tail and exp[log a + log b] = a*b for every pair.
+        """
+        if self._exp_log is None:
+            q, g = self.q, self.primitive_element()
+            powers = [1]
+            for _ in range(q - 2):
+                powers.append(self.mul_val(powers[-1], g))
+            exp = np.zeros(4 * q - 5, dtype=np.int32)
+            exp[: q - 1] = powers
+            exp[q - 1 : 2 * q - 3] = powers[: q - 2]
+            log = np.full(q, 2 * q - 3, dtype=np.int32)
+            log[powers] = np.arange(q - 1)
+            self._exp_log = exp, log
+        return self._exp_log
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """a * b elementwise on int arrays (or ints), by table lookup."""
+        exp, log = self._tables()
+        return exp[log[a] + log[b]]
+
+    def pow_array(self, a, e: int) -> np.ndarray:
+        """a ** e elementwise on an int array, for an exponent e >= 1."""
+        exp, log = self._tables()
+        a = np.asarray(a)
+        power = exp[log[a].astype(np.int64) * (e % (self.q - 1)) % (self.q - 1)]
+        return np.where(a == 0, 0, power).astype(np.int32)
+
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
@@ -243,12 +259,7 @@ def make_field(p: int, k: int = 1) -> FiniteField:
     if k == 1:
         return FiniteField(p, 1, (0, 1))
     for v in range(p**k):
-        digits = []
-        vv = v
-        for _ in range(k):
-            digits.append(vv % p)
-            vv //= p
-        candidate = tuple(digits) + (1,)
+        candidate = tuple(v // p**j % p for j in range(k)) + (1,)
         if _is_irreducible(candidate, p):
             return FiniteField(p, k, candidate)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -302,24 +313,35 @@ class Polynomial:
     __call__ = evaluate
 
 
-def _field_images(f: Polynomial) -> Iterator[int]:
-    """f(x) for x = 0, 1, ..., q-1 by Horner's rule, computed as consumed."""
-    field, coeffs = f.field, f.coeffs[::-1]
-    for x in range(field.q):
-        acc = 0
-        for c in coeffs:
-            acc = field.add_val(field.mul_val(acc, x), c)
-        yield acc
+def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
+    """f(x) at x = 0, 1, ..., q-1 for each row f of `coeffs` (low to high).
+
+    Returns an int32 array with one row per polynomial.  Horner's rule
+    runs over the whole field at once, on blocks of rows of about
+    _CHUNK_CELLS images, so temporaries stay small however many rows come.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int32)
+    q = field.q
+    xs = np.arange(q, dtype=np.int32)
+    out = np.zeros((coeffs.shape[0], q), dtype=np.int32)
+    step = max(1, _CHUNK_CELLS // q)
+    for lo in range(0, coeffs.shape[0], step):
+        block = coeffs[lo : lo + step]
+        acc = out[lo : lo + step]
+        for t in range(coeffs.shape[1] - 1, -1, -1):
+            acc = field.add_val(field.mul_array(acc, xs), block[:, t, None])
+        out[lo : lo + step] = acc
+    return out
+
+
+def _bijective_rows(images: np.ndarray) -> np.ndarray:
+    """Per row of whole-field images, whether it lists every element once."""
+    return (np.sort(images, axis=1) == np.arange(images.shape[1])).all(axis=1)
 
 
 def is_permutation_polynomial(f: Polynomial) -> bool:
     """True iff f hits every field element exactly once."""
-    seen = bytearray(f.field.q)
-    for v in _field_images(f):
-        if seen[v]:
-            return False
-        seen[v] = 1
-    return True
+    return bool(_bijective_rows(evaluate_whole_field(f.field, [f.coeffs or (0,)]))[0])
 
 
 @dataclass(frozen=True)
@@ -343,7 +365,8 @@ def census_permutation_polynomials(
 
     A degree-d candidate is encoded as v = sum(c_t * q^t) with c_d != 0, so
     the sweep v = q^d .. q^(d+1)-1 enumerates exactly the degree-d
-    polynomials in increasing encoding order.  Work is candidates times q
+    polynomials in increasing encoding order.  Candidates are evaluated in
+    blocks of about _CHUNK_CELLS images.  Work is candidates times q
     evaluations; exceeding `max_work` raises without a partial census.
     """
     if max_degree < 1:
@@ -356,18 +379,16 @@ def census_permutation_polynomials(
         )
     counts: dict[int, int] = {}
     witnesses: list[Polynomial] = []
+    step = max(1, _CHUNK_CELLS // q)
     for d in range(1, max_degree + 1):
         found = 0
-        for v in range(q**d, q ** (d + 1)):
-            vals = []
-            vv = v
-            for _ in range(d + 1):
-                vals.append(vv % q)
-                vv //= q
-            f = Polynomial(field, tuple(vals))
-            if is_permutation_polynomial(f):
-                found += 1
-                witnesses.append(f)
+        places = q ** np.arange(d + 1, dtype=np.int64)
+        for lo in range(q**d, q ** (d + 1), step):
+            codes = np.arange(lo, min(lo + step, q ** (d + 1)), dtype=np.int64)
+            coeffs = codes[:, None] // places % q
+            hits = coeffs[_bijective_rows(evaluate_whole_field(field, coeffs))]
+            witnesses.extend(Polynomial(field, tuple(c)) for c in hits.tolist())
+            found += len(hits)
         counts[d] = found
     return PermPolyCensus(field, max_degree, counts, tuple(witnesses))
 
@@ -425,29 +446,15 @@ class LinearizedPolynomial:
 
     __call__ = evaluate
 
-    def value_table(self) -> list[int]:
-        """L(x) for every x in enumeration order, via additivity.
-
-        Images of the p-power basis elements are combined digit by digit,
-        so the table costs O(q) field additions instead of O(q) full
-        evaluations.
-        """
+    def value_table(self) -> np.ndarray:
+        """L(x) for every x in enumeration order, as one int32 array."""
         field = self.field
-        p, k, order = field.p, field.k, field.q
-        basis_img = [self.evaluate(p**j) for j in range(k)]
-        scaled = [[0] * p for _ in range(k)]
-        for j in range(k):
-            for c in range(1, p):
-                scaled[j][c] = field.add_val(scaled[j][c - 1], basis_img[j])
-        table = [0] * order
-        for v in range(1, order):
-            j, vv = 0, v
-            while vv % p == 0:
-                vv //= p
-                j += 1
-            c = vv % p
-            # digitwise: v = (v - c*p^j) + c * p^j as field elements
-            table[v] = field.add_val(table[v - c * p**j], scaled[j][c])
+        xs = np.arange(field.q, dtype=np.int32)
+        table = np.zeros(field.q, dtype=np.int32)
+        for s, alpha in enumerate(self.alphas):
+            if alpha:
+                power = field.pow_array(xs, self.q**s)
+                table = field.add_val(table, field.mul_array(alpha, power))
         return table
 
 
@@ -501,59 +508,43 @@ def relative_trace(E: FiniteField, h: int, x: int) -> int:
 # linear algebra over a field (small dense matrices)
 
 
-def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
-    """Row-reduction rank over the field."""
+def _eliminate(field: FiniteField, rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, det) by forward elimination; det means something only when
+    the matrix is square."""
     _check_range(field, (v for row in rows for v in row))
     mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
+    rank, det = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            det = field.neg_val(det)
+        det = field.mul_val(det, mat[rank][col])
         inv = field.inv_val(mat[rank][col])
-        mat[rank] = [field.mul_val(inv, v) for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                factor = field.mul_val(mat[r][col], inv)
                 mat[r] = [
                     field.sub_val(v, field.mul_val(factor, w))
                     for v, w in zip(mat[r], mat[rank])
                 ]
         rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return rank, det
+
+
+def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
+    """Row-reduction rank over the field."""
+    return _eliminate(field, rows)[0]
 
 
 def matrix_det(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Determinant by elimination (square matrices only)."""
-    _check_range(field, (v for row in rows for v in row))
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    if any(len(r) != nrows for r in mat):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    det = 1
-    for col in range(nrows):
-        pivot = next((r for r in range(col, nrows) if mat[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = field.neg_val(det)
-        det = field.mul_val(det, mat[col][col])
-        inv = field.inv_val(mat[col][col])
-        for r in range(col + 1, nrows):
-            if mat[r][col]:
-                factor = field.mul_val(mat[r][col], inv)
-                mat[r] = [
-                    field.sub_val(v, field.mul_val(factor, w))
-                    for v, w in zip(mat[r], mat[col])
-                ]
-    return det
+    return _eliminate(field, rows)[1]
 
 
 def associate_matrix(
@@ -574,7 +565,7 @@ def associate_matrix(
     kernel_size = L.q ** (i - rank)
     if field.q <= 2**16:
         table = L.value_table()
-        observed = sum(1 for v in table if v == 0)
+        observed = int(np.count_nonzero(table == 0))
         if observed != kernel_size:
             raise RuntimeError(
                 f"kernel cross-check failed: rank says {kernel_size}, table says {observed}"

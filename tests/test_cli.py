@@ -1,6 +1,11 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
+import logging
+
+import numpy as np
 import pytest
+
+import fparray.cli as cli
 
 from fparray import (
     FrequencyPermutationArray,
@@ -14,6 +19,7 @@ from fparray import (
     verify,
 )
 from fparray.cli import main
+from fparray.gf import LinearizedPolynomial
 from fparray.cli.formats import (
     FormatError,
     parse_design,
@@ -397,6 +403,48 @@ def test_search_adjacency_limit_exit(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: work limit exceeded")
     assert "Traceback" not in err
+
+
+def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
+    # a value table with too many zeros breaks associate_matrix's kernel cross-check
+    monkeypatch.setattr(
+        LinearizedPolynomial, "value_table", lambda self: np.zeros(self.field.q, dtype=np.int32)
+    )
+    out = str(tmp_path / "l")
+    argv = ["construct", "linearized", "--q", "3", "--i", "2", "--d", "1", "-o", out]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: kernel cross-check failed: rank says 3, table says 9\n"
+    assert captured.out == ""
+    assert not (tmp_path / "l").exists()
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"), MemoryError()])
+def test_resource_failures_exit_three(capsys, monkeypatch, exc):
+    def fail(q):
+        raise exc
+
+    monkeypatch.setattr(cli, "mols_from_field", fail)
+    assert main(["construct", "mols", "--q", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {exc or type(exc).__name__}\n"
+    assert "Traceback" not in err
+
+
+def test_stage_log_is_silent_by_default_and_leaves_output_alone(tmp_path, capsys, caplog):
+    argv = ["construct", "steiner-848", "-o", str(tmp_path / "s.fpa")]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="fparray"):
+        assert main(argv) == 0
+    assert capsys.readouterr() == quiet
+    stages = [r.getMessage().rsplit(" ", 2)[0] for r in caplog.records]
+    assert stages == [
+        "construct steiner-848: build",
+        "construct steiner-848: verify",
+        "construct steiner-848: write",
+    ]
 
 
 # ---------------------------------------------------------------------------

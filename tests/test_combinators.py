@@ -2,9 +2,10 @@
 
 import functools
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fparray import (
@@ -286,3 +287,61 @@ def test_transforms_keep_their_claims(data):
     classes = [a.rows[i : i + chunk] for i in range(0, a.size, chunk)]
     assert sep.d == a.min_distance_claim
     assert sep.delta == min(_brute_min(rows, a.n) for rows in classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_mod_keeps_its_claim(data):
+    # strength-2 rows have the all-ones pair profile, under any relabelling
+    q = data.draw(st.sampled_from([3, 4, 5, 8, 9]), label="q")
+    rows = fpa_from_oa(oa_from_mols(mols_from_field(q))).rows
+    picked = data.draw(st.lists(st.sampled_from(rows), min_size=2, unique=True), label="rows")
+    relabel = data.draw(st.permutations(range(q)), label="relabel")
+    columns = data.draw(st.permutations(range(q * q)), label="columns")
+    words = [[relabel[row[c]] for c in columns] for row in picked]
+    a = FrequencyPermutationArray.from_rows(words, q, q, _brute_min(words, q * q))
+    r = data.draw(st.sampled_from([f for f in range(2, q + 1) if q % f == 0]), label="r")
+    out = reduce_mod(a, r)
+    assert (out.m, out.lam, out.size) == (r, q * q // r, a.size)
+    assert out.min_distance_claim == q * q - q * q // r
+    assert verify(out).reasons == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compose_columns_keeps_its_claim(data):
+    b = data.draw(st.integers(1, 3), label="b")
+    m = data.draw(st.integers(2, 3), label="m")
+    lam = data.draw(st.integers(1, 2), label="lam")
+    fpas = [_draw_array(data, m, lam, f"ingredient{i}") for i in range(b)]
+    # coarse rows at full distance b*n stay so under a column permutation
+    full = canonical_max_distance_fpa(b, m * lam).rows
+    picked = data.draw(st.lists(st.sampled_from(full), min_size=1, unique=True), label="coarse")
+    columns = data.draw(st.permutations(range(b * m * lam)), label="columns")
+    coarse = FrequencyPermutationArray.from_rows(
+        [[row[c] for c in columns] for row in picked], b, m * lam, b * m * lam
+    )
+    out = compose_columns(fpas, coarse)
+    assert (out.m, out.lam) == (b * m, lam)
+    assert out.size == coarse.size * min(f.size for f in fpas)
+    assert verify(out).reasons == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sep_product_keeps_its_claim(data):
+    m = data.draw(st.integers(2, 3), label="m")
+    lam = data.draw(st.integers(1, 2), label="lam")
+    inputs = []
+    for i in range(data.draw(st.integers(1, 2), label="inputs")):
+        a = _draw_array(data, m, lam, f"a{i}")
+        k = data.draw(st.sampled_from([f for f in range(1, a.size + 1) if a.size % f == 0]))
+        inputs.append(SeparableArray.from_fpa(a, k))
+    delta = min(s.delta for s in inputs)
+    assume(sum(s.d for s in inputs) >= delta)
+    out = sep_product(inputs)
+    classes = min(s.num_classes for s in inputs)
+    size = sum(math.prod(s.classes[j].size for s in inputs) for j in range(classes))
+    assert (out.m, out.lam, out.size) == (m, lam * len(inputs), size)
+    assert out.min_distance_claim == delta
+    assert verify(out).reasons == ()

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from fparray import constructions
 from fparray import (
     FrequencySquare,
     HadamardMatrix,
@@ -26,6 +27,9 @@ from fparray import (
     fpa_from_trace,
     fpa_steiner_848,
     hadamard_matrix,
+    linearized_monomial,
+    linearized_subfield_kernel,
+    linearized_trace,
     mofs_complete,
     mols_from_field,
     oa_from_mols,
@@ -272,6 +276,29 @@ def test_monomial_family_gives_plain_permutations():
     assert verify(fpa).valid
 
 
+@pytest.mark.parametrize(
+    "q,i,kind,d",
+    [(3, 2, "trace", 1), (2, 4, "subfield", 2), (2, 3, "monomial", 1), (5, 2, "trace", 2)],
+)
+def test_linearized_rows_match_a_pointwise_oracle(q, i, kind, d, monkeypatch):
+    # a few witnesses per chunk, so first-seen order must carry across chunks
+    monkeypatch.setattr(constructions, "_CHUNK_CELLS", 3 * q**i)
+    field = field_of_order(q**i)
+    L = {
+        "trace": lambda: linearized_trace(field, q, 1),
+        "subfield": lambda: linearized_subfield_kernel(field, q, 2),
+        "monomial": lambda: linearized_monomial(field, q),
+    }[kind]()
+    raw = []
+    for f in census_permutation_polynomials(field, d).witnesses:
+        row = tuple(L.evaluate(f.evaluate(x)) for x in range(field.q))
+        if row not in raw:
+            raw.append(row)
+    labels = {}
+    expected = [tuple(labels.setdefault(v, len(labels)) for v in row) for row in raw]
+    assert constructions.fpa_from_linearized(L, d).rows == tuple(expected)
+
+
 def test_additive_map_degree_bound_is_enforced():
     field = field_of_order(9)
     with pytest.raises(ValueError):
@@ -290,6 +317,17 @@ def test_sign_matrix_orders():
         hadamard_matrix(6)
     with pytest.raises(ValueError):
         hadamard_matrix(3)
+
+
+def test_sign_matrix_route_preference():
+    # doubling wins over the quadratic residues (7, 23 and 31 are 3 mod 4)
+    for n in (8, 24, 32):
+        half = hadamard_matrix(n // 2).rows
+        doubled = [r + r for r in half] + [r + tuple(-e for e in r) for r in half]
+        assert hadamard_matrix(n).rows == tuple(doubled)
+    # no doubling route: the quadratic residue matrix on q = n - 1
+    for n in (12, 20, 28):
+        assert hadamard_matrix(n).rows == tuple(map(tuple, constructions._paley_rows(n - 1)))
 
 
 def test_sign_matrix_validation():

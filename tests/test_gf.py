@@ -3,15 +3,18 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fparray import gf
 from fparray.gf import (
     LinearizedPolynomial,
     Polynomial,
     associate_matrix,
     census_permutation_polynomials,
+    evaluate_whole_field,
     field_of_order,
     is_permutation_polynomial,
     linearized_monomial,
@@ -112,6 +115,119 @@ def test_multiplicative_group_is_cyclic_of_order_q_minus_1():
         orders.add(order)
         assert 15 % order == 0
     assert 15 in orders  # a generator exists
+
+
+# ---------------------------------------------------------------------------
+# array arithmetic (exp/log tables, the shared digit formula)
+
+FIELDS_UP_TO_256 = [q for q in range(2, 257) if gf._prime_power(q)]
+
+
+def _digit_matrix(field, values):
+    return np.array([[v // field.p**j % field.p for j in range(field.k)] for v in values])
+
+
+def _convolution_products(field):
+    """Every product a*b as a q x q table: digit convolution, then reduction
+    by the monic modulus from the top degree down."""
+    p, k, q = field.p, field.k, field.q
+    digits = _digit_matrix(field, range(q))
+    conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            conv[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
+    for t in range(2 * k - 2, k - 1, -1):
+        top = conv[:, :, t] % p
+        for j, m in enumerate(field.modulus[:-1]):
+            conv[:, :, t - k + j] -= top * m
+    return (conv[:, :, :k] % p * p ** np.arange(k)).sum(axis=2)
+
+
+@pytest.mark.parametrize("q", FIELDS_UP_TO_256)
+def test_array_arithmetic_matches_a_digit_convolution(q):
+    field = field_of_order(q)
+    xs = np.arange(q, dtype=np.int32)
+    products = _convolution_products(field)
+    assert (field.mul_array(xs[:, None], xs) == products).all()
+    digits = _digit_matrix(field, range(q))
+    places = field.p ** np.arange(field.k)
+    sums = ((digits[:, None, :] + digits[None, :, :]) % field.p * places).sum(axis=2)
+    assert (field.add_val(xs[:, None], xs) == sums).all()
+    assert (field.add_val(xs, field.neg_val(xs)) == 0).all()
+    # powers by repeated table-free products, across the wrap at q - 1
+    power = xs.astype(np.int64)
+    for e in range(1, min(q, 40) + 2):
+        assert (field.pow_array(xs, e) == power).all()
+        power = products[power, xs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 25, 27, 81])
+def test_primitive_element_is_the_smallest_generator(q):
+    field = field_of_order(q)
+    products = _convolution_products(field)
+
+    def order(g):
+        cur, n = g, 1
+        while cur != 1:
+            cur, n = products[cur, g], n + 1
+        return n
+
+    g = field.primitive_element()
+    assert order(g) == q - 1
+    assert all(order(h) < q - 1 for h in range(1, g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_add_formula_is_shared_by_ints_and_arrays(data):
+    field = field_of_order(data.draw(st.sampled_from([2, 3, 8, 9, 25, 49, 125, 243])))
+    a = data.draw(st.integers(0, field.q - 1), label="a")
+    b = data.draw(st.integers(0, field.q - 1), label="b")
+    total, neg = field.add_val(a, b), field.neg_val(b)
+    assert type(total) is int and type(neg) is int
+    assert field.add_val(np.int32(a), np.array(b, dtype=np.int32)) == total
+    assert field.neg_val(np.array(b, dtype=np.int32)) == neg
+    assert field.sub_val(total, b) == a
+    empty = np.array([], dtype=np.int32)
+    assert field.add_val(empty, empty).shape == (0,)
+    assert field.neg_val(empty).shape == (0,)
+    assert field.mul_array(empty, empty).shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_whole_field_evaluation_matches_horner_point_by_point(data):
+    field = field_of_order(data.draw(st.sampled_from([2, 3, 4, 5, 9, 16, 27])))
+    q = field.q
+    chunk = data.draw(st.integers(1, 4 * q), label="chunk cells")
+    width = data.draw(st.integers(0, 5), label="width")
+    coeffs = data.draw(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width), max_size=12),
+        label="coeffs",
+    )
+    matrix = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_CHUNK_CELLS", chunk)  # rows per block: max(1, chunk // q)
+        images = evaluate_whole_field(field, matrix)
+    assert images.dtype == np.int32 and images.shape == (len(coeffs), q)
+    for row, values in zip(coeffs, images.tolist()):
+        poly = Polynomial.of(field, row)
+        assert values == [poly.evaluate(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("q,max_degree", [(3, 3), (4, 2), (5, 2), (8, 1)])
+def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, monkeypatch):
+    field = field_of_order(q)
+    monkeypatch.setattr(gf, "_CHUNK_CELLS", 3 * q)  # three candidates per block
+    census = census_permutation_polynomials(field, max_degree)
+    expected = []
+    for degree in range(1, max_degree + 1):
+        for v in range(q**degree, q ** (degree + 1)):
+            coeffs = tuple(v // q**t % q for t in range(degree + 1))
+            poly = Polynomial(field, coeffs)
+            if len({poly.evaluate(x) for x in range(q)}) == q:
+                expected.append(poly)
+    assert list(census.witnesses) == expected
 
 
 # ---------------------------------------------------------------------------
