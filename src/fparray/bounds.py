@@ -287,17 +287,13 @@ def _bits(p: int) -> list[int]:
 def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
     """Neighbour bitsets: bit u of adj[v] is set iff words u, v are >= d apart.
 
-    The rows are filled packed, 8 vertices to a byte: a pair i < j sets
-    bit j of row i and bit i of row j.
+    Each block of distance rows is packed 8 vertices to a byte; d >= 1
+    keeps every self bit clear.
     """
     size = len(words)
-    packed = np.zeros((size, (size + 7) // 8), dtype=np.uint8)
-    for i, j, dists in _pair_distances(np.array(words, dtype=np.int16)):
-        hits = dists >= d
-        upper = np.zeros(size, dtype=bool)
-        upper[j : j + len(hits)] = hits
-        packed[i] |= np.packbits(upper, bitorder="little")
-        packed[j : j + len(hits), i >> 3] |= hits.astype(np.uint8) << (i & 7)
+    packed = np.empty((size, (size + 7) // 8), dtype=np.uint8)
+    for i, dists in _pair_distances(np.array(words, dtype=np.int16)):
+        packed[i : i + len(dists)] = np.packbits(dists >= d, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

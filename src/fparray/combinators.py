@@ -231,13 +231,12 @@ class SeparableArray:
         chunk = fpa.size // num_classes
         delta = d = fpa.n
         if fpa.size > 1:
-            mat = np.array(fpa.rows, dtype=np.int64)
-            for i, j, dists in core._pair_distances(mat):
-                d = min(d, int(dists.min()))
-                # the first `same` rows of this block lie in row i's class
-                same = (i // chunk + 1) * chunk - j
-                if same > 0:
-                    delta = min(delta, int(dists[:same].min()))
+            cls_of = np.arange(fpa.size) // chunk
+            for i, dists in core._pair_distances(core._label_matrix(fpa)):
+                pairs = core._upper(i, dists)
+                d = int(dists.min(initial=d, where=pairs))
+                pairs &= cls_of == cls_of[i : i + len(dists), None]
+                delta = int(dists.min(initial=delta, where=pairs))
         classes = tuple(
             FrequencyPermutationArray(
                 fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta

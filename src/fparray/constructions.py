@@ -24,6 +24,7 @@ from .core import (
     WorkLimitExceeded,
     _pair_counts,
     _pair_distances,
+    _upper,
     is_lambda_permutation,
 )
 from .gf import (
@@ -371,7 +372,8 @@ class ResolvableDesign:
             cols = np.ascontiguousarray(_class_rows(self.v, self.classes).T)
             apart = len(self.classes) - self.lambda_d
             if (self.v >= 2 and self.lambda_d < 1) or any(
-                (dists != apart).any() for _, _, dists in _pair_distances(cols)
+                ((dists != apart) & _upper(i, dists)).any()
+                for i, dists in _pair_distances(cols)
             ):
                 raise ValueError(f"point pairs are not covered exactly {self.lambda_d} times")
 

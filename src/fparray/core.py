@@ -136,38 +136,92 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     return FrequencyPermutationArray.from_rows(rows, m, lam, n)
 
 
-_BLOCK_CELLS = 10_000_000
+# One distance block holds at most this many 64-position words per
+# temporary (512 KiB), or one row against every row when that is larger.
+_BLOCK_CELLS = 1 << 16
 
 
-def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Hamming distances of every row pair i < j, streamed in blocks.
+def _bit_planes(mat: np.ndarray) -> np.ndarray:
+    """planes[k, w, r]: bit k of row r's labels at positions 64w..64w+63.
 
-    Yields (i, j, dists) with dists[t] the distance between rows i and
-    j + t.  A block compares at most max(1, _BLOCK_CELLS // n) rows at
-    once, which bounds the memory of one step.
+    Labels must be non-negative.  Two rows differ at a position exactly
+    when some plane differs there; positions past n are 0 in every row.
     """
     size, n = mat.shape
-    block = max(1, _BLOCK_CELLS // max(1, n))
-    for i in range(size - 1):
-        for j in range(i + 1, size, block):
-            yield i, j, (mat[j : j + block] != mat[i]).sum(axis=1)
+    if mat.size and mat.min() < 0:
+        raise ValueError("distance kernel needs non-negative labels")
+    depth = max(1, int(mat.max(initial=0)).bit_length())
+    words = (n + 63) // 64
+    planes = np.empty((depth, words, size), dtype=np.uint64)
+    packed = np.zeros((size, words * 8), dtype=np.uint8)
+    for k in range(depth):
+        bits = np.packbits((mat >> k) & 1, axis=1, bitorder="little")
+        packed[:, : bits.shape[1]] = bits
+        planes[k] = packed.view(np.uint64).T
+    return planes
+
+
+def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Hamming distances of each block of rows against every row.
+
+    Yields (i, dists) with dists[t, u] the distance between rows i + t and
+    u, self pairs included.  A block ORs the block-against-all XORs of
+    every bit plane and sums the set bits over words; it holds at most
+    max(1, _BLOCK_CELLS // (words * size)) rows.
+    """
+    planes = _bit_planes(mat)
+    depth, words, size = planes.shape
+    block = max(1, _BLOCK_CELLS // max(1, words * size))
+    cols = planes[:, :, None, :]
+    for i in range(0, size, block):
+        rows = planes[:, :, i : i + block, None]
+        out = rows[0] ^ cols[0]
+        for k in range(1, depth):
+            out |= rows[k] ^ cols[k]
+        yield i, np.bitwise_count(out).sum(axis=0, dtype=np.int64)
+
+
+def _upper(i: int, dists: np.ndarray) -> np.ndarray:
+    """Mask of the cells of a block at row i that pair row i + t with a later row."""
+    return np.arange(dists.shape[1]) > np.arange(i, i + dists.shape[0])[:, None]
 
 
 def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
     """(min, max) Hamming distance over all row pairs."""
     lo, hi = mat.shape[1], 0
-    for _, _, dists in _pair_distances(mat):
-        lo = min(lo, int(dists.min()))
-        hi = max(hi, int(dists.max()))
+    for i, dists in _pair_distances(mat):
+        pairs = _upper(i, dists)
+        lo = int(dists.min(initial=lo, where=pairs))
+        hi = int(dists.max(initial=hi, where=pairs))
     return lo, hi
+
+
+def _label_matrix(
+    array: FrequencyPermutationArray, composed: bool | None = None
+) -> np.ndarray:
+    """The rows as a matrix of non-negative labels with the same distances.
+
+    Rows of lambda-permutations (`composed`, checked here when None)
+    already hold 0..m-1 and are taken as they are; any other rows are
+    relabelled by first appearance, which keeps symbols beyond int64.
+    """
+    rows = array.rows
+    if composed is None:
+        composed = all(is_lambda_permutation(row, array.m, array.lam) for row in rows)
+    if composed:
+        return np.array(rows, dtype=np.int64)
+    codes: dict[int, int] = {}
+    return np.array(
+        [[codes.setdefault(s, len(codes)) for s in row] for row in rows],
+        dtype=np.int64,
+    )
 
 
 def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    mat = np.array(array.rows, dtype=np.int64)
-    return min(int(dists.min()) for _, _, dists in _pair_distances(mat))
+    return _distance_scan(_label_matrix(array))[0]
 
 
 def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
@@ -223,15 +277,16 @@ def verify(
     if array.m < 1 or array.lam < 1:
         reasons.append(f"parameters out of range: m={array.m}, lam={array.lam}")
     rows = array.rows
-    shapes_ok = True
+    shapes_ok = composed = True
     for idx, row in enumerate(rows):
         if len(row) != array.n:
             reasons.append(f"row {idx} has length {len(row)}")
-            shapes_ok = False
+            shapes_ok = composed = False
         elif not is_lambda_permutation(row, array.m, array.lam):
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )
+            composed = False
     if len(set(rows)) != len(rows):
         reasons.append("rows are not pairwise distinct")
 
@@ -239,16 +294,7 @@ def verify(
     equidistant = True
     profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
-        try:
-            mat = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            # A symbol beyond int64 has already failed the composition
-            # check; dense relabelling keeps every distance.
-            codes: dict[int, int] = {}
-            mat = np.array(
-                [[codes.setdefault(s, len(codes)) for s in row] for row in rows],
-                dtype=np.int64,
-            )
+        mat = _label_matrix(array, composed)
         lo, hi = _distance_scan(mat)
         actual, equidistant = lo, lo == hi
         if not reasons:

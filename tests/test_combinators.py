@@ -3,11 +3,13 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fparray import core
 from fparray import (
     FrequencyPermutationArray,
     SeparableArray,
@@ -287,6 +289,22 @@ def test_transforms_keep_their_claims(data):
     classes = [a.rows[i : i + chunk] for i in range(0, a.size, chunk)]
     assert sep.d == a.min_distance_claim
     assert sep.delta == min(_brute_min(rows, a.n) for rows in classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separable_distances_match_the_oracle_across_kernel_blocks(data):
+    # 12 rows in classes of 3, streamed 1, 2, 4, 5 or 7 rows to a kernel
+    # block, so classes straddle block edges
+    rows = data.draw(
+        st.lists(st.sampled_from(_words(4, 1)), min_size=12, max_size=12, unique=True),
+        label="rows",
+    )
+    rows_per_block = data.draw(st.sampled_from([1, 2, 4, 5, 7]), label="rows_per_block")
+    with mock.patch.object(core, "_BLOCK_CELLS", rows_per_block * len(rows)):
+        sep = SeparableArray.from_fpa(FrequencyPermutationArray.from_rows(rows, 4, 1, 1), 4)
+    assert sep.d == _brute_min(rows, 4)
+    assert sep.delta == min(_brute_min(rows[k : k + 3], 4) for k in range(0, 12, 3))
 
 
 @settings(max_examples=40, deadline=None)

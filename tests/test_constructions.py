@@ -2,10 +2,13 @@
 
 import collections
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fparray import constructions
+from fparray import constructions, core
 from fparray import (
     FrequencySquare,
     HadamardMatrix,
@@ -217,6 +220,60 @@ def test_design_pair_cover_count_must_be_positive():
     assert ResolvableDesign(4, 2, one_factorisation, lambda_d=1).is_affine()
     with pytest.raises(ValueError, match="covered exactly 2 times"):
         ResolvableDesign(4, 2, one_factorisation, lambda_d=2)
+
+
+def _pair_covers(v, classes):
+    covers = collections.Counter()
+    for cls in classes:
+        for block in cls:
+            covers.update(itertools.combinations(sorted(block), 2))
+    return [covers[pair] for pair in itertools.combinations(range(v), 2)]
+
+
+@pytest.mark.parametrize("cells", [1, 20, 1 << 16])
+def test_design_pair_cover_check_across_kernel_blocks(monkeypatch, cells):
+    # 1 and 20 cells stream the points of AG(2, q) one or two to a block
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    for q in (3, 4):
+        lines = affine_classes_from_mols(mols_from_field(q))
+        assert set(_pair_covers(lines.v, lines.classes)) == {1}
+        assert ResolvableDesign(lines.v, lines.k, lines.classes, lambda_d=1).is_affine()
+        for lambda_d in (0, 2, len(lines.classes)):
+            with pytest.raises(ValueError, match="covered exactly"):
+                ResolvableDesign(lines.v, lines.k, lines.classes, lambda_d=lambda_d)
+        # swapping the last point into another block of the last class
+        # breaks the pairs through the two swapped points
+        *keep, last = lines.classes
+        blocks = [list(blk) for blk in last]
+        a = lines.v - 1
+        ia = next(i for i, blk in enumerate(blocks) if a in blk)
+        other = blocks[ia - 1]
+        blocks[ia][blocks[ia].index(a)], other[0] = other[0], a
+        classes = (*keep, tuple(tuple(blk) for blk in blocks))
+        assert set(_pair_covers(lines.v, classes)) != {1}
+        with pytest.raises(ValueError, match="covered exactly 1 times"):
+            ResolvableDesign(lines.v, lines.k, classes, lambda_d=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_design_pair_cover_check_matches_a_pair_count(data):
+    v, k = data.draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2), (6, 2), (6, 3), (9, 3)]))
+    shuffles = data.draw(st.lists(st.permutations(range(v)), min_size=1, max_size=4))
+    classes = tuple(
+        tuple(tuple(order[b : b + k]) for b in range(0, v, k)) for order in shuffles
+    )
+    covers = _pair_covers(v, classes)
+    lambda_d = data.draw(st.sampled_from(sorted({*covers, 0, 1, len(classes)})))
+    accept = (v < 2 or lambda_d >= 1) and all(c == lambda_d for c in covers)
+    cells = data.draw(st.sampled_from([1, 5, 1 << 16]))
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        try:
+            ResolvableDesign(v, k, classes, lambda_d=lambda_d)
+        except ValueError:
+            assert not accept
+        else:
+            assert accept
 
 
 def test_reed_solomon_generator_shape():

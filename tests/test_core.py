@@ -3,12 +3,14 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fparray import core
 from fparray.core import (
     FrequencyPermutationArray,
     _pair_counts,
@@ -141,6 +143,19 @@ def test_verify_reports_symbols_beyond_int64():
     assert huge.actual_min_distance == 1
 
 
+def test_min_distance_handles_huge_and_negative_symbols():
+    assert min_distance(FrequencyPermutationArray.from_rows([[0, 2**70], [0, 1]], 2, 1, 1)) == 1
+    rows = [
+        [0, 2**70, -3, 5],
+        [0, 1, -3, 5],
+        [2**70, 0, 5, -3],
+        [-(2**80), 2**70, -3, 0],
+    ]
+    fpa = FrequencyPermutationArray.from_rows(rows, 2, 2, 1)
+    assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
+    assert verify(fpa).actual_min_distance == 1
+
+
 def test_verify_rejects_duplicate_rows():
     fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1), (0, 1, 0, 1)], 2, 2, 1)
     report = verify(fpa)
@@ -253,3 +268,43 @@ def test_pair_counts_match_a_dict_count(data):
         for a in range(mx):
             for b in range(my):
                 assert tables[t, a, b] == counts.get((a, b), 0)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the bit-plane distance kernel agrees with a pairwise loop
+
+
+def _pairwise(rows):
+    return [[sum(x != y for x, y in zip(a, b)) for b in rows] for a in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.sampled_from([0, 1, 2, 3, 5, 9]),
+    n=st.sampled_from([1, 5, 8, 63, 64, 65, 127, 128, 129, 130]),
+    symbols=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257]),
+    cells=st.sampled_from([1, 7, 64, 200, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_kernel_matches_a_pairwise_oracle(size, n, symbols, cells, seed):
+    # rows copy one base row outside a random share of positions, so
+    # distances spread over 0..n; the top label fixes the plane count
+    rng = np.random.default_rng(seed)
+    fresh = rng.random((size, n)) < rng.random((size, 1))
+    mat = np.where(fresh, rng.integers(0, symbols, (size, n)), rng.integers(0, symbols, n))
+    if size:
+        mat[0, 0] = symbols - 1
+    want = _pairwise(mat.tolist())
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        blocks = list(core._pair_distances(mat))
+        scan = core._distance_scan(mat)
+    step = max(1, cells // (((n + 63) // 64) * max(1, size)))
+    assert [i for i, _ in blocks] == list(range(0, size, step))
+    assert [row for _, dists in blocks for row in dists.tolist()] == want
+    pairs = [want[i][j] for i, j in itertools.combinations(range(size), 2)]
+    assert scan == ((min(pairs), max(pairs)) if pairs else (n, 0))
+
+
+def test_distance_kernel_rejects_negative_labels():
+    with pytest.raises(ValueError, match="non-negative"):
+        list(core._pair_distances(np.array([[0, -1], [0, 1]])))
