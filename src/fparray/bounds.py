@@ -1,18 +1,18 @@
 """Counting formulas, volume bounds, and exact maximum sizes at desk scale.
 
 Everything here is exact integer or rational arithmetic; floating point is
-never used.  Sphere volumes come from a partition sum whose inner counts
-are multiset derangements, themselves computed from a Laguerre-polynomial
-integral with rational coefficients.  `exact_max_size` is the independent
-oracle: a deterministic branch-and-bound maximum-clique search over the
-whole word space.
+never used.  Sphere volumes are prefix sums of the distance distribution
+of the word space, enumerated with plain integers in O(n^2) operations by
+inclusion-exclusion over fixed points.  Multiset derangements keep their
+own Laguerre-polynomial integral with rational coefficients.
+`exact_max_size` is the independent oracle: a deterministic
+branch-and-bound maximum-clique search over the whole word space.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -142,18 +142,9 @@ def _partitions(k: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PartitionTerm:
-    """One descending partition, as used in the volume sum."""
+    """One descending partition of a count of displaced positions."""
 
     parts: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.parts)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        counter = Counter(self.parts)
-        return tuple(counter[v] for v in sorted(counter, reverse=True))
 
 
 def partition_terms(k: int, max_part: int) -> list[PartitionTerm]:
@@ -161,6 +152,35 @@ def partition_terms(k: int, max_part: int) -> list[PartitionTerm]:
     if k < 0 or max_part < 1:
         raise ValueError(f"need k >= 0 and max_part >= 1, got {k}, {max_part}")
     return [PartitionTerm(p) for p in _partitions(k, max_part)]
+
+
+def _distance_distribution(n: int, lam: int) -> list[int]:
+    """E[t]: the words at Hamming distance exactly t from a fixed word.
+
+    Fixing a_i of the lam positions of symbol i gives C(lam, a_i) position
+    sets, and the n - j free positions of a j-set take
+    (n-j)! / prod (lam - a_i)! arrangements.  So with
+    Q(x) = sum_a C(lam, a) lam!/(lam-a)! x^a, the (word, j agreeing
+    positions) pairs number N_j = (n-j)! [x^j] Q(x)^m / lam!^m, an exact
+    division.  Inclusion-exclusion gives the words with exactly k
+    agreements, A_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j, and E[t] = A_{n-t}.
+    """
+    m = n // lam
+    q = [math.comb(lam, a) * math.perm(lam, a) for a in range(lam + 1)]
+    power = [1]
+    for _ in range(m):
+        product = [0] * (len(power) + lam)
+        for j, c in enumerate(power):
+            for a, qa in enumerate(q):
+                product[j + a] += c * qa
+        power = product
+    scale = math.factorial(lam) ** m
+    pairs = [math.factorial(n - j) * c // scale for j, c in enumerate(power)]
+    exact = [
+        sum((-1) ** (j - k) * math.comb(j, k) * pairs[j] for j in range(k, n + 1))
+        for k in range(n + 1)
+    ]
+    return exact[::-1]
 
 
 def sphere_volume(
@@ -173,8 +193,8 @@ def sphere_volume(
     """Words within Hamming distance r of any fixed word, counted exactly.
 
     The space is vertex-transitive under position permutations, so the
-    centre does not matter.  formula: partition sum over displaced symbol
-    types, weighted by multiset derangements.  bruteforce: enumerate the
+    centre does not matter.  formula: the first r + 1 terms of the distance
+    distribution, O(n^2) integer operations.  bruteforce: enumerate the
     whole space against the canonical centre (budgeted).
     """
     if n < 1 or lam < 1 or n % lam:
@@ -195,19 +215,7 @@ def sphere_volume(
         )
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
-    total = 1
-    for k in range(1, r + 1):
-        for term in partition_terms(k, lam):
-            if term.t > m:
-                continue
-            ways = math.factorial(m) // math.factorial(m - term.t)
-            for mult in term.multiplicities:
-                ways //= math.factorial(mult)
-            picks = 1
-            for part in term.parts:
-                picks *= math.comb(lam, part)
-            total += ways * picks * multiset_derangements(term.parts)
-    return total
+    return sum(_distance_distribution(n, lam)[: r + 1])
 
 
 # ---------------------------------------------------------------------------

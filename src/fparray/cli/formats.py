@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..core import FrequencyPermutationArray, is_lambda_permutation
+from ..core import FrequencyPermutationArray, _composed, _label_matrix
 from ..constructions import (
     FrequencySquare,
     HadamardMatrix,
@@ -109,7 +109,7 @@ def _groups_after_header(lines: list[str]) -> list[list[str]]:
 def _int_row(line: str, width: int, what: str) -> tuple[int, ...]:
     parts = line.split()
     try:
-        row = tuple(int(p) for p in parts)
+        row = tuple(map(int, parts))
     except ValueError:
         raise FormatError(f"{what}: non-integer entry in {line!r}") from None
     if len(row) != width:
@@ -129,7 +129,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
         f"d={array.min_distance_claim} size={array.size}",
     ]
     for row in array.rows:
-        out.append(" ".join(str(s + offset) for s in row))
+        out.append(" ".join([str(s + offset) for s in row]))
     return "\n".join(out) + "\n"
 
 
@@ -147,15 +147,22 @@ def parse_fpa(text: str) -> FrequencyPermutationArray:
     body = data[1:]
     if len(body) != header["size"]:
         raise FormatError(f"header says size={header['size']}, found {len(body)} rows")
-    rows = []
+    rows: list[tuple[int, ...]] = []
+    unreadable = None
     for idx, line in enumerate(body):
-        row = _int_row(line, n, f"row {idx}")
-        if not is_lambda_permutation(row, m, lam):
-            raise FormatError(
-                f"row {idx} is not a frequency-{lam} word over {m} symbols"
-            )
-        rows.append(row)
-    return FrequencyPermutationArray.from_rows(rows, m, lam, header["d"])
+        try:
+            rows.append(_int_row(line, n, f"row {idx}"))
+        except FormatError as exc:
+            unreadable = exc
+            break
+    # A badly composed row ahead of the first unreadable one is reported first.
+    composed = _composed(_label_matrix(rows, m), m, lam)
+    if not composed.all():
+        idx = int(composed.argmin())
+        raise FormatError(f"row {idx} is not a frequency-{lam} word over {m} symbols")
+    if unreadable is not None:
+        raise unreadable
+    return FrequencyPermutationArray(m, lam, tuple(rows), header["d"])
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ class SeparableArray:
         delta = d = fpa.n
         if fpa.size > 1:
             cls_of = np.arange(fpa.size) // chunk
-            for i, dists in core._pair_distances(core._label_matrix(fpa)):
+            for i, dists in core._pair_distances(core._label_matrix(fpa.rows, fpa.m)):
                 pairs = core._upper(i, dists)
                 d = int(dists.min(initial=d, where=pairs))
                 pairs &= cls_of == cls_of[i : i + len(dists), None]

@@ -62,7 +62,7 @@ class FrequencyPermutationArray:
         lam: int,
         min_distance_claim: int,
     ) -> "FrequencyPermutationArray":
-        plain = tuple(tuple(int(s) for s in row) for row in rows)
+        plain = tuple(tuple(map(int, row)) for row in rows)
         return cls(m, lam, plain, min_distance_claim)
 
     @property
@@ -138,6 +138,7 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
 
 # One distance block holds at most this many 64-position words per
 # temporary (512 KiB), or one row against every row when that is larger.
+# A composition block sorts about this many symbols at a time.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -196,32 +197,50 @@ def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
     return lo, hi
 
 
-def _label_matrix(
-    array: FrequencyPermutationArray, composed: bool | None = None
-) -> np.ndarray:
-    """The rows as a matrix of non-negative labels with the same distances.
+def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """The rows as one int64 matrix of non-negative labels, distances kept.
 
-    Rows of lambda-permutations (`composed`, checked here when None)
-    already hold 0..m-1 and are taken as they are; any other rows are
-    relabelled by first appearance, which keeps symbols beyond int64.
+    Symbols 0..m-1 keep their value.  Any other symbol (negative, m or
+    more, or beyond int64) gets a fresh label from m up by first
+    appearance, so its row still fails `_composed`.
     """
-    rows = array.rows
-    if composed is None:
-        composed = all(is_lambda_permutation(row, array.m, array.lam) for row in rows)
-    if composed:
-        return np.array(rows, dtype=np.int64)
+    try:
+        mat = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        mat = None
+    if mat is not None and not (mat.size and (mat.min() < 0 or mat.max() >= m)):
+        return mat
     codes: dict[int, int] = {}
+    fresh = max(m, 0)
     return np.array(
-        [[codes.setdefault(s, len(codes)) for s in row] for row in rows],
+        [[s if 0 <= s < m else codes.setdefault(s, fresh + len(codes)) for s in row]
+         for row in rows],
         dtype=np.int64,
     )
+
+
+def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
+    """Row mask of `is_lambda_permutation` over a `_label_matrix` of width n.
+
+    A row qualifies iff, sorted, it equals the sorted base word 0^lam 1^lam ...
+    Rows are sorted in blocks of about _BLOCK_CELLS symbols, so the sorted
+    copy stays small next to the matrix.
+    """
+    if m < 1 or lam < 1 or mat.shape[1:] != (m * lam,):
+        return np.zeros(len(mat), dtype=bool)
+    base = np.repeat(np.arange(m), lam)
+    ok = np.empty(len(mat), dtype=bool)
+    step = max(1, _BLOCK_CELLS // mat.shape[1])
+    for i in range(0, len(mat), step):
+        ok[i : i + step] = (np.sort(mat[i : i + step], axis=1) == base).all(axis=1)
+    return ok
 
 
 def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    return _distance_scan(_label_matrix(array))[0]
+    return _distance_scan(_label_matrix(array.rows, array.m))[0]
 
 
 def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
@@ -276,17 +295,18 @@ def verify(
     reasons: list[str] = []
     if array.m < 1 or array.lam < 1:
         reasons.append(f"parameters out of range: m={array.m}, lam={array.lam}")
-    rows = array.rows
-    shapes_ok = composed = True
+    rows, n = array.rows, array.n
+    sized = [row for row in rows if len(row) == n]
+    shapes_ok = len(sized) == len(rows)
+    mat = _label_matrix(sized, array.m)
+    composed = iter(_composed(mat, array.m, array.lam).tolist())
     for idx, row in enumerate(rows):
-        if len(row) != array.n:
+        if len(row) != n:
             reasons.append(f"row {idx} has length {len(row)}")
-            shapes_ok = composed = False
-        elif not is_lambda_permutation(row, array.m, array.lam):
+        elif not next(composed):
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )
-            composed = False
     if len(set(rows)) != len(rows):
         reasons.append("rows are not pairwise distinct")
 
@@ -294,7 +314,6 @@ def verify(
     equidistant = True
     profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
-        mat = _label_matrix(array, composed)
         lo, hi = _distance_scan(mat)
         actual, equidistant = lo, lo == hi
         if not reasons:

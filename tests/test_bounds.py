@@ -1,6 +1,8 @@
 """Counting formulas, size bounds, and the exact clique search."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from fparray import (
     laguerre,
     mofs_max,
     multiset_derangements,
+    partition_terms,
     plotkin_upper,
     sphere_volume,
     trivial_upper,
@@ -26,7 +29,12 @@ from fparray import (
     FrequencyPermutationArray,
 )
 from fparray import core
-from fparray.bounds import _adjacency, _clique_search, _greedy_clique
+from fparray.bounds import (
+    _adjacency,
+    _clique_search,
+    _distance_distribution,
+    _greedy_clique,
+)
 from fixtures import DERANGEMENTS, SPHERE_VOLUMES
 
 # ---------------------------------------------------------------------------
@@ -105,6 +113,50 @@ def test_sphere_volume_is_monotone_in_radius():
 def test_sphere_volume_bruteforce_budget():
     with pytest.raises(WorkLimitExceeded):
         sphere_volume(8, 2, 4, method="bruteforce", max_work=10)
+
+
+def partition_sum_shells(n, lam):
+    """Words at each exact distance, by the partition sum over displaced types.
+
+    A word at distance k displaces, for each of t symbol types, some
+    p_i <= lam copies with sum p_i = k: pick the types (m!/(m-t)! over the
+    repeats among the parts), their displaced positions (prod C(lam, p_i)),
+    and a derangement of the displaced multiset.
+    """
+    m = n // lam
+    shells = [1]
+    for k in range(1, n + 1):
+        shell = 0
+        for term in partition_terms(k, lam):
+            t = len(term.parts)
+            if t > m:
+                continue
+            ways = math.perm(m, t)
+            for repeats in Counter(term.parts).values():
+                ways //= math.factorial(repeats)
+            picks = math.prod(math.comb(lam, part) for part in term.parts)
+            shell += ways * picks * multiset_derangements(term.parts)
+        shells.append(shell)
+    return shells
+
+
+def test_distance_distribution_matches_the_partition_sum():
+    for n in range(1, 25):
+        for lam in (l for l in range(1, n + 1) if n % l == 0):
+            shells = partition_sum_shells(n, lam)
+            assert _distance_distribution(n, lam) == shells, (n, lam)
+            volumes = list(itertools.accumulate(shells))
+            assert [sphere_volume(n, lam, r) for r in range(n + 1)] == volumes
+
+
+def test_distance_distribution_covers_the_space_up_to_n_120():
+    for n in range(1, 121):
+        for lam in (l for l in range(1, n + 1) if n % l == 0):
+            dist = _distance_distribution(n, lam)
+            assert len(dist) == n + 1
+            assert sum(dist) == count_all(n, lam), (n, lam)
+            assert dist[0] == 1 and dist[1] == 0
+            assert min(dist) >= 0
 
 
 # ---------------------------------------------------------------------------

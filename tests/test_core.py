@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fparray import core
+from fparray.cli import formats
 from fparray.core import (
     FrequencyPermutationArray,
     _pair_counts,
@@ -154,6 +155,88 @@ def test_min_distance_handles_huge_and_negative_symbols():
     fpa = FrequencyPermutationArray.from_rows(rows, 2, 2, 1)
     assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
     assert verify(fpa).actual_min_distance == 1
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the array composition check against the per-row predicate
+
+
+def _symbols(m):
+    """In range, just past m, negative, and beyond int64 either way."""
+    return st.one_of(
+        st.integers(0, m - 1),
+        st.integers(m, m + 2),
+        st.integers(-3, -1),
+        st.sampled_from([2**63, 2**70, -(2**63) - 1, -(2**80)]),
+    )
+
+
+def _rows_of_width(m, lam, width):
+    loose = st.lists(_symbols(m), min_size=width, max_size=width).map(tuple)
+    if width != m * lam:
+        return loose
+    return st.one_of(st.permutations([s for s in range(m) for _ in range(lam)]), loose)
+
+
+def per_row_reasons(fpa):
+    """verify's row reasons as a loop over is_lambda_permutation gives them."""
+    reasons = []
+    for idx, row in enumerate(fpa.rows):
+        if len(row) != fpa.n:
+            reasons.append(f"row {idx} has length {len(row)}")
+        elif not is_lambda_permutation(row, fpa.m, fpa.lam):
+            reasons.append(f"row {idx} is not a {fpa.lam}-uniform word over {fpa.m} symbols")
+    if len(set(fpa.rows)) != len(fpa.rows):
+        reasons.append("rows are not pairwise distinct")
+    return tuple(reasons)
+
+
+def per_row_parse_error(lines, n, m, lam):
+    """parse_fpa's error as a loop over _int_row and is_lambda_permutation gives it."""
+    for idx, line in enumerate(lines):
+        try:
+            row = formats._int_row(line, n, f"row {idx}")
+        except formats.FormatError as exc:
+            return str(exc)
+        if not is_lambda_permutation(row, m, lam):
+            return f"row {idx} is not a frequency-{lam} word over {m} symbols"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_composition_check_matches_the_per_row_predicate(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    n = m * lam
+    widths = [w for w in (n - 1, n, n + 1) if w > 0]
+    width = data.draw(st.sampled_from(widths), label="width")
+    rows = data.draw(st.lists(_rows_of_width(m, lam, width), max_size=6), label="rows")
+    cells = data.draw(st.sampled_from([1, width, 2 * width + 1, 1 << 16]), label="cells")
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        mask = core._composed(core._label_matrix(rows, m), m, lam)
+    assert mask.tolist() == [is_lambda_permutation(row, m, lam) for row in rows]
+
+    ragged = data.draw(
+        st.lists(st.sampled_from(widths).flatmap(lambda w: _rows_of_width(m, lam, w)), max_size=6),
+        label="ragged",
+    )
+    fpa = FrequencyPermutationArray.from_rows(ragged, m, lam, 0)
+    assert verify(fpa).reasons == per_row_reasons(fpa)
+
+    junk = data.draw(st.lists(st.integers(0, 4), min_size=len(ragged), max_size=len(ragged)))
+    lines = [" ".join(map(str, row)) + (" x" if j == 0 else "") for row, j in zip(ragged, junk)]
+    text = f"#fpa v1\nn={n} lambda={lam} m={m} d=0 size={len(lines)}\n" + "".join(
+        line + "\n" for line in lines
+    )
+    expected = per_row_parse_error(lines, n, m, lam)
+    try:
+        parsed = formats.parse_fpa(text)
+    except formats.FormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert parsed.rows == fpa.rows
 
 
 def test_verify_rejects_duplicate_rows():
