@@ -1,21 +1,20 @@
 """Counting formulas, volume bounds, and exact maximum sizes at desk scale.
 
-Everything here is exact integer or rational arithmetic; floating point is
-never used.  Sphere volumes are prefix sums of the distance distribution
-of the word space, enumerated with plain integers in O(n^2) operations by
-inclusion-exclusion over fixed points.  Multiset derangements keep their
-own Laguerre-polynomial integral with rational coefficients.
+Everything here is exact integer arithmetic; floating point is never
+used.  One enumerator, `_agreements`, counts the rearrangements of a
+multiset by how many positions agree with its sorted word, with plain
+integers in O(n^2) operations by inclusion-exclusion over fixed points.
+Multiset derangements are its zero-agreement term; sphere volumes are
+its tail sums over the word space, where every type appears lambda times.
 `exact_max_size` is the independent oracle: a deterministic
 branch-and-bound maximum-clique search over the whole word space.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,59 +28,38 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# rational polynomials and multiset derangements
+# agreement counts: multiset derangements and sphere volumes
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Exact-coefficient polynomial, low-to-high, trailing zeros trimmed."""
+def _agreements(counts: Sequence[int]) -> list[int]:
+    """A[k]: rearrangements of the multiset that agree with its sorted word
+    in exactly k positions.
 
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values: Sequence[Fraction | int]) -> "RationalPolynomial":
-        vals = [Fraction(v) for v in values]
-        while vals and not vals[-1]:
-            vals.pop()
-        return cls(tuple(vals))
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPolynomial.of(out)
-
-    def exp_integral(self) -> Fraction:
-        """Integral of P(x) e^(-x) over x >= 0: sum of coeff_a * a!."""
-        return sum(
-            (c * math.factorial(a) for a, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def laguerre(k: int) -> RationalPolynomial:
-    """Coefficient j is (-1)^j C(k, j) / j!."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    return RationalPolynomial.of(
-        [Fraction((-1) ** j * math.comb(k, j), math.factorial(j)) for j in range(k + 1)]
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _derangements_formula(counts: tuple[int, ...]) -> int:
-    poly = RationalPolynomial.of([1])
+    Fixing a_i of the c_i positions of type i gives C(c_i, a_i) position
+    sets, and the n - j free positions of a j-set take
+    (n-j)! / prod (c_i - a_i)! arrangements.  So with
+    Q_i(x) = sum_a C(c_i, a) c_i!/(c_i-a)! x^a, the (rearrangement, j
+    agreeing positions) pairs number N_j = (n-j)! [x^j] prod Q_i(x) / prod c_i!,
+    an exact division.  Inclusion-exclusion gives the rearrangements with
+    exactly k agreements, A_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j.
+    """
+    n = sum(counts)
+    product, scale = [1], 1
     for c in counts:
-        poly = poly * laguerre(c)
-    value = (-1) ** sum(counts) * poly.exp_integral()
-    if value.denominator != 1 or value < 0:
-        raise RuntimeError(f"integral gave non-count {value} for {counts}")
-    return int(value)
+        q = [math.comb(c, a) * math.perm(c, a) for a in range(c + 1)]
+        wider = [0] * (len(product) + c)
+        for j, p in enumerate(product):
+            for a, qa in enumerate(q):
+                wider[j + a] += p * qa
+        product, scale = wider, scale * math.factorial(c)
+    pairs = [math.factorial(n - j) * p // scale for j, p in enumerate(product)]
+    exact = [
+        sum((-1) ** (j - k) * math.comb(j, k) * pairs[j] for j in range(k, n + 1))
+        for k in range(n + 1)
+    ]
+    if min(exact) < 0 or sum(exact) != math.factorial(n) // scale:
+        raise RuntimeError(f"agreement counts for {counts} fail their self-check")
+    return exact
 
 
 def _derangements_bruteforce(counts: tuple[int, ...], max_work: int) -> int:
@@ -114,73 +92,18 @@ def multiset_derangements(
     """Rearrangements of a typed multiset with no position keeping its type.
 
     `counts` gives the copies of each type; the layout being deranged is
-    the sorted word (type 0 first).  formula = Laguerre integral;
-    bruteforce = direct backtracking, budgeted by the rearrangement count.
+    the sorted word (type 0 first).  formula = the zero-agreement term of
+    `_agreements`; bruteforce = direct backtracking, budgeted by the
+    rearrangement count.
     """
     tup = tuple(int(c) for c in counts)
     if not tup or any(c < 1 for c in tup):
         raise ValueError(f"counts must be positive, got {counts}")
     if method == "formula":
-        return _derangements_formula(tuple(sorted(tup)))
+        return _agreements(tup)[0]
     if method == "bruteforce":
         return _derangements_bruteforce(tup, max_work)
     raise ValueError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# sphere volumes
-
-
-def _partitions(k: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, max_part), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
-
-
-@dataclass(frozen=True)
-class PartitionTerm:
-    """One descending partition of a count of displaced positions."""
-
-    parts: tuple[int, ...]
-
-
-def partition_terms(k: int, max_part: int) -> list[PartitionTerm]:
-    """All descending partitions of k with parts capped at max_part."""
-    if k < 0 or max_part < 1:
-        raise ValueError(f"need k >= 0 and max_part >= 1, got {k}, {max_part}")
-    return [PartitionTerm(p) for p in _partitions(k, max_part)]
-
-
-def _distance_distribution(n: int, lam: int) -> list[int]:
-    """E[t]: the words at Hamming distance exactly t from a fixed word.
-
-    Fixing a_i of the lam positions of symbol i gives C(lam, a_i) position
-    sets, and the n - j free positions of a j-set take
-    (n-j)! / prod (lam - a_i)! arrangements.  So with
-    Q(x) = sum_a C(lam, a) lam!/(lam-a)! x^a, the (word, j agreeing
-    positions) pairs number N_j = (n-j)! [x^j] Q(x)^m / lam!^m, an exact
-    division.  Inclusion-exclusion gives the words with exactly k
-    agreements, A_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j, and E[t] = A_{n-t}.
-    """
-    m = n // lam
-    q = [math.comb(lam, a) * math.perm(lam, a) for a in range(lam + 1)]
-    power = [1]
-    for _ in range(m):
-        product = [0] * (len(power) + lam)
-        for j, c in enumerate(power):
-            for a, qa in enumerate(q):
-                product[j + a] += c * qa
-        power = product
-    scale = math.factorial(lam) ** m
-    pairs = [math.factorial(n - j) * c // scale for j, c in enumerate(power)]
-    exact = [
-        sum((-1) ** (j - k) * math.comb(j, k) * pairs[j] for j in range(k, n + 1))
-        for k in range(n + 1)
-    ]
-    return exact[::-1]
 
 
 def sphere_volume(
@@ -193,9 +116,10 @@ def sphere_volume(
     """Words within Hamming distance r of any fixed word, counted exactly.
 
     The space is vertex-transitive under position permutations, so the
-    centre does not matter.  formula: the first r + 1 terms of the distance
-    distribution, O(n^2) integer operations.  bruteforce: enumerate the
-    whole space against the canonical centre (budgeted).
+    centre does not matter.  formula: the words with at least n - r
+    agreements, from `_agreements` in O(n^2) integer operations.
+    bruteforce: enumerate the whole space against the canonical centre
+    (budgeted).
     """
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
@@ -215,7 +139,7 @@ def sphere_volume(
         )
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
-    return sum(_distance_distribution(n, lam)[: r + 1])
+    return sum(_agreements((lam,) * m)[n - r :])
 
 
 # ---------------------------------------------------------------------------

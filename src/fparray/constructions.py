@@ -24,6 +24,7 @@ from .core import (
     WorkLimitExceeded,
     _pair_counts,
     _pair_distances,
+    _unbalanced_pair,
     _upper,
     is_lambda_permutation,
 )
@@ -94,17 +95,6 @@ def _symbol_cells(sq: FrequencySquare) -> list[tuple[int, ...]]:
     """Per symbol, the row-major cell indices r*n + c that hold it."""
     flat = _flat_cells(sq)
     return [tuple(np.flatnonzero(flat == s).tolist()) for s in range(sq.m)]
-
-
-def _unbalanced_pair(mat: np.ndarray, m: int, want: int) -> tuple[int, int] | None:
-    """First row pair a < b whose symbol-pair table is not `want` in every
-    cell, or None.  Symbols must lie in 0..m-1."""
-    for a in range(mat.shape[0] - 1):
-        tables = _pair_counts(mat[a], mat[a + 1 :], m, m)
-        bad = np.flatnonzero((tables != want).any(axis=(1, 2)))
-        if bad.size:
-            return a, a + 1 + int(bad[0])
-    return None
 
 
 def _latin_order(squares: Sequence[FrequencySquare]) -> int:
@@ -207,9 +197,7 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
 # linearized-polynomial images
 
 
-def fpa_from_linearized(
-    L: LinearizedPolynomial, d: int, max_work: int = 10_000_000
-) -> FrequencyPermutationArray:
+def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutationArray:
     """Rows L(f(x)) over all permutation polynomials f of degree <= d.
 
     Adding a kernel constant to f reproduces the same row, so distinct
@@ -223,7 +211,7 @@ def fpa_from_linearized(
     if not 0 < d < q ** (i - l):
         raise ValueError(f"need 0 < d < {q ** (i - l)} for this map, got {d}")
     _, rank, kernel_size = associate_matrix(L)
-    census = census_permutation_polynomials(field, d, max_work)
+    census = census_permutation_polynomials(field, d)
     table = L.value_table()
     order = field.q
     # one chunk of witnesses at a time: images, then their first-seen rows
@@ -261,24 +249,22 @@ def fpa_from_linearized(
 
 
 def fpa_from_trace(
-    field: FiniteField, q: int, h: int, d: int, max_work: int = 10_000_000
+    field: FiniteField, q: int, h: int, d: int
 ) -> FrequencyPermutationArray:
     """Convenience: the relative-trace instance of fpa_from_linearized."""
-    return fpa_from_linearized(linearized_trace(field, q, h), d, max_work)
+    return fpa_from_linearized(linearized_trace(field, q, h), d)
 
 
 def fpa_from_subfield_kernel(
-    field: FiniteField, q: int, n: int, d: int, max_work: int = 10_000_000
+    field: FiniteField, q: int, n: int, d: int
 ) -> FrequencyPermutationArray:
     """Convenience: the x^(q^n) - x instance of fpa_from_linearized."""
-    return fpa_from_linearized(linearized_subfield_kernel(field, q, n), d, max_work)
+    return fpa_from_linearized(linearized_subfield_kernel(field, q, n), d)
 
 
-def fpa_from_monomial(
-    field: FiniteField, q: int, d: int, max_work: int = 10_000_000
-) -> FrequencyPermutationArray:
+def fpa_from_monomial(field: FiniteField, q: int, d: int) -> FrequencyPermutationArray:
     """Convenience: the full-rank x^(q^(i-1)) instance (lam = 1)."""
-    return fpa_from_linearized(linearized_monomial(field, q), d, max_work)
+    return fpa_from_linearized(linearized_monomial(field, q), d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +429,13 @@ def reed_solomon_generator(
     return field, tuple(map(tuple, rows))
 
 
+# `fpa_from_mds` checks every k-column subset only while
+# C(n, k) * k^3 stays within this.
+_MDS_SUBSET_WORK = 1_000_000
+
+
 def fpa_from_mds(
-    field: FiniteField,
-    generator: Sequence[Sequence[int]],
-    max_subsets: int = 1_000_000,
+    field: FiniteField, generator: Sequence[Sequence[int]]
 ) -> FrequencyPermutationArray:
     """One row per generator column: entries col . x over all x, odometer order.
 
@@ -464,7 +453,7 @@ def fpa_from_mds(
     for a, b in itertools.combinations(range(n), 2):
         if matrix_rank(field, [cols[a], cols[b]]) != 2:
             raise ValueError(f"columns {a} and {b} are linearly dependent")
-    if math.comb(n, k) * k**3 <= max_subsets:
+    if math.comb(n, k) * k**3 <= _MDS_SUBSET_WORK:
         for subset in itertools.combinations(range(n), k):
             if matrix_rank(field, [cols[j] for j in subset]) != k:
                 raise ValueError(f"columns {subset} are dependent; not MDS")
@@ -494,9 +483,12 @@ class HadamardMatrix:
         for row in self.rows:
             if any(e not in (1, -1) for e in row):
                 raise ValueError("entries must be +1 or -1")
-        for a, b in itertools.combinations(range(self.n), 2):
-            if sum(x * y for x, y in zip(self.rows[a], self.rows[b])):
-                raise ValueError(f"rows {a} and {b} are not orthogonal")
+        mat = np.array(self.rows, dtype=np.int64).reshape(self.n, self.n)
+        # row-major order of the upper triangle is combinations order
+        bad = np.argwhere(np.triu(mat @ mat.T, 1))
+        if bad.size:
+            a, b = bad[0].tolist()
+            raise ValueError(f"rows {a} and {b} are not orthogonal")
 
 
 def _hadamard_route(n: int, memo: dict[int, int | None]) -> int | None:

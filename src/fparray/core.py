@@ -255,37 +255,43 @@ def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=rows * mx * my).reshape(rows, mx, my)
 
 
-def _pair_profile(
-    mat: np.ndarray, m: int, limit: int
-) -> dict[tuple[int, int], int] | None:
+def _unbalanced_pair(
+    mat: np.ndarray, m: int, want: int | np.ndarray
+) -> tuple[int, int] | None:
+    """First row pair a < b whose symbol-pair table is not `want` in every
+    cell, or None.  `want` is a number or an m*m table; symbols must lie
+    in 0..m-1."""
+    for a in range(mat.shape[0] - 1):
+        tables = _pair_counts(mat[a], mat[a + 1 :], m, m)
+        bad = np.flatnonzero((tables != want).any(axis=(1, 2)))
+        if bad.size:
+            return a, a + 1 + int(bad[0])
+    return None
+
+
+# `verify` reports no pair profile when its m*m*pairs work exceeds this.
+_PROFILE_WORK = 10_000_000
+
+
+def _pair_profile(mat: np.ndarray, m: int) -> dict[tuple[int, int], int] | None:
     """Ordered symbol-pair counts, if identical across every row pair.
 
     For rows x, y the profile counts positions where x holds symbol a and y
     holds symbol b.  Returned only when the same m*m table arises for every
     ordered pair of distinct rows (so it must also equal its own transpose),
-    and the m*m*pairs work stays within `limit`.
+    and the m*m*pairs work stays within `_PROFILE_WORK`.
     """
     size = mat.shape[0]
     npairs = size * (size - 1) // 2
-    if npairs < 1 or m * m * npairs > limit:
+    if npairs < 1 or m * m * npairs > _PROFILE_WORK:
         return None
-    table = None
-    for i in range(size - 1):
-        counts = _pair_counts(mat[i], mat[i + 1 :], m, m)
-        if table is None:
-            table = counts[0]
-        if not (counts == table).all():
-            return None
-    if not (table == table.T).all():
+    table = _pair_counts(mat[0], mat[1:2], m, m)[0]
+    if not (table == table.T).all() or _unbalanced_pair(mat, m, table) is not None:
         return None
     return {(a, b): int(table[a, b]) for a in range(m) for b in range(m)}
 
 
-def verify(
-    array: FrequencyPermutationArray,
-    *,
-    profile_limit: int = 10_000_000,
-) -> VerificationReport:
+def verify(array: FrequencyPermutationArray) -> VerificationReport:
     """Re-derive composition, distinctness, and distances from the raw rows.
 
     Never raises on bad input; problems come back as `reasons` with
@@ -317,7 +323,7 @@ def verify(
         lo, hi = _distance_scan(mat)
         actual, equidistant = lo, lo == hi
         if not reasons:
-            profile = _pair_profile(mat, array.m, profile_limit)
+            profile = _pair_profile(mat, array.m)
 
     if actual < array.min_distance_claim:
         reasons.append(

@@ -36,6 +36,8 @@ from .core import WorkLimitExceeded
 _ORDER_GUARDRAIL = 2**20
 # whole-field evaluation handles blocks of about this many images at once
 _CHUNK_CELLS = 2**16
+# a permutation-polynomial census refuses more candidate evaluations than this
+_CENSUS_WORK = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +360,22 @@ class PermPolyCensus:
         return sum(self.counts.values())
 
 
-def census_permutation_polynomials(
-    field: FiniteField, max_degree: int, max_work: int = 10_000_000
-) -> PermPolyCensus:
+def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermPolyCensus:
     """Test every polynomial of degree 1..max_degree, in encoding order.
 
     A degree-d candidate is encoded as v = sum(c_t * q^t) with c_d != 0, so
     the sweep v = q^d .. q^(d+1)-1 enumerates exactly the degree-d
     polynomials in increasing encoding order.  Candidates are evaluated in
     blocks of about _CHUNK_CELLS images.  Work is candidates times q
-    evaluations; exceeding `max_work` raises without a partial census.
+    evaluations; exceeding `_CENSUS_WORK` raises without a partial census.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     q = field.q
     work = (q ** (max_degree + 1) - q) * q
-    if work > max_work:
+    if work > _CENSUS_WORK:
         raise WorkLimitExceeded(
-            f"census cost {work} exceeds max_work {max_work}"
+            f"census cost {work} exceeds max_work {_CENSUS_WORK}"
         )
     counts: dict[int, int] = {}
     witnesses: list[Polynomial] = []

@@ -4,7 +4,8 @@ Every literal here was either computed by an independent oracle (brute
 force, counting formula) or transcribed from a published reference
 display, then pinned.  Tests compare library output against these
 constants byte-for-byte; none of them are derived from the code under
-test.
+test.  `partitions` is a plain generator the counting tests enumerate
+their inputs with.
 """
 
 # 4 x 6 binary array over two symbols at frequency 3; every pair of rows
@@ -84,6 +85,17 @@ CLASS_PRODUCT_FIRST8 = (
 
 # First row of the 14-row rotation-generated array on 8 positions.
 ROTATION_8_FIRST = (1, 0, 1, 1, 0, 0, 0, 1)
+
+def partitions(k, max_part):
+    """Descending partitions of k with parts at most max_part, the one with
+    the largest first part first."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, max_part), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
+
 
 # Classical single-type derangement numbers D_0 .. D_9.
 DERANGEMENTS = (1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496)

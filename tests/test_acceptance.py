@@ -38,7 +38,6 @@ from fparray import (
     mols_from_field,
     multiset_derangements,
     oa_from_mols,
-    partition_terms,
     plotkin_upper,
     refine,
     sep_product,
@@ -57,6 +56,7 @@ from fixtures import (
     ROTATION_8_FIRST,
     THREE_ROUTE_9_6,
     TWO_SYMBOL_6_4,
+    partitions,
 )
 
 
@@ -196,8 +196,7 @@ def test_criterion_08_counting_oracle_equivalence():
     with reported(8, "derangement and sphere-volume formulas match brute force everywhere"):
         vectors = 0
         for total in range(1, 10):
-            for term in partition_terms(total, total):
-                counts = term.parts
+            for counts in partitions(total, total):
                 assert multiset_derangements(counts) == multiset_derangements(
                     counts, method="bruteforce"
                 )

@@ -3,7 +3,6 @@
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +17,8 @@ from fparray import (
     exact_max_size,
     gv_lower,
     hamming_upper,
-    laguerre,
     mofs_max,
     multiset_derangements,
-    partition_terms,
     plotkin_upper,
     sphere_volume,
     trivial_upper,
@@ -32,26 +29,38 @@ from fparray import core
 from fparray.bounds import (
     _adjacency,
     _clique_search,
-    _distance_distribution,
+    _agreements,
     _greedy_clique,
 )
-from fixtures import DERANGEMENTS, SPHERE_VOLUMES
+from fixtures import DERANGEMENTS, SPHERE_VOLUMES, partitions
 
 # ---------------------------------------------------------------------------
 # typed-multiset derangements
 
 
-def test_laguerre_coefficients():
-    assert laguerre(0).coeffs == (Fraction(1),)
-    assert laguerre(1).coeffs == (Fraction(1), Fraction(-1))
-    assert laguerre(2).coeffs == (Fraction(1), Fraction(-2), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        laguerre(-1)
-
-
 def test_classical_derangement_numbers():
     for k in range(1, 10):
         assert multiset_derangements((1,) * k) == DERANGEMENTS[k]
+
+
+def test_derangements_follow_the_classical_recurrence():
+    # D_k = (k - 1)(D_{k-1} + D_{k-2}), from D_1 = 0 and D_2 = 1
+    before, last = 0, 1
+    for k in range(3, 41):
+        before, last = last, (k - 1) * (last + before)
+        assert multiset_derangements((1,) * k) == last, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=6))
+def test_agreements_average_the_expected_fixed_points(counts):
+    # a uniform rearrangement keeps type i at each of its c_i positions
+    # with chance c_i / n, so sum_k k A_k = (n! / prod c_i!) sum c_i^2 / n
+    n = sum(counts)
+    total = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+    agree = _agreements(counts)
+    assert len(agree) == n + 1 and sum(agree) == total
+    assert n * sum(k * a for k, a in enumerate(agree)) == total * sum(c * c for c in counts)
 
 
 @pytest.mark.parametrize(
@@ -127,15 +136,15 @@ def partition_sum_shells(n, lam):
     shells = [1]
     for k in range(1, n + 1):
         shell = 0
-        for term in partition_terms(k, lam):
-            t = len(term.parts)
+        for parts in partitions(k, lam):
+            t = len(parts)
             if t > m:
                 continue
             ways = math.perm(m, t)
-            for repeats in Counter(term.parts).values():
+            for repeats in Counter(parts).values():
                 ways //= math.factorial(repeats)
-            picks = math.prod(math.comb(lam, part) for part in term.parts)
-            shell += ways * picks * multiset_derangements(term.parts)
+            picks = math.prod(math.comb(lam, part) for part in parts)
+            shell += ways * picks * multiset_derangements(parts)
         shells.append(shell)
     return shells
 
@@ -144,7 +153,7 @@ def test_distance_distribution_matches_the_partition_sum():
     for n in range(1, 25):
         for lam in (l for l in range(1, n + 1) if n % l == 0):
             shells = partition_sum_shells(n, lam)
-            assert _distance_distribution(n, lam) == shells, (n, lam)
+            assert _agreements((lam,) * (n // lam))[::-1] == shells, (n, lam)
             volumes = list(itertools.accumulate(shells))
             assert [sphere_volume(n, lam, r) for r in range(n + 1)] == volumes
 
@@ -152,7 +161,7 @@ def test_distance_distribution_matches_the_partition_sum():
 def test_distance_distribution_covers_the_space_up_to_n_120():
     for n in range(1, 121):
         for lam in (l for l in range(1, n + 1) if n % l == 0):
-            dist = _distance_distribution(n, lam)
+            dist = _agreements((lam,) * (n // lam))[::-1]
             assert len(dist) == n + 1
             assert sum(dist) == count_all(n, lam), (n, lam)
             assert dist[0] == 1 and dist[1] == 0

@@ -302,6 +302,13 @@ def test_mds_route_rejects_dependent_columns():
         fpa_from_mds(field, [[1, 2], [1]])  # ragged
 
 
+def test_mds_route_warns_when_only_pairs_are_affordable(monkeypatch):
+    monkeypatch.setattr(constructions, "_MDS_SUBSET_WORK", 0)
+    with pytest.warns(UserWarning, match="columns only checked pairwise"):
+        fpa = fpa_from_mds(field_of_order(3), GENERATOR_3_2)
+    assert fpa.row_symbols() == THREE_ROUTE_9_6
+
+
 # ---------------------------------------------------------------------------
 # additive-map images over small fields
 
@@ -394,6 +401,15 @@ def test_sign_matrix_validation():
         HadamardMatrix(2, ((1, 0), (1, -1)))  # entries must be +-1
     with pytest.raises(ValueError):
         HadamardMatrix(2, ((1, 1),))  # not square
+
+
+def test_sign_matrix_names_the_first_non_orthogonal_pair():
+    # rows 1 and 3 copy rows 6 and 4, so exactly the pairs (1, 6) and
+    # (3, 4) fail: (1, 6) comes first pair by pair, (3, 4) column by column
+    rows = list(hadamard_matrix(8).rows)
+    rows[1], rows[3] = rows[6], rows[4]
+    with pytest.raises(ValueError, match="rows 1 and 6 are not orthogonal"):
+        HadamardMatrix(8, tuple(rows))
 
 
 def test_doubling_smallest_order_gives_every_balanced_word():

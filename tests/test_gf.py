@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fparray import gf
+from fparray import WorkLimitExceeded, gf
 from fparray.gf import (
     LinearizedPolynomial,
     Polynomial,
@@ -270,6 +270,12 @@ def test_census_counts_linear_bijections(q):
     assert census.total == q * (q - 1)
     for witness in census.witnesses:
         assert is_permutation_polynomial(witness)
+
+
+def test_census_refuses_work_over_its_budget():
+    # (16^6 - 16) * 16 candidate evaluations, well over the budget
+    with pytest.raises(WorkLimitExceeded, match="exceeds max_work"):
+        census_permutation_polynomials(field_of_order(16), 5)
 
 
 @pytest.mark.parametrize("q,max_degree", [(3, 2), (4, 2), (5, 3)])
