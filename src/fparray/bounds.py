@@ -180,11 +180,14 @@ def mofs_max(n: int, m: int) -> int:
     return (n - 1) ** 2 // (m - 1)
 
 
-def _check_nd(n: int, lam: int, d: int) -> None:
+def _check_nd(n: int, lam: int, d: int, **budgets: int) -> None:
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
     if not 1 <= d <= n:
         raise ValueError(f"distance must lie in 1..{n}, got {d}")
+    for name, value in budgets.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,7 @@ class ExactResult:
 
 
 # The search refuses word spaces whose V x V adjacency has more cells than
-# this: its set-up takes O(V^2) time and V^2 / 4 bytes.  The 5 040 words of
+# this: its set-up takes O(V^2) time and V^2 / 8 bytes.  The 5 040 words of
 # n = 7, lambda = 1 fit.
 _ADJACENCY_CELLS = 1 << 25
 
@@ -217,111 +220,116 @@ def _bits(p: int) -> list[int]:
 
 
 def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
-    """Neighbour bitsets: bit u of adj[v] is set iff words u, v are >= d apart.
+    """The search's one table: open non-neighbour masks, top bit first.
 
-    Each block of distance rows is packed 8 vertices to a byte; d >= 1
-    keeps every self bit clear.
+    Word u sits at bit V-1-u of every mask, so the lowest-indexed word of
+    a mask p is bit p.bit_length() - 1.  non[i] belongs to the word at bit
+    i and holds the words closer than d to it, itself excluded.  Each
+    block of distance rows is packed straight into masks; no V x V matrix
+    is held beside them.
     """
-    size = len(words)
-    packed = np.empty((size, (size + 7) // 8), dtype=np.uint8)
+    pad = -len(words) % 8
+    non: list[int] = []
     for i, dists in _pair_distances(np.array(words, dtype=np.int16)):
-        packed[i : i + len(dists)] = np.packbits(dists >= d, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        close = dists < d
+        np.fill_diagonal(close[:, i:], False)
+        packed = np.packbits(close, axis=1, bitorder="big")  # u at bit 8w-1-u
+        non.extend(int.from_bytes(row.tobytes(), "big") >> pad for row in packed)
+    non.reverse()
+    return non
 
 
-def _greedy_clique(adj: Sequence[int]) -> list[int]:
+def _greedy_clique(non: Sequence[int]) -> list[int]:
     """Keep taking the candidate that keeps the most candidates.
 
-    Ties go to the lowest index; candidates that are pairwise adjacent
-    are taken at once.  keeps[u] counts u's neighbours among the
-    candidates, and drops by the rows of the candidates that leave, so
-    the whole pass unpacks each row at most twice.
+    Ties go to the top bit; pairwise adjacent candidates are taken at
+    once.  lose[i] counts the candidates in non[i] and drops by the masks
+    of the candidates that leave, so each mask is unpacked at most twice.
     """
-    size = len(adj)
+    size = len(non)
     width = (size + 7) // 8
-    packed = np.empty((size, width), dtype=np.uint8)
-    for v, a in enumerate(adj):
-        packed[v] = np.frombuffer(a.to_bytes(width, "little"), dtype=np.uint8)
-    keeps = np.array([a.bit_count() for a in adj], dtype=np.int64)
+
+    def tally(masks: list[int]) -> np.ndarray:
+        """How many of the masks hold each bit."""
+        raw = b"".join(x.to_bytes(width, "little") for x in masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+        bits = np.unpackbits(rows, axis=1, count=size, bitorder="little")
+        return bits.sum(axis=0, dtype=np.int64)
+
+    lose = np.array([x.bit_count() for x in non], dtype=np.int64)
     inside = np.ones(size, dtype=bool)
     clique: list[int] = []
     while inside.any():
-        cand = np.flatnonzero(inside)
-        if keeps[cand].min() == len(cand) - 1:
+        cand = np.flatnonzero(inside)[::-1]
+        if lose[cand].max() == 0:
             return clique + cand.tolist()
-        v = int(cand[keeps[cand].argmax()])
+        v = int(cand[lose[cand].argmin()])
         clique.append(v)
-        near = np.unpackbits(packed[v], count=size, bitorder="little").astype(bool)
-        gone = np.flatnonzero(inside & ~near)
-        inside &= near
-        for start in range(0, len(gone), 64):  # 64 unpacked rows at a time
-            rows = packed[gone[start : start + 64]]
-            unpacked = np.unpackbits(rows, axis=1, count=size, bitorder="little")
-            keeps -= unpacked.sum(axis=0, dtype=np.int64)
+        far = tally([non[v] | 1 << v]) > 0
+        gone = np.flatnonzero(inside & far)
+        inside &= ~far
+        for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
+            lose -= tally([non[g] for g in gone[start : start + 64]])
     return clique
 
 
-def _clique_search(adj: Sequence[int], state: dict, node_budget: int) -> None:
+def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
     """Branch and bound from the incumbent in state, updating state.
 
-    adj[v] is the neighbour bitset of vertex v.  state holds "best", a
-    clique, and gains "nodes" and "aborted".  Each node colours its
-    candidates class by class in index order, keeps only the vertices
-    whose colour can still beat the incumbent (BBMC's k_min), and
-    branches on them in reverse colour order.  A colouring with one
-    colour per candidate means the candidates are pairwise adjacent; they
-    are then taken at once.  The node that exceeds node_budget aborts the
-    search.
+    non is `_adjacency`'s table; vertices are its bits, lowest-indexed
+    word (top bit) first.  state holds "best", a clique, and gains "nodes"
+    and "aborted".  Each node colours its candidates class by class, top
+    bit first, and branches in reverse colour order on the vertices whose
+    colour can still beat the incumbent (BBMC's k_min).  Classes below
+    k_min only decide which vertices are left: they record nothing, and
+    before each class the colouring stops once the vertices left could
+    not reach k_min with one colour each.  A colouring with one colour
+    per candidate means the candidates are pairwise adjacent; they are
+    then taken at once.  The node that exceeds node_budget aborts.
     """
     state["nodes"], state["aborted"] = 0, False
 
     def branches(p: int, k_min: int) -> list[tuple[int, int]]:
         """(vertex, colour) in colouring order, for colours >= k_min only."""
-        out = []
-        colour = 0
-        while p:
-            colour += 1
-            avail = p
+        out, colour = [], 1
+        while p and colour + p.bit_count() > k_min:
+            avail = start = p
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= ~adj[v]
-                avail ^= low
-                p ^= low
-                if colour >= k_min:
-                    out.append((v, colour))
+                i = avail.bit_length() - 1
+                avail &= non[i]
+                p ^= 1 << i
+            if colour >= k_min:
+                out += ((i, colour) for i in reversed(_bits(start ^ p)))
+            colour += 1
         return out
 
     # frames[k] = [candidates, branches left] of the open node whose
     # clique is clique[:k]; each pass of the loop enters one node.
     clique: list[int] = []
     frames: list[list] = []
-    p = (1 << len(adj)) - 1
+    p = (1 << len(non)) - 1
     while True:
         state["nodes"] += 1
         if state["nodes"] > node_budget:
             state["aborted"] = True
             return
         size = len(clique)
-        if not p:
-            if size > len(state["best"]):
-                state["best"] = list(clique)
-        elif size + p.bit_count() > len(state["best"]):
+        if size + p.bit_count() > len(state["best"]):
             todo = branches(p, len(state["best"]) - size + 1)
-            if todo and todo[-1][1] == p.bit_count():
+            if not p or (todo and todo[-1][1] == p.bit_count()):
                 state["best"] = clique + _bits(p)
-            else:
+            elif todo:
                 frames.append([p, todo])
         while frames:
             depth = len(frames) - 1
             frame = frames[-1]
             todo = frame[1]
             if todo and depth + todo[-1][1] > len(state["best"]):
-                v = todo.pop()[0]
+                i = todo.pop()[0]
                 del clique[depth:]
-                clique.append(v)
-                p = frame[0] & adj[v]
-                frame[0] ^= 1 << v
+                clique.append(i)
+                frame[0] ^= 1 << i
+                p = frame[0] & ~non[i]
                 break
             frames.pop()
         else:
@@ -347,12 +355,14 @@ def exact_max_size(
     candidates, the lowest index on ties.  The search then colours each
     node's candidates class by class in index order and branches only on
     the vertices whose colour can still beat the incumbent (BBMC's k_min),
-    in reverse colour order, on an explicit stack; see `_clique_search`.
-    More than vertex_budget words, or more than _ADJACENCY_CELLS adjacency
-    cells, raise before any set-up; exceeding node_budget returns the best
-    clique found with proven=False.
+    in reverse colour order, on an explicit stack.  Both read one table of
+    non-neighbour masks with word u at bit V-1-u, and classes below k_min
+    record nothing; see `_adjacency` and `_clique_search`.  Negative
+    budgets raise ValueError.  More than vertex_budget words, or more than
+    _ADJACENCY_CELLS adjacency cells, raise before any set-up; exceeding
+    node_budget returns the best clique found with proven=False.
     """
-    _check_nd(n, lam, d)
+    _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
     total = count_all(n, lam)
     if total > vertex_budget:
@@ -368,11 +378,11 @@ def exact_max_size(
     if len(words) == 1:
         return ExactResult(1, True, (words[0],))
 
-    adj = _adjacency(words, d)
+    non = _adjacency(words, d)
     # bench/tracing.py reads the node count from this local after the call
-    state = {"best": _greedy_clique(adj)}
-    _clique_search(adj, state, node_budget)
-    rows = tuple(sorted(words[v] for v in state["best"]))
+    state = {"best": _greedy_clique(non)}
+    _clique_search(non, state, node_budget)
+    rows = tuple(sorted(words[-1 - i] for i in state["best"]))
     return ExactResult(len(rows), not state["aborted"], rows)
 
 
@@ -412,7 +422,7 @@ def bounds_report(
     node_budget: int = 200_000,
 ) -> BoundsReport:
     """Assemble every bound; exact search only on request and in budget."""
-    _check_nd(n, lam, d)
+    _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     exact_value = exact_proven = None
     if d <= 2:
         # Two distinct words over the same symbol multiset always differ in

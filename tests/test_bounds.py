@@ -238,6 +238,16 @@ def test_exact_respects_the_vertex_budget():
         exact_max_size(6, 3, 4, vertex_budget=10)
 
 
+def test_negative_budgets_are_refused():
+    for call in (exact_max_size, bounds_report):
+        with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
+            call(6, 1, 5, node_budget=-1)
+        with pytest.raises(ValueError, match=r"^vertex_budget must be >= 0, got -5$"):
+            call(6, 1, 5, vertex_budget=-5)
+    result = exact_max_size(6, 1, 5, node_budget=0)
+    assert not result.proven and result.value >= 2
+
+
 def test_exact_node_budget_degrades_to_unproven():
     result = exact_max_size(6, 1, 5, node_budget=50)
     assert not result.proven
@@ -313,7 +323,87 @@ def test_adjacency_bitsets_match_pairwise_distances(monkeypatch, block_cells):
                 if sum(x != y for x, y in zip(a, b)) >= d)
             for a in words
         ]
-        assert _adjacency(words, d) == want, (m, lam, d)
+        assert _adjacency(words, d) == _flip(want), (m, lam, d)
+
+
+def _flip(masks: list[int]) -> list[int]:
+    """Neighbour bitsets (vertex u at bit u) to the search's table, and back.
+
+    Entry i of the table is the open non-neighbour mask of vertex V-1-i,
+    with vertex u at bit V-1-u, so the map is its own inverse.
+    """
+    size = len(masks)
+    full = (1 << size) - 1
+    return [
+        int(f"{full & ~masks[u] & ~(1 << u):0{size}b}"[::-1], 2)
+        for u in reversed(range(size))
+    ]
+
+
+def _vertices(bits: list[int], size: int) -> list[int]:
+    """The search's bits as vertex indices: bit i holds vertex size-1-i."""
+    return [size - 1 - i for i in bits]
+
+
+def _clique_search_reference(adj: list[int], state: dict, node_budget: int) -> None:
+    """Reference search on neighbour bitsets, vertex u at bit u.
+
+    It colours every class and tests every vertex against k_min;
+    `_clique_search` must visit the same nodes and find the same cliques.
+    """
+    state["nodes"], state["aborted"] = 0, False
+
+    def bits(p: int) -> list[int]:
+        return [u for u in range(p.bit_length()) if p >> u & 1]
+
+    def branches(p: int, k_min: int) -> list[tuple[int, int]]:
+        out = []
+        colour = 0
+        while p:
+            colour += 1
+            avail = p
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~adj[v]
+                avail ^= low
+                p ^= low
+                if colour >= k_min:
+                    out.append((v, colour))
+        return out
+
+    clique: list[int] = []
+    frames: list[list] = []
+    p = (1 << len(adj)) - 1
+    while True:
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            state["aborted"] = True
+            return
+        size = len(clique)
+        if not p:
+            if size > len(state["best"]):
+                state["best"] = list(clique)
+        elif size + p.bit_count() > len(state["best"]):
+            todo = branches(p, len(state["best"]) - size + 1)
+            if todo and todo[-1][1] == p.bit_count():
+                state["best"] = clique + bits(p)
+            else:
+                frames.append([p, todo])
+        while frames:
+            depth = len(frames) - 1
+            frame = frames[-1]
+            todo = frame[1]
+            if todo and depth + todo[-1][1] > len(state["best"]):
+                v = todo.pop()[0]
+                del clique[depth:]
+                clique.append(v)
+                p = frame[0] & adj[v]
+                frame[0] ^= 1 << v
+                break
+            frames.pop()
+        else:
+            return
 
 
 def _max_candidates_reference(adj: list[int]) -> list[int]:
@@ -335,8 +425,9 @@ def test_incumbent_matches_the_loop_rule_on_word_spaces():
     # up to 455 candidates leave at one step here, over several row blocks
     words = list(all_lambda_permutations(6, 1))
     for d in range(2, 7):
-        adj = _adjacency(words, d)
-        assert _greedy_clique(adj) == _max_candidates_reference(adj), d
+        non = _adjacency(words, d)
+        got = _vertices(_greedy_clique(non), len(words))
+        assert got == _max_candidates_reference(_flip(non)), d
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,16 +444,64 @@ def test_clique_search_matches_bron_kerbosch_on_random_graphs(data):
             adj[a].add(b)
             adj[b].add(a)
     bitsets = [sum(1 << u for u in adj[v]) for v in range(size)]
+    non = _flip(bitsets)
     want = _bron_kerbosch_max(adj)
-    greedy = _greedy_clique(bitsets)
+    greedy = _vertices(_greedy_clique(non), size)
     assert greedy == _max_candidates_reference(bitsets)
     assert all(b in adj[a] for a, b in itertools.combinations(greedy, 2))
     for incumbent in ([], greedy):
-        state = {"best": incumbent}
-        _clique_search(bitsets, state, node_budget=10**6)
+        state = {"best": _vertices(incumbent, size)}
+        _clique_search(non, state, node_budget=10**6)
         assert not state["aborted"]
-        assert len(state["best"]) == want
-        assert all(b in adj[a] for a, b in itertools.combinations(state["best"], 2))
+        best = _vertices(state["best"], size)
+        assert len(best) == want
+        assert all(b in adj[a] for a, b in itertools.combinations(best, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_clique_search_visits_the_reference_nodes(data):
+    # budgets up to 500 make many searches abort partway
+    size = data.draw(st.integers(1, 40), label="vertices")
+    density = data.draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]), label="density")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    bitsets = [0] * size
+    for a, b in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            bitsets[a] |= 1 << b
+            bitsets[b] |= 1 << a
+    budget = data.draw(st.integers(0, 500), label="budget")
+    non = _flip(bitsets)
+    for incumbent in ([], _max_candidates_reference(bitsets)):
+        want = {"best": list(incumbent)}
+        _clique_search_reference(bitsets, want, budget)
+        got = {"best": _vertices(incumbent, size)}
+        _clique_search(non, got, budget)
+        assert got["nodes"] == want["nodes"]
+        assert got["aborted"] == want["aborted"]
+        assert set(_vertices(got["best"], size)) == set(want["best"])
+
+
+@pytest.mark.parametrize(
+    "n, lam, d, budget, nodes, best, aborted",
+    [
+        (6, 1, 5, 60_000, 60_001, 18, True),
+        (6, 2, 5, 200_000, 529, 3, False),
+        (8, 4, 3, 200_000, 115, 14, False),
+        (9, 3, 6, 20_000, 20_001, 24, True),
+    ],
+)
+def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
+    # measured with the neighbour-bitset search, from the greedy incumbent
+    words = list(all_lambda_permutations(n // lam, lam))
+    non = _adjacency(words, d)
+    state = {"best": _greedy_clique(non)}
+    _clique_search(non, state, budget)
+    assert (state["nodes"], len(state["best"]), state["aborted"]) == (nodes, best, aborted)
+    rows = [words[v] for v in _vertices(state["best"], len(words))]
+    assert all(
+        sum(x != y for x, y in zip(a, b)) >= d for a, b in itertools.combinations(rows, 2)
+    )
 
 
 def test_exact_proves_six_one_four_at_the_root():

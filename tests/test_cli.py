@@ -391,6 +391,22 @@ def test_search_reports_incomplete_runs(capsys):
     assert "(search incomplete)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["search", "bounds"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget", "-1", "node_budget must be >= 0, got -1"),
+        ("--vertex-budget", "-5", "vertex_budget must be >= 0, got -5"),
+    ],
+)
+def test_negative_budgets_exit_two(capsys, command, flag, value, message):
+    argv = [command, "--n", "6", "--lambda", "1", "--d", "5", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_search_vertex_budget_exit(capsys):
     assert main(["search", "--n", "8", "--lambda", "2", "--d", "4"]) == 2
     assert "work limit exceeded" in capsys.readouterr().err
