@@ -230,7 +230,7 @@ def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
     """
     pad = -len(words) % 8
     non: list[int] = []
-    for i, dists in _pair_distances(np.array(words, dtype=np.int16)):
+    for i, dists in _pair_distances(np.array(words, dtype=np.int16), full=True):
         close = dists < d
         np.fill_diagonal(close[:, i:], False)
         packed = np.packbits(close, axis=1, bitorder="big")  # u at bit 8w-1-u

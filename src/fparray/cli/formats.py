@@ -128,7 +128,14 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
         f"n={array.n} lambda={array.lam} m={array.m} "
         f"d={array.min_distance_claim} size={array.size}",
     ]
+    labels = [str(s + offset) for s in range(array.m)]
     for row in array.rows:
+        try:
+            if min(row, default=0) >= 0:  # a negative index would pick a label
+                out.append(" ".join([labels[s] for s in row]))
+                continue
+        except (IndexError, TypeError):
+            pass
         out.append(" ".join([str(s + offset) for s in row]))
     return "\n".join(out) + "\n"
 

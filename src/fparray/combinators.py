@@ -54,17 +54,29 @@ def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
 
     Occurrence j of symbol s becomes s*lam + ((j + shift) mod lam); each
     source row yields lam permutation rows (shift = 0..lam-1), emitted
-    source-row-major.  Distance claims carry over unchanged.
+    source-row-major.  Distance claims carry over unchanged.  Raises
+    ValueError for a row that is not a lam-permutation over 0..m-1.
     """
-    lam = a.lam
-    rows = []
-    for row in a.rows:
-        occ = _occurrence_indices(row, a.m)
-        for shift in range(lam):
-            rows.append([s * lam + (j + shift) % lam for s, j in zip(row, occ)])
-    return FrequencyPermutationArray.from_rows(
-        rows, a.n, 1, a.min_distance_claim
-    )
+    lam, n = a.lam, a.n
+    for idx, row in enumerate(a.rows):
+        if len(row) != n:
+            raise ValueError(f"row {idx} has length {len(row)}, expected {n}")
+    mat = core._label_matrix(a.rows, a.m).reshape(a.size, n)
+    composed = core._composed(mat, a.m, lam)
+    if not composed.all():
+        idx = int(composed.argmin())
+        raise ValueError(f"row {idx} is not a {lam}-uniform word over {a.m} symbols")
+    # a stable sort ranks occurrence j of symbol s at s*lam + j
+    rank = np.empty_like(mat)
+    order = np.argsort(mat, axis=1, kind="stable")
+    np.put_along_axis(rank, order, np.arange(n), axis=1)
+    occ = rank % lam
+    base = rank - occ
+    # one matrix per shift, interleaved source-row-major; a single
+    # size x lam x n array would be freed as one large block
+    shifted = [(base + (occ + shift) % lam).tolist() for shift in range(lam)]
+    rows = tuple(tuple(row) for variants in zip(*shifted) for row in variants)
+    return FrequencyPermutationArray(n, 1, rows, a.min_distance_claim)
 
 
 def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
@@ -231,11 +243,16 @@ class SeparableArray:
         chunk = fpa.size // num_classes
         delta = d = fpa.n
         if fpa.size > 1:
+            mat = core._label_matrix(fpa.rows, fpa.m)
+            # the counts' type holds the row width, which may be below n
+            delta = d = min(d, mat.shape[1])
             cls_of = np.arange(fpa.size) // chunk
-            for i, dists in core._pair_distances(core._label_matrix(fpa.rows, fpa.m)):
-                pairs = core._upper(i, dists)
-                d = int(dists.min(initial=d, where=pairs))
-                pairs &= cls_of == cls_of[i : i + len(dists), None]
+            for i, dists in core._pair_distances(mat):
+                for cells in core._pairs(dists):
+                    d = int(cells.min(initial=d))
+                rows = len(dists)
+                pairs = cls_of[i:] == cls_of[i : i + rows, None]
+                pairs[:, :rows] &= core._upper(rows)
                 delta = int(dists.min(initial=delta, where=pairs))
         classes = tuple(
             FrequencyPermutationArray(

@@ -24,8 +24,8 @@ from .core import (
     WorkLimitExceeded,
     _pair_counts,
     _pair_distances,
+    _pairs,
     _unbalanced_pair,
-    _upper,
     is_lambda_permutation,
 )
 from .gf import (
@@ -354,13 +354,15 @@ class ResolvableDesign:
         if self.lambda_d is not None:
             # points x, y share a block in every class where columns x, y of
             # the class rows agree.  Distances alone would accept lambda_d = 0
-            # when k = 1, so a covering count below 1 is rejected outright.
+            # when k = 1, so a covering count outside 1..classes is rejected
+            # outright; that also keeps `apart` in range of the unsigned counts.
             cols = np.ascontiguousarray(_class_rows(self.v, self.classes).T)
             apart = len(self.classes) - self.lambda_d
-            if (self.v >= 2 and self.lambda_d < 1) or any(
-                ((dists != apart) & _upper(i, dists)).any()
-                for i, dists in _pair_distances(cols)
-            ):
+            if self.v >= 2 and (not 0 <= apart < len(self.classes) or any(
+                (cells != apart).any()
+                for _, dists in _pair_distances(cols)
+                for cells in _pairs(dists)
+            )):
                 raise ValueError(f"point pairs are not covered exactly {self.lambda_d} times")
 
     def is_affine(self) -> bool:

@@ -137,7 +137,7 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
 
 
 # One distance block holds at most this many 64-position words per
-# temporary (512 KiB), or one row against every row when that is larger.
+# buffer (512 KiB), or one row against its strip when that is larger.
 # A composition block sorts about this many symbols at a time.
 _BLOCK_CELLS = 1 << 16
 
@@ -162,38 +162,75 @@ def _bit_planes(mat: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Hamming distances of each block of rows against every row.
+def _pair_distances(
+    mat: np.ndarray, *, full: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Hamming distances of each block of rows against the rows from it on.
 
     Yields (i, dists) with dists[t, u] the distance between rows i + t and
-    u, self pairs included.  A block ORs the block-against-all XORs of
-    every bit plane and sums the set bits over words; it holds at most
-    max(1, _BLOCK_CELLS // (words * size)) rows.
+    i + u: a strip of the upper triangle whose square head (the first
+    len(dists) columns) pairs the block with itself and whose tail pairs
+    it with every later row, so each unordered pair is computed once;
+    `_upper` masks the head and `_pairs` splits a strip.  With full=True
+    a block runs against every row instead and dists[t, u] is the
+    distance between rows i + t and u, self pairs included.
+
+    A block ORs the XORs of every bit plane and counts the set bits per
+    word.  It covers at most max(_BLOCK_CELLS, words * width) words, where
+    width is the strip's, so blocks grow as strips shrink.  Counts have
+    the narrowest unsigned type that holds n.  The buffers are allocated
+    once per call: dists is overwritten by the next block.
     """
     planes = _bit_planes(mat)
     depth, words, size = planes.shape
-    block = max(1, _BLOCK_CELLS // max(1, words * size))
-    cols = planes[:, :, None, :]
-    for i in range(0, size, block):
-        rows = planes[:, :, i : i + block, None]
-        out = rows[0] ^ cols[0]
+    per_row = max(1, words)
+    cells = min(size * size, max(_BLOCK_CELLS // per_row, size))  # largest block
+    acc = np.empty(words * cells, dtype=np.uint64)
+    tmp = np.empty_like(acc) if depth > 1 else acc
+    bits = np.empty(words * cells if words != 1 else 0, dtype=np.uint8)
+    out = np.empty(cells, dtype=np.min_scalar_type(mat.shape[1]))
+    i = 0
+    while i < size:
+        width = size if full else size - i
+        rows = min(size - i, max(1, _BLOCK_CELLS // (per_row * width)))
+        shape, start = (words, rows, width), size - width
+        x = acc[: words * rows * width].reshape(shape)
+        y = tmp[: words * rows * width].reshape(shape)
+        np.bitwise_xor(planes[0, :, i : i + rows, None], planes[0, :, None, start:], out=x)
         for k in range(1, depth):
-            out |= rows[k] ^ cols[k]
-        yield i, np.bitwise_count(out).sum(axis=0, dtype=np.int64)
+            np.bitwise_xor(planes[k, :, i : i + rows, None], planes[k, :, None, start:], out=y)
+            x |= y
+        dists = out[: rows * width].reshape(rows, width)
+        if words == 1:
+            np.bitwise_count(x[0], out=dists)
+        else:
+            counts = bits[: words * rows * width].reshape(shape)
+            np.bitwise_count(x, out=counts)
+            np.add.reduce(counts, axis=0, dtype=dists.dtype, out=dists)
+        yield i, dists
+        i += rows
 
 
-def _upper(i: int, dists: np.ndarray) -> np.ndarray:
-    """Mask of the cells of a block at row i that pair row i + t with a later row."""
-    return np.arange(dists.shape[1]) > np.arange(i, i + dists.shape[0])[:, None]
+def _upper(rows: int) -> np.ndarray:
+    """Mask of a strip's rows x rows head: cell (t, u) pairs row i + t with
+    the later row i + u."""
+    return np.arange(rows) > np.arange(rows)[:, None]
+
+
+def _pairs(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A strip's distances of distinct row pairs, each once: the head's
+    upper triangle (a copy) and the whole tail."""
+    rows = len(dists)
+    return dists[:, :rows][_upper(rows)], dists[:, rows:]
 
 
 def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
     """(min, max) Hamming distance over all row pairs."""
     lo, hi = mat.shape[1], 0
-    for i, dists in _pair_distances(mat):
-        pairs = _upper(i, dists)
-        lo = int(dists.min(initial=lo, where=pairs))
-        hi = int(dists.max(initial=hi, where=pairs))
+    for _, dists in _pair_distances(mat):
+        for cells in _pairs(dists):
+            lo = int(cells.min(initial=lo))
+            hi = int(cells.max(initial=hi))
     return lo, hi
 
 

@@ -476,6 +476,18 @@ def test_fpa_format_roundtrip():
     assert write_fpa(back) == text
 
 
+@pytest.mark.parametrize("offset", [0, 1, -2])
+def test_fpa_writer_matches_per_symbol_labels(offset):
+    # in-range rows take labels from a table; rows with a symbol outside
+    # 0..m-1 (negative ones included) must print each symbol as it is
+    rows = [(0, 1, 2, 2, 1, 0), (2, 2, 1, 1, 0, 0), (0, -1, 2, 2, 1, 0),
+            (-3, 1, 2, 2, 1, 0), (0, 1, 3, 2, 1, 0), (7, 1, 2, 2, 1, 2**70)]
+    array = FrequencyPermutationArray.from_rows(rows, 3, 2, 1)
+    lines = write_fpa(array, offset).splitlines()
+    assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
+    assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=6"]
+
+
 def test_squares_format_roundtrip():
     squares = mols_from_field(4)
     text = write_squares(squares)

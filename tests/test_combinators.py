@@ -104,6 +104,43 @@ def test_refine_identity_and_expand_agreement():
     assert set(refine(a, 1).row_symbols()) == set(expand_to_pa(a).row_symbols())
 
 
+def _expand_per_symbol(a):
+    """expand_to_pa as a per-symbol loop over occurrence counts."""
+    rows = []
+    for row in a.rows:
+        seen, occ = [0] * a.m, []
+        for s in row:
+            occ.append(seen[s])
+            seen[s] += 1
+        for shift in range(a.lam):
+            rows.append(tuple(s * a.lam + (j + shift) % a.lam for s, j in zip(row, occ)))
+    return tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_expand_matches_a_per_symbol_loop(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    lam = data.draw(st.integers(1, 4), label="lam")
+    base = [s for s in range(m) for _ in range(lam)]
+    rows = data.draw(st.lists(st.permutations(base), max_size=6), label="rows")
+    a = FrequencyPermutationArray.from_rows(rows, m, lam, 1)
+    out = expand_to_pa(a)
+    assert out.row_symbols() == _expand_per_symbol(a)
+    assert (out.m, out.lam, out.min_distance_claim) == (m * lam, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, -1, 1, 0), (0, 2, 1, 1), (0, 0, 0, 1), (0, 1, 1), (0, 2**70, 1, 1)]
+)
+def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
+    # a negative symbol once wrapped to the last occurrence count and a
+    # symbol >= m raised IndexError
+    a = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), bad], 2, 2, 1)
+    with pytest.raises(ValueError, match="row 1 "):
+        expand_to_pa(a)
+
+
 def test_refine_requires_a_divisor_frequency():
     with pytest.raises(ValueError):
         refine(_four_doubled_rows(), 4)
@@ -202,6 +239,15 @@ def test_separable_split_of_an_equidistant_array():
     assert (sep.n, sep.m, sep.lam, sep.delta, sep.d) == (9, 3, 3, 6, 6)
     with pytest.raises(ValueError):
         SeparableArray.from_fpa(_nine_column_array(), 3)  # 3 does not split 4 rows
+
+
+def test_separable_split_refuses_rows_shorter_than_n():
+    # n = 300 needs uint16 counts, but distances are counted over the
+    # 4-symbol rows as given; the split must still refuse them
+    short = FrequencyPermutationArray(300, 1, ((0, 1, 2, 3), (1, 0, 3, 2)), 1)
+    for k in (1, 2):
+        with pytest.raises(ValueError):
+            SeparableArray.from_fpa(short, k)
 
 
 def test_separable_rejects_an_overstated_class_distance():

@@ -222,6 +222,24 @@ def test_design_pair_cover_count_must_be_positive():
         ResolvableDesign(4, 2, one_factorisation, lambda_d=2)
 
 
+def test_design_pair_cover_count_above_the_class_count_is_refused():
+    # no pair can be covered more often than there are classes; the check
+    # must refuse this before comparing a negative distance with the
+    # kernel's unsigned counts
+    one_factorisation = (
+        ((0, 1), (2, 3)),
+        ((0, 2), (1, 3)),
+        ((0, 3), (1, 2)),
+    )
+    lines = affine_classes_from_mols(mols_from_field(4))
+    for v, k, classes in ((4, 2, one_factorisation), (lines.v, lines.k, lines.classes)):
+        for lambda_d in (len(classes) + 1, len(classes) + 300):
+            with mock.patch.object(constructions, "_pair_distances", side_effect=AssertionError):
+                with pytest.raises(ValueError, match=f"covered exactly {lambda_d} times"):
+                    ResolvableDesign(v, k, classes, lambda_d=lambda_d)
+    assert ResolvableDesign(1, 1, (((0,),),), lambda_d=2).lambda_d == 2
+
+
 def _pair_covers(v, classes):
     covers = collections.Counter()
     for cls in classes:

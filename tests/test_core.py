@@ -364,7 +364,7 @@ def _pairwise(rows):
 @settings(max_examples=150, deadline=None)
 @given(
     size=st.sampled_from([0, 1, 2, 3, 5, 9]),
-    n=st.sampled_from([1, 5, 8, 63, 64, 65, 127, 128, 129, 130]),
+    n=st.sampled_from([1, 5, 8, 63, 64, 65, 127, 128, 129, 130, 255, 256, 300]),
     symbols=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257]),
     cells=st.sampled_from([1, 7, 64, 200, 1 << 16]),
     seed=st.integers(0, 2**32 - 1),
@@ -378,12 +378,30 @@ def test_distance_kernel_matches_a_pairwise_oracle(size, n, symbols, cells, seed
     if size:
         mat[0, 0] = symbols - 1
     want = _pairwise(mat.tolist())
+    # a block's buffers are reused by the next one, so copy each as it comes
     with mock.patch.object(core, "_BLOCK_CELLS", cells):
-        blocks = list(core._pair_distances(mat))
+        strips = [(i, d.copy()) for i, d in core._pair_distances(mat)]
+        full = [(i, d.copy()) for i, d in core._pair_distances(mat, full=True)]
         scan = core._distance_scan(mat)
-    step = max(1, cells // (((n + 63) // 64) * max(1, size)))
-    assert [i for i, _ in blocks] == list(range(0, size, step))
-    assert [row for _, dists in blocks for row in dists.tolist()] == want
+    words = (n + 63) // 64
+    assert [i for i, _ in full] == list(range(0, size, max(1, cells // (words * max(1, size)))))
+    for blocks in (strips, full):
+        lengths = [len(dists) for _, dists in blocks]
+        assert [i for i, _ in blocks] == [sum(lengths[:k]) for k in range(len(lengths))]
+        assert sum(lengths) == size
+        assert all(dists.dtype == np.min_scalar_type(n) for _, dists in blocks)
+    for i, dists in strips:
+        assert len(dists) == min(size - i, max(1, cells // (words * (size - i))))
+    seen = {}
+    for i, dists in strips:
+        rows = len(dists)
+        assert dists.shape == (rows, size - i)
+        strip = np.ones(dists.shape, dtype=bool)
+        strip[:, :rows] = core._upper(rows)
+        for t, u in zip(*np.nonzero(strip)):
+            seen[i + t, i + u] = int(dists[t, u])
+    assert seen == {(a, b): want[a][b] for a, b in itertools.combinations(range(size), 2)}
+    assert [row for _, dists in full for row in dists.tolist()] == want
     pairs = [want[i][j] for i, j in itertools.combinations(range(size), 2)]
     assert scan == ((min(pairs), max(pairs)) if pairs else (n, 0))
 
