@@ -23,7 +23,6 @@ from .core import (
     _pair_distances,
     all_lambda_permutations,
     count_all,
-    hamming_distance,
 )
 
 
@@ -62,84 +61,31 @@ def _agreements(counts: Sequence[int]) -> list[int]:
     return exact
 
 
-def _derangements_bruteforce(counts: tuple[int, ...], max_work: int) -> int:
-    total = math.factorial(sum(counts))
-    for c in counts:
-        total //= math.factorial(c)
-    if total > max_work:
-        raise WorkLimitExceeded(f"{total} rearrangements exceed max_work {max_work}")
-    original = [t for t, c in enumerate(counts) for _ in range(c)]
-    remaining = list(counts)
-    n = len(original)
-
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        acc = 0
-        for t in range(len(remaining)):
-            if remaining[t] and t != original[i]:
-                remaining[t] -= 1
-                acc += rec(i + 1)
-                remaining[t] += 1
-        return acc
-
-    return rec(0)
-
-
-def multiset_derangements(
-    counts: Sequence[int], method: str = "formula", max_work: int = 1_000_000
-) -> int:
+def multiset_derangements(counts: Sequence[int]) -> int:
     """Rearrangements of a typed multiset with no position keeping its type.
 
     `counts` gives the copies of each type; the layout being deranged is
-    the sorted word (type 0 first).  formula = the zero-agreement term of
-    `_agreements`; bruteforce = direct backtracking, budgeted by the
-    rearrangement count.
+    the sorted word (type 0 first).  The count is the zero-agreement term
+    of `_agreements`.
     """
     tup = tuple(int(c) for c in counts)
     if not tup or any(c < 1 for c in tup):
         raise ValueError(f"counts must be positive, got {counts}")
-    if method == "formula":
-        return _agreements(tup)[0]
-    if method == "bruteforce":
-        return _derangements_bruteforce(tup, max_work)
-    raise ValueError(f"unknown method {method!r}")
+    return _agreements(tup)[0]
 
 
-def sphere_volume(
-    n: int,
-    lam: int,
-    r: int,
-    method: str = "formula",
-    max_work: int = 1_000_000,
-) -> int:
+def sphere_volume(n: int, lam: int, r: int) -> int:
     """Words within Hamming distance r of any fixed word, counted exactly.
 
     The space is vertex-transitive under position permutations, so the
-    centre does not matter.  formula: the words with at least n - r
-    agreements, from `_agreements` in O(n^2) integer operations.
-    bruteforce: enumerate the whole space against the canonical centre
-    (budgeted).
+    centre does not matter: the words with at least n - r agreements,
+    from `_agreements` in O(n^2) integer operations.
     """
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
     if not 0 <= r <= n:
         raise ValueError(f"radius must lie in 0..{n}, got {r}")
-    m = n // lam
-    if method == "bruteforce":
-        if count_all(n, lam) > max_work:
-            raise WorkLimitExceeded(
-                f"{count_all(n, lam)} words exceed max_work {max_work}"
-            )
-        centre = tuple(s for s in range(m) for _ in range(lam))
-        return sum(
-            1
-            for w in all_lambda_permutations(m, lam)
-            if hamming_distance(w, centre) <= r
-        )
-    if method != "formula":
-        raise ValueError(f"unknown method {method!r}")
-    return sum(_agreements((lam,) * m)[n - r :])
+    return sum(_agreements((lam,) * (n // lam))[n - r :])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Substitution operators work on occurrence indices: the j-th appearance of
 a symbol (left to right) is what gets remapped, so distances never drop
-below the source array's and usually grow.  Quotient and product
-operators re-verify what they claim instead of trusting the algebra.
+below the source array's and usually grow.  All three (`refine`,
+`expand_to_pa`, which is exactly refine(a, 1), and `compose_columns`)
+read one occurrence rank and refuse, with a ValueError naming the row,
+any row that is not a lam-permutation.  Quotient and product operators
+re-verify what they claim instead of trusting the algebra.
 """
 
 from __future__ import annotations
@@ -40,13 +43,50 @@ def juxtapose(
     )
 
 
-def _occurrence_indices(symbols: Sequence[int], m: int) -> list[int]:
-    seen = [0] * m
-    out = []
-    for s in symbols:
-        out.append(seen[s])
-        seen[s] += 1
-    return out
+def _occurrence_rank(rows: Sequence[Sequence[int]], m: int, lam: int) -> np.ndarray:
+    """rank[r, p] = s*lam + j where row r holds occurrence j (left to right)
+    of symbol s at position p.
+
+    Raises ValueError naming the first row of the wrong length or the first
+    that is not a lam-permutation over 0..m-1.
+    """
+    n = m * lam
+    for idx, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {idx} has length {len(row)}, expected {n}")
+    mat = core._label_matrix(rows, m).reshape(len(rows), n)
+    composed = core._composed(mat, m, lam)
+    if not composed.all():
+        idx = int(composed.argmin())
+        raise ValueError(f"row {idx} is not a {lam}-uniform word over {m} symbols")
+    # a stable sort puts occurrence j of symbol s at sorted position s*lam + j
+    rank = np.empty_like(mat)
+    order = np.argsort(mat, axis=1, kind="stable")
+    np.put_along_axis(rank, order, np.arange(n), axis=1)
+    return rank
+
+
+def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
+    """Split every symbol into lam/l symbols of frequency l.
+
+    With per = lam/l, occurrence j of symbol s becomes s*per + ((j//l + k)
+    mod per) in pattern row k = 0..per-1: the canonical max-distance array
+    over per symbols, applied to occurrence indices.  Each source row yields
+    per rows, emitted source-row-major, so refine(a, lam) is the identity
+    and refine(a, 1) is exactly expand_to_pa(a).  Distance claims carry
+    over unchanged.  Raises ValueError for a row that is not a
+    lam-permutation over 0..m-1.
+    """
+    if l < 1 or a.lam % l:
+        raise ValueError(f"new frequency {l} must divide {a.lam}")
+    lam, per = a.lam, a.lam // l
+    symbol, occ = np.divmod(_occurrence_rank(a.rows, a.m, lam), lam)
+    base, block = symbol * per, occ // l
+    # one matrix per pattern row, interleaved source-row-major; a single
+    # size x per x n array would be freed as one large block
+    shifted = [(base + (block + k) % per).tolist() for k in range(per)]
+    rows = tuple(tuple(row) for variants in zip(*shifted) for row in variants)
+    return FrequencyPermutationArray(a.m * per, l, rows, a.min_distance_claim)
 
 
 def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
@@ -54,51 +94,11 @@ def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
 
     Occurrence j of symbol s becomes s*lam + ((j + shift) mod lam); each
     source row yields lam permutation rows (shift = 0..lam-1), emitted
-    source-row-major.  Distance claims carry over unchanged.  Raises
-    ValueError for a row that is not a lam-permutation over 0..m-1.
+    source-row-major.  This is exactly refine(a, 1).  Distance claims carry
+    over unchanged.  Raises ValueError for a row that is not a
+    lam-permutation over 0..m-1.
     """
-    lam, n = a.lam, a.n
-    for idx, row in enumerate(a.rows):
-        if len(row) != n:
-            raise ValueError(f"row {idx} has length {len(row)}, expected {n}")
-    mat = core._label_matrix(a.rows, a.m).reshape(a.size, n)
-    composed = core._composed(mat, a.m, lam)
-    if not composed.all():
-        idx = int(composed.argmin())
-        raise ValueError(f"row {idx} is not a {lam}-uniform word over {a.m} symbols")
-    # a stable sort ranks occurrence j of symbol s at s*lam + j
-    rank = np.empty_like(mat)
-    order = np.argsort(mat, axis=1, kind="stable")
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    occ = rank % lam
-    base = rank - occ
-    # one matrix per shift, interleaved source-row-major; a single
-    # size x lam x n array would be freed as one large block
-    shifted = [(base + (occ + shift) % lam).tolist() for shift in range(lam)]
-    rows = tuple(tuple(row) for variants in zip(*shifted) for row in variants)
-    return FrequencyPermutationArray(n, 1, rows, a.min_distance_claim)
-
-
-def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
-    """Split every symbol into lam/l symbols of frequency l.
-
-    The substitution pattern on occurrence indices is the canonical
-    max-distance array over lam/l symbols, one output row per pattern row,
-    so refine(a, lam) is the identity and refine(a, 1) matches
-    expand_to_pa up to row order.
-    """
-    if l < 1 or a.lam % l:
-        raise ValueError(f"new frequency {l} must divide {a.lam}")
-    per_symbol = a.lam // l
-    patterns = core.canonical_max_distance_fpa(per_symbol, l).row_symbols()
-    rows = []
-    for row in a.rows:
-        occ = _occurrence_indices(row, a.m)
-        for pattern in patterns:
-            rows.append([s * per_symbol + pattern[j] for s, j in zip(row, occ)])
-    return FrequencyPermutationArray.from_rows(
-        rows, a.m * per_symbol, l, a.min_distance_claim
-    )
+    return refine(a, 1)
 
 
 def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArray:
@@ -139,6 +139,8 @@ def compose_columns(
     occurrences receive, in order, the entries of the i-th ingredient's
     row j (relabeled onto disjoint symbol blocks).  One output row per
     (c row, shared row index j) pair; needs c's distance claim >= b*d.
+    Raises ValueError for a coarse row, or one of the depth ingredient rows
+    used, that is not a lam-permutation.
     """
     if not fpas:
         raise ValueError("need at least one ingredient array")
@@ -158,12 +160,15 @@ def compose_columns(
             f"coarse distance {c.min_distance_claim} below required {b * d}"
         )
     depth = min(f.size for f in fpas)
-    rows = []
-    for crow in c.rows:
-        occ = _occurrence_indices(crow, b)
-        for j in range(depth):
-            rows.append([fpas[i].rows[j][t] + i * m for i, t in zip(crow, occ)])
-    return FrequencyPermutationArray.from_rows(rows, b * m, lam, b * d)
+    coarse = _occurrence_rank(c.rows, b, n)
+    # column i*n + t of table row j: entry t of ingredient i's row j, relabeled
+    table = np.concatenate(
+        [_occurrence_rank(f.rows[:depth], m, lam) // lam + i * m for i, f in enumerate(fpas)],
+        axis=1,
+    )
+    # coarse rank i*n + t marks occurrence t of symbol i
+    rows = table[:, coarse].transpose(1, 0, 2).reshape(-1, b * n).tolist()
+    return FrequencyPermutationArray(b * m, lam, tuple(map(tuple, rows)), b * d)
 
 
 def direct_product(
@@ -172,7 +177,6 @@ def direct_product(
     """All concatenations over disjoint symbol sets, at the weaker distance."""
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
-    rows = []
     shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
     rows = [ra + rb for ra in a.rows for rb in shifted]
     return FrequencyPermutationArray.from_rows(
@@ -299,7 +303,7 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     r = min(s.num_classes for s in inputs)
     rows = []
     for j in range(r):
-        pools = [s.classes[j].row_symbols() for s in inputs]
+        pools = [s.classes[j].rows for s in inputs]
         for combo in itertools.product(*pools):
             rows.append([sym for part in combo for sym in part])
     out = FrequencyPermutationArray.from_rows(

@@ -73,9 +73,6 @@ class FrequencyPermutationArray:
     def size(self) -> int:
         return len(self.rows)
 
-    def row_symbols(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
-
     def summary(self) -> str:
         return (
             f"FPA(n={self.n}, m={self.m}, lambda={self.lam}, "

@@ -5,8 +5,11 @@ force, counting formula) or transcribed from a published reference
 display, then pinned.  Tests compare library output against these
 constants byte-for-byte; none of them are derived from the code under
 test.  `partitions` is a plain generator the counting tests enumerate
-their inputs with.
+their inputs with, and `derangements_bruteforce` and
+`sphere_volume_bruteforce` are the counting formulas' enumeration oracles.
 """
+
+from fparray import all_lambda_permutations, hamming_distance
 
 # 4 x 6 binary array over two symbols at frequency 3; every pair of rows
 # is at Hamming distance exactly 4.
@@ -95,6 +98,37 @@ def partitions(k, max_part):
     for first in range(min(k, max_part), 0, -1):
         for rest in partitions(k - first, first):
             yield (first,) + rest
+
+
+def derangements_bruteforce(counts):
+    """Rearrangements of the sorted multiset word with no position keeping
+    its type, counted by backtracking."""
+    original = [t for t, c in enumerate(counts) for _ in range(c)]
+    remaining = list(counts)
+    n = len(original)
+
+    def rec(i):
+        if i == n:
+            return 1
+        acc = 0
+        for t in range(len(remaining)):
+            if remaining[t] and t != original[i]:
+                remaining[t] -= 1
+                acc += rec(i + 1)
+                remaining[t] += 1
+        return acc
+
+    return rec(0)
+
+
+def sphere_volume_bruteforce(n, lam, r):
+    """Words of the (n, lam) space within distance r of the sorted word,
+    counted over the whole space."""
+    m = n // lam
+    centre = tuple(s for s in range(m) for _ in range(lam))
+    return sum(
+        1 for w in all_lambda_permutations(m, lam) if hamming_distance(w, centre) <= r
+    )
 
 
 # Classical single-type derangement numbers D_0 .. D_9.

@@ -56,7 +56,9 @@ from fixtures import (
     ROTATION_8_FIRST,
     THREE_ROUTE_9_6,
     TWO_SYMBOL_6_4,
+    derangements_bruteforce,
     partitions,
+    sphere_volume_bruteforce,
 )
 
 
@@ -96,7 +98,7 @@ def test_criterion_02_triple_agreement():
             fpa_from_mds(field_of_order(3), GENERATOR_3_2),
         )
         for fpa in routes:
-            assert fpa.row_symbols() == THREE_ROUTE_9_6
+            assert fpa.rows == THREE_ROUTE_9_6
             report = verify(fpa)
             assert report.valid and report.equidistant
             assert report.actual_min_distance == 6
@@ -142,13 +144,13 @@ def test_criterion_05_substitution_displays():
         four = FrequencyPermutationArray.from_rows(DOUBLED_12_FIRST4, 2, 6, 6)
         half = refine(four, 3)
         shown = tuple(
-            tuple(e + 1 for e in row) for row in half.row_symbols()[0::2]
+            tuple(e + 1 for e in row) for row in half.rows[0::2]
         )
         assert shown == HALF_SPLIT_DISPLAY
 
         full = expand_to_pa(four)
         shown = tuple(
-            tuple(e + 1 for e in row) for row in full.row_symbols()[0::6]
+            tuple(e + 1 for e in row) for row in full.rows[0::6]
         )
         assert shown == FULL_SPLIT_DISPLAY
 
@@ -169,7 +171,7 @@ def test_criterion_06_class_product_listing():
         sep = separable_from_mols(mols_from_field(4))
         out = sep_product([sep, sep])
         assert (out.n, out.m, out.lam, out.size) == (8, 4, 2, 48)
-        assert out.row_symbols()[:8] == CLASS_PRODUCT_FIRST8
+        assert out.rows[:8] == CLASS_PRODUCT_FIRST8
         report = verify(out)
         assert report.valid and report.actual_min_distance >= 4
 
@@ -182,7 +184,7 @@ def test_criterion_07_doubling_block_listing_and_exact_14():
 
         steiner = fpa_steiner_848()
         assert (steiner.n, steiner.m, steiner.lam, steiner.size) == (8, 2, 4, 14)
-        assert steiner.row_symbols()[0] == ROTATION_8_FIRST == (1, 0, 1, 1, 0, 0, 0, 1)
+        assert steiner.rows[0] == ROTATION_8_FIRST == (1, 0, 1, 1, 0, 0, 0, 1)
         assert verify(steiner).valid
 
         start = time.perf_counter()
@@ -197,9 +199,7 @@ def test_criterion_08_counting_oracle_equivalence():
         vectors = 0
         for total in range(1, 10):
             for counts in partitions(total, total):
-                assert multiset_derangements(counts) == multiset_derangements(
-                    counts, method="bruteforce"
-                )
+                assert multiset_derangements(counts) == derangements_bruteforce(counts)
                 vectors += 1
         assert vectors == 96  # partitions of 1..9
 
@@ -209,9 +209,7 @@ def test_criterion_08_counting_oracle_equivalence():
                 if n % lam:
                     continue
                 for r in range(n + 1):
-                    assert sphere_volume(n, lam, r) == sphere_volume(
-                        n, lam, r, method="bruteforce"
-                    )
+                    assert sphere_volume(n, lam, r) == sphere_volume_bruteforce(n, lam, r)
                     grids += 1
         assert grids > 100
 

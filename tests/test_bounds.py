@@ -32,7 +32,13 @@ from fparray.bounds import (
     _agreements,
     _greedy_clique,
 )
-from fixtures import DERANGEMENTS, SPHERE_VOLUMES, partitions
+from fixtures import (
+    DERANGEMENTS,
+    SPHERE_VOLUMES,
+    derangements_bruteforce,
+    partitions,
+    sphere_volume_bruteforce,
+)
 
 # ---------------------------------------------------------------------------
 # typed-multiset derangements
@@ -69,7 +75,7 @@ def test_agreements_average_the_expected_fixed_points(counts):
 )
 def test_known_multiset_values(counts, expected):
     assert multiset_derangements(counts) == expected
-    assert multiset_derangements(counts, method="bruteforce") == expected
+    assert derangements_bruteforce(counts) == expected
 
 
 def test_derangement_input_validation():
@@ -77,10 +83,6 @@ def test_derangement_input_validation():
         multiset_derangements(())
     with pytest.raises(ValueError):
         multiset_derangements((2, 0))
-    with pytest.raises(ValueError):
-        multiset_derangements((2, 2), method="magic")
-    with pytest.raises(WorkLimitExceeded):
-        multiset_derangements((4, 4, 4), method="bruteforce", max_work=10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,7 +93,7 @@ def test_derangement_input_validation():
 )
 def test_formula_matches_bruteforce_and_ignores_order(counts):
     value = multiset_derangements(counts)
-    assert value == multiset_derangements(counts, method="bruteforce")
+    assert value == derangements_bruteforce(counts)
     assert value == multiset_derangements(sorted(counts, reverse=True))
 
 
@@ -103,7 +105,7 @@ def test_formula_matches_bruteforce_and_ignores_order(counts):
 def test_pinned_sphere_volumes(key, expected):
     n, lam, r = key
     assert sphere_volume(n, lam, r) == expected
-    assert sphere_volume(n, lam, r, method="bruteforce") == expected
+    assert sphere_volume_bruteforce(n, lam, r) == expected
 
 
 def test_sphere_volume_extremes():
@@ -117,11 +119,6 @@ def test_sphere_volume_is_monotone_in_radius():
     values = [sphere_volume(8, 2, r) for r in range(9)]
     assert values == sorted(values)
     assert values[-1] == count_all(8, 2)
-
-
-def test_sphere_volume_bruteforce_budget():
-    with pytest.raises(WorkLimitExceeded):
-        sphere_volume(8, 2, 4, method="bruteforce", max_work=10)
 
 
 def partition_sum_shells(n, lam):

@@ -106,7 +106,7 @@ def test_verify_expectation_mismatch_fails(tmp_path, capsys):
 
 
 def test_verify_catches_an_overclaimed_distance(tmp_path, capsys):
-    rows = fpa_steiner_848().row_symbols()
+    rows = fpa_steiner_848().rows
     bogus = FrequencyPermutationArray.from_rows(rows, 2, 4, 5)
     path = tmp_path / "bogus.fpa"
     path.write_text(write_fpa(bogus))
@@ -329,7 +329,7 @@ def test_pad_juxtapose_product_compose(tmp_path, capsys):
 
 def test_sep_product_transform(tmp_path, capsys):
     sep = separable_from_mols(mols_from_field(4))
-    rows = [row for cls in sep.classes for row in cls.row_symbols()]
+    rows = [row for cls in sep.classes for row in cls.rows]
     stacked = tmp_path / "классы.fpa"
     stacked.write_text(write_fpa(FrequencyPermutationArray.from_rows(rows, 4, 1, 3)))
 
@@ -471,7 +471,7 @@ def test_fpa_format_roundtrip():
     array = fpa_steiner_848()
     text = write_fpa(array)
     back = parse_fpa(text)
-    assert back.row_symbols() == array.row_symbols()
+    assert back.rows == array.rows
     assert (back.n, back.m, back.lam, back.min_distance_claim) == (8, 2, 4, 4)
     assert write_fpa(back) == text
 

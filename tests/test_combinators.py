@@ -56,7 +56,7 @@ def _four_doubled_rows() -> FrequencyPermutationArray:
 def test_pad_appends_a_fresh_symbol():
     out = pad(_nine_column_array())
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (12, 4, 3, 6, 4)
-    assert all(row[9:] == (3, 3, 3) for row in out.row_symbols())
+    assert all(row[9:] == (3, 3, 3) for row in out.rows)
     assert verify(out).valid
 
 
@@ -84,7 +84,7 @@ def test_refine_reproduces_the_half_split_display():
     assert verify(out).valid
     # the displayed rows are the unshifted substitution of each source row,
     # printed 1-based; each source row contributes lam/l = 2 output rows
-    unshifted = out.row_symbols()[0::2]
+    unshifted = out.rows[0::2]
     expected = tuple(tuple(e - 1 for e in row) for row in HALF_SPLIT_DISPLAY)
     assert unshifted == expected
 
@@ -93,28 +93,43 @@ def test_expand_reproduces_the_full_split_display():
     out = expand_to_pa(_four_doubled_rows())
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (12, 12, 1, 6, 24)
     assert verify(out).valid
-    unshifted = out.row_symbols()[0::6]
+    unshifted = out.rows[0::6]
     expected = tuple(tuple(e - 1 for e in row) for row in FULL_SPLIT_DISPLAY)
     assert unshifted == expected
 
 
 def test_refine_identity_and_expand_agreement():
     a = _nine_column_array()
-    assert refine(a, a.lam).row_symbols() == a.row_symbols()
-    assert set(refine(a, 1).row_symbols()) == set(expand_to_pa(a).row_symbols())
+    assert refine(a, a.lam).rows == a.rows
+    assert refine(a, 1) == expand_to_pa(a)
 
 
-def _expand_per_symbol(a):
-    """expand_to_pa as a per-symbol loop over occurrence counts."""
+def _occurrence_indices(symbols, m):
+    """Occurrence index of each entry: how often its symbol appeared before."""
+    seen = [0] * m
+    out = []
+    for s in symbols:
+        out.append(seen[s])
+        seen[s] += 1
+    return out
+
+
+def _refine_per_symbol(a, l):
+    """refine as a per-symbol loop: the canonical max-distance array over
+    lam/l symbols, applied row by row to occurrence indices."""
+    per = a.lam // l
+    patterns = canonical_max_distance_fpa(per, l).rows
     rows = []
     for row in a.rows:
-        seen, occ = [0] * a.m, []
-        for s in row:
-            occ.append(seen[s])
-            seen[s] += 1
-        for shift in range(a.lam):
-            rows.append(tuple(s * a.lam + (j + shift) % a.lam for s, j in zip(row, occ)))
+        occ = _occurrence_indices(row, a.m)
+        for pattern in patterns:
+            rows.append(tuple(s * per + pattern[j] for s, j in zip(row, occ)))
     return tuple(rows)
+
+
+def _draw_words(data, m, lam):
+    base = [s for s in range(m) for _ in range(lam)]
+    return data.draw(st.lists(st.permutations(base), max_size=6), label="rows")
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,12 +137,64 @@ def _expand_per_symbol(a):
 def test_expand_matches_a_per_symbol_loop(data):
     m = data.draw(st.integers(1, 4), label="m")
     lam = data.draw(st.integers(1, 4), label="lam")
-    base = [s for s in range(m) for _ in range(lam)]
-    rows = data.draw(st.lists(st.permutations(base), max_size=6), label="rows")
-    a = FrequencyPermutationArray.from_rows(rows, m, lam, 1)
+    a = FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 1)
     out = expand_to_pa(a)
-    assert out.row_symbols() == _expand_per_symbol(a)
+    assert out.rows == _refine_per_symbol(a, 1)
     assert (out.m, out.lam, out.min_distance_claim) == (m * lam, 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refine_matches_a_per_symbol_loop(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    lam = data.draw(st.sampled_from([1, 2, 3, 4, 6]), label="lam")
+    a = FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 2)
+    for l in (f for f in range(1, lam + 1) if lam % f == 0):
+        out = refine(a, l)
+        assert out.rows == _refine_per_symbol(a, l)
+        assert (out.m, out.lam, out.min_distance_claim) == (m * lam // l, l, 2)
+
+
+def _compose_per_symbol(fpas, c):
+    """compose_columns as a per-symbol loop over the coarse rows."""
+    m, depth = fpas[0].m, min(f.size for f in fpas)
+    rows = []
+    for crow in c.rows:
+        occ = _occurrence_indices(crow, len(fpas))
+        for j in range(depth):
+            rows.append(tuple(fpas[i].rows[j][t] + i * m for i, t in zip(crow, occ)))
+    return tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_columns_matches_a_per_symbol_loop(data):
+    b = data.draw(st.integers(1, 3), label="b")
+    m = data.draw(st.integers(1, 3), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    fpas = [
+        FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 1)
+        for _ in range(b)
+    ]
+    coarse = FrequencyPermutationArray.from_rows(_draw_words(data, b, m * lam), b, m * lam, b)
+    out = compose_columns(fpas, coarse)
+    assert out.rows == _compose_per_symbol(fpas, coarse)
+    assert (out.m, out.lam, out.min_distance_claim) == (b * m, lam, b)
+
+
+def _bad_substitutions(bad):
+    """Each substitution, fed [(0, 1, 1, 0), bad] as a 2-symbol, lam = 2
+    array: as its input, its coarse array, or every ingredient."""
+    rows = [(0, 1, 1, 0), bad]
+    a = FrequencyPermutationArray.from_rows(rows, 2, 2, 2)
+    pairs = FrequencyPermutationArray.from_rows([(0, 1), (1, 0)], 2, 1, 1)
+    coarse = canonical_max_distance_fpa(2, 4)
+    return {
+        "expand_to_pa": lambda: expand_to_pa(a),
+        "refine": lambda: refine(a, 1),
+        "compose_columns coarse": lambda: compose_columns([pairs, pairs], a),
+        "compose_columns ingredient": lambda: compose_columns([a, a], coarse),
+    }
 
 
 @pytest.mark.parametrize(
@@ -136,9 +203,10 @@ def test_expand_matches_a_per_symbol_loop(data):
 def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
     # a negative symbol once wrapped to the last occurrence count and a
     # symbol >= m raised IndexError
-    a = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), bad], 2, 2, 1)
-    with pytest.raises(ValueError, match="row 1 "):
-        expand_to_pa(a)
+    for name, substitute in _bad_substitutions(bad).items():
+        with pytest.raises(ValueError, match="row 1 "):
+            substitute()
+            pytest.fail(f"{name} accepted {bad}")
 
 
 def test_refine_requires_a_divisor_frequency():
@@ -205,7 +273,7 @@ def test_compose_columns_preconditions():
         compose_columns([ingredient, canonical_max_distance_fpa(2, 3)], coarse)
     with pytest.raises(ValueError):
         compose_columns([ingredient] * 2, coarse)  # coarse uses 3 symbols, not 2
-    weak = FrequencyPermutationArray.from_rows(coarse.row_symbols(), 3, 4, 11)
+    weak = FrequencyPermutationArray.from_rows(coarse.rows, 3, 4, 11)
     with pytest.raises(ValueError):
         compose_columns([ingredient] * 3, weak)  # claim 11 < b * d = 12
 
@@ -262,7 +330,7 @@ def test_class_product_reproduces_the_48_row_listing():
     assert (sep.delta, sep.d) == (4, 3)
     out = sep_product([sep, sep])
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (8, 4, 2, 4, 48)
-    assert out.row_symbols()[:8] == CLASS_PRODUCT_FIRST8
+    assert out.rows[:8] == CLASS_PRODUCT_FIRST8
     report = verify(out)
     assert report.valid and report.actual_min_distance == 4
 

@@ -157,9 +157,9 @@ def test_triple_agreement_on_nine_columns():
     via_ard = fpa_from_ard(affine_classes_from_mols(squares))
     via_mds = fpa_from_mds(field_of_order(3), GENERATOR_3_2)
 
-    assert via_oa.row_symbols() == THREE_ROUTE_9_6
-    assert via_ard.row_symbols() == THREE_ROUTE_9_6
-    assert via_mds.row_symbols() == THREE_ROUTE_9_6
+    assert via_oa.rows == THREE_ROUTE_9_6
+    assert via_ard.rows == THREE_ROUTE_9_6
+    assert via_mds.rows == THREE_ROUTE_9_6
     for fpa in (via_oa, via_ard, via_mds):
         assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim) == (9, 3, 3, 6)
         report = verify(fpa)
@@ -324,7 +324,7 @@ def test_mds_route_warns_when_only_pairs_are_affordable(monkeypatch):
     monkeypatch.setattr(constructions, "_MDS_SUBSET_WORK", 0)
     with pytest.warns(UserWarning, match="columns only checked pairwise"):
         fpa = fpa_from_mds(field_of_order(3), GENERATOR_3_2)
-    assert fpa.row_symbols() == THREE_ROUTE_9_6
+    assert fpa.rows == THREE_ROUTE_9_6
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_doubling_smallest_order_gives_every_balanced_word():
     fpa = fpa_from_hadamard(hadamard_matrix(4))
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (4, 2, 2, 2, 6)
     assert fpa.size == count_all(4, 2)
-    assert set(fpa.row_symbols()) == set(all_lambda_permutations(2, 2))
+    assert set(fpa.rows) == set(all_lambda_permutations(2, 2))
     assert verify(fpa).valid
 
 
@@ -442,7 +442,7 @@ def test_doubling_order_twelve():
     fpa = fpa_from_hadamard(hadamard_matrix(12))
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim) == (12, 2, 6, 6)
     assert fpa.size == 2 * 12 - 2
-    rows = fpa.row_symbols()
+    rows = fpa.rows
     assert all(fixture_row in rows for fixture_row in DOUBLED_12_FIRST4)
     report = verify(fpa)
     assert report.valid and report.actual_min_distance == 6
@@ -455,6 +455,6 @@ def test_doubling_order_twelve():
 def test_block_listing_on_eight_columns():
     fpa = fpa_steiner_848()
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (8, 2, 4, 4, 14)
-    assert fpa.row_symbols()[0] == ROTATION_8_FIRST
+    assert fpa.rows[0] == ROTATION_8_FIRST
     report = verify(fpa)
     assert report.valid and report.actual_min_distance == 4

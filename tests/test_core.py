@@ -65,7 +65,6 @@ def test_from_rows_normalises_to_int_tuples():
     )
     assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
     assert all(type(s) is int for row in fpa.rows for s in row)
-    assert fpa.row_symbols() is fpa.rows
     assert (fpa.n, fpa.size) == (4, 2)
 
 
