@@ -171,7 +171,7 @@ def _cmd_construct_mols(args) -> int:
 
 
 def _cmd_construct_mofs(args) -> int:
-    return _finish_squares(mofs_complete(args.q, args.i, max_work=args.max_work), args)
+    return _finish_squares(mofs_complete(args.q, args.i), args)
 
 
 def _cmd_construct_fpa_from_mofs(args) -> int:
@@ -430,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = methods.add_parser("mofs", help="complete set of orthogonal frequency squares")
     p.add_argument("--q", type=int, required=True, help="prime power base")
     p.add_argument("--i", type=int, required=True, help="extension degree; n = q^i")
-    p.add_argument("--max-work", type=int, default=1_000_000)
     _add_out(p, with_one_based=False)
     p.set_defaults(func=_cmd_construct_mofs)
 

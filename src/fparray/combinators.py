@@ -43,22 +43,24 @@ def juxtapose(
     )
 
 
-def _occurrence_rank(rows: Sequence[Sequence[int]], m: int, lam: int) -> np.ndarray:
+def _occurrence_rank(
+    rows: Sequence[Sequence[int]], m: int, lam: int, where: str = ""
+) -> np.ndarray:
     """rank[r, p] = s*lam + j where row r holds occurrence j (left to right)
     of symbol s at position p.
 
-    Raises ValueError naming the first row of the wrong length or the first
-    that is not a lam-permutation over 0..m-1.
+    Raises ValueError naming (after the prefix `where`) the first row of the
+    wrong length or the first that is not a lam-permutation over 0..m-1.
     """
     n = m * lam
     for idx, row in enumerate(rows):
         if len(row) != n:
-            raise ValueError(f"row {idx} has length {len(row)}, expected {n}")
+            raise ValueError(f"{where}row {idx} has length {len(row)}, expected {n}")
     mat = core._label_matrix(rows, m).reshape(len(rows), n)
     composed = core._composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())
-        raise ValueError(f"row {idx} is not a {lam}-uniform word over {m} symbols")
+        raise ValueError(f"{where}row {idx} is not a {lam}-uniform word over {m} symbols")
     # a stable sort puts occurrence j of symbol s at sorted position s*lam + j
     rank = np.empty_like(mat)
     order = np.argsort(mat, axis=1, kind="stable")
@@ -140,7 +142,8 @@ def compose_columns(
     row j (relabeled onto disjoint symbol blocks).  One output row per
     (c row, shared row index j) pair; needs c's distance claim >= b*d.
     Raises ValueError for a coarse row, or one of the depth ingredient rows
-    used, that is not a lam-permutation.
+    used, that is not a lam-permutation; an ingredient row is named with
+    its ingredient, as in "ingredient 1 row 1 ...".
     """
     if not fpas:
         raise ValueError("need at least one ingredient array")
@@ -163,7 +166,10 @@ def compose_columns(
     coarse = _occurrence_rank(c.rows, b, n)
     # column i*n + t of table row j: entry t of ingredient i's row j, relabeled
     table = np.concatenate(
-        [_occurrence_rank(f.rows[:depth], m, lam) // lam + i * m for i, f in enumerate(fpas)],
+        [
+            _occurrence_rank(f.rows[:depth], m, lam, f"ingredient {i} ") // lam + i * m
+            for i, f in enumerate(fpas)
+        ],
         axis=1,
     )
     # coarse rank i*n + t marks occurrence t of symbol i

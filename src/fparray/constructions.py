@@ -22,11 +22,12 @@ import numpy as np
 from .core import (
     FrequencyPermutationArray,
     WorkLimitExceeded,
+    _composed,
+    _label_matrix,
     _pair_counts,
     _pair_distances,
     _pairs,
     _unbalanced_pair,
-    is_lambda_permutation,
 )
 from .gf import (
     _CHUNK_CELLS,
@@ -64,10 +65,12 @@ class FrequencySquare:
             )
         if len(self.cells) != self.n or any(len(r) != self.n for r in self.cells):
             raise ValueError("cells must form an n x n grid")
-        for what, lines in (("row", self.cells), ("column", zip(*self.cells))):
-            for idx, line in enumerate(lines):
-                if not is_lambda_permutation(line, self.m, self.lam):
-                    raise ValueError(f"{what} {idx} is not {self.lam}-uniform")
+        # rows 0..n-1, then columns as rows n..2n-1
+        lines = _label_matrix([*self.cells, *zip(*self.cells)], self.m)
+        bad = np.flatnonzero(~_composed(lines, self.m, self.lam))
+        if bad.size:
+            what, idx = divmod(int(bad[0]), self.n)
+            raise ValueError(f"{('row', 'column')[what]} {idx} is not {self.lam}-uniform")
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "FrequencySquare":
@@ -115,7 +118,7 @@ def mols_from_field(q: int) -> list[FrequencySquare]:
     xs = np.arange(q, dtype=np.int32)
     squares = []
     for a in range(1, q):
-        cells = field.add_val(field.mul_array(a, xs)[:, None], xs)
+        cells = field.add_val(field.mul_val(a, xs)[:, None], xs)
         squares.append(FrequencySquare(q, q, 1, _grid(cells)))
     return squares
 
@@ -124,7 +127,11 @@ def _grid(cells: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, cells.tolist()))
 
 
-def mofs_complete(q: int, i: int, max_work: int = 1_000_000) -> list[FrequencySquare]:
+# `mofs_complete` refuses more linear forms q^(2i) than this
+_MOFS_WORK = 1_000_000
+
+
+def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     """The complete set of (q^i - 1)^2 / (q - 1) orthogonal frequency squares.
 
     Linear forms in 2i variables over GF(q) whose first i and last i
@@ -137,8 +144,8 @@ def mofs_complete(q: int, i: int, max_work: int = 1_000_000) -> list[FrequencySq
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     field = field_of_order(q)
-    if q ** (2 * i) > max_work:
-        raise WorkLimitExceeded(f"{q ** (2 * i)} forms exceed max_work {max_work}")
+    if q ** (2 * i) > _MOFS_WORK:
+        raise WorkLimitExceeded(f"{q ** (2 * i)} forms exceed max_work {_MOFS_WORK}")
     n = q**i
     vectors = _odometer(q, i)[1:]
     leads = vectors[np.arange(n - 1), (vectors != 0).argmax(axis=1)]
@@ -167,7 +174,7 @@ def _linear_forms(field: FiniteField, coeffs: np.ndarray) -> np.ndarray:
     points = _odometer(field.q, coeffs.shape[1])
     out = np.zeros((coeffs.shape[0], points.shape[0]), dtype=np.int32)
     for t in range(coeffs.shape[1]):
-        out = field.add_val(out, field.mul_array(coeffs[:, t, None], points[:, t]))
+        out = field.add_val(out, field.mul_val(coeffs[:, t, None], points[:, t]))
     return out
 
 
@@ -424,7 +431,7 @@ def reed_solomon_generator(
         raise ValueError(f"need n <= q+1 = {q + 1}, got {n}")
     field = field_of_order(q)
     points = np.arange(min(n, q), dtype=np.int32)
-    rows = [[1] * len(points)] + [field.pow_array(points, t).tolist() for t in range(1, k)]
+    rows = [[1] * len(points)] + [field.pow_val(points, t).tolist() for t in range(1, k)]
     if n == q + 1:
         for t, row in enumerate(rows):
             row.append(int(t == k - 1))
@@ -522,7 +529,7 @@ def _paley_rows(q: int) -> list[list[int]]:
     xs = np.arange(q, dtype=np.int32)
     # quadratic character: 0 at 0, 1 on nonzero squares, -1 elsewhere
     chi = np.full(q, -1, dtype=np.int64)
-    chi[field.mul_array(xs, xs)] = 1
+    chi[field.mul_val(xs, xs)] = 1
     chi[0] = 0
     rows = np.zeros((q + 1, q + 1), dtype=np.int64)
     rows[0, 1:] = 1

@@ -11,11 +11,14 @@ depends on two conventions fixed here once and for all:
   always enumerated as v = 0, 1, ..., q-1 (so 0 first, 1 second); every
   function here takes and returns elements in that form.
 
-Scalar arithmetic works on Python ints: `mul_val` multiplies polynomials
-digit by digit and reduces by the modulus.  Whole-field work runs on numpy
-int arrays instead: `mul_array` looks products up in exp/log tables that
-each field builds with `mul_val` on first use (O(q) entries), and
-`add_val`/`neg_val` take ints and arrays alike.
+There is one multiplication: `mul_val` reads a*b as exp[log a + log b]
+from exp/log tables that each field fills on first use with one walk over
+the powers of its primitive element (O(q) entries); `pow_val` and
+`inv_val` read the same tables.  Polynomial arithmetic on digit tuples
+only builds fields: the irreducibility test, the primitive-element test
+and that walk.  Every element operation, `add_val`/`neg_val` with their
+one digit formula included, takes Python ints and returns an int, or
+numpy int arrays and returns an array.
 
 Also here: plain and linearized polynomials, the associate matrix of a
 linearized map with its rank/kernel bookkeeping, and a census of
@@ -129,35 +132,23 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 class FiniteField:
-    """GF(p^k) whose elements are the plain ints 0..q-1; build via `make_field`."""
+    """GF(p^k) whose elements are the plain ints 0..q-1; build via `make_field`.
+
+    Every element operation takes Python ints and returns an int, or takes
+    numpy int arrays (broadcast together) and returns an array.
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus  # low-to-high, length k+1, monic
-        self._exp_log: tuple[np.ndarray, np.ndarray] | None = None
-        # digit tuples of every element, while the field is small enough to list
-        self._digits = [self._decode(v) for v in range(self.q)] if self.q <= 2**16 else []
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
-    def _decode(self, v: int) -> tuple[int, ...]:
-        return tuple(v // self.p**j % self.p for j in range(self.k))
-
-    def decode(self, v: int) -> tuple[int, ...]:
-        return self._digits[v] if self._digits else self._decode(v)
-
-    def encode(self, digits: Iterable[int]) -> int:
-        v, mult = 0, 1
-        for d in digits:
-            v += (d % self.p) * mult
-            mult *= self.p
-        return v
-
     def add_val(self, a, b):
-        """a + b digit by digit; ints and numpy int arrays alike."""
+        """a + b digit by digit."""
         if self.p == 2:
             return a ^ b
         p, out = self.p, 0
@@ -167,7 +158,7 @@ class FiniteField:
         return out
 
     def neg_val(self, a):
-        """-a digit by digit; ints and numpy int arrays alike."""
+        """-a digit by digit."""
         if self.p == 2:
             return a
         p, out = self.p, 0
@@ -179,43 +170,41 @@ class FiniteField:
     def sub_val(self, a, b):
         return self.add_val(a, self.neg_val(b))
 
-    def mul_val(self, a: int, b: int) -> int:
-        """a * b as a polynomial product reduced by the modulus."""
-        if a == 0 or b == 0:
-            return 0
-        product = _pmul(self.decode(a), self.decode(b), self.p)
-        return self.encode(_pmod(product, self.modulus, self.p))
+    def mul_val(self, a, b):
+        """a * b as exp[log a + log b]."""
+        exp, log = self._tables
+        product = exp[log[a] + log[b]]
+        return int(product) if isinstance(a, int) and isinstance(b, int) else product
 
-    def pow_val(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_val(self.inv_val(a), -e)
-        result, acc = 1, a
-        while e:
-            if e & 1:
-                result = self.mul_val(result, acc)
-            acc = self.mul_val(acc, acc)
-            e >>= 1
-        return result
+    def pow_val(self, a, e: int):
+        """a ** e as exp[log a * (e mod q-1)], with 0 ** 0 = 1.
 
-    def inv_val(self, a: int) -> int:
-        if a == 0:
+        A negative e inverts, so it raises ZeroDivisionError on a zero a.
+        """
+        exp, log = self._tables
+        zero = np.equal(a, 0)
+        if e < 0 and zero.any():
             raise ZeroDivisionError("inverse of zero field element")
-        return self.pow_val(a, self.q - 2)
+        power = exp[log[a] * np.int64(e % (self.q - 1)) % (self.q - 1)]
+        power = np.where(zero, int(e == 0), power)
+        return int(power) if isinstance(a, int) else power
 
-    def frobenius_val(self, a: int, times: int = 1) -> int:
-        for _ in range(times):
-            a = self.pow_val(a, self.p)
-        return a
+    def inv_val(self, a):
+        return self.pow_val(a, -1)
 
     def primitive_element(self) -> int:
         """The smallest g with g^((q-1)/r) != 1 for every prime r | q-1."""
-        order = self.q - 1
+        p, order = self.p, self.q - 1
         primes = [r for r in range(2, order + 1) if order % r == 0 and _prime_power(r) == (r, 1)]
         return next(
             g for g in range(1, self.q)
-            if all(self.pow_val(g, order // r) != 1 for r in primes)
+            if all(
+                _ppowmod(_coefficients(g, p, self.k), order // r, self.modulus, p) != (1,)
+                for r in primes
+            )
         )
 
+    @functools.cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) for the primitive element g, built on first use.
 
@@ -223,30 +212,24 @@ class FiniteField:
         sentinel 2q-3, so any log sum involving a zero lands in the zero
         tail and exp[log a + log b] = a*b for every pair.
         """
-        if self._exp_log is None:
-            q, g = self.q, self.primitive_element()
-            powers = [1]
-            for _ in range(q - 2):
-                powers.append(self.mul_val(powers[-1], g))
-            exp = np.zeros(4 * q - 5, dtype=np.int32)
-            exp[: q - 1] = powers
-            exp[q - 1 : 2 * q - 3] = powers[: q - 2]
-            log = np.full(q, 2 * q - 3, dtype=np.int32)
-            log[powers] = np.arange(q - 1)
-            self._exp_log = exp, log
-        return self._exp_log
+        p, q = self.p, self.q
+        g = _coefficients(self.primitive_element(), p, self.k)
+        places = [p**j for j in range(self.k)]
+        powers, power = [], (1,)
+        for _ in range(q - 1):
+            powers.append(sum(c * w for c, w in zip(power, places)))
+            power = _pmod(_pmul(power, g, p), self.modulus, p)
+        exp = np.zeros(4 * q - 5, dtype=np.int32)
+        exp[: q - 1] = powers
+        exp[q - 1 : 2 * q - 3] = powers[: q - 2]
+        log = np.full(q, 2 * q - 3, dtype=np.int32)
+        log[powers] = np.arange(q - 1)
+        return exp, log
 
-    def mul_array(self, a, b) -> np.ndarray:
-        """a * b elementwise on int arrays (or ints), by table lookup."""
-        exp, log = self._tables()
-        return exp[log[a] + log[b]]
 
-    def pow_array(self, a, e: int) -> np.ndarray:
-        """a ** e elementwise on an int array, for an exponent e >= 1."""
-        exp, log = self._tables()
-        a = np.asarray(a)
-        power = exp[log[a].astype(np.int64) * (e % (self.q - 1)) % (self.q - 1)]
-        return np.where(a == 0, 0, power).astype(np.int32)
+def _coefficients(v: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of v, constant term first."""
+    return tuple(v // p**j % p for j in range(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,7 +244,7 @@ def make_field(p: int, k: int = 1) -> FiniteField:
     if k == 1:
         return FiniteField(p, 1, (0, 1))
     for v in range(p**k):
-        candidate = tuple(v // p**j % p for j in range(k)) + (1,)
+        candidate = _coefficients(v, p, k) + (1,)
         if _is_irreducible(candidate, p):
             return FiniteField(p, k, candidate)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -331,7 +314,7 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
         block = coeffs[lo : lo + step]
         acc = out[lo : lo + step]
         for t in range(coeffs.shape[1] - 1, -1, -1):
-            acc = field.add_val(field.mul_array(acc, xs), block[:, t, None])
+            acc = field.add_val(field.mul_val(acc, xs), block[:, t, None])
         out[lo : lo + step] = acc
     return out
 
@@ -434,28 +417,19 @@ class LinearizedPolynomial:
                 return s
         raise ValueError("linearized polynomial is identically zero")
 
-    def evaluate(self, x: int) -> int:
-        field, a = self.field, _base_exponent(self.field, self.q)
-        acc = 0
-        for s, alpha in enumerate(self.alphas):
-            if s:
-                x = field.frobenius_val(x, a)
-            if alpha:
-                acc = field.add_val(acc, field.mul_val(alpha, x))
-        return acc
+    def evaluate(self, x):
+        """L(x) for an int, or elementwise for a numpy int array."""
+        field = self.field
+        return functools.reduce(field.add_val, (
+            field.mul_val(alpha, field.pow_val(x, self.q**s))
+            for s, alpha in enumerate(self.alphas)
+        ))
 
     __call__ = evaluate
 
     def value_table(self) -> np.ndarray:
         """L(x) for every x in enumeration order, as one int32 array."""
-        field = self.field
-        xs = np.arange(field.q, dtype=np.int32)
-        table = np.zeros(field.q, dtype=np.int32)
-        for s, alpha in enumerate(self.alphas):
-            if alpha:
-                power = field.pow_array(xs, self.q**s)
-                table = field.add_val(table, field.mul_array(alpha, power))
-        return table
+        return self.evaluate(np.arange(self.field.q, dtype=np.int32))
 
 
 def _base_exponent(field: FiniteField, q: int) -> int:
@@ -556,9 +530,9 @@ def associate_matrix(
     The kernel size q^(i - rank) is cross-checked against a full value
     table whenever the field is small enough to afford one.
     """
-    field, i, a = L.field, L.i, _base_exponent(L.field, L.q)
+    field, i = L.field, L.i
     matrix = tuple(
-        tuple(field.frobenius_val(L.alphas[(j - col) % i], a * col) for col in range(i))
+        tuple(field.pow_val(L.alphas[(j - col) % i], L.q**col) for col in range(i))
         for j in range(i)
     )
     rank = matrix_rank(field, matrix)

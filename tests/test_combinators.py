@@ -207,6 +207,13 @@ def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
         with pytest.raises(ValueError, match="row 1 "):
             substitute()
             pytest.fail(f"{name} accepted {bad}")
+    # a bad ingredient row is named with the ingredient that holds it
+    a = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), bad], 2, 2, 2)
+    good = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), (1, 0, 0, 1)], 2, 2, 2)
+    for ingredients, holder in (([good, a], 1), ([a, good], 0), ([good, good, a], 2)):
+        coarse = canonical_max_distance_fpa(len(ingredients), 4)
+        with pytest.raises(ValueError, match=f"^ingredient {holder} row 1 "):
+            compose_columns(ingredients, coarse)
 
 
 def test_refine_requires_a_divisor_frequency():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fparray import constructions, core
+from fparray.cli import main
 from fparray import (
     FrequencySquare,
     HadamardMatrix,
@@ -62,6 +63,44 @@ def test_frequency_square_validation():
         FrequencySquare(3, 2, 1, ((0, 1), (1, 0)))  # n != m * lam
     with pytest.raises(ValueError):
         FrequencySquare.from_cells(((0, 1), (1, 0), (0, 1)))  # not square
+
+
+def _first_bad_line(cells, m, lam):
+    """The message FrequencySquare owes, by one is_lambda_permutation per line."""
+    for what, lines in (("row", cells), ("column", zip(*cells))):
+        for idx, line in enumerate(lines):
+            if not core.is_lambda_permutation(line, m, lam):
+                return f"{what} {idx} is not {lam}-uniform"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_frequency_square_names_the_first_bad_line(data):
+    m = data.draw(st.integers(1, 3), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    n = m * lam
+    symbols = st.integers(-1, m) if data.draw(st.booleans(), label="stray") else st.integers(0, m - 1)
+    cells = data.draw(
+        st.lists(st.lists(symbols, min_size=n, max_size=n), min_size=n, max_size=n), label="cells"
+    )
+    cells = tuple(map(tuple, cells))
+    expected = _first_bad_line(cells, m, lam)
+    if expected is None:
+        assert FrequencySquare(n, m, lam, cells).cells == cells
+    else:
+        with pytest.raises(ValueError) as err:
+            FrequencySquare(n, m, lam, cells)
+        assert str(err.value) == expected
+
+
+def test_mofs_complete_refuses_work_over_its_budget(monkeypatch, capsys):
+    assert len(mofs_complete(3, 1)) == 2  # 9 forms, within budget
+    monkeypatch.setattr(constructions, "_MOFS_WORK", 8)
+    with pytest.raises(core.WorkLimitExceeded, match="9 forms exceed max_work 8"):
+        mofs_complete(3, 1)
+    assert main(["construct", "mofs", "--q", "3", "--i", "1"]) == 2
+    assert "9 forms exceed max_work 8" in capsys.readouterr().err
 
 
 def test_from_cells_infers_parameters():

@@ -56,14 +56,6 @@ def test_field_of_order_prime_power_decomposition():
     assert field_of_order(7).k == 1
 
 
-def test_elements_enumerate_in_encoding_order():
-    field = make_field(3, 2)
-    assert [field.decode(v) for v in range(9)] == [
-        (a, b) for b in range(3) for a in range(3)
-    ]
-    assert [field.encode(field.decode(v)) for v in range(9)] == list(range(9))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic axioms (sampled)
 
@@ -98,10 +90,13 @@ def test_frobenius_is_an_additive_field_automorphism(data):
     field = make_field(p, k)
     a = data.draw(st.integers(0, field.q - 1))
     b = data.draw(st.integers(0, field.q - 1))
-    fa, fb = field.frobenius_val(a), field.frobenius_val(b)
-    assert field.frobenius_val(field.add_val(a, b)) == field.add_val(fa, fb)
-    assert field.frobenius_val(field.mul_val(a, b)) == field.mul_val(fa, fb)
-    assert field.pow_val(a, field.p) == fa
+    def frobenius(x):
+        return field.pow_val(x, field.p)
+
+    fa, fb = frobenius(a), frobenius(b)
+    assert frobenius(field.add_val(a, b)) == field.add_val(fa, fb)
+    assert frobenius(field.mul_val(a, b)) == field.mul_val(fa, fb)
+    assert fa == functools.reduce(field.mul_val, [a] * field.p)
 
 
 def test_multiplicative_group_is_cyclic_of_order_q_minus_1():
@@ -118,7 +113,7 @@ def test_multiplicative_group_is_cyclic_of_order_q_minus_1():
 
 
 # ---------------------------------------------------------------------------
-# array arithmetic (exp/log tables, the shared digit formula)
+# table arithmetic on ints and arrays (exp/log tables, the digit formula)
 
 FIELDS_UP_TO_256 = [q for q in range(2, 257) if gf._prime_power(q)]
 
@@ -148,7 +143,7 @@ def test_array_arithmetic_matches_a_digit_convolution(q):
     field = field_of_order(q)
     xs = np.arange(q, dtype=np.int32)
     products = _convolution_products(field)
-    assert (field.mul_array(xs[:, None], xs) == products).all()
+    assert (field.mul_val(xs[:, None], xs) == products).all()
     digits = _digit_matrix(field, range(q))
     places = field.p ** np.arange(field.k)
     sums = ((digits[:, None, :] + digits[None, :, :]) % field.p * places).sum(axis=2)
@@ -157,7 +152,7 @@ def test_array_arithmetic_matches_a_digit_convolution(q):
     # powers by repeated table-free products, across the wrap at q - 1
     power = xs.astype(np.int64)
     for e in range(1, min(q, 40) + 2):
-        assert (field.pow_array(xs, e) == power).all()
+        assert (field.pow_val(xs, e) == power).all()
         power = products[power, xs]
 
 
@@ -191,7 +186,46 @@ def test_add_formula_is_shared_by_ints_and_arrays(data):
     empty = np.array([], dtype=np.int32)
     assert field.add_val(empty, empty).shape == (0,)
     assert field.neg_val(empty).shape == (0,)
-    assert field.mul_array(empty, empty).shape == (0,)
+    assert field.mul_val(empty, empty).shape == (0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mul_and_pow_are_shared_by_ints_and_arrays(data):
+    field = field_of_order(data.draw(st.sampled_from([2, 3, 8, 9, 25, 49, 125, 243])))
+    a = data.draw(st.integers(0, field.q - 1), label="a")
+    b = data.draw(st.integers(0, field.q - 1), label="b")
+    e = data.draw(st.integers(0, 3 * field.q), label="e")
+    product, power = field.mul_val(a, b), field.pow_val(a, e)
+    assert type(product) is int and type(power) is int
+    assert field.mul_val(np.array([a], dtype=np.int32), np.int32(b)).tolist() == [product]
+    assert field.pow_val(np.array([[a]], dtype=np.int32), e).tolist() == [[power]]
+    assert power == functools.reduce(field.mul_val, [a] * e, 1)
+    if a:
+        assert field.pow_val(a, e + (field.q - 1) * 2**70) == power  # e is reduced first
+        inverse = field.inv_val(a)
+        assert type(inverse) is int and field.mul_val(a, inverse) == 1
+        assert field.pow_val(a, -e) == field.pow_val(inverse, e)
+        assert field.inv_val(np.array([a], dtype=np.int32)).tolist() == [inverse]
+    empty = np.array([], dtype=np.int32)
+    assert field.pow_val(empty, e).shape == (0,)
+    assert field.pow_val(empty, -1).shape == (0,)
+    assert field.inv_val(empty.reshape(0, 2)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 49])
+def test_powers_of_zero(q):
+    field = field_of_order(q)
+    assert field.pow_val(0, 0) == 1
+    assert all(field.pow_val(0, e) == 0 for e in (1, 2, q - 1, q, 5 * q))
+    zeros = np.zeros(3, dtype=np.int32)
+    assert field.pow_val(zeros, 0).tolist() == [1, 1, 1]
+    assert field.pow_val(zeros, q).tolist() == [0, 0, 0]
+    for bad in (lambda: field.pow_val(0, -1), lambda: field.inv_val(0),
+                lambda: field.pow_val(np.array([1, 0]), -3),
+                lambda: field.inv_val(np.array([1, 0]))):
+        with pytest.raises(ZeroDivisionError):
+            bad()
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,11 +362,21 @@ def test_trace_maps_onto_prime_subfield():
     ],
 )
 def test_value_table_matches_direct_evaluation(q, i, builder, kwargs):
+    # sum over s of alpha_s * x^(q^s), with table-free products and powers
+    # by repeated products
     field = field_of_order(q**i)
+    products = _convolution_products(field)
     poly = builder(field, q, **kwargs)
+    expected = []
+    for x in range(field.q):
+        total = 0
+        for s, alpha in enumerate(poly.alphas):
+            power = functools.reduce(lambda acc, _: products[acc, x], range(q**s), 1)
+            total = field.add_val(total, int(products[alpha, power]))
+        expected.append(total)
     table = poly.value_table()
-    for v in range(field.q):
-        assert table[v] == poly.evaluate(v)
+    assert table.dtype == np.int32 and table.tolist() == expected
+    assert [poly.evaluate(x) for x in range(field.q)] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,6 +408,21 @@ def test_associate_matrix_ranks():
 
     _, rank, kernel = associate_matrix(linearized_monomial(gf16, 2))
     assert (rank, kernel) == (4, 1)  # a bijection
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_associate_matrix_entries_are_conjugates(data):
+    q, i = data.draw(st.sampled_from([(2, 4), (3, 2), (4, 3), (2, 3)]), label="q, i")
+    field = field_of_order(q**i)
+    products = _convolution_products(field)
+    alphas = [data.draw(st.integers(0, field.q - 1), label=f"alpha{s}") for s in range(i)]
+    matrix, _, _ = associate_matrix(LinearizedPolynomial.of(field, q, alphas))
+    for j, col in itertools.product(range(i), repeat=2):
+        # alphas[(j - col) mod i] ** (q ** col) by repeated table-free products
+        alpha = alphas[(j - col) % i]
+        power = functools.reduce(lambda acc, _: products[acc, alpha], range(q**col), 1)
+        assert matrix[j][col] == power
 
 
 def test_kernel_size_counts_zero_preimages():
