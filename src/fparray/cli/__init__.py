@@ -53,9 +53,9 @@ from ..gf import (
     linearized_trace,
 )
 from .formats import (
-    FormatError,
     parse_design,
     parse_fpa,
+    parse_generator,
     parse_hadamard,
     parse_oa,
     parse_squares,
@@ -76,13 +76,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.lap = _lap_timer(args)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WorkLimitExceeded as exc:  # a RuntimeError, but the input's fault
         print(f"error: work limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, RecursionError, MemoryError) as exc:
@@ -106,44 +103,42 @@ def _lap_timer(args):
 
 
 # ---------------------------------------------------------------------------
-# shared output helpers
+# shared input and output
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _finish(text: str, summary: str, args) -> int:
+    """Write text to -o (summary to stdout) or to stdout (summary to stderr)."""
+    if args.out is None:
         sys.stdout.write(text)
+        print(summary, file=sys.stderr)
     else:
-        Path(out).write_text(text)
-
-
-def _summary(line: str, to_file: bool) -> None:
-    print(line, file=sys.stdout if to_file else sys.stderr)
-
-
-def _check_one_based(args) -> None:
-    if getattr(args, "one_based", False) and args.out is not None:
-        raise ValueError("--one-based is a display flag; it cannot be combined with -o")
+        Path(args.out).write_text(text)
+        print(summary)
+    args.lap("write")
+    return 0
 
 
 def _finish_array(array: FrequencyPermutationArray, args) -> int:
     """Verify, write, and summarize a finished array; the caller's result."""
     args.lap("build")
-    _check_one_based(args)
+    offset = 1 if getattr(args, "one_based", False) else 0
+    if offset and args.out is not None:
+        raise ValueError("--one-based is a display flag; it cannot be combined with -o")
     report = verify(array)
     args.lap("verify")
     if not report.valid:
         for reason in report.reasons:
             print(f"verification failed: {reason}", file=sys.stderr)
         return 1
-    offset = 1 if getattr(args, "one_based", False) else 0
-    _emit(write_fpa(array, offset=offset), args.out)
-    _summary(array.summary(), to_file=args.out is not None)
-    args.lap("write")
-    return 0
+    return _finish(write_fpa(array, offset=offset), array.summary(), args)
 
 
-def _load_fpa(path: str) -> FrequencyPermutationArray:
-    return parse_fpa(Path(path).read_text())
+def _one_source(args, *names: str) -> str:
+    """The one option among names that was given."""
+    given = [name for name in names if getattr(args, name) is not None]
+    if len(given) != 1:
+        raise ValueError("give exactly one of " + ", ".join(f"--{name}" for name in names))
+    return given[0]
 
 
 def _bool(flag: bool) -> str:
@@ -156,14 +151,9 @@ def _bool(flag: bool) -> str:
 
 def _finish_squares(squares, args) -> int:
     args.lap("build")
-    _emit(write_squares(squares), args.out)
-    first = squares[0]
-    _summary(
-        f"FSQ(n={first.n}, m={first.m}, lambda={first.lam}, count={len(squares)})",
-        to_file=args.out is not None,
-    )
-    args.lap("write")
-    return 0
+    text = write_squares(squares)  # refuses an empty list
+    n, m, lam = squares[0].n, squares[0].m, squares[0].lam
+    return _finish(text, f"FSQ(n={n}, m={m}, lambda={lam}, count={len(squares)})", args)
 
 
 def _cmd_construct_mols(args) -> int:
@@ -193,51 +183,38 @@ def _cmd_construct_linearized(args) -> int:
     return _finish_array(fpa_from_linearized(poly, args.d), args)
 
 
-def _cmd_construct_oa(args) -> int:
-    sources = [s for s in (args.q, args.oa, args.squares) if s is not None]
-    if len(sources) != 1:
-        raise ValueError("give exactly one of --q, --oa, --squares")
-    if args.oa is not None:
-        oa = parse_oa(Path(args.oa).read_text())
-    else:
-        squares = (
-            mols_from_field(args.q)
-            if args.q is not None
-            else parse_squares(Path(args.squares).read_text())
-        )
-        oa = oa_from_mols(squares)
+def _finish_ingredient(ingredient, write, to_fpa, args) -> int:
+    """Write the ingredient to --ingredient-out if given, then its array."""
     if args.ingredient_out is not None:
-        Path(args.ingredient_out).write_text(write_oa(oa))
-    return _finish_array(fpa_from_oa(oa), args)
+        Path(args.ingredient_out).write_text(write(ingredient))
+    return _finish_array(to_fpa(ingredient), args)
+
+
+def _cmd_construct_oa(args) -> int:
+    source = _one_source(args, "q", "oa", "squares")
+    if source == "oa":
+        oa = parse_oa(Path(args.oa).read_text())
+    elif source == "q":
+        oa = oa_from_mols(mols_from_field(args.q))
+    else:
+        oa = oa_from_mols(parse_squares(Path(args.squares).read_text()))
+    return _finish_ingredient(oa, write_oa, fpa_from_oa, args)
 
 
 def _cmd_construct_ard(args) -> int:
-    sources = [s for s in (args.q, args.design) if s is not None]
-    if len(sources) != 1:
-        raise ValueError("give exactly one of --q, --design")
-    if args.design is not None:
+    if _one_source(args, "q", "design") == "design":
         design = parse_design(Path(args.design).read_text())
     else:
         design = affine_classes_from_mols(mols_from_field(args.q))
-    if args.ingredient_out is not None:
-        Path(args.ingredient_out).write_text(write_design(design))
-    return _finish_array(fpa_from_ard(design), args)
+    return _finish_ingredient(design, write_design, fpa_from_ard, args)
 
 
 def _cmd_construct_mds(args) -> int:
-    if (args.gen is None) == (args.k is None):
-        raise ValueError("give exactly one of --gen, --k")
-    if args.gen is not None:
+    if _one_source(args, "gen", "k") == "gen":
         field = field_of_order(args.q)
-        rows = []
-        for ln in Path(args.gen).read_text().splitlines():
-            stripped = ln.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            rows.append([int(tok) for tok in stripped.split()])
-        if not rows:
+        generator = parse_generator(Path(args.gen).read_text())
+        if not generator:
             raise ValueError(f"no generator rows found in {args.gen}")
-        generator = rows
     else:
         length = args.n if args.n is not None else args.q
         field, generator = reed_solomon_generator(args.q, args.k, length)
@@ -249,10 +226,7 @@ def _cmd_construct_hadamard(args) -> int:
     if args.to_fpa:
         return _finish_array(fpa_from_hadamard(matrix), args)
     args.lap("build")
-    _emit(write_hadamard(matrix), args.out)
-    _summary(f"HAD(n={matrix.n})", to_file=args.out is not None)
-    args.lap("write")
-    return 0
+    return _finish(write_hadamard(matrix), f"HAD(n={matrix.n})", args)
 
 
 def _cmd_construct_steiner(args) -> int:
@@ -270,7 +244,9 @@ _TRANSFORMS = {
     "expand-to-pa": (1, None, lambda ins, args: expand_to_pa(ins[0])),
     "refine": (1, "l", lambda ins, args: refine(ins[0], args.l)),
     "reduce-mod": (1, "r", lambda ins, args: reduce_mod(ins[0], args.r)),
-    "compose": (None, "c", lambda ins, args: compose_columns(ins, _load_fpa(args.c))),
+    "compose": (
+        None, "c", lambda ins, args: compose_columns(ins, parse_fpa(Path(args.c).read_text()))
+    ),
     "product": (2, None, lambda ins, args: direct_product(*ins)),
     "sep-product": (
         None,
@@ -282,7 +258,7 @@ _TRANSFORMS = {
 
 def _cmd_transform(args) -> int:
     count, option, build = _TRANSFORMS[args.op]
-    inputs = [_load_fpa(p) for p in args.inputs]
+    inputs = [parse_fpa(Path(p).read_text()) for p in args.inputs]
     if count is not None and len(inputs) != count:
         raise ValueError(f"{args.op} takes exactly {count} input file(s), got {len(inputs)}")
     if option is not None and getattr(args, option) is None:
@@ -295,7 +271,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    array = _load_fpa(args.file)
+    array = parse_fpa(Path(args.file).read_text())
     args.lap("parse")
     report = verify(array)
     args.lap("verify")
@@ -381,20 +357,10 @@ def _cmd_search(args) -> int:
     args.lap("search")
     status = "proven" if result.proven else "search incomplete"
     print(f"M(n={args.n}, lambda={args.lam}, d={args.d}) = {result.value} ({status})")
-    if args.out is not None:
-        witness = FrequencyPermutationArray.from_rows(
-            result.rows, args.n // args.lam, args.lam, args.d
-        )
-        report = verify(witness)
-        args.lap("verify")
-        if not report.valid:
-            for reason in report.reasons:
-                print(f"verification failed: {reason}", file=sys.stderr)
-            return 1
-        Path(args.out).write_text(write_fpa(witness))
-        print(witness.summary())
-        args.lap("write")
-    return 0
+    if args.out is None:
+        return 0
+    witness = FrequencyPermutationArray.from_rows(result.rows, args.n // args.lam, args.lam, args.d)
+    return _finish_array(witness, args)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ then `size` rows of `n` space-separated 0-based integers.
 
 Ingredient files: line 1 `#ing v1 <fsq|oa|ard|had>`; a kind-specific
 key=value header line; then the grid body.  Blank lines separate grids
-(fsq) or block classes (ard); `#` lines after the first are comments.
+(fsq) or block classes (ard).  MDS generator files have neither magic
+nor header: each data line is one row of integers.
 
-Writers emit the canonical byte-exact form; parsers accept extra blank
-and comment lines but reject unknown keys, shape mismatches, and rows
-that are not uniform-frequency words.
+A data line is neither blank nor a `#` comment.  One reader checks the
+magic line and kind tag, parses the first data line after them as the
+header and returns the lines that follow; one writer emits the canonical
+byte-exact form (magic line, header, body, closing newline).  Parsers
+accept extra blank and comment lines but reject unknown keys, shape
+mismatches, and rows that are not uniform-frequency words, with a
+`FormatError`.
 """
 
 from __future__ import annotations
@@ -28,35 +33,24 @@ ARRAY_MAGIC = "#fpa v1"
 INGREDIENT_MAGIC = "#ing v1"
 INGREDIENT_KINDS = ("fsq", "oa", "ard", "had")
 
+# kind tag -> what errors call its header line; the tag "" is an array file
+_HEADER_NAMES = {
+    "": "array", "fsq": "square", "oa": "orthogonal-array", "ard": "design", "had": "Hadamard"
+}
+
 
 class FormatError(ValueError):
     """Raised when a file does not conform to its declared format."""
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the reader and the writer
 
 
-def _lines(text: str) -> list[str]:
-    return [ln.rstrip() for ln in text.splitlines()]
-
-
-def _split_magic(text: str, expected_magic: str) -> tuple[str, list[str]]:
-    """Return (magic line, remaining lines); the magic must come first."""
-    lines = _lines(text)
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
-        raise FormatError("empty file")
-    magic = lines[0].strip()
-    if not magic.startswith(expected_magic):
-        raise FormatError(f"first line must start with {expected_magic!r}, got {magic!r}")
-    return magic, lines[1:]
-
-
-def _data_lines(lines: Iterable[str]) -> list[str]:
-    """Non-blank, non-comment lines, in order."""
-    return [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+def _is_data(line: str) -> bool:
+    """The blank/comment rule: a data line has text that does not start with #."""
+    text = line.lstrip()
+    return text != "" and text[0] != "#"
 
 
 def _groups(lines: Iterable[str]) -> list[list[str]]:
@@ -64,46 +58,65 @@ def _groups(lines: Iterable[str]) -> list[list[str]]:
     out: list[list[str]] = []
     current: list[str] = []
     for ln in lines:
-        if not ln.strip():
-            if current:
-                out.append(current)
-                current = []
-        elif not ln.lstrip().startswith("#"):
+        if _is_data(ln):
             current.append(ln)
+        elif current and not ln.strip():
+            out.append(current)
+            current = []
     if current:
         out.append(current)
     return out
 
 
-def _parse_header(
-    line: str, required: Sequence[str], optional: Sequence[str] = ()
-) -> dict[str, int]:
+def _read(
+    text: str, kind: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> tuple[dict[str, int], list[str]]:
+    """(header, the lines after it) of a file with this kind tag."""
+    magic = INGREDIENT_MAGIC if kind else ARRAY_MAGIC
+    lines = [ln.rstrip() for ln in text.splitlines()]
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
+        raise FormatError("empty file")
+    first = lines[start].strip()
+    if not first.startswith(magic):
+        raise FormatError(f"first line must start with {magic!r}, got {first!r}")
+    tag = first[len(magic) :].strip()
+    if tag != kind:
+        raise FormatError(
+            f"expected ingredient kind {kind!r}, file says {tag!r}" if kind
+            else f"unsupported array format tag {first!r}"
+        )
+    head = next((i for i in range(start + 1, len(lines)) if _is_data(lines[i])), None)
+    if head is None:
+        raise FormatError(f"missing {_HEADER_NAMES[kind]} header line")
     allowed = set(required) | set(optional)
-    values: dict[str, int] = {}
-    for token in line.split():
+    header: dict[str, int] = {}
+    for token in lines[head].split():
         key, eq, raw = token.partition("=")
         if not eq or not key or key not in allowed:
             raise FormatError(f"bad header token {token!r}")
-        if key in values:
+        if key in header:
             raise FormatError(f"duplicate header key {key!r}")
         try:
-            values[key] = int(raw)
+            header[key] = int(raw)
         except ValueError:
             raise FormatError(f"non-integer header value {token!r}") from None
-    missing = [k for k in required if k not in values]
+    missing = [k for k in required if k not in header]
     if missing:
         raise FormatError(f"header missing keys: {', '.join(missing)}")
-    return values
+    return header, lines[head + 1 :]
 
 
-def _groups_after_header(lines: list[str]) -> list[list[str]]:
-    """`_groups` of lines whose first data line is the header; the header is
-    dropped from the first group, and so is that group if nothing is left."""
-    groups = _groups(lines)
-    del groups[0][0]
-    if not groups[0]:
-        groups.pop(0)
-    return groups
+def _write(kind: str, header: dict[str, int | None], body: Sequence[str]) -> str:
+    """Magic line, header line (None values left out), body lines."""
+    magic = f"{INGREDIENT_MAGIC} {kind}" if kind else ARRAY_MAGIC
+    keys = " ".join(f"{key}={value}" for key, value in header.items() if value is not None)
+    return "\n".join([magic, keys, *body]) + "\n"
+
+
+def _count(header: dict[str, int], key: str, found: int, what: str) -> None:
+    if found != header[key]:
+        raise FormatError(f"header says {key}={header[key]}, found {found} {what}")
 
 
 def _int_row(line: str, width: int, what: str) -> tuple[int, ...]:
@@ -117,43 +130,42 @@ def _int_row(line: str, width: int, what: str) -> tuple[int, ...]:
     return row
 
 
+def _build(make, *fields, where: str = ""):
+    """make(*fields), an invalid ingredient's ValueError raised as a FormatError."""
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        raise FormatError(f"{where}{exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # array files
 
 
 def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     """Canonical text for an array; offset shifts printed symbols only."""
-    out = [
-        ARRAY_MAGIC,
-        f"n={array.n} lambda={array.lam} m={array.m} "
-        f"d={array.min_distance_claim} size={array.size}",
-    ]
     labels = [str(s + offset) for s in range(array.m)]
+    body = []
     for row in array.rows:
         try:
             if min(row, default=0) >= 0:  # a negative index would pick a label
-                out.append(" ".join([labels[s] for s in row]))
+                body.append(" ".join([labels[s] for s in row]))
                 continue
         except (IndexError, TypeError):
             pass
-        out.append(" ".join([str(s + offset) for s in row]))
-    return "\n".join(out) + "\n"
+        body.append(" ".join([str(s + offset) for s in row]))
+    header = {"n": array.n, "lambda": array.lam, "m": array.m,
+              "d": array.min_distance_claim, "size": array.size}
+    return _write("", header, body)
 
 
 def parse_fpa(text: str) -> FrequencyPermutationArray:
-    magic, rest = _split_magic(text, ARRAY_MAGIC)
-    if magic != ARRAY_MAGIC:
-        raise FormatError(f"unsupported array format tag {magic!r}")
-    data = _data_lines(rest)
-    if not data:
-        raise FormatError("missing array header line")
-    header = _parse_header(data[0], ("n", "lambda", "m", "d", "size"))
+    header, rest = _read(text, "", ("n", "lambda", "m", "d", "size"))
     n, lam, m = header["n"], header["lambda"], header["m"]
     if n < 1 or lam < 1 or m < 1 or m * lam != n:
         raise FormatError(f"inconsistent parameters n={n} lambda={lam} m={m}")
-    body = data[1:]
-    if len(body) != header["size"]:
-        raise FormatError(f"header says size={header['size']}, found {len(body)} rows")
+    body = list(filter(_is_data, rest))
+    _count(header, "size", len(body), "rows")
     rows: list[tuple[int, ...]] = []
     unreadable = None
     for idx, line in enumerate(body):
@@ -183,39 +195,27 @@ def write_squares(squares: Sequence[FrequencySquare]) -> str:
     for sq in squares[1:]:
         if (sq.n, sq.m, sq.lam) != (first.n, first.m, first.lam):
             raise FormatError("squares in one file must share n, m, lambda")
-    out = [
-        f"{INGREDIENT_MAGIC} fsq",
-        f"n={first.n} m={first.m} lambda={first.lam} count={len(squares)}",
-    ]
+    body = []
     for sq in squares:
-        out.append("")
-        for row in sq.cells:
-            out.append(" ".join(str(c) for c in row))
-    return "\n".join(out) + "\n"
+        body.append("")
+        body.extend(" ".join(str(c) for c in row) for row in sq.cells)
+    header = {"n": first.n, "m": first.m, "lambda": first.lam, "count": len(squares)}
+    return _write("fsq", header, body)
 
 
 def parse_squares(text: str) -> list[FrequencySquare]:
-    magic, rest = _split_magic(text, INGREDIENT_MAGIC)
-    _require_kind(magic, "fsq")
-    data = _data_lines(rest)
-    if not data:
-        raise FormatError("missing square header line")
-    header = _parse_header(data[0], ("n", "m", "lambda", "count"))
+    header, rest = _read(text, "fsq", ("n", "m", "lambda", "count"))
     n = header["n"]
-    grids = _groups_after_header(rest)
-    if len(grids) != header["count"]:
-        raise FormatError(f"header says count={header['count']}, found {len(grids)} grids")
+    grids = _groups(rest)
+    _count(header, "count", len(grids), "grids")
     squares = []
     for g_idx, grid in enumerate(grids):
         if len(grid) != n:
             raise FormatError(f"grid {g_idx}: expected {n} lines, got {len(grid)}")
         cells = tuple(_int_row(ln, n, f"grid {g_idx}") for ln in grid)
-        try:
-            squares.append(
-                FrequencySquare(n, header["m"], header["lambda"], cells)
-            )
-        except ValueError as exc:
-            raise FormatError(f"grid {g_idx}: {exc}") from None
+        squares.append(_build(
+            FrequencySquare, n, header["m"], header["lambda"], cells, where=f"grid {g_idx}: "
+        ))
     return squares
 
 
@@ -224,30 +224,16 @@ def parse_squares(text: str) -> list[FrequencySquare]:
 
 
 def write_oa(oa: OrthogonalArray) -> str:
-    out = [
-        f"{INGREDIENT_MAGIC} oa",
-        f"v={oa.v} r={oa.r} s={oa.s} t={oa.t}",
-    ]
-    for row in oa.rows:
-        out.append(" ".join(str(c) for c in row))
-    return "\n".join(out) + "\n"
+    body = [" ".join(str(c) for c in row) for row in oa.rows]
+    return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": oa.t}, body)
 
 
 def parse_oa(text: str) -> OrthogonalArray:
-    magic, rest = _split_magic(text, INGREDIENT_MAGIC)
-    _require_kind(magic, "oa")
-    data = _data_lines(rest)
-    if not data:
-        raise FormatError("missing orthogonal-array header line")
-    header = _parse_header(data[0], ("v", "r", "s", "t"))
-    body = data[1:]
-    if len(body) != header["r"]:
-        raise FormatError(f"header says r={header['r']}, found {len(body)} rows")
+    header, rest = _read(text, "oa", ("v", "r", "s", "t"))
+    body = list(filter(_is_data, rest))
+    _count(header, "r", len(body), "rows")
     rows = tuple(_int_row(ln, header["v"], f"row {i}") for i, ln in enumerate(body))
-    try:
-        return OrthogonalArray(header["v"], header["r"], header["s"], header["t"], rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _build(OrthogonalArray, header["v"], header["r"], header["s"], header["t"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +241,24 @@ def parse_oa(text: str) -> OrthogonalArray:
 
 
 def write_design(design: ResolvableDesign) -> str:
-    header = f"v={design.v} k={design.k} classes={len(design.classes)}"
-    if design.lambda_d is not None:
-        header += f" lambda_d={design.lambda_d}"
-    out = [f"{INGREDIENT_MAGIC} ard", header]
+    body = []
     for cls in design.classes:
-        out.append("")
-        for block in cls:
-            out.append(" ".join(str(p) for p in block))
-    return "\n".join(out) + "\n"
+        body.append("")
+        body.extend(" ".join(str(p) for p in block) for block in cls)
+    header = {"v": design.v, "k": design.k, "classes": len(design.classes),
+              "lambda_d": design.lambda_d}
+    return _write("ard", header, body)
 
 
 def parse_design(text: str) -> ResolvableDesign:
-    magic, rest = _split_magic(text, INGREDIENT_MAGIC)
-    _require_kind(magic, "ard")
-    data = _data_lines(rest)
-    if not data:
-        raise FormatError("missing design header line")
-    header = _parse_header(data[0], ("v", "k", "classes"), optional=("lambda_d",))
-    groups = _groups_after_header(rest)
-    if len(groups) != header["classes"]:
-        raise FormatError(
-            f"header says classes={header['classes']}, found {len(groups)} classes"
-        )
-    classes = []
-    for c_idx, lines in enumerate(groups):
-        blocks = []
-        for ln in lines:
-            blocks.append(_int_row(ln, header["k"], f"class {c_idx} block"))
-        classes.append(tuple(blocks))
-    try:
-        return ResolvableDesign(
-            header["v"], header["k"], tuple(classes), header.get("lambda_d")
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    header, rest = _read(text, "ard", ("v", "k", "classes"), optional=("lambda_d",))
+    groups = _groups(rest)
+    _count(header, "classes", len(groups), "classes")
+    classes = tuple(
+        tuple(_int_row(ln, header["k"], f"class {c_idx} block") for ln in lines)
+        for c_idx, lines in enumerate(groups)
+    )
+    return _build(ResolvableDesign, header["v"], header["k"], classes, header.get("lambda_d"))
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +266,31 @@ def parse_design(text: str) -> ResolvableDesign:
 
 
 def write_hadamard(matrix: HadamardMatrix) -> str:
-    out = [f"{INGREDIENT_MAGIC} had", f"n={matrix.n}"]
-    for row in matrix.rows:
-        out.append("".join("+" if c == 1 else "-" for c in row))
-    return "\n".join(out) + "\n"
+    body = ["".join("+" if c == 1 else "-" for c in row) for row in matrix.rows]
+    return _write("had", {"n": matrix.n}, body)
 
 
 def parse_hadamard(text: str) -> HadamardMatrix:
-    magic, rest = _split_magic(text, INGREDIENT_MAGIC)
-    _require_kind(magic, "had")
-    data = _data_lines(rest)
-    if not data:
-        raise FormatError("missing Hadamard header line")
-    header = _parse_header(data[0], ("n",))
+    header, rest = _read(text, "had", ("n",))
     n = header["n"]
-    body = data[1:]
-    if len(body) != n:
-        raise FormatError(f"header says n={n}, found {len(body)} rows")
+    body = list(filter(_is_data, rest))
+    _count(header, "n", len(body), "rows")
     rows = []
     for idx, ln in enumerate(body):
         signs = ln.strip()
         if len(signs) != n or any(c not in "+-" for c in signs):
             raise FormatError(f"row {idx} must be {n} characters of + or -")
         rows.append(tuple(1 if c == "+" else -1 for c in signs))
+    return _build(HadamardMatrix, n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# MDS generator files
+
+
+def parse_generator(text: str) -> list[list[int]]:
+    """The rows of a generator-matrix file: one per data line, as integers."""
     try:
-        return HadamardMatrix(n, tuple(rows))
+        return [[int(tok) for tok in ln.split()] for ln in filter(_is_data, text.splitlines())]
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def _require_kind(magic: str, kind: str) -> None:
-    tag = magic[len(INGREDIENT_MAGIC) :].strip()
-    if tag != kind:
-        raise FormatError(f"expected ingredient kind {kind!r}, file says {tag!r}")

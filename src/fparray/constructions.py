@@ -33,9 +33,9 @@ from .gf import (
     _CHUNK_CELLS,
     FiniteField,
     LinearizedPolynomial,
+    _associate_matrix,
     _check_range,
     _prime_power,
-    associate_matrix,
     census_permutation_polynomials,
     evaluate_whole_field,
     field_of_order,
@@ -217,9 +217,9 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     q, i = L.q, L.i
     if not 0 < d < q ** (i - l):
         raise ValueError(f"need 0 < d < {q ** (i - l)} for this map, got {d}")
-    _, rank, kernel_size = associate_matrix(L)
-    census = census_permutation_polynomials(field, d)
     table = L.value_table()
+    _, rank, kernel_size = _associate_matrix(L, table)
+    census = census_permutation_polynomials(field, d)
     order = field.q
     # one chunk of witnesses at a time: images, then their first-seen rows
     raw_rows: list[np.ndarray] = []
@@ -308,14 +308,9 @@ class OrthogonalArray:
 def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
     n = _latin_order(squares)
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    rows = [
-        tuple(r for r, _ in cells),
-        tuple(c for _, c in cells),
-    ]
-    for sq in squares:
-        rows.append(tuple(sq.cells[r][c] for r, c in cells))
-    return OrthogonalArray(n * n, len(squares) + 2, n, 2, tuple(rows))
+    cells = np.arange(n * n)
+    rows = itertools.chain([cells // n, cells % n], map(_flat_cells, squares))
+    return OrthogonalArray(n * n, len(squares) + 2, n, 2, tuple(tuple(r.tolist()) for r in rows))
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
@@ -348,22 +343,28 @@ class ResolvableDesign:
         if self.k < 1 or self.v % self.k:
             raise ValueError(f"block size {self.k} must divide {self.v}")
         per_class = self.v // self.k
+        # rows[i, p] = index of point p's block in class i
+        rows = np.zeros((len(self.classes), self.v), dtype=np.int64)
+        labels = np.repeat(np.arange(per_class), self.k)
         for idx, cls in enumerate(self.classes):
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
-            seen: set[int] = set()
-            for block in cls:
-                if len(block) != self.k or not all(0 <= x < self.v for x in block):
-                    raise ValueError(f"class {idx} has a malformed block")
-                seen.update(block)
-            if len(seen) != self.v:
+            if any(len(block) != self.k for block in cls):
+                raise ValueError(f"class {idx} has a malformed block")
+            # points outside 0..v-1 get labels from v up
+            points = _label_matrix(cls, self.v).reshape(1, self.v)
+            if points.max() >= self.v:
+                raise ValueError(f"class {idx} has a malformed block")
+            if not _composed(points, self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")
+            rows[idx, points[0]] = labels
+        object.__setattr__(self, "_block_index", rows)
         if self.lambda_d is not None:
             # points x, y share a block in every class where columns x, y of
             # the class rows agree.  Distances alone would accept lambda_d = 0
             # when k = 1, so a covering count outside 1..classes is rejected
             # outright; that also keeps `apart` in range of the unsigned counts.
-            cols = np.ascontiguousarray(_class_rows(self.v, self.classes).T)
+            cols = np.ascontiguousarray(rows.T)
             apart = len(self.classes) - self.lambda_d
             if self.v >= 2 and (not 0 <= apart < len(self.classes) or any(
                 (cells != apart).any()
@@ -376,17 +377,8 @@ class ResolvableDesign:
         """k^2/v integral and non-parallel blocks always meet in k^2/v points."""
         if (self.k * self.k) % self.v:
             return False
-        rows = _class_rows(self.v, self.classes)
-        return _unbalanced_pair(rows, self.v // self.k, self.k * self.k // self.v) is None
-
-
-def _class_rows(v: int, classes: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
-    """R[i, p] = index of point p's block in class i (classes partition 0..v-1)."""
-    rows = np.zeros((len(classes), v), dtype=np.int64)
-    for i, cls in enumerate(classes):
-        for b_idx, block in enumerate(cls):
-            rows[i, list(block)] = b_idx
-    return rows
+        lam = self.k * self.k // self.v
+        return _unbalanced_pair(self._block_index, self.v // self.k, lam) is None
 
 
 def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDesign:
@@ -409,7 +401,7 @@ def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
     """
     if not design.is_affine():
         raise ValueError("design is not affine; the v - k distance claim needs k^2/v-point intersections")
-    rows = _class_rows(design.v, design.classes).tolist()
+    rows = design._block_index.tolist()
     m = design.v // design.k
     return FrequencyPermutationArray.from_rows(
         rows, m, design.k, design.v - design.k

@@ -526,3 +526,170 @@ def test_parsers_reject_mismatched_kinds():
         parse_squares(oa_text)
     with pytest.raises(FormatError):
         parse_fpa(oa_text)
+
+
+# ---------------------------------------------------------------------------
+# one reader, one writer, one output path
+
+
+@pytest.mark.parametrize(
+    "first, error",
+    [
+        ("#fpa v1", None),
+        ("  #fpa v1\t", None),
+        ("#fpa v1x", "unsupported array format tag '#fpa v1x'"),
+        ("#fpa v1 x", "unsupported array format tag '#fpa v1 x'"),
+        ("#fpa v2", "first line must start with '#fpa v1', got '#fpa v2'"),
+        ("#ing v1 oa", "first line must start with '#fpa v1', got '#ing v1 oa'"),
+    ],
+)
+def test_array_magic_line_verdicts(first, error):
+    text = write_fpa(fpa_steiner_848()).replace("#fpa v1", first, 1)
+    if error is None:
+        assert parse_fpa(text).rows == fpa_steiner_848().rows
+    else:
+        with pytest.raises(FormatError) as info:
+            parse_fpa(text)
+        assert str(info.value) == error
+
+
+@pytest.mark.parametrize(
+    "first, error",
+    [
+        ("#ing v1 oa", None),
+        ("#ing v1oa", None),
+        ("#ing v1   oa", None),
+        ("#ing v1 fsq", "expected ingredient kind 'oa', file says 'fsq'"),
+        ("#ing v1", "expected ingredient kind 'oa', file says ''"),
+        ("#ing v1 oa x", "expected ingredient kind 'oa', file says 'oa x'"),
+        ("#ing v2 oa", "first line must start with '#ing v1', got '#ing v2 oa'"),
+        ("#fpa v1", "first line must start with '#ing v1', got '#fpa v1'"),
+    ],
+)
+def test_ingredient_magic_line_verdicts(first, error):
+    oa = oa_from_mols(mols_from_field(3))
+    text = write_oa(oa).replace("#ing v1 oa", first, 1)
+    if error is None:
+        assert parse_oa(text) == oa
+    else:
+        with pytest.raises(FormatError) as info:
+            parse_oa(text)
+        assert str(info.value) == error
+
+
+_KIND_FILES = {
+    "fpa": lambda: write_fpa(fpa_steiner_848()),
+    "fsq": lambda: write_squares(mols_from_field(3)),
+    "oa": lambda: write_oa(oa_from_mols(mols_from_field(3))),
+    "ard": lambda: write_design(affine_classes_from_mols(mols_from_field(3))),
+    "had": lambda: write_hadamard(hadamard_matrix(4)),
+}
+_KIND_PARSERS = {
+    "fpa": (parse_fpa, "array"),
+    "fsq": (parse_squares, "square"),
+    "oa": (parse_oa, "orthogonal-array"),
+    "ard": (parse_design, "design"),
+    "had": (parse_hadamard, "Hadamard"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KIND_PARSERS))
+@pytest.mark.parametrize("other", list(_KIND_FILES))
+def test_each_parser_refuses_other_kinds(kind, other):
+    parse, _ = _KIND_PARSERS[kind]
+    text = _KIND_FILES[other]()
+    if kind == other:
+        parse(text)
+        return
+    if kind == "fpa":
+        message = f"first line must start with '#fpa v1', got '#ing v1 {other}'"
+    elif other == "fpa":
+        message = "first line must start with '#ing v1', got '#fpa v1'"
+    else:
+        message = f"expected ingredient kind '{kind}', file says '{other}'"
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", list(_KIND_PARSERS))
+def test_each_parser_names_its_missing_header(kind):
+    parse, name = _KIND_PARSERS[kind]
+    first = _KIND_FILES[kind]().splitlines()[0]
+    for text in ("", "\n \n", f"{first}\n", f"\n{first}\n\n# a comment\n  \n"):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        expected = f"missing {name} header line" if text.strip() else "empty file"
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "oa"], "--q, --oa, --squares"),
+        (["construct", "oa", "--q", "3", "--oa", "x"], "--q, --oa, --squares"),
+        (["construct", "oa", "--oa", "x", "--squares", "y"], "--q, --oa, --squares"),
+        (["construct", "ard"], "--q, --design"),
+        (["construct", "ard", "--q", "3", "--design", "x"], "--q, --design"),
+        (["construct", "mds", "--q", "3"], "--gen, --k"),
+    ],
+)
+def test_exactly_one_source(tmp_path, capsys, argv, message):
+    out = tmp_path / "a.fpa"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: give exactly one of {message}\n")
+    assert not out.exists()
+
+
+def test_generator_file_rules(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing here\n\n   \n  # indented comment\n")
+    assert main(["construct", "mds", "--q", "3", "--gen", str(empty)]) == 2
+    assert capsys.readouterr() == ("", f"error: no generator rows found in {empty}\n")
+
+    gen = tmp_path / "g.txt"
+    gen.write_text("# generator rows\n\n1 0 1 2\n  # between the rows\n0 1 1 1\n\n")
+    mds, oa = tmp_path / "mds.fpa", tmp_path / "oa.fpa"
+    assert main(["construct", "mds", "--q", "3", "--gen", str(gen), "-o", str(mds)]) == 0
+    assert main(["construct", "oa", "--q", "3", "-o", str(oa)]) == 0
+    assert mds.read_text() == oa.read_text()
+
+    gen.write_text("1 0 1 2\n0 1 x 1\n")
+    assert main(["construct", "mds", "--q", "3", "--gen", str(gen)]) == 2
+    assert capsys.readouterr().err.endswith("error: invalid literal for int() with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["construct", "steiner-848"], "FPA(n=8, m=2, lambda=4, d=4, size=14)"),
+        (["transform", "pad", "IN"], "FPA(n=12, m=3, lambda=4, d=4, size=14)"),
+        (["construct", "mols", "--q", "3"], "FSQ(n=3, m=3, lambda=1, count=2)"),
+        (["construct", "mofs", "--q", "2", "--i", "2"], "FSQ(n=4, m=2, lambda=2, count=9)"),
+        (["construct", "hadamard", "--order", "4"], "HAD(n=4)"),
+        (
+            ["search", "--n", "4", "--lambda", "1", "--d", "3"],
+            "FPA(n=4, m=4, lambda=1, d=3, size=12)",
+        ),
+    ],
+)
+def test_output_routing(tmp_path, capsys, argv, summary):
+    # with -o: text to the file, summary to stdout; without: text to stdout,
+    # summary to stderr (a search without -o writes no witness at all)
+    source = tmp_path / "in.fpa"
+    source.write_text(write_fpa(fpa_steiner_848()))
+    argv = [str(source) if a == "IN" else a for a in argv]
+    out = tmp_path / "out.txt"
+    assert main(argv + ["-o", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert to_file.err == ""
+    assert to_file.out.endswith(summary + "\n")
+    text = out.read_text()
+    assert text.startswith("#fpa v1\n" if summary.startswith("FPA") else "#ing v1 ")
+    assert main(argv) == 0
+    to_stdout = capsys.readouterr()
+    if argv[0] == "search":
+        assert (to_stdout.out + summary + "\n", to_stdout.err) == (to_file.out, "")
+        assert verify(parse_fpa(text)).valid
+    else:
+        assert (to_stdout.out, to_stdout.err) == (text, summary + "\n")

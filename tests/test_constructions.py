@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fparray import constructions, core
 from fparray.cli import main
+from fparray.gf import LinearizedPolynomial
 from fparray import (
     FrequencySquare,
     HadamardMatrix,
@@ -224,6 +225,20 @@ def test_orthogonal_array_validation():
         OrthogonalArray(9, 4, 3, 2, broken[:3] + ((3,) + rows[3][1:],))
 
 
+def test_oa_rows_match_a_per_cell_oracle():
+    for q in (3, 4, 5):
+        squares = mols_from_field(q)
+        cells = [(r, c) for r in range(q) for c in range(q)]
+        expected = (
+            tuple(r for r, _ in cells),
+            tuple(c for _, c in cells),
+            *(tuple(sq.cells[r][c] for r, c in cells) for sq in squares),
+        )
+        oa = oa_from_mols(squares)
+        assert oa.rows == expected
+        assert all(type(x) is int for row in oa.rows for x in row)
+
+
 def test_affine_design_route():
     design = affine_classes_from_mols(mols_from_field(3))
     assert (design.v, design.k, len(design.classes)) == (9, 3, 4)
@@ -420,6 +435,27 @@ def test_linearized_rows_match_a_pointwise_oracle(q, i, kind, d, monkeypatch):
     assert constructions.fpa_from_linearized(L, d).rows == tuple(expected)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fpa_from_trace(field_of_order(81), 3, 1, 1),
+        lambda: fpa_from_subfield_kernel(field_of_order(16), 2, 2, 2),
+        lambda: fpa_from_monomial(field_of_order(8), 2, 1),
+    ],
+)
+def test_linearized_construction_builds_one_value_table(monkeypatch, build):
+    calls = []
+    table = LinearizedPolynomial.value_table
+
+    def counted(self):
+        calls.append(self)
+        return table(self)
+
+    monkeypatch.setattr(LinearizedPolynomial, "value_table", counted)
+    assert verify(build()).valid
+    assert len(calls) == 1
+
+
 def test_additive_map_degree_bound_is_enforced():
     field = field_of_order(9)
     with pytest.raises(ValueError):
@@ -497,3 +533,73 @@ def test_block_listing_on_eight_columns():
     assert fpa.rows[0] == ROTATION_8_FIRST
     report = verify(fpa)
     assert report.valid and report.actual_min_distance == 4
+
+
+def _random_classes(data, v, k, count):
+    shuffles = data.draw(st.lists(st.permutations(range(v)), min_size=count, max_size=count))
+    return [[list(order[b : b + k]) for b in range(0, v, k)] for order in shuffles]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_design_block_index_matches_a_per_point_oracle(data):
+    v, k = data.draw(
+        st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2), (6, 2), (6, 3), (9, 3), (12, 4)])
+    )
+    classes = _random_classes(data, v, k, data.draw(st.integers(0, 5)))
+    design = ResolvableDesign(v, k, tuple(tuple(map(tuple, cls)) for cls in classes))
+    expected = [[None] * v for _ in classes]
+    for i, cls in enumerate(classes):
+        for b, block in enumerate(cls):
+            for p in block:
+                expected[i][p] = b
+    assert design._block_index.tolist() == expected
+    if design.is_affine():
+        assert [list(row) for row in fpa_from_ard(design).rows] == expected
+
+
+def _first_class_error(v, k, classes):
+    """The per-point check the class validation replaces, class by class."""
+    for idx, cls in enumerate(classes):
+        if len(cls) != v // k:
+            return f"class {idx} has {len(cls)} blocks, expected {v // k}"
+        seen = set()
+        for block in cls:
+            if len(block) != k or not all(0 <= x < v for x in block):
+                return f"class {idx} has a malformed block"
+            seen.update(block)
+        if len(seen) != v:
+            return f"class {idx} does not partition the points"
+    return None
+
+
+_CLASS_DAMAGE = {
+    "none": lambda cls, v, b, j: None,
+    "drop block": lambda cls, v, b, j: cls.pop(b),
+    "extra block": lambda cls, v, b, j: cls.append(list(cls[b])),
+    "short block": lambda cls, v, b, j: cls[b].pop(j),
+    "long block": lambda cls, v, b, j: cls[b].append(cls[b][j]),
+    "negative point": lambda cls, v, b, j: cls[b].__setitem__(j, -1),
+    "point v": lambda cls, v, b, j: cls[b].__setitem__(j, v),
+    "huge point": lambda cls, v, b, j: cls[b].__setitem__(j, 2**70),
+    "repeated point": lambda cls, v, b, j: cls[b].__setitem__(j, cls[b - 1][0]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_design_names_the_first_failing_class(data):
+    v, k = data.draw(st.sampled_from([(1, 1), (2, 1), (4, 2), (6, 2), (6, 3), (9, 3)]))
+    classes = _random_classes(data, v, k, data.draw(st.integers(1, 4)))
+    for cls in classes:
+        damage = data.draw(st.sampled_from(sorted(_CLASS_DAMAGE)))
+        b = data.draw(st.integers(0, len(cls) - 1))
+        _CLASS_DAMAGE[damage](cls, v, b, data.draw(st.integers(0, k - 1)))
+    frozen = tuple(tuple(map(tuple, cls)) for cls in classes)
+    expected = _first_class_error(v, k, frozen)
+    if expected is None:
+        ResolvableDesign(v, k, frozen)
+    else:
+        with pytest.raises(ValueError) as info:
+            ResolvableDesign(v, k, frozen)
+        assert str(info.value) == expected
