@@ -7,6 +7,11 @@ goes to `-o/--out` or standard output; the one-line parameter summary goes
 to standard output when a file is written, to standard error otherwise,
 so piped output stays machine-readable.  The `fparray` logger reports the
 seconds of each stage at debug level and is silent by default.
+
+Each command and each `construct` method answers `-h`.  A call builds
+only the parsers it needs: the command names, then the options of the
+command (and method) it names, so adding a command does not slow the
+others.  No parser outlives its call.
 """
 
 from __future__ import annotations
@@ -71,7 +76,11 @@ _log = logging.getLogger("fparray")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = argparse.ArgumentParser(
+        prog="fparray",
+        description="Construct, transform, verify, and bound frequency permutation arrays.",
+    )
+    _add_subcommands(parser, "command", _COMMANDS)
     args = parser.parse_args(argv)
     args.lap = _lap_timer(args)
     try:
@@ -367,6 +376,31 @@ def _cmd_search(args) -> int:
 # parser
 
 
+class _Subparser:
+    """A command's parser as argparse holds it until the command is parsed.
+
+    `add_parser` stores one of these under each name without building a
+    parser.  argparse calls `parse_known_args` only on the one whose name
+    is on the command line; that call builds the parser, lets `build` add
+    its arguments, and parses, printing `-h` and usage errors from inside.
+    """
+
+    def __init__(self, *, build, **kwargs):
+        self._build, self._kwargs = build, kwargs
+
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._build(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str, table) -> None:
+    """One subparser per (name, help, builder) in table, built when parsed."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Subparser)
+    for name, help, build in table:
+        sub.add_parser(name, help=help, build=build)
+
+
 def _add_out(p: argparse.ArgumentParser, with_one_based: bool = True) -> None:
     p.add_argument("-o", "--out", default=None, help="output file (default: stdout)")
     if with_one_based:
@@ -377,34 +411,33 @@ def _add_out(p: argparse.ArgumentParser, with_one_based: bool = True) -> None:
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fparray",
-        description="Construct, transform, verify, and bound frequency permutation arrays.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# construct -------------------------------------------------------------------
 
-    # construct -------------------------------------------------------------
-    construct = sub.add_parser("construct", help="build arrays and ingredients")
-    methods = construct.add_subparsers(dest="method", required=True)
 
-    p = methods.add_parser("mols", help="latin squares from a finite field")
+def _add_construct(p: argparse.ArgumentParser) -> None:
+    _add_subcommands(p, "method", _METHODS)
+
+
+def _add_mols(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="prime power order, >= 3")
     _add_out(p, with_one_based=False)
     p.set_defaults(func=_cmd_construct_mols)
 
-    p = methods.add_parser("mofs", help="complete set of orthogonal frequency squares")
+
+def _add_mofs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="prime power base")
     p.add_argument("--i", type=int, required=True, help="extension degree; n = q^i")
     _add_out(p, with_one_based=False)
     p.set_defaults(func=_cmd_construct_mofs)
 
-    p = methods.add_parser("fpa-from-mofs", help="array from an orthogonal square set")
+
+def _add_fpa_from_mofs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--squares", required=True, help="fsq ingredient file")
     _add_out(p)
     p.set_defaults(func=_cmd_construct_fpa_from_mofs)
 
-    p = methods.add_parser("linearized", help="array from a linearized polynomial kernel")
+
+def _add_linearized(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="base field order (prime power)")
     p.add_argument("--i", type=int, required=True, help="extension degree over the base")
     p.add_argument(
@@ -418,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_construct_linearized)
 
-    p = methods.add_parser("oa", help="array from a strength-2 orthogonal array")
+
+def _add_oa(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=None, help="build the OA from field MOLS")
     p.add_argument("--oa", default=None, help="read an oa ingredient file")
     p.add_argument("--squares", default=None, help="build the OA from an fsq file")
@@ -426,14 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_construct_oa)
 
-    p = methods.add_parser("ard", help="array from an affine resolvable design")
+
+def _add_ard(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=None, help="build the design from field MOLS")
     p.add_argument("--design", default=None, help="read an ard ingredient file")
     p.add_argument("--ingredient-out", default=None, help="also write the design here")
     _add_out(p)
     p.set_defaults(func=_cmd_construct_ard)
 
-    p = methods.add_parser("mds", help="array from an MDS code generator matrix")
+
+def _add_mds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="field order (prime power)")
     p.add_argument("--gen", default=None, help="generator matrix file (encoded entries)")
     p.add_argument("--k", type=int, default=None, help="Reed-Solomon dimension")
@@ -441,63 +477,90 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_construct_mds)
 
-    p = methods.add_parser("hadamard", help="Hadamard matrix, optionally as an array")
+
+def _add_hadamard(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--to-fpa", action="store_true", help="emit the distance-n/2 array")
     _add_out(p)
     p.set_defaults(func=_cmd_construct_hadamard)
 
-    p = methods.add_parser("steiner-848", help="the 14-row array on 8 positions")
+
+def _add_steiner(p: argparse.ArgumentParser) -> None:
     _add_out(p)
     p.set_defaults(func=_cmd_construct_steiner)
 
-    # transform ---------------------------------------------------------------
-    transform = sub.add_parser("transform", help="apply a combinator to array files")
-    transform.add_argument(
+
+# name, help, builder
+_METHODS = (
+    ("mols", "latin squares from a finite field", _add_mols),
+    ("mofs", "complete set of orthogonal frequency squares", _add_mofs),
+    ("fpa-from-mofs", "array from an orthogonal square set", _add_fpa_from_mofs),
+    ("linearized", "array from a linearized polynomial kernel", _add_linearized),
+    ("oa", "array from a strength-2 orthogonal array", _add_oa),
+    ("ard", "array from an affine resolvable design", _add_ard),
+    ("mds", "array from an MDS code generator matrix", _add_mds),
+    ("hadamard", "Hadamard matrix, optionally as an array", _add_hadamard),
+    ("steiner-848", "the 14-row array on 8 positions", _add_steiner),
+)
+
+
+# commands --------------------------------------------------------------------
+
+
+def _add_transform(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "op", choices=tuple(_TRANSFORMS)
     )
-    transform.add_argument("inputs", nargs="+", help="input array files")
-    transform.add_argument("--l", type=int, default=None, help="refine: output frequency")
-    transform.add_argument("--r", type=int, default=None, help="reduce-mod: modulus")
-    transform.add_argument("--c", default=None, help="compose: coarse array file")
-    transform.add_argument(
+    p.add_argument("inputs", nargs="+", help="input array files")
+    p.add_argument("--l", type=int, default=None, help="refine: output frequency")
+    p.add_argument("--r", type=int, default=None, help="reduce-mod: modulus")
+    p.add_argument("--c", default=None, help="compose: coarse array file")
+    p.add_argument(
         "--classes", type=int, default=None, help="sep-product: classes per input"
     )
-    _add_out(transform)
-    transform.set_defaults(func=_cmd_transform)
+    _add_out(p)
+    p.set_defaults(func=_cmd_transform)
 
-    # verify ------------------------------------------------------------------
-    ver = sub.add_parser("verify", help="re-derive an array file's parameters")
-    ver.add_argument("file")
-    ver.add_argument("--expect-d", type=int, default=None)
-    ver.add_argument("--expect-size", type=int, default=None)
-    ver.set_defaults(func=_cmd_verify)
 
-    # bounds ------------------------------------------------------------------
-    bnd = sub.add_parser("bounds", help="print the bounds table for (n, lambda, d)")
-    bnd.add_argument("--n", type=int, required=True)
-    bnd.add_argument("--lambda", dest="lam", type=int, required=True)
-    bnd.add_argument("--d", type=int, required=True)
-    bnd.add_argument("--exact", action="store_true", help="run the clique search")
-    bnd.add_argument(
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--expect-d", type=int, default=None)
+    p.add_argument("--expect-size", type=int, default=None)
+    p.set_defaults(func=_cmd_verify)
+
+
+def _add_bounds(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--exact", action="store_true", help="run the clique search")
+    p.add_argument(
         "--budget", type=int, default=200_000, help="search node budget (deterministic)"
     )
-    bnd.add_argument("--vertex-budget", type=int, default=2000)
-    bnd.add_argument(
+    p.add_argument("--vertex-budget", type=int, default=2000)
+    p.add_argument(
         "--machine", action="store_true", help="append a machine-readable line"
     )
-    bnd.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds)
 
-    # search ------------------------------------------------------------------
-    srch = sub.add_parser("search", help="exact maximum size with optional witness")
-    srch.add_argument("--n", type=int, required=True)
-    srch.add_argument("--lambda", dest="lam", type=int, required=True)
-    srch.add_argument("--d", type=int, required=True)
-    srch.add_argument(
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument(
         "--budget", type=int, default=200_000, help="search node budget (deterministic)"
     )
-    srch.add_argument("--vertex-budget", type=int, default=2000)
-    srch.add_argument("-o", "--out", default=None, help="write the witness array here")
-    srch.set_defaults(func=_cmd_search)
+    p.add_argument("--vertex-budget", type=int, default=2000)
+    p.add_argument("-o", "--out", default=None, help="write the witness array here")
+    p.set_defaults(func=_cmd_search)
 
-    return parser
+
+# name, help, builder
+_COMMANDS = (
+    ("construct", "build arrays and ingredients", _add_construct),
+    ("transform", "apply a combinator to array files", _add_transform),
+    ("verify", "re-derive an array file's parameters", _add_verify),
+    ("bounds", "print the bounds table for (n, lambda, d)", _add_bounds),
+    ("search", "exact maximum size with optional witness", _add_search),
+)

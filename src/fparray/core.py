@@ -12,6 +12,8 @@ from the raw rows.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -62,7 +64,12 @@ class FrequencyPermutationArray:
         lam: int,
         min_distance_claim: int,
     ) -> "FrequencyPermutationArray":
-        plain = tuple(tuple(map(int, row)) for row in rows)
+        """The rows as tuples of ints; a symbol that is not an integer
+        raises ValueError."""
+        try:
+            plain = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError as exc:
+            raise ValueError(f"symbols must be integers: {exc}") from None
         return cls(m, lam, plain, min_distance_claim)
 
     @property
@@ -144,17 +151,23 @@ def _bit_planes(mat: np.ndarray) -> np.ndarray:
 
     Labels must be non-negative.  Two rows differ at a position exactly
     when some plane differs there; positions past n are 0 in every row.
+    Each plane is cut from a copy of the labels in the narrowest unsigned
+    type that holds them, so no temporary is wider than that copy.
     """
     size, n = mat.shape
     if mat.size and mat.min() < 0:
         raise ValueError("distance kernel needs non-negative labels")
-    depth = max(1, int(mat.max(initial=0)).bit_length())
+    top = int(mat.max(initial=0))
+    depth = max(1, top.bit_length())
     words = (n + 63) // 64
     planes = np.empty((depth, words, size), dtype=np.uint64)
     packed = np.zeros((size, words * 8), dtype=np.uint8)
+    labels = mat.astype(np.min_scalar_type(top))
+    bit = np.empty_like(labels)
     for k in range(depth):
-        bits = np.packbits((mat >> k) & 1, axis=1, bitorder="little")
-        packed[:, : bits.shape[1]] = bits
+        np.right_shift(labels, k, out=bit)
+        bit &= 1
+        packed[:, : (n + 7) // 8] = np.packbits(bit, axis=1, bitorder="little")
         planes[k] = packed.view(np.uint64).T
     return planes
 
@@ -234,20 +247,24 @@ def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
 def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
     """The rows as one int64 matrix of non-negative labels, distances kept.
 
-    Symbols 0..m-1 keep their value.  Any other symbol (negative, m or
-    more, or beyond int64) gets a fresh label from m up by first
-    appearance, so its row still fails `_composed`.
+    Integer symbols 0..m-1 keep their value.  Any other symbol (not an
+    integer, negative, m or more, or beyond int64) gets a fresh label from
+    m up by first appearance, so its row still fails `_composed`.
     """
+    # dtype=int64 truncates 1.5 to 1 and reads "1" as 1, so it only takes
+    # rows of ints: their sum is an int, and any other symbol makes the sum
+    # something else or raises.
     try:
-        mat = np.array(rows, dtype=np.int64)
-    except OverflowError:
+        mat = np.array(rows, dtype=np.int64) if isinstance(sum(map(sum, rows)), int) else None
+    except (TypeError, OverflowError):
         mat = None
     if mat is not None and not (mat.size and (mat.min() < 0 or mat.max() >= m)):
         return mat
-    codes: dict[int, int] = {}
+    codes: dict[object, int] = {}
     fresh = max(m, 0)
     return np.array(
-        [[s if 0 <= s < m else codes.setdefault(s, fresh + len(codes)) for s in row]
+        [[s if isinstance(s, numbers.Integral) and 0 <= s < m
+          else codes.setdefault(s, fresh + len(codes)) for s in row]
          for row in rows],
         dtype=np.int64,
     )

@@ -1,9 +1,17 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
+import argparse
+import contextlib
+import io
 import logging
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fparray.cli as cli
 
@@ -461,6 +469,128 @@ def test_stage_log_is_silent_by_default_and_leaves_output_alone(tmp_path, capsys
         "construct steiner-848: verify",
         "construct steiner-848: write",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the parser surface: help, usage errors, and what a call builds
+
+COMMANDS = ["construct", "transform", "verify", "bounds", "search"]
+METHODS = [
+    "mols", "mofs", "fpa-from-mofs", "linearized", "oa", "ard", "mds", "hadamard", "steiner-848",
+]
+FLAGS = [
+    "-h", "-o", "--out", "--one-based", "--q", "--i", "--squares", "--kind", "--h",
+    "--subfield-n", "--d", "--oa", "--ingredient-out", "--design", "--gen", "--k", "--n",
+    "--order", "--to-fpa", "--l", "--r", "--c", "--classes", "--expect-d", "--expect-size",
+    "--lambda", "--exact", "--budget", "--vertex-budget", "--machine",
+]
+OPS = ["pad", "juxtapose", "expand-to-pa", "refine", "reduce-mod", "compose", "product", "sep-product"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"]] + [[c, "-h"] for c in COMMANDS] + [["construct", m, "-h"] for m in METHODS],
+    ids=" ".join,
+)
+def test_every_help_exits_zero_after_its_usage_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: " + " ".join(["fparray", *argv[:-1], "[-h]"]))
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        (
+            [],
+            "usage: fparray [-h] {construct,transform,verify,bounds,search} ...",
+            "fparray: error: the following arguments are required: command",
+        ),
+        (
+            ["bogus"],
+            "usage: fparray [-h] {construct,transform,verify,bounds,search} ...",
+            "fparray: error: argument command: invalid choice: 'bogus' (choose from "
+            "'construct', 'transform', 'verify', 'bounds', 'search')",
+        ),
+        (
+            ["construct"],
+            "usage: fparray construct [-h] "
+            "{mols,mofs,fpa-from-mofs,linearized,oa,ard,mds,hadamard,steiner-848} ...",
+            "fparray construct: error: the following arguments are required: method",
+        ),
+    ],
+)
+def test_usage_errors_exit_two_with_usage_and_error_lines(capsys, monkeypatch, argv, usage, error):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no usage line wraps
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{usage}\n{error}\n")
+
+
+def test_a_call_builds_only_the_parsers_it_needs(capsys, monkeypatch):
+    # the top-level parser with the command names, then search's own parser
+    progs, options = [], []
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        options.append(args[0])
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    assert main(["search", "--n", "4", "--lambda", "2", "--d", "3"]) == 0
+    assert progs == ["fparray", "fparray search"]
+    assert options == ["-h", "-h", "--n", "--lambda", "--d", "--budget", "--vertex-budget", "-o"]
+    assert capsys.readouterr().out == "M(n=4, lambda=2, d=3) = 2 (proven)\n"
+
+
+_ARGV_TOKENS = COMMANDS + METHODS + FLAGS + OPS + [
+    "trace", "subfield", "monomial", "bogus", "--bogus", "-", "--", "-1", "0", "1", "2", "3", "x", "",
+]
+# one call per command and method that runs to its handler; the file "1" is
+# an array, so fpa-from-mofs fails on reading it, after parsing
+_RUNNING_ARGV = [
+    "construct mols --q 3", "construct mofs --q 2 --i 1", "construct fpa-from-mofs --squares 1",
+    "construct linearized --q 2 --i 2 --d 1", "construct oa --q 3", "construct ard --q 3",
+    "construct mds --q 3 --k 2", "construct hadamard --order 2", "construct steiner-848",
+    "transform pad 1", "verify 1", "bounds --n 3 --lambda 1 --d 2", "search --n 3 --lambda 1 --d 2",
+]
+_ARGV_HEADS = (
+    [[]] + [[c] for c in COMMANDS] + [["construct", m] for m in METHODS]
+    + [a.split() for a in _RUNNING_ARGV]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.sampled_from(_ARGV_HEADS), tail=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+def test_argv_fuzz_exits_with_a_contract_code(head, tail):
+    # each example runs in its own directory, holding one small array as "1"
+    # and "x", so -o writes and transform/verify reads stay inside it
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name in ("1", "x"):
+            Path(work, name).write_text(write_fpa(fpa_steiner_848()))
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(head + tail)
+                except SystemExit as exc:
+                    assert exc.code in (0, 2)
+                else:
+                    assert code in (0, 1, 2, 3)
+        finally:
+            os.chdir(here)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fparray import core
+from fparray import ResolvableDesign, core
 from fparray.cli import formats
 from fparray.core import (
     FrequencyPermutationArray,
@@ -66,6 +68,25 @@ def test_from_rows_normalises_to_int_tuples():
     assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
     assert all(type(s) is int for row in fpa.rows for s in row)
     assert (fpa.n, fpa.size) == (4, 2)
+
+
+@pytest.mark.parametrize("symbol", [1.5, 1.0, "1", Fraction(1)])
+def test_non_integer_symbols_are_never_truncated(symbol):
+    # int64 conversion would read each of these as 1; a fresh label fails the row
+    rows = ((0, symbol), (1, 0))
+    assert core._label_matrix(rows, 2).tolist() == [[0, 2], [1, 0]]
+    report = verify(FrequencyPermutationArray(2, 1, rows, 2))
+    assert report.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        FrequencyPermutationArray.from_rows(rows, 2, 1, 2)
+    with pytest.raises(ValueError, match="class 0 has a malformed block"):
+        ResolvableDesign(2, 2, (((0, symbol),),))
+
+
+def test_integer_symbols_of_any_type_keep_their_value():
+    rows = ((0, np.int64(1)), (True, np.uint8(0)))
+    assert core._label_matrix(rows, 2).tolist() == [[0, 1], [1, 0]]
+    assert verify(FrequencyPermutationArray(2, 1, rows, 2)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +429,52 @@ def test_distance_kernel_matches_a_pairwise_oracle(size, n, symbols, cells, seed
 def test_distance_kernel_rejects_negative_labels():
     with pytest.raises(ValueError, match="non-negative"):
         list(core._pair_distances(np.array([[0, -1], [0, 1]])))
+
+
+def _bit_planes_reference(mat):
+    """The planes as built from whole-matrix int64 temporaries (mat >> k) & 1."""
+    size, n = mat.shape
+    depth = max(1, int(mat.max(initial=0)).bit_length())
+    words = (n + 63) // 64
+    planes = np.empty((depth, words, size), dtype=np.uint64)
+    packed = np.zeros((size, words * 8), dtype=np.uint8)
+    for k in range(depth):
+        bits = np.packbits((mat >> k) & 1, axis=1, bitorder="little")
+        packed[:, : bits.shape[1]] = bits
+        planes[k] = packed.view(np.uint64).T
+    return planes
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_bit_planes_match_the_whole_matrix_formula(n, depth):
+    rng = np.random.default_rng(depth * 1000 + n)
+    mat = rng.integers(0, 1 << depth, (7, n))
+    mat[3, n // 2] = (1 << depth) - 1
+    planes = core._bit_planes(mat)
+    assert planes.shape[0] == depth
+    assert np.array_equal(planes, _bit_planes_reference(mat))
+
+
+def test_bit_planes_peak_stays_near_the_block_loop(monkeypatch):
+    # on 4032 permutations of 64 the block loop's buffers take about 1.25 MB;
+    # int64 temporaries of the whole matrix took about 2 MB more per plane
+    rng = np.random.default_rng(0)
+    mat = np.array([rng.permutation(64) for _ in range(4032)])
+    peaks = {}
+    bit_planes = core._bit_planes
+
+    def traced(labels):
+        planes = bit_planes(labels)
+        peaks["planes"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return planes
+
+    monkeypatch.setattr(core, "_bit_planes", traced)
+    tracemalloc.start()
+    try:
+        core._distance_scan(mat)
+        peaks["loop"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks["planes"] < 1.5 * peaks["loop"]
