@@ -253,17 +253,12 @@ class SeparableArray:
         chunk = fpa.size // num_classes
         delta = d = fpa.n
         if fpa.size > 1:
+            # a one-row class scans to the row width, which may be below n
             mat = core._label_matrix(fpa.rows, fpa.m)
-            # the counts' type holds the row width, which may be below n
-            delta = d = min(d, mat.shape[1])
-            cls_of = np.arange(fpa.size) // chunk
-            for i, dists in core._pair_distances(mat):
-                for cells in core._pairs(dists):
-                    d = int(cells.min(initial=d))
-                rows = len(dists)
-                pairs = cls_of[i:] == cls_of[i : i + rows, None]
-                pairs[:, :rows] &= core._upper(rows)
-                delta = int(dists.min(initial=delta, where=pairs))
+            d = min(d, core._distance_scan(mat)[0])
+            delta = min(delta, *(
+                core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)
+            ))
         classes = tuple(
             FrequencyPermutationArray(
                 fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta

@@ -3,7 +3,9 @@
 Ingredient objects (frequency squares, orthogonal arrays, resolvable
 designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
-distance each classical argument guarantees.  Orderings are pinned
+distance each classical argument guarantees.  Additive-map images share
+`gf`'s permutation-polynomial sweep with the census, so each candidate
+polynomial is evaluated once.  Orderings are pinned
 everywhere: field elements by their integer encoding, tuples
 odometer-style with the first coordinate most significant, grids
 row-major.
@@ -23,21 +25,18 @@ from .core import (
     FrequencyPermutationArray,
     WorkLimitExceeded,
     _composed,
+    _distance_scan,
     _label_matrix,
     _pair_counts,
-    _pair_distances,
-    _pairs,
     _unbalanced_pair,
 )
 from .gf import (
-    _CHUNK_CELLS,
     FiniteField,
     LinearizedPolynomial,
     _associate_matrix,
     _check_range,
+    _permutation_polynomials,
     _prime_power,
-    census_permutation_polynomials,
-    evaluate_whole_field,
     field_of_order,
     linearized_monomial,
     linearized_subfield_kernel,
@@ -208,9 +207,10 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     """Rows L(f(x)) over all permutation polynomials f of degree <= d.
 
     Adding a kernel constant to f reproduces the same row, so distinct
-    rows number (sum of the census counts) / kernel size; the construction
-    deduplicates and checks that count.  Symbols are relabeled to
-    0..q^rank - 1 by first appearance, scanning rows left to right.
+    rows number (permutation polynomials of degree <= d) / kernel size; the
+    construction keeps first-seen rows and checks that count.  Symbols are
+    relabeled to 0..q^rank - 1 by first appearance, scanning rows left to
+    right.
     """
     field = L.field
     l = L.top_exponent
@@ -219,30 +219,17 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
         raise ValueError(f"need 0 < d < {q ** (i - l)} for this map, got {d}")
     table = L.value_table()
     _, rank, kernel_size = _associate_matrix(L, table)
-    census = census_permutation_polynomials(field, d)
+    # each permutation polynomial's images, once; first-seen rows by their bytes
+    seen: dict[bytes, None] = {}
+    total = 0
+    for _, _, images in _permutation_polynomials(field, d):
+        total += len(images)
+        seen.update(dict.fromkeys(map(bytes, table[images])))
+    expected, rem = divmod(total, kernel_size)
+    if rem or len(seen) != expected:
+        raise RuntimeError(f"row dedup gave {len(seen)} rows, expected {expected}")
     order = field.q
-    # one chunk of witnesses at a time: images, then their first-seen rows
-    raw_rows: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    step = max(1, _CHUNK_CELLS // order)
-    for lo in range(0, len(census.witnesses), step):
-        coeffs = [
-            f.coeffs + (0,) * (d + 1 - len(f.coeffs))
-            for f in census.witnesses[lo : lo + step]
-        ]
-        chunk = table[evaluate_whole_field(field, coeffs)]
-        distinct, first = np.unique(chunk, axis=0, return_index=True)
-        for row in distinct[np.argsort(first)]:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                raw_rows.append(row)
-    expected, rem = divmod(census.total, kernel_size)
-    if rem or len(raw_rows) != expected:
-        raise RuntimeError(
-            f"row dedup gave {len(raw_rows)} rows, expected {expected}"
-        )
-    raw = np.array(raw_rows, dtype=np.int32).reshape(-1, order)
+    raw = np.frombuffer(b"".join(seen), dtype=table.dtype).reshape(-1, order)
     # symbol labels by first appearance, scanning rows left to right
     values, first = np.unique(raw, return_index=True)
     labels = np.zeros(order, dtype=np.int32)
@@ -366,11 +353,9 @@ class ResolvableDesign:
             # outright; that also keeps `apart` in range of the unsigned counts.
             cols = np.ascontiguousarray(rows.T)
             apart = len(self.classes) - self.lambda_d
-            if self.v >= 2 and (not 0 <= apart < len(self.classes) or any(
-                (cells != apart).any()
-                for _, dists in _pair_distances(cols)
-                for cells in _pairs(dists)
-            )):
+            if self.v >= 2 and (
+                not 0 <= apart < len(self.classes) or _distance_scan(cols) != (apart, apart)
+            ):
                 raise ValueError(f"point pairs are not covered exactly {self.lambda_d} times")
 
     def is_affine(self) -> bool:

@@ -30,7 +30,7 @@ def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
         return False
     counts = [0] * m
     for s in symbols:
-        if not 0 <= s < m:
+        if not isinstance(s, numbers.Integral) or not 0 <= s < m:
             return False
         counts[s] += 1
     return all(c == lam for c in counts)
@@ -249,7 +249,8 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
 
     Integer symbols 0..m-1 keep their value.  Any other symbol (not an
     integer, negative, m or more, or beyond int64) gets a fresh label from
-    m up by first appearance, so its row still fails `_composed`.
+    m up by first appearance, so its row still fails `_composed`; an
+    unhashable symbol gets a fresh label at each occurrence.
     """
     # dtype=int64 truncates 1.5 to 1 and reads "1" as 1, so it only takes
     # rows of ints: their sum is an int, and any other symbol makes the sum
@@ -262,12 +263,16 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
         return mat
     codes: dict[object, int] = {}
     fresh = max(m, 0)
-    return np.array(
-        [[s if isinstance(s, numbers.Integral) and 0 <= s < m
-          else codes.setdefault(s, fresh + len(codes)) for s in row]
-         for row in rows],
-        dtype=np.int64,
-    )
+
+    def label(s: object) -> int:
+        if isinstance(s, numbers.Integral) and 0 <= s < m:
+            return s
+        try:
+            return codes.setdefault(s, fresh + len(codes))
+        except TypeError:  # unhashable
+            return codes.setdefault(object(), fresh + len(codes))
+
+    return np.array([[label(s) for s in row] for row in rows], dtype=np.int64)
 
 
 def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
@@ -364,8 +369,11 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )
-    if len(set(rows)) != len(rows):
-        reasons.append("rows are not pairwise distinct")
+    try:
+        if len(set(rows)) != len(rows):
+            reasons.append("rows are not pairwise distinct")
+    except TypeError:  # an unhashable symbol, whose row is reported above
+        pass
 
     actual = array.n
     equidistant = True

@@ -21,8 +21,9 @@ one digit formula included, takes Python ints and returns an int, or
 numpy int arrays and returns an array.
 
 Also here: plain and linearized polynomials, the associate matrix of a
-linearized map with its rank/kernel bookkeeping, and a census of
-permutation polynomials up to a given degree.
+linearized map with its rank/kernel bookkeeping, and one sweep over the
+permutation polynomials up to a given degree: it evaluates each candidate
+once, and both the census and the linearized construction consume it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -343,14 +344,17 @@ class PermPolyCensus:
         return sum(self.counts.values())
 
 
-def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermPolyCensus:
-    """Test every polynomial of degree 1..max_degree, in encoding order.
+def _permutation_polynomials(
+    field: FiniteField, max_degree: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every permutation polynomial of degree 1..max_degree, in encoding order.
 
     A degree-d candidate is encoded as v = sum(c_t * q^t) with c_d != 0, so
     the sweep v = q^d .. q^(d+1)-1 enumerates exactly the degree-d
-    polynomials in increasing encoding order.  Candidates are evaluated in
-    blocks of about _CHUNK_CELLS images.  Work is candidates times q
-    evaluations; exceeding `_CENSUS_WORK` raises without a partial census.
+    polynomials in increasing encoding order.  Candidates are evaluated once,
+    in blocks of about _CHUNK_CELLS images; each block yields (d, coeffs,
+    images) for its bijective rows.  Work is candidates times q
+    evaluations; exceeding `_CENSUS_WORK` raises before any block.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -360,19 +364,28 @@ def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermP
         raise WorkLimitExceeded(
             f"census cost {work} exceeds max_work {_CENSUS_WORK}"
         )
-    counts: dict[int, int] = {}
-    witnesses: list[Polynomial] = []
     step = max(1, _CHUNK_CELLS // q)
     for d in range(1, max_degree + 1):
-        found = 0
         places = q ** np.arange(d + 1, dtype=np.int64)
         for lo in range(q**d, q ** (d + 1), step):
             codes = np.arange(lo, min(lo + step, q ** (d + 1)), dtype=np.int64)
             coeffs = codes[:, None] // places % q
-            hits = coeffs[_bijective_rows(evaluate_whole_field(field, coeffs))]
-            witnesses.extend(Polynomial(field, tuple(c)) for c in hits.tolist())
-            found += len(hits)
-        counts[d] = found
+            images = evaluate_whole_field(field, coeffs)
+            hits = _bijective_rows(images)
+            yield d, coeffs[hits], images[hits]
+
+
+def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermPolyCensus:
+    """Count and list every permutation polynomial of degree 1..max_degree.
+
+    Witnesses come in encoding order (see `_permutation_polynomials`);
+    over the work budget it raises without a partial census.
+    """
+    counts: dict[int, int] = {}
+    witnesses: list[Polynomial] = []
+    for d, coeffs, _ in _permutation_polynomials(field, max_degree):
+        counts[d] = counts.get(d, 0) + len(coeffs)
+        witnesses.extend(Polynomial(field, tuple(c)) for c in coeffs.tolist())
     return PermPolyCensus(field, max_degree, counts, tuple(witnesses))
 
 
@@ -468,35 +481,20 @@ def linearized_monomial(field: FiniteField, q: int) -> LinearizedPolynomial:
     return LinearizedPolynomial.of(field, q, values)
 
 
-def relative_trace(E: FiniteField, h: int, x: int) -> int:
-    """Trace of x onto the subfield GF(p^h); h must divide the degree.
-
-    Evaluates x + x^(p^h) + x^(p^2h) + ... over all K/h conjugates as the
-    base-p trace map.  Callers thinking in terms of a base power q = p^a
-    use h_prime = a * h_base.
-    """
-    return linearized_trace(E, E.p, h).evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over a field (small dense matrices)
 
 
-def _eliminate(field: FiniteField, rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(rank, det) by forward elimination; det means something only when
-    the matrix is square."""
+def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
+    """Row-reduction rank over the field."""
     _check_range(field, (v for row in rows for v in row))
     mat = [list(row) for row in rows]
-    rank, det = 0, 1
+    rank = 0
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
-            det = 0
             continue
-        if pivot != rank:
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            det = field.neg_val(det)
-        det = field.mul_val(det, mat[rank][col])
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = field.inv_val(mat[rank][col])
         for r in range(rank + 1, len(mat)):
             if mat[r][col]:
@@ -506,19 +504,7 @@ def _eliminate(field: FiniteField, rows: Sequence[Sequence[int]]) -> tuple[int, 
                     for v, w in zip(mat[r], mat[rank])
                 ]
         rank += 1
-    return rank, det
-
-
-def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
-    """Row-reduction rank over the field."""
-    return _eliminate(field, rows)[0]
-
-
-def matrix_det(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
-    """Determinant by elimination (square matrices only)."""
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    return _eliminate(field, rows)[1]
+    return rank
 
 
 def associate_matrix(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fparray import constructions, core
+from fparray import constructions, core, gf
 from fparray.cli import main
 from fparray.gf import LinearizedPolynomial
 from fparray import (
@@ -288,7 +288,7 @@ def test_design_pair_cover_count_above_the_class_count_is_refused():
     lines = affine_classes_from_mols(mols_from_field(4))
     for v, k, classes in ((4, 2, one_factorisation), (lines.v, lines.k, lines.classes)):
         for lambda_d in (len(classes) + 1, len(classes) + 300):
-            with mock.patch.object(constructions, "_pair_distances", side_effect=AssertionError):
+            with mock.patch.object(constructions, "_distance_scan", side_effect=AssertionError):
                 with pytest.raises(ValueError, match=f"covered exactly {lambda_d} times"):
                     ResolvableDesign(v, k, classes, lambda_d=lambda_d)
     assert ResolvableDesign(1, 1, (((0,),),), lambda_d=2).lambda_d == 2
@@ -418,7 +418,7 @@ def test_monomial_family_gives_plain_permutations():
 )
 def test_linearized_rows_match_a_pointwise_oracle(q, i, kind, d, monkeypatch):
     # a few witnesses per chunk, so first-seen order must carry across chunks
-    monkeypatch.setattr(constructions, "_CHUNK_CELLS", 3 * q**i)
+    monkeypatch.setattr(gf, "_CHUNK_CELLS", 3 * q**i)
     field = field_of_order(q**i)
     L = {
         "trace": lambda: linearized_trace(field, q, 1),
@@ -454,6 +454,30 @@ def test_linearized_construction_builds_one_value_table(monkeypatch, build):
     monkeypatch.setattr(LinearizedPolynomial, "value_table", counted)
     assert verify(build()).valid
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "order,d,build",
+    [
+        (9, 1, lambda: fpa_from_trace(field_of_order(9), 3, 1, 1)),
+        (16, 2, lambda: fpa_from_subfield_kernel(field_of_order(16), 2, 2, 2)),
+        (8, 1, lambda: fpa_from_monomial(field_of_order(8), 2, 1)),
+    ],
+)
+def test_linearized_construction_evaluates_each_candidate_once(monkeypatch, order, d, build):
+    rows = []
+    evaluate = gf.evaluate_whole_field
+
+    def counted(field, coeffs):
+        rows.append(len(coeffs))
+        return evaluate(field, coeffs)
+
+    # a module that imported the function by name would dodge a patch of gf alone
+    for module in (gf, constructions):
+        monkeypatch.setattr(module, "evaluate_whole_field", counted, raising=False)
+    assert verify(build()).valid
+    # the polynomials of degree 1..d: q^(d+1) - q candidates
+    assert sum(rows) == order ** (d + 1) - order
 
 
 def test_additive_map_degree_bound_is_enforced():

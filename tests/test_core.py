@@ -70,10 +70,12 @@ def test_from_rows_normalises_to_int_tuples():
     assert (fpa.n, fpa.size) == (4, 2)
 
 
-@pytest.mark.parametrize("symbol", [1.5, 1.0, "1", Fraction(1)])
+@pytest.mark.parametrize("symbol", [1.5, 1.0, "1", Fraction(1), None, [1]])
 def test_non_integer_symbols_are_never_truncated(symbol):
-    # int64 conversion would read each of these as 1; a fresh label fails the row
+    # int64 conversion would read each of these as 1 or fail; a fresh label
+    # fails the row, and the unhashable [1] must not crash the labelling
     rows = ((0, symbol), (1, 0))
+    assert not is_lambda_permutation(rows[0], 2, 1)
     assert core._label_matrix(rows, 2).tolist() == [[0, 2], [1, 0]]
     report = verify(FrequencyPermutationArray(2, 1, rows, 2))
     assert report.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
