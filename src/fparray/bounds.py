@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     WorkLimitExceeded,
+    _ints,
     _pair_distances,
     all_lambda_permutations,
     count_all,
@@ -68,7 +69,7 @@ def multiset_derangements(counts: Sequence[int]) -> int:
     the sorted word (type 0 first).  The count is the zero-agreement term
     of `_agreements`.
     """
-    tup = tuple(int(c) for c in counts)
+    tup = _ints([counts])[0]
     if not tup or any(c < 1 for c in tup):
         raise ValueError(f"counts must be positive, got {counts}")
     return _agreements(tup)[0]
@@ -310,10 +311,11 @@ def exact_max_size(
     """
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
-    total = count_all(n, lam)
-    if total > vertex_budget:
+    # count_all is a product of n/lam - 1 terms C(a, lam) >= 2^lam, so >= 2^(n - lam)
+    total = count_all(n, lam) if n - lam < vertex_budget.bit_length() else None
+    if total is None or total > vertex_budget:
         raise WorkLimitExceeded(
-            f"{total} vertices exceed vertex_budget {vertex_budget}"
+            f"(n={n}, lambda={lam}) has more vertices than vertex_budget {vertex_budget}"
         )
     if total * total > _ADJACENCY_CELLS:
         raise WorkLimitExceeded(

@@ -56,6 +56,7 @@ from ..gf import (
     linearized_monomial,
     linearized_subfield_kernel,
     linearized_trace,
+    make_field,
 )
 from .formats import (
     parse_design,
@@ -179,8 +180,9 @@ def _cmd_construct_fpa_from_mofs(args) -> int:
 
 
 def _cmd_construct_linearized(args) -> int:
-    order = args.q**args.i
-    field = field_of_order(order)
+    # GF(q^i) as GF(p^(a*i)), so a huge i meets the guardrail before q^i is computed
+    base = field_of_order(args.q)
+    field = make_field(base.p, base.k * args.i)
     if args.kind == "trace":
         poly = linearized_trace(field, args.q, args.h)
     elif args.kind == "subfield":
@@ -368,7 +370,7 @@ def _cmd_search(args) -> int:
     print(f"M(n={args.n}, lambda={args.lam}, d={args.d}) = {result.value} ({status})")
     if args.out is None:
         return 0
-    witness = FrequencyPermutationArray.from_rows(result.rows, args.n // args.lam, args.lam, args.d)
+    witness = FrequencyPermutationArray(args.n // args.lam, args.lam, result.rows, args.d)
     return _finish_array(witness, args)
 
 

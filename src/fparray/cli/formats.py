@@ -151,7 +151,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
             if min(row, default=0) >= 0:  # a negative index would pick a label
                 body.append(" ".join([labels[s] for s in row]))
                 continue
-        except (IndexError, TypeError):
+        except IndexError:  # a symbol m or more
             pass
         body.append(" ".join([str(s + offset) for s in row]))
     header = {"n": array.n, "lambda": array.lam, "m": array.m,

@@ -26,9 +26,7 @@ def pad(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
     """Append lam copies of a brand-new symbol to every row."""
     tail = (a.m,) * a.lam
     rows = [row + tail for row in a.rows]
-    return FrequencyPermutationArray.from_rows(
-        rows, a.m + 1, a.lam, a.min_distance_claim
-    )
+    return FrequencyPermutationArray(a.m + 1, a.lam, rows, a.min_distance_claim)
 
 
 def juxtapose(
@@ -38,8 +36,8 @@ def juxtapose(
     if a.m != b.m:
         raise ValueError(f"symbol counts differ: {a.m} vs {b.m}")
     rows = [x + y for x, y in zip(a.rows, b.rows)]
-    return FrequencyPermutationArray.from_rows(
-        rows, a.m, a.lam + b.lam, a.min_distance_claim + b.min_distance_claim
+    return FrequencyPermutationArray(
+        a.m, a.lam + b.lam, rows, a.min_distance_claim + b.min_distance_claim
     )
 
 
@@ -87,7 +85,7 @@ def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
     # one matrix per pattern row, interleaved source-row-major; a single
     # size x per x n array would be freed as one large block
     shifted = [(base + (block + k) % per).tolist() for k in range(per)]
-    rows = tuple(tuple(row) for variants in zip(*shifted) for row in variants)
+    rows = [row for variants in zip(*shifted) for row in variants]
     return FrequencyPermutationArray(a.m * per, l, rows, a.min_distance_claim)
 
 
@@ -124,7 +122,7 @@ def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArra
     t = values.pop()
     claim = a.n - t * a.m * a.m // r
     rows = [[s % r for s in row] for row in a.rows]
-    out = FrequencyPermutationArray.from_rows(rows, r, a.n // r, claim)
+    out = FrequencyPermutationArray(r, a.n // r, rows, claim)
     check = core.verify(out)
     if not check.valid:
         raise RuntimeError(f"reduction self-check failed: {check.reasons}")
@@ -174,7 +172,7 @@ def compose_columns(
     )
     # coarse rank i*n + t marks occurrence t of symbol i
     rows = table[:, coarse].transpose(1, 0, 2).reshape(-1, b * n).tolist()
-    return FrequencyPermutationArray(b * m, lam, tuple(map(tuple, rows)), b * d)
+    return FrequencyPermutationArray(b * m, lam, rows, b * d)
 
 
 def direct_product(
@@ -185,11 +183,8 @@ def direct_product(
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
     shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
     rows = [ra + rb for ra in a.rows for rb in shifted]
-    return FrequencyPermutationArray.from_rows(
-        rows,
-        a.m + b.m,
-        a.lam,
-        min(a.min_distance_claim, b.min_distance_claim),
+    return FrequencyPermutationArray(
+        a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )
 
 
@@ -220,7 +215,7 @@ class SeparableArray:
             if not report.valid:
                 raise ValueError(f"class {idx} fails at delta={self.delta}: {report.reasons}")
         rows = itertools.chain.from_iterable(cls.rows for cls in self.classes)
-        union = FrequencyPermutationArray(self.m, self.lam, tuple(rows), self.d)
+        union = FrequencyPermutationArray(self.m, self.lam, rows, self.d)
         report = core.verify(union)
         if not report.valid:
             raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
@@ -307,9 +302,7 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
         pools = [s.classes[j].rows for s in inputs]
         for combo in itertools.product(*pools):
             rows.append([sym for part in combo for sym in part])
-    out = FrequencyPermutationArray.from_rows(
-        rows, m, lam * len(inputs), delta
-    )
+    out = FrequencyPermutationArray(m, lam * len(inputs), rows, delta)
     report = core.verify(out)
     if not report.valid:
         raise RuntimeError(f"product self-check failed: {report.reasons}")

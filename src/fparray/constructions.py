@@ -26,6 +26,7 @@ from .core import (
     WorkLimitExceeded,
     _composed,
     _distance_scan,
+    _ints,
     _label_matrix,
     _pair_counts,
     _unbalanced_pair,
@@ -58,6 +59,7 @@ class FrequencySquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", _ints(self.cells))
         if self.m < 1 or self.lam < 1 or self.n != self.m * self.lam:
             raise ValueError(
                 f"parameters inconsistent: n={self.n}, m={self.m}, lam={self.lam}"
@@ -73,7 +75,7 @@ class FrequencySquare:
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "FrequencySquare":
-        grid = tuple(tuple(int(v) for v in row) for row in cells)
+        grid = _ints(cells)
         n = len(grid)
         m = max(max(row) for row in grid) + 1 if n else 0
         if m < 1 or n % m:
@@ -118,12 +120,8 @@ def mols_from_field(q: int) -> list[FrequencySquare]:
     squares = []
     for a in range(1, q):
         cells = field.add_val(field.mul_val(a, xs)[:, None], xs)
-        squares.append(FrequencySquare(q, q, 1, _grid(cells)))
+        squares.append(FrequencySquare(q, q, 1, cells.tolist()))
     return squares
-
-
-def _grid(cells: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, cells.tolist()))
 
 
 # `mofs_complete` refuses more linear forms q^(2i) than this
@@ -143,6 +141,9 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     field = field_of_order(q)
+    # q >= 2: from 2i = bit_length(_MOFS_WORK) on, over budget uncomputed
+    if 2 * i >= _MOFS_WORK.bit_length():
+        raise WorkLimitExceeded(f"{q}^{2 * i} forms exceed max_work {_MOFS_WORK}")
     if q ** (2 * i) > _MOFS_WORK:
         raise WorkLimitExceeded(f"{q ** (2 * i)} forms exceed max_work {_MOFS_WORK}")
     n = q**i
@@ -151,7 +152,7 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     left = _linear_forms(field, vectors)
     right = _linear_forms(field, vectors[leads == 1])
     squares = [
-        FrequencySquare(n, q, n // q, _grid(field.add_val(lv[:, None], rv)))
+        FrequencySquare(n, q, n // q, field.add_val(lv[:, None], rv).tolist())
         for lv in left
         for rv in right
     ]
@@ -196,7 +197,7 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
         raise ValueError(f"squares {pair[0]} and {pair[1]} are not orthogonal")
     n, lam = first.n, first.lam
     rows = [[p % n for p in cells] for sq in squares for cells in _symbol_cells(sq)]
-    return FrequencyPermutationArray.from_rows(rows, n, lam, n * lam - lam * lam)
+    return FrequencyPermutationArray(n, lam, rows, n * lam - lam * lam)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +238,7 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     m = q**rank
     if len(values) != m:
         raise RuntimeError(f"image used {len(values)} symbols, expected {m}")
-    return FrequencyPermutationArray.from_rows(
-        labels[raw].tolist(), m, q ** (i - rank), order - d * q**l
-    )
+    return FrequencyPermutationArray(m, q ** (i - rank), labels[raw].tolist(), order - d * q**l)
 
 
 def fpa_from_trace(
@@ -276,6 +275,7 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _ints(self.rows))
         if self.t != 2:
             raise ValueError("only strength 2 is supported")
         if self.s < 1 or self.v < 1:
@@ -297,13 +297,13 @@ def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     n = _latin_order(squares)
     cells = np.arange(n * n)
     rows = itertools.chain([cells // n, cells % n], map(_flat_cells, squares))
-    return OrthogonalArray(n * n, len(squares) + 2, n, 2, tuple(tuple(r.tolist()) for r in rows))
+    return OrthogonalArray(n * n, len(squares) + 2, n, 2, [r.tolist() for r in rows])
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
     """Read the r OA rows as an equidistant array at distance v - v/s."""
     lam = oa.v // oa.s
-    return FrequencyPermutationArray.from_rows(oa.rows, oa.s, lam, oa.v - lam)
+    return FrequencyPermutationArray(oa.s, lam, oa.rows, oa.v - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,7 @@ class ResolvableDesign:
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", tuple(map(_ints, self.classes)))
         if self.v < 1:
             raise ValueError(f"need v >= 1 points, got v={self.v}")
         if self.k < 1 or self.v % self.k:
@@ -370,12 +371,12 @@ def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDe
     """Row class, column class, and one class per latin square, on n^2 points."""
     n = _latin_order(squares)
     classes = [
-        tuple(tuple(range(r * n, r * n + n)) for r in range(n)),
-        tuple(tuple(range(c, n * n, n)) for c in range(n)),
+        [range(r * n, r * n + n) for r in range(n)],
+        [range(c, n * n, n) for c in range(n)],
     ]
-    classes += [tuple(_symbol_cells(sq)) for sq in squares]
+    classes += map(_symbol_cells, squares)
     lambda_d = 1 if len(squares) == n - 1 else None
-    return ResolvableDesign(n * n, n, tuple(classes), lambda_d)
+    return ResolvableDesign(n * n, n, classes, lambda_d)
 
 
 def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
@@ -388,9 +389,7 @@ def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
         raise ValueError("design is not affine; the v - k distance claim needs k^2/v-point intersections")
     rows = design._block_index.tolist()
     m = design.v // design.k
-    return FrequencyPermutationArray.from_rows(
-        rows, m, design.k, design.v - design.k
-    )
+    return FrequencyPermutationArray(m, design.k, rows, design.v - design.k)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +429,7 @@ def fpa_from_mds(
     checked exhaustively when the subset count is affordable, otherwise
     only pairwise with a warning.
     """
-    rows_in = [[int(e) for e in row] for row in generator]
+    rows_in = _ints(generator)
     if not rows_in or len({len(r) for r in rows_in}) != 1:
         raise ValueError("generator must be a nonempty rectangular matrix")
     _check_range(field, (e for row in rows_in for e in row))
@@ -447,9 +446,7 @@ def fpa_from_mds(
         warnings.warn("generator too wide for the full MDS check; columns only checked pairwise")
     q = field.q
     rows = _linear_forms(field, np.array(cols, dtype=np.int32))
-    return FrequencyPermutationArray.from_rows(
-        rows.tolist(), q, q ** (k - 1), q ** (k - 1) * (q - 1)
-    )
+    return FrequencyPermutationArray(q, q ** (k - 1), rows.tolist(), q ** (k - 1) * (q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +461,11 @@ class HadamardMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _ints(self.rows))
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
-        for row in self.rows:
-            if any(e not in (1, -1) for e in row):
-                raise ValueError("entries must be +1 or -1")
+        if any(e not in (1, -1) for row in self.rows for e in row):
+            raise ValueError("entries must be +1 or -1")
         mat = np.array(self.rows, dtype=np.int64).reshape(self.n, self.n)
         # row-major order of the upper triangle is combinations order
         bad = np.argwhere(np.triu(mat @ mat.T, 1))
@@ -537,7 +534,7 @@ def hadamard_matrix(n: int) -> HadamardMatrix:
     if _hadamard_route(n, memo) is None:
         raise ValueError(f"no construction route implemented for order {n}")
     rows = _build_hadamard(n, memo)
-    return HadamardMatrix(n, tuple(tuple(r) for r in rows))
+    return HadamardMatrix(n, rows)
 
 
 def fpa_from_hadamard(H: HadamardMatrix) -> FrequencyPermutationArray:
@@ -553,7 +550,7 @@ def fpa_from_hadamard(H: HadamardMatrix) -> FrequencyPermutationArray:
     grid = [[e * s for e, s in zip(row, signs)] for row in H.rows[1:]]
     rows = [[0 if e == 1 else 1 for e in row] for row in grid]
     rows += [[1 - e for e in row] for row in rows[: H.n - 1]]
-    return FrequencyPermutationArray.from_rows(rows, 2, H.n // 2, H.n // 2)
+    return FrequencyPermutationArray(2, H.n // 2, rows, H.n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -571,4 +568,4 @@ def fpa_steiner_848() -> FrequencyPermutationArray:
     for base, tail in (((1, 0, 1, 1, 0, 0, 0), 1), ((0, 1, 0, 0, 1, 1, 1), 0)):
         for t in range(7):
             rows.append([base[(idx - t) % 7] for idx in range(7)] + [tail])
-    return FrequencyPermutationArray.from_rows(rows, 2, 4, 4)
+    return FrequencyPermutationArray(2, 4, rows, 4)

@@ -3,25 +3,42 @@
 A lambda-permutation over m symbols is a word of length n = m * lambda in
 which every symbol 0..m-1 occurs exactly lambda times.  An array of such
 words whose rows are pairwise at Hamming distance >= d is the package's
-central object.  Rows are plain tuples of ints; only the array carries
-(m, lambda), and n is always m * lambda.  Constructions elsewhere in the
-package only ever *claim* parameters; `verify` re-derives all of them
-from the raw rows.
+central object.  Rows are tuples of Python ints: every caller-supplied
+symbol passes the one gate `_ints`, which refuses non-integers.  Only the
+array carries (m, lambda), and n is always m * lambda.  Constructions
+elsewhere in the package only ever *claim* parameters; `verify`
+re-derives all of them from the raw rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
 class WorkLimitExceeded(RuntimeError):
     """An exhaustive computation would exceed its declared work budget."""
+
+
+def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as tuples of Python ints; a tuple row of plain ints is kept,
+    not copied.  Other rows are read through `operator.index`: numpy ints
+    and bool become plain ints, and a non-integer (1.5, 1.0, "1", None)
+    raises ValueError naming its type."""
+    try:
+        rows = tuple(map(tuple, rows))
+        plain = operator.countOf(map(type, itertools.chain.from_iterable(rows)), int)
+        if plain == sum(map(len, rows)):
+            return rows
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError as exc:
+        raise ValueError(f"symbols must be integers: {exc}") from None
 
 
 def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
@@ -47,8 +64,9 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
 class FrequencyPermutationArray:
     """Rows of lambda-permutations with a claimed pairwise minimum distance.
 
-    Construction is permissive so that broken rows can still be held and
-    reported on; `verify` performs every check.
+    Rows are int tuples by construction (a non-integer symbol raises
+    ValueError); wrong lengths, out-of-range ints and duplicate rows are
+    still held, for `verify` to report.
     """
 
     m: int
@@ -56,21 +74,8 @@ class FrequencyPermutationArray:
     rows: tuple[tuple[int, ...], ...]
     min_distance_claim: int
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[int]],
-        m: int,
-        lam: int,
-        min_distance_claim: int,
-    ) -> "FrequencyPermutationArray":
-        """The rows as tuples of ints; a symbol that is not an integer
-        raises ValueError."""
-        try:
-            plain = tuple(tuple(map(operator.index, row)) for row in rows)
-        except TypeError as exc:
-            raise ValueError(f"symbols must be integers: {exc}") from None
-        return cls(m, lam, plain, min_distance_claim)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _ints(self.rows))
 
     @property
     def n(self) -> int:
@@ -137,7 +142,7 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     rows = [
         [((k + j) % m) for j in range(m) for _ in range(lam)] for k in range(m)
     ]
-    return FrequencyPermutationArray.from_rows(rows, m, lam, n)
+    return FrequencyPermutationArray(m, lam, rows, n)
 
 
 # One distance block holds at most this many 64-position words per
@@ -245,32 +250,24 @@ def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
 
 
 def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    """The rows as one int64 matrix of non-negative labels, distances kept.
+    """Rows of ints (see `_ints`) as one int64 matrix of non-negative
+    labels, distances kept.
 
-    Integer symbols 0..m-1 keep their value.  Any other symbol (not an
-    integer, negative, m or more, or beyond int64) gets a fresh label from
-    m up by first appearance, so its row still fails `_composed`; an
-    unhashable symbol gets a fresh label at each occurrence.
+    Symbols 0..m-1 keep their value.  Any other int (negative, m or more,
+    or beyond int64) gets a fresh label from m up by first appearance, so
+    its row still fails `_composed`.
     """
-    # dtype=int64 truncates 1.5 to 1 and reads "1" as 1, so it only takes
-    # rows of ints: their sum is an int, and any other symbol makes the sum
-    # something else or raises.
     try:
-        mat = np.array(rows, dtype=np.int64) if isinstance(sum(map(sum, rows)), int) else None
-    except (TypeError, OverflowError):
-        mat = None
-    if mat is not None and not (mat.size and (mat.min() < 0 or mat.max() >= m)):
-        return mat
-    codes: dict[object, int] = {}
+        mat = np.array(rows, dtype=np.int64)
+        if not (mat.size and (mat.min() < 0 or mat.max() >= m)):
+            return mat
+    except OverflowError:
+        pass
+    codes: dict[int, int] = {}
     fresh = max(m, 0)
 
-    def label(s: object) -> int:
-        if isinstance(s, numbers.Integral) and 0 <= s < m:
-            return s
-        try:
-            return codes.setdefault(s, fresh + len(codes))
-        except TypeError:  # unhashable
-            return codes.setdefault(object(), fresh + len(codes))
+    def label(s: int) -> int:
+        return s if 0 <= s < m else codes.setdefault(s, fresh + len(codes))
 
     return np.array([[label(s) for s in row] for row in rows], dtype=np.int64)
 
@@ -369,11 +366,8 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )
-    try:
-        if len(set(rows)) != len(rows):
-            reasons.append("rows are not pairwise distinct")
-    except TypeError:  # an unhashable symbol, whose row is reported above
-        pass
+    if len(set(rows)) != len(rows):
+        reasons.append("rows are not pairwise distinct")
 
     actual = array.n
     equidistant = True

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import WorkLimitExceeded
+from .core import WorkLimitExceeded, _ints
 
 _ORDER_GUARDRAIL = 2**20
 # whole-field evaluation handles blocks of about this many images at once
@@ -235,13 +235,15 @@ def _coefficients(v: int, p: int, k: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
-    """GF(p^k) with the deterministic modulus; instances are cached."""
-    if _prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
+    """GF(p^k) with the deterministic modulus, cached; checked against the guardrail first."""
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if p**k > _ORDER_GUARDRAIL:
-        raise ValueError(f"field order {p**k} above guardrail {_ORDER_GUARDRAIL}")
+    if p > _ORDER_GUARDRAIL or (
+        p >= 2 and (k >= _ORDER_GUARDRAIL.bit_length() or p**k > _ORDER_GUARDRAIL)
+    ):
+        raise ValueError(f"field order {p}^{k} above guardrail {_ORDER_GUARDRAIL}")
+    if _prime_power(p) != (p, 1):
+        raise ValueError(f"{p} is not prime")
     if k == 1:
         return FiniteField(p, 1, (0, 1))
     for v in range(p**k):
@@ -252,9 +254,11 @@ def make_field(p: int, k: int = 1) -> FiniteField:
 
 
 def field_of_order(q: int) -> FiniteField:
-    """GF(q) for a prime power q, factoring q deterministically."""
+    """GF(q) for a prime power q, factored deterministically below the guardrail."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    if q > _ORDER_GUARDRAIL:
+        raise ValueError(f"field order {q} above guardrail {_ORDER_GUARDRAIL}")
     factors = _prime_power(q)
     if factors is None:
         raise ValueError(f"{q} is not a prime power")
@@ -280,7 +284,7 @@ class Polynomial:
 
     @classmethod
     def of(cls, field: FiniteField, values: Sequence[int]) -> "Polynomial":
-        vals = [int(v) for v in values]
+        vals = list(_ints([values])[0])
         _check_range(field, vals)
         while vals and vals[-1] == 0:
             vals.pop()
@@ -305,9 +309,15 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
     Returns an int32 array with one row per polynomial.  Horner's rule
     runs over the whole field at once, on blocks of rows of about
     _CHUNK_CELLS images, so temporaries stay small however many rows come.
+    Coefficients other than integer field elements 0..q-1 raise ValueError.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int32)
+    coeffs = np.asarray(coeffs)
     q = field.q
+    if coeffs.size and coeffs.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers: coefficients have dtype {coeffs.dtype}")
+    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= q):
+        _check_range(field, coeffs.ravel().tolist())  # names the first one out of range
+    coeffs = coeffs.astype(np.int32)
     xs = np.arange(q, dtype=np.int32)
     out = np.zeros((coeffs.shape[0], q), dtype=np.int32)
     step = max(1, _CHUNK_CELLS // q)
@@ -359,10 +369,10 @@ def _permutation_polynomials(
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     q = field.q
-    work = (q ** (max_degree + 1) - q) * q
-    if work > _CENSUS_WORK:
+    # q >= 2: from degree bit_length(_CENSUS_WORK) on, over budget uncomputed
+    if max_degree >= _CENSUS_WORK.bit_length() or (q ** (max_degree + 1) - q) * q > _CENSUS_WORK:
         raise WorkLimitExceeded(
-            f"census cost {work} exceeds max_work {_CENSUS_WORK}"
+            f"census of degree {max_degree} over {field} exceeds max_work {_CENSUS_WORK}"
         )
     step = max(1, _CHUNK_CELLS // q)
     for d in range(1, max_degree + 1):
@@ -416,7 +426,7 @@ class LinearizedPolynomial:
 
     @classmethod
     def of(cls, field: FiniteField, q: int, values: Sequence[int]) -> "LinearizedPolynomial":
-        return cls(field, q, tuple(int(v) for v in values))
+        return cls(field, q, _ints([values])[0])
 
     @property
     def i(self) -> int:
@@ -487,6 +497,7 @@ def linearized_monomial(field: FiniteField, q: int) -> LinearizedPolynomial:
 
 def matrix_rank(field: FiniteField, rows: Sequence[Sequence[int]]) -> int:
     """Row-reduction rank over the field."""
+    rows = _ints(rows)
     _check_range(field, (v for row in rows for v in row))
     mat = [list(row) for row in rows]
     rank = 0

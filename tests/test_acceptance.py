@@ -74,7 +74,7 @@ def reported(number: int, label: str):
 
 def test_criterion_01_fixture_array_and_exact_bound(capsys):
     with reported(1, "4x6 fixture verifies at distance 4; exact = Plotkin = 4"):
-        fpa = FrequencyPermutationArray.from_rows(TWO_SYMBOL_6_4, 2, 3, 4)
+        fpa = FrequencyPermutationArray(2, 3, TWO_SYMBOL_6_4, 4)
         report = verify(fpa)
         assert report.valid and report.size == 4
         assert report.actual_min_distance == 4
@@ -141,7 +141,7 @@ def test_criterion_04_additive_map_family_sizes():
 
 def test_criterion_05_substitution_displays():
     with reported(5, "split displays match byte-exactly; sizes run 22 -> 44 -> 132"):
-        four = FrequencyPermutationArray.from_rows(DOUBLED_12_FIRST4, 2, 6, 6)
+        four = FrequencyPermutationArray(2, 6, DOUBLED_12_FIRST4, 6)
         half = refine(four, 3)
         shown = tuple(
             tuple(e + 1 for e in row) for row in half.rows[0::2]

@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,10 @@ def test_derangement_input_validation():
         multiset_derangements(())
     with pytest.raises(ValueError):
         multiset_derangements((2, 0))
+    # 1.5 used to be truncated to 1 and counted
+    with pytest.raises(ValueError, match="must be integers"):
+        multiset_derangements((1.5, 2))
+    assert multiset_derangements((np.int64(2), True)) == multiset_derangements((2, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +222,7 @@ def test_exact_witness_is_a_valid_array():
     result = exact_max_size(6, 3, 4)
     assert len(result.rows) == result.value
     assert result.rows == tuple(sorted(result.rows))
-    fpa = FrequencyPermutationArray.from_rows(result.rows, 2, 3, 4)
+    fpa = FrequencyPermutationArray(2, 3, result.rows, 4)
     report = verify(fpa)
     assert report.valid and report.actual_min_distance >= 4
 
@@ -235,6 +240,24 @@ def test_exact_respects_the_vertex_budget():
         exact_max_size(6, 3, 4, vertex_budget=10)
 
 
+def test_exact_refuses_huge_word_spaces_without_counting_them():
+    # 2000! words could not be printed in the refusal
+    message = r"^\(n=2000, lambda=1\) has more vertices than vertex_budget 2000$"
+    with pytest.raises(WorkLimitExceeded, match=message):
+        exact_max_size(2000, 1, 3)
+    with pytest.raises(WorkLimitExceeded, match=f"vertex_budget {10**100}$"):
+        exact_max_size(10**9, 10**8, 3, vertex_budget=10**100)
+
+
+@pytest.mark.parametrize("n,lam", [(4, 1), (4, 2), (6, 3), (3, 3)])
+def test_vertex_budget_is_exact_at_the_word_count(n, lam):
+    total = count_all(n, lam)
+    assert exact_max_size(n, lam, 2, vertex_budget=total).proven
+    if total > 1:
+        with pytest.raises(WorkLimitExceeded, match=f"vertex_budget {total - 1}$"):
+            exact_max_size(n, lam, 2, vertex_budget=total - 1)
+
+
 def test_negative_budgets_are_refused():
     for call in (exact_max_size, bounds_report):
         with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
@@ -249,7 +272,7 @@ def test_exact_node_budget_degrades_to_unproven():
     result = exact_max_size(6, 1, 5, node_budget=50)
     assert not result.proven
     assert result.value >= 2  # incumbent from the greedy pass survives
-    fpa = FrequencyPermutationArray.from_rows(result.rows, 6, 1, 5)
+    fpa = FrequencyPermutationArray(6, 1, result.rows, 5)
     assert verify(fpa).valid
 
 
@@ -303,7 +326,7 @@ def test_exact_matches_an_unpruned_bron_kerbosch():
         result = exact_max_size(n, lam, d)
         assert result.proven, (n, lam, d)
         assert result.value == _bron_kerbosch_max(adj), (n, lam, d)
-        fpa = FrequencyPermutationArray.from_rows(result.rows, m, lam, d)
+        fpa = FrequencyPermutationArray(m, lam, result.rows, d)
         assert verify(fpa).valid and fpa.size == result.value, (n, lam, d)
         checked += 1
     assert checked == 19  # (2,1), (3,1), (4,1), (4,2) and (6,3) at every d

@@ -115,7 +115,7 @@ def test_verify_expectation_mismatch_fails(tmp_path, capsys):
 
 def test_verify_catches_an_overclaimed_distance(tmp_path, capsys):
     rows = fpa_steiner_848().rows
-    bogus = FrequencyPermutationArray.from_rows(rows, 2, 4, 5)
+    bogus = FrequencyPermutationArray(2, 4, rows, 5)
     path = tmp_path / "bogus.fpa"
     path.write_text(write_fpa(bogus))
     assert main(["verify", str(path)]) == 1
@@ -339,7 +339,7 @@ def test_sep_product_transform(tmp_path, capsys):
     sep = separable_from_mols(mols_from_field(4))
     rows = [row for cls in sep.classes for row in cls.rows]
     stacked = tmp_path / "классы.fpa"
-    stacked.write_text(write_fpa(FrequencyPermutationArray.from_rows(rows, 4, 1, 3)))
+    stacked.write_text(write_fpa(FrequencyPermutationArray(4, 1, rows, 3)))
 
     out = tmp_path / "prod.fpa"
     assert main(
@@ -427,6 +427,23 @@ def test_search_adjacency_limit_exit(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: work limit exceeded")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "mols", "--q", "2305843009213693951"],
+        ["construct", "mofs", "--q", "3", "--i", "1000000"],
+        ["construct", "linearized", "--q", "2", "--i", "100000000", "--d", "1"],
+        ["search", "--n", "2000", "--lambda", "1", "--d", "3"],
+    ],
+)
+def test_huge_parameters_are_refused_by_name(capsys, argv):
+    # each used to run for minutes or fail while printing a huge integer
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Exceeds the limit" not in err
 
 
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
@@ -612,7 +629,7 @@ def test_fpa_writer_matches_per_symbol_labels(offset):
     # 0..m-1 (negative ones included) must print each symbol as it is
     rows = [(0, 1, 2, 2, 1, 0), (2, 2, 1, 1, 0, 0), (0, -1, 2, 2, 1, 0),
             (-3, 1, 2, 2, 1, 0), (0, 1, 3, 2, 1, 0), (7, 1, 2, 2, 1, 2**70)]
-    array = FrequencyPermutationArray.from_rows(rows, 3, 2, 1)
+    array = FrequencyPermutationArray(3, 2, rows, 1)
     lines = write_fpa(array, offset).splitlines()
     assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
     assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=6"]

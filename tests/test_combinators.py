@@ -42,11 +42,11 @@ from fixtures import (
 
 
 def _nine_column_array() -> FrequencyPermutationArray:
-    return FrequencyPermutationArray.from_rows(THREE_ROUTE_9_6, 3, 3, 6)
+    return FrequencyPermutationArray(3, 3, THREE_ROUTE_9_6, 6)
 
 
 def _four_doubled_rows() -> FrequencyPermutationArray:
-    return FrequencyPermutationArray.from_rows(DOUBLED_12_FIRST4, 2, 6, 6)
+    return FrequencyPermutationArray(2, 6, DOUBLED_12_FIRST4, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def _draw_words(data, m, lam):
 def test_expand_matches_a_per_symbol_loop(data):
     m = data.draw(st.integers(1, 4), label="m")
     lam = data.draw(st.integers(1, 4), label="lam")
-    a = FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 1)
+    a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 1)
     out = expand_to_pa(a)
     assert out.rows == _refine_per_symbol(a, 1)
     assert (out.m, out.lam, out.min_distance_claim) == (m * lam, 1, 1)
@@ -148,7 +148,7 @@ def test_expand_matches_a_per_symbol_loop(data):
 def test_refine_matches_a_per_symbol_loop(data):
     m = data.draw(st.integers(1, 4), label="m")
     lam = data.draw(st.sampled_from([1, 2, 3, 4, 6]), label="lam")
-    a = FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 2)
+    a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 2)
     for l in (f for f in range(1, lam + 1) if lam % f == 0):
         out = refine(a, l)
         assert out.rows == _refine_per_symbol(a, l)
@@ -173,10 +173,10 @@ def test_compose_columns_matches_a_per_symbol_loop(data):
     m = data.draw(st.integers(1, 3), label="m")
     lam = data.draw(st.integers(1, 3), label="lam")
     fpas = [
-        FrequencyPermutationArray.from_rows(_draw_words(data, m, lam), m, lam, 1)
+        FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 1)
         for _ in range(b)
     ]
-    coarse = FrequencyPermutationArray.from_rows(_draw_words(data, b, m * lam), b, m * lam, b)
+    coarse = FrequencyPermutationArray(b, m * lam, _draw_words(data, b, m * lam), b)
     out = compose_columns(fpas, coarse)
     assert out.rows == _compose_per_symbol(fpas, coarse)
     assert (out.m, out.lam, out.min_distance_claim) == (b * m, lam, b)
@@ -186,8 +186,8 @@ def _bad_substitutions(bad):
     """Each substitution, fed [(0, 1, 1, 0), bad] as a 2-symbol, lam = 2
     array: as its input, its coarse array, or every ingredient."""
     rows = [(0, 1, 1, 0), bad]
-    a = FrequencyPermutationArray.from_rows(rows, 2, 2, 2)
-    pairs = FrequencyPermutationArray.from_rows([(0, 1), (1, 0)], 2, 1, 1)
+    a = FrequencyPermutationArray(2, 2, rows, 2)
+    pairs = FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], 1)
     coarse = canonical_max_distance_fpa(2, 4)
     return {
         "expand_to_pa": lambda: expand_to_pa(a),
@@ -208,8 +208,8 @@ def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
             substitute()
             pytest.fail(f"{name} accepted {bad}")
     # a bad ingredient row is named with the ingredient that holds it
-    a = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), bad], 2, 2, 2)
-    good = FrequencyPermutationArray.from_rows([(0, 1, 1, 0), (1, 0, 0, 1)], 2, 2, 2)
+    a = FrequencyPermutationArray(2, 2, [(0, 1, 1, 0), bad], 2)
+    good = FrequencyPermutationArray(2, 2, [(0, 1, 1, 0), (1, 0, 0, 1)], 2)
     for ingredients, holder in (([good, a], 1), ([a, good], 0), ([good, good, a], 2)):
         coarse = canonical_max_distance_fpa(len(ingredients), 4)
         with pytest.raises(ValueError, match=f"^ingredient {holder} row 1 "):
@@ -280,7 +280,7 @@ def test_compose_columns_preconditions():
         compose_columns([ingredient, canonical_max_distance_fpa(2, 3)], coarse)
     with pytest.raises(ValueError):
         compose_columns([ingredient] * 2, coarse)  # coarse uses 3 symbols, not 2
-    weak = FrequencyPermutationArray.from_rows(coarse.rows, 3, 4, 11)
+    weak = FrequencyPermutationArray(3, 4, coarse.rows, 11)
     with pytest.raises(ValueError):
         compose_columns([ingredient] * 3, weak)  # claim 11 < b * d = 12
 
@@ -343,8 +343,8 @@ def test_class_product_reproduces_the_48_row_listing():
 
 
 def test_class_product_preconditions():
-    full = FrequencyPermutationArray.from_rows(
-        sorted(all_lambda_permutations(2, 2)), 2, 2, 2
+    full = FrequencyPermutationArray(
+        2, 2, sorted(all_lambda_permutations(2, 2)), 2
     )
     assert full.size == count_all(4, 2)
     singletons = SeparableArray.from_fpa(full, full.size)
@@ -381,7 +381,7 @@ def _draw_array(data, m, lam, label):
         st.lists(st.sampled_from(words), min_size=1, max_size=min(5, len(words)), unique=True),
         label=label,
     )
-    return FrequencyPermutationArray.from_rows(rows, m, lam, _brute_min(rows, m * lam))
+    return FrequencyPermutationArray(m, lam, rows, _brute_min(rows, m * lam))
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,7 +423,7 @@ def test_separable_distances_match_the_oracle_across_kernel_blocks(data):
     )
     rows_per_block = data.draw(st.sampled_from([1, 2, 4, 5, 7]), label="rows_per_block")
     with mock.patch.object(core, "_BLOCK_CELLS", rows_per_block * len(rows)):
-        sep = SeparableArray.from_fpa(FrequencyPermutationArray.from_rows(rows, 4, 1, 1), 4)
+        sep = SeparableArray.from_fpa(FrequencyPermutationArray(4, 1, rows, 1), 4)
     assert sep.d == _brute_min(rows, 4)
     assert sep.delta == min(_brute_min(rows[k : k + 3], 4) for k in range(0, 12, 3))
 
@@ -438,7 +438,7 @@ def test_reduce_mod_keeps_its_claim(data):
     relabel = data.draw(st.permutations(range(q)), label="relabel")
     columns = data.draw(st.permutations(range(q * q)), label="columns")
     words = [[relabel[row[c]] for c in columns] for row in picked]
-    a = FrequencyPermutationArray.from_rows(words, q, q, _brute_min(words, q * q))
+    a = FrequencyPermutationArray(q, q, words, _brute_min(words, q * q))
     r = data.draw(st.sampled_from([f for f in range(2, q + 1) if q % f == 0]), label="r")
     out = reduce_mod(a, r)
     assert (out.m, out.lam, out.size) == (r, q * q // r, a.size)
@@ -457,8 +457,8 @@ def test_compose_columns_keeps_its_claim(data):
     full = canonical_max_distance_fpa(b, m * lam).rows
     picked = data.draw(st.lists(st.sampled_from(full), min_size=1, unique=True), label="coarse")
     columns = data.draw(st.permutations(range(b * m * lam)), label="columns")
-    coarse = FrequencyPermutationArray.from_rows(
-        [[row[c] for c in columns] for row in picked], b, m * lam, b * m * lam
+    coarse = FrequencyPermutationArray(
+        b, m * lam, [[row[c] for c in columns] for row in picked], b * m * lam
     )
     out = compose_columns(fpas, coarse)
     assert (out.m, out.lam) == (b * m, lam)

@@ -104,6 +104,12 @@ def test_mofs_complete_refuses_work_over_its_budget(monkeypatch, capsys):
     assert "9 forms exceed max_work 8" in capsys.readouterr().err
 
 
+def test_mofs_complete_refuses_huge_i_without_computing_the_power():
+    # 3^(2 * 10^6) forms could not be printed in the refusal
+    with pytest.raises(core.WorkLimitExceeded, match=r"^3\^2000000 forms exceed max_work 1000000$"):
+        mofs_complete(3, 10**6)
+
+
 def test_from_cells_infers_parameters():
     sq = FrequencySquare.from_cells(((0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)))
     assert (sq.n, sq.m, sq.lam) == (4, 2, 2)

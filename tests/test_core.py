@@ -12,7 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fparray import ResolvableDesign, core
+from fparray import (
+    FrequencySquare,
+    HadamardMatrix,
+    LinearizedPolynomial,
+    OrthogonalArray,
+    Polynomial,
+    ResolvableDesign,
+    core,
+    field_of_order,
+    fpa_from_mds,
+    matrix_rank,
+)
 from fparray.cli import formats
 from fparray.core import (
     FrequencyPermutationArray,
@@ -61,9 +72,9 @@ def test_multipermutation_validity_and_distance():
     assert not is_lambda_permutation((0, 0, 0, 1), 2, 2)
 
 
-def test_from_rows_normalises_to_int_tuples():
-    fpa = FrequencyPermutationArray.from_rows(
-        [[0, 1, 1, 0], np.array([1, 0, 0, 1], dtype=np.int16)], 2, 2, 4
+def test_constructor_normalises_to_int_tuples():
+    fpa = FrequencyPermutationArray(
+        2, 2, [[0, 1, 1, 0], np.array([1, 0, 0, 1], dtype=np.int16)], 4
     )
     assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
     assert all(type(s) is int for row in fpa.rows for s in row)
@@ -72,17 +83,49 @@ def test_from_rows_normalises_to_int_tuples():
 
 @pytest.mark.parametrize("symbol", [1.5, 1.0, "1", Fraction(1), None, [1]])
 def test_non_integer_symbols_are_never_truncated(symbol):
-    # int64 conversion would read each of these as 1 or fail; a fresh label
-    # fails the row, and the unhashable [1] must not crash the labelling
+    # int64 conversion would read each of these as 1 or fail; the gate
+    # refuses them where they come in, and the predicate rejects the row
     rows = ((0, symbol), (1, 0))
     assert not is_lambda_permutation(rows[0], 2, 1)
-    assert core._label_matrix(rows, 2).tolist() == [[0, 2], [1, 0]]
-    report = verify(FrequencyPermutationArray(2, 1, rows, 2))
-    assert report.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
     with pytest.raises(ValueError, match="symbols must be integers"):
-        FrequencyPermutationArray.from_rows(rows, 2, 1, 2)
-    with pytest.raises(ValueError, match="class 0 has a malformed block"):
+        FrequencyPermutationArray(2, 1, rows, 2)
+    with pytest.raises(ValueError, match="symbols must be integers"):
         ResolvableDesign(2, 2, (((0, symbol),),))
+
+
+# Every entry point that takes integers from a caller, fed the symbol s
+# where a valid input holds a 1; each returns the integers it stored.
+GATED = {
+    "FrequencyPermutationArray": lambda s: FrequencyPermutationArray(
+        2, 1, ((0, s), (1, 0)), 2
+    ).rows,
+    "FrequencySquare": lambda s: FrequencySquare(2, 2, 1, ((0, s), (s, 0))).cells,
+    "FrequencySquare.from_cells": lambda s: FrequencySquare.from_cells([[0, s], [s, 0]]).cells,
+    "OrthogonalArray": lambda s: OrthogonalArray(4, 2, 2, 2, ((0, 0, s, s), (0, s, 0, s))).rows,
+    "ResolvableDesign": lambda s: ResolvableDesign(2, 2, (((0, s),),)).classes[0],
+    "HadamardMatrix": lambda s: HadamardMatrix(2, ((s, s), (1, -1))).rows,
+    "Polynomial.of": lambda s: (Polynomial.of(field_of_order(3), [0, s]).coeffs,),
+    "LinearizedPolynomial.of": lambda s: (
+        LinearizedPolynomial.of(field_of_order(9), 3, [s, 0]).alphas,
+    ),
+    "matrix_rank": lambda s: ((matrix_rank(field_of_order(3), [[s, 0], [0, s]]),),),
+    "fpa_from_mds": lambda s: fpa_from_mds(field_of_order(3), [[s, s, s], [0, s, 2]]).rows,
+}
+
+
+@pytest.mark.parametrize("symbol", [1.5, 1.0, "1", Fraction(1), None, [1]])
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_every_entry_point_refuses_non_integer_symbols(entry, symbol):
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        GATED[entry](symbol)
+
+
+@pytest.mark.parametrize("symbol", [np.int16(1), np.int64(1), True])
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_every_entry_point_stores_integer_types_as_ints(entry, symbol):
+    stored = GATED[entry](symbol)
+    assert stored == GATED[entry](1)
+    assert all(type(v) is int for row in stored for v in row)
 
 
 def test_integer_symbols_of_any_type_keep_their_value():
@@ -135,7 +178,7 @@ def test_canonical_array_is_equidistant_at_n(m, lam):
 
 
 def test_verify_fixture_exact_distance():
-    fpa = FrequencyPermutationArray.from_rows(TWO_SYMBOL_6_4, 2, 3, 4)
+    fpa = FrequencyPermutationArray(2, 3, TWO_SYMBOL_6_4, 4)
     report = verify(fpa)
     assert report.valid
     assert report.size == 4
@@ -144,7 +187,7 @@ def test_verify_fixture_exact_distance():
 
 
 def test_verify_rejects_overclaimed_distance():
-    fpa = FrequencyPermutationArray.from_rows(TWO_SYMBOL_6_4, 2, 3, 5)
+    fpa = FrequencyPermutationArray(2, 3, TWO_SYMBOL_6_4, 5)
     report = verify(fpa)
     assert not report.valid
     assert report.actual_min_distance == 4
@@ -152,14 +195,14 @@ def test_verify_rejects_overclaimed_distance():
 
 
 def test_verify_rejects_bad_composition():
-    fpa = FrequencyPermutationArray.from_rows([(0, 0, 0, 1), (0, 1, 0, 1)], 2, 2, 1)
+    fpa = FrequencyPermutationArray(2, 2, [(0, 0, 0, 1), (0, 1, 0, 1)], 1)
     report = verify(fpa)
     assert not report.valid
 
 
 def test_verify_reports_symbols_beyond_int64():
-    huge = verify(FrequencyPermutationArray.from_rows([[0, 2**70], [0, 1]], 2, 1, 1))
-    small = verify(FrequencyPermutationArray.from_rows([[0, 7], [0, 1]], 2, 1, 1))
+    huge = verify(FrequencyPermutationArray(2, 1, [[0, 2**70], [0, 1]], 1))
+    small = verify(FrequencyPermutationArray(2, 1, [[0, 7], [0, 1]], 1))
     assert huge == small
     assert not huge.valid
     assert huge.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
@@ -167,14 +210,14 @@ def test_verify_reports_symbols_beyond_int64():
 
 
 def test_min_distance_handles_huge_and_negative_symbols():
-    assert min_distance(FrequencyPermutationArray.from_rows([[0, 2**70], [0, 1]], 2, 1, 1)) == 1
+    assert min_distance(FrequencyPermutationArray(2, 1, [[0, 2**70], [0, 1]], 1)) == 1
     rows = [
         [0, 2**70, -3, 5],
         [0, 1, -3, 5],
         [2**70, 0, 5, -3],
         [-(2**80), 2**70, -3, 0],
     ]
-    fpa = FrequencyPermutationArray.from_rows(rows, 2, 2, 1)
+    fpa = FrequencyPermutationArray(2, 2, rows, 1)
     assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
     assert verify(fpa).actual_min_distance == 1
 
@@ -243,7 +286,7 @@ def test_composition_check_matches_the_per_row_predicate(data):
         st.lists(st.sampled_from(widths).flatmap(lambda w: _rows_of_width(m, lam, w)), max_size=6),
         label="ragged",
     )
-    fpa = FrequencyPermutationArray.from_rows(ragged, m, lam, 0)
+    fpa = FrequencyPermutationArray(m, lam, ragged, 0)
     assert verify(fpa).reasons == per_row_reasons(fpa)
 
     junk = data.draw(st.lists(st.integers(0, 4), min_size=len(ragged), max_size=len(ragged)))
@@ -262,21 +305,21 @@ def test_composition_check_matches_the_per_row_predicate(data):
 
 
 def test_verify_rejects_duplicate_rows():
-    fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1), (0, 1, 0, 1)], 2, 2, 1)
+    fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1), (0, 1, 0, 1)], 1)
     report = verify(fpa)
     assert not report.valid
     assert report.actual_min_distance == 0
 
 
 def test_verify_rejects_inconsistent_parameters():
-    fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1), (0, 1, 0, 1, 1)], 2, 2, 1)
+    fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1), (0, 1, 0, 1, 1)], 1)
     report = verify(fpa)
     assert not report.valid
     assert "row 1 has length 5" in report.reasons
 
 
 def test_verify_single_row_is_vacuous():
-    fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1)], 2, 2, 4)
+    fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1)], 4)
     report = verify(fpa)
     assert report.valid
     assert report.actual_min_distance == 4  # n, by convention
@@ -284,7 +327,7 @@ def test_verify_single_row_is_vacuous():
 
 
 def test_min_distance_requires_two_rows():
-    fpa = FrequencyPermutationArray.from_rows([(0, 1, 0, 1)], 2, 2, 1)
+    fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1)], 1)
     with pytest.raises(ValueError):
         min_distance(fpa)
 
@@ -303,7 +346,7 @@ def test_verify_distance_matches_bruteforce(data):
         st.lists(st.sampled_from(words), min_size=size, max_size=size, unique=True),
         label="rows",
     )
-    fpa = FrequencyPermutationArray.from_rows(subset, m, lam, 1)
+    fpa = FrequencyPermutationArray(m, lam, subset, 1)
     report = verify(fpa)
     assert report.valid
     assert report.actual_min_distance == brute_min_distance(subset)

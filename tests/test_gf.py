@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,27 @@ def test_make_field_rejects_bad_orders():
         make_field(2, 0)
     with pytest.raises(ValueError):
         field_of_order(12)  # not a prime power
+
+
+def test_the_order_guardrail_comes_before_factoring(monkeypatch):
+    # trial division of the prime 2^61 - 1 would run for minutes
+    factor = gf._prime_power
+
+    def guarded(q):
+        assert q <= gf._ORDER_GUARDRAIL, f"factored {q}, above the guardrail"
+        return factor(q)
+
+    monkeypatch.setattr(gf, "_prime_power", guarded)
+    with pytest.raises(ValueError, match="^field order 2305843009213693951 above guardrail 1048576$"):
+        field_of_order(2**61 - 1)
+    with pytest.raises(ValueError, match=r"^field order 2305843009213693951\^1 above guardrail"):
+        make_field(2**61 - 1)
+    # k alone settles it: 2^(10^7) is neither computed nor printed
+    with pytest.raises(ValueError, match=r"^field order 2\^10000000 above guardrail 1048576$"):
+        make_field(2, 10**7)
+    with pytest.raises(ValueError, match=r"^field order 1025\^2 above guardrail"):
+        make_field(1025, 2)
+    assert make_field(2, 20).q == gf._ORDER_GUARDRAIL
 
 
 def test_field_of_order_prime_power_decomposition():
@@ -247,6 +269,23 @@ def test_whole_field_evaluation_matches_horner_point_by_point(data):
         assert values == [poly.evaluate(x) for x in range(q)]
 
 
+@pytest.mark.parametrize(
+    "q,coeffs,message",
+    [
+        (3, [[0, 1.5]], "symbols must be integers: coefficients have dtype float64"),
+        (3, [[0, -1]], "field element -1 outside 0..2"),
+        (3, [[0, 1], [0, 5]], "field element 5 outside 0..2"),
+        (4, [[0, -1]], "field element -1 outside 0..3"),
+        (4, np.array([[0, 2**40]]), f"field element {2**40} outside 0..3"),
+    ],
+    ids=["float", "negative", "above q", "negative in GF(4)", "beyond int32"],
+)
+def test_whole_field_evaluation_refuses_what_it_would_misread(q, coeffs, message):
+    # these evaluated as [[0, 1]], [[0, 2]], [[0, 2]] and images [0, 3, 1, 2]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_whole_field(field_of_order(q), coeffs)
+
+
 @pytest.mark.parametrize("q,max_degree", [(3, 3), (4, 2), (5, 2), (8, 1)])
 def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, monkeypatch):
     field = field_of_order(q)
@@ -308,6 +347,19 @@ def test_census_refuses_work_over_its_budget():
     # (16^6 - 16) * 16 candidate evaluations, well over the budget
     with pytest.raises(WorkLimitExceeded, match="exceeds max_work"):
         census_permutation_polynomials(field_of_order(16), 5)
+
+
+def test_census_refuses_huge_degrees_without_computing_the_power():
+    # 4^(10^8 + 1) took seconds to compute and could not be printed
+    message = r"^census of degree 100000000 over GF\(2\^2\) exceeds max_work 10000000$"
+    with pytest.raises(WorkLimitExceeded, match=message):
+        census_permutation_polynomials(field_of_order(4), 10**8)
+    # below the cut-off the cost itself decides: at q = 2, degrees 22 and
+    # 23 cost (2^(d+1) - 2) * 2 > 10^7 evaluations
+    with pytest.raises(WorkLimitExceeded, match=r"^census of degree 23 over GF\(2\) exceeds"):
+        census_permutation_polynomials(field_of_order(2), 23)
+    with pytest.raises(WorkLimitExceeded, match=r"^census of degree 22 over GF\(2\) exceeds"):
+        census_permutation_polynomials(field_of_order(2), 22)
 
 
 @pytest.mark.parametrize("q,max_degree", [(3, 2), (4, 2), (5, 3)])
