@@ -6,6 +6,8 @@ multiset by how many positions agree with its sorted word, with plain
 integers in O(n^2) operations by inclusion-exclusion over fixed points.
 Multiset derangements are its zero-agreement term; sphere volumes are
 its tail sums over the word space, where every type appears lambda times.
+It refuses words longer than `_AGREEMENT_POSITIONS` before any arithmetic,
+and so every count does.
 `exact_max_size` is the independent oracle: a deterministic
 branch-and-bound maximum-clique search over the whole word space.
 """
@@ -30,10 +32,14 @@ from .core import (
 # ---------------------------------------------------------------------------
 # agreement counts: multiset derangements and sphere volumes
 
+# `_agreements` refuses multisets of more elements than this: its big-integer
+# work grows faster than n^3, and a bounds report at n = 512 takes seconds
+_AGREEMENT_POSITIONS = 256
 
-def _agreements(counts: Sequence[int]) -> list[int]:
-    """A[k]: rearrangements of the multiset that agree with its sorted word
-    in exactly k positions.
+
+def _agreements(counts: Sequence[int], repeat: int = 1) -> list[int]:
+    """A[k]: rearrangements of the multiset with type counts `counts`, listed
+    `repeat` times, that agree with its sorted word in exactly k positions.
 
     Fixing a_i of the c_i positions of type i gives C(c_i, a_i) position
     sets, and the n - j free positions of a j-set take
@@ -43,9 +49,11 @@ def _agreements(counts: Sequence[int]) -> list[int]:
     an exact division.  Inclusion-exclusion gives the rearrangements with
     exactly k agreements, A_k = sum_{j>=k} (-1)^(j-k) C(j, k) N_j.
     """
-    n = sum(counts)
+    n = sum(counts) * repeat
+    if n > _AGREEMENT_POSITIONS:
+        raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
     product, scale = [1], 1
-    for c in counts:
+    for c in tuple(counts) * repeat:
         q = [math.comb(c, a) * math.perm(c, a) for a in range(c + 1)]
         wider = [0] * (len(product) + c)
         for j, p in enumerate(product):
@@ -86,7 +94,7 @@ def sphere_volume(n: int, lam: int, r: int) -> int:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
     if not 0 <= r <= n:
         raise ValueError(f"radius must lie in 0..{n}, got {r}")
-    return sum(_agreements((lam,) * (n // lam))[n - r :])
+    return sum(_agreements((lam,), n // lam)[n - r :])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +111,8 @@ def gv_lower(n: int, lam: int, d: int) -> int:
 def hamming_upper(n: int, lam: int, d: int) -> int:
     """Packing bound: floor(space / volume at radius floor((d-1)/2))."""
     _check_nd(n, lam, d)
-    return count_all(n, lam) // sphere_volume(n, lam, (d - 1) // 2)
+    vol = sphere_volume(n, lam, (d - 1) // 2)
+    return count_all(n, lam) // vol
 
 
 def plotkin_upper(n: int, lam: int, d: int) -> int | None:
@@ -143,11 +152,14 @@ def _check_nd(n: int, lam: int, d: int, **budgets: int) -> None:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of the clique search; rows witness the reported value."""
+    """Outcome of the clique search; the rows witness value = len(rows)."""
 
-    value: int
     proven: bool
     rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def value(self) -> int:
+        return len(self.rows)
 
 
 # The search refuses word spaces whose V x V adjacency has more cells than
@@ -324,14 +336,14 @@ def exact_max_size(
         )
     words = list(all_lambda_permutations(m, lam))
     if len(words) == 1:
-        return ExactResult(1, True, (words[0],))
+        return ExactResult(True, (words[0],))
 
     non = _adjacency(words, d)
     # bench/tracing.py reads the node count from this local after the call
     state = {"best": _greedy_clique(non)}
     _clique_search(non, state, node_budget)
     rows = tuple(sorted(words[-1 - i] for i in state["best"]))
-    return ExactResult(len(rows), not state["aborted"], rows)
+    return ExactResult(not state["aborted"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +355,6 @@ class BoundsReport:
     """All bounds for one (n, lam, d), with optional exact search results."""
 
     n: int
-    m: int
     lam: int
     d: int
     total: int
@@ -353,6 +364,10 @@ class BoundsReport:
     trivial_upper: int
     exact_value: int | None = None
     exact_proven: bool | None = None
+
+    @property
+    def m(self) -> int:
+        return self.n // self.lam
 
     def best_upper(self) -> int:
         options = [self.hamming_upper, self.trivial_upper]
@@ -371,6 +386,7 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble every bound; exact search only on request and in budget."""
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
+    gv = gv_lower(n, lam, d)  # refuses words too long to count before any factorial
     exact_value = exact_proven = None
     if d <= 2:
         # Two distinct words over the same symbol multiset always differ in
@@ -384,11 +400,10 @@ def bounds_report(
             pass
     return BoundsReport(
         n=n,
-        m=n // lam,
         lam=lam,
         d=d,
         total=count_all(n, lam),
-        gv_lower=gv_lower(n, lam, d),
+        gv_lower=gv,
         hamming_upper=hamming_upper(n, lam, d),
         plotkin_upper=plotkin_upper(n, lam, d),
         trivial_upper=trivial_upper(n, lam, d),

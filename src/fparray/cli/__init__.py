@@ -62,7 +62,6 @@ from .formats import (
     parse_design,
     parse_fpa,
     parse_generator,
-    parse_hadamard,
     parse_oa,
     parse_squares,
     write_design,
@@ -323,24 +322,15 @@ def _format_exact(report: BoundsReport) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    report = bounds_report(
-        args.n,
-        args.lam,
-        args.d,
-        with_exact=args.exact,
-        vertex_budget=args.vertex_budget,
-        node_budget=args.budget,
-    )
+    report = bounds_report(args.n, args.lam, args.d, with_exact=args.exact,
+                           vertex_budget=args.vertex_budget, node_budget=args.budget)
     args.lap("bounds")
     rows = [
         ("parameters", f"n={report.n} m={report.m} lambda={report.lam} d={report.d}"),
         ("total", str(report.total)),
         ("gv_lower", str(report.gv_lower)),
         ("hamming_upper", str(report.hamming_upper)),
-        (
-            "plotkin_upper",
-            "n/a" if report.plotkin_upper is None else str(report.plotkin_upper),
-        ),
+        ("plotkin_upper", "n/a" if report.plotkin_upper is None else str(report.plotkin_upper)),
         ("trivial_upper", str(report.trivial_upper)),
         ("exact", _format_exact(report)),
     ]
@@ -349,11 +339,7 @@ def _cmd_bounds(args) -> int:
         print(f"{key:<{width}}  {value}")
     if args.machine:
         plotkin = "NA" if report.plotkin_upper is None else str(report.plotkin_upper)
-        exact = (
-            str(report.exact_value)
-            if report.exact_value is not None and report.exact_proven
-            else "?"
-        )
+        exact = str(report.exact_value) if report.exact_proven else "?"
         print(
             f"gv={report.gv_lower} hamming={report.hamming_upper} "
             f"plotkin={plotkin} trivial={report.trivial_upper} exact={exact}"
@@ -407,9 +393,7 @@ def _add_out(p: argparse.ArgumentParser, with_one_based: bool = True) -> None:
     p.add_argument("-o", "--out", default=None, help="output file (default: stdout)")
     if with_one_based:
         p.add_argument(
-            "--one-based",
-            action="store_true",
-            help="print symbols 1-based (stdout display only)",
+            "--one-based", action="store_true", help="print symbols 1-based (stdout display only)"
         )
 
 
@@ -442,13 +426,9 @@ def _add_fpa_from_mofs(p: argparse.ArgumentParser) -> None:
 def _add_linearized(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="base field order (prime power)")
     p.add_argument("--i", type=int, required=True, help="extension degree over the base")
-    p.add_argument(
-        "--kind", choices=("trace", "subfield", "monomial"), default="trace"
-    )
+    p.add_argument("--kind", choices=("trace", "subfield", "monomial"), default="trace")
     p.add_argument("--h", type=int, default=1, help="trace step (kind=trace)")
-    p.add_argument(
-        "--subfield-n", type=int, default=None, help="subfield degree (kind=subfield)"
-    )
+    p.add_argument("--subfield-n", type=int, default=None, help="subfield degree (kind=subfield)")
     p.add_argument("--d", type=int, required=True, help="distance parameter")
     _add_out(p)
     p.set_defaults(func=_cmd_construct_linearized)
@@ -510,16 +490,12 @@ _METHODS = (
 
 
 def _add_transform(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "op", choices=tuple(_TRANSFORMS)
-    )
+    p.add_argument("op", choices=tuple(_TRANSFORMS))
     p.add_argument("inputs", nargs="+", help="input array files")
     p.add_argument("--l", type=int, default=None, help="refine: output frequency")
     p.add_argument("--r", type=int, default=None, help="reduce-mod: modulus")
     p.add_argument("--c", default=None, help="compose: coarse array file")
-    p.add_argument(
-        "--classes", type=int, default=None, help="sep-product: classes per input"
-    )
+    p.add_argument("--classes", type=int, default=None, help="sep-product: classes per input")
     _add_out(p)
     p.set_defaults(func=_cmd_transform)
 
@@ -536,13 +512,9 @@ def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="run the clique search")
-    p.add_argument(
-        "--budget", type=int, default=200_000, help="search node budget (deterministic)"
-    )
+    p.add_argument("--budget", type=int, default=200_000, help="search node budget (deterministic)")
     p.add_argument("--vertex-budget", type=int, default=2000)
-    p.add_argument(
-        "--machine", action="store_true", help="append a machine-readable line"
-    )
+    p.add_argument("--machine", action="store_true", help="append a machine-readable line")
     p.set_defaults(func=_cmd_bounds)
 
 
@@ -550,9 +522,7 @@ def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument(
-        "--budget", type=int, default=200_000, help="search node budget (deterministic)"
-    )
+    p.add_argument("--budget", type=int, default=200_000, help="search node budget (deterministic)")
     p.add_argument("--vertex-budget", type=int, default=2000)
     p.add_argument("-o", "--out", default=None, help="write the witness array here")
     p.set_defaults(func=_cmd_search)

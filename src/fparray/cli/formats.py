@@ -14,7 +14,8 @@ header and returns the lines that follow; one writer emits the canonical
 byte-exact form (magic line, header, body, closing newline).  Parsers
 accept extra blank and comment lines but reject unknown keys, shape
 mismatches, and rows that are not uniform-frequency words, with a
-`FormatError`.
+`FormatError`.  Header counts must match the body, n must be m * lambda
+and `t` must be 2; writers read these from the records, which derive them.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def _write(kind: str, header: dict[str, int | None], body: Sequence[str]) -> str
     return "\n".join([magic, keys, *body]) + "\n"
 
 
+def _check_sizes(n: int, m: int, lam: int) -> None:
+    if n < 1 or lam < 1 or m < 1 or m * lam != n:
+        raise FormatError(f"inconsistent parameters n={n} lambda={lam} m={m}")
+
+
 def _count(header: dict[str, int], key: str, found: int, what: str) -> None:
     if found != header[key]:
         raise FormatError(f"header says {key}={header[key]}, found {found} {what}")
@@ -162,8 +168,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
 def parse_fpa(text: str) -> FrequencyPermutationArray:
     header, rest = _read(text, "", ("n", "lambda", "m", "d", "size"))
     n, lam, m = header["n"], header["lambda"], header["m"]
-    if n < 1 or lam < 1 or m < 1 or m * lam != n:
-        raise FormatError(f"inconsistent parameters n={n} lambda={lam} m={m}")
+    _check_sizes(n, m, lam)
     body = list(filter(_is_data, rest))
     _count(header, "size", len(body), "rows")
     rows: list[tuple[int, ...]] = []
@@ -192,9 +197,8 @@ def write_squares(squares: Sequence[FrequencySquare]) -> str:
     if not squares:
         raise FormatError("cannot write an empty square list")
     first = squares[0]
-    for sq in squares[1:]:
-        if (sq.n, sq.m, sq.lam) != (first.n, first.m, first.lam):
-            raise FormatError("squares in one file must share n, m, lambda")
+    if any((sq.m, sq.lam) != (first.m, first.lam) for sq in squares):
+        raise FormatError("squares in one file must share n, m, lambda")
     body = []
     for sq in squares:
         body.append("")
@@ -205,17 +209,15 @@ def write_squares(squares: Sequence[FrequencySquare]) -> str:
 
 def parse_squares(text: str) -> list[FrequencySquare]:
     header, rest = _read(text, "fsq", ("n", "m", "lambda", "count"))
-    n = header["n"]
+    n, m, lam = header["n"], header["m"], header["lambda"]
+    _check_sizes(n, m, lam)
     grids = _groups(rest)
     _count(header, "count", len(grids), "grids")
     squares = []
     for g_idx, grid in enumerate(grids):
-        if len(grid) != n:
-            raise FormatError(f"grid {g_idx}: expected {n} lines, got {len(grid)}")
+        _count(header, "n", len(grid), f"lines in grid {g_idx}")
         cells = tuple(_int_row(ln, n, f"grid {g_idx}") for ln in grid)
-        squares.append(_build(
-            FrequencySquare, n, header["m"], header["lambda"], cells, where=f"grid {g_idx}: "
-        ))
+        squares.append(_build(FrequencySquare, m, lam, cells, where=f"grid {g_idx}: "))
     return squares
 
 
@@ -225,15 +227,17 @@ def parse_squares(text: str) -> list[FrequencySquare]:
 
 def write_oa(oa: OrthogonalArray) -> str:
     body = [" ".join(str(c) for c in row) for row in oa.rows]
-    return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": oa.t}, body)
+    return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": 2}, body)
 
 
 def parse_oa(text: str) -> OrthogonalArray:
     header, rest = _read(text, "oa", ("v", "r", "s", "t"))
+    if header["t"] != 2:
+        raise FormatError("only strength 2 is supported")
     body = list(filter(_is_data, rest))
     _count(header, "r", len(body), "rows")
     rows = tuple(_int_row(ln, header["v"], f"row {i}") for i, ln in enumerate(body))
-    return _build(OrthogonalArray, header["v"], header["r"], header["s"], header["t"], rows)
+    return _build(OrthogonalArray, header["v"], header["s"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def parse_hadamard(text: str) -> HadamardMatrix:
         if len(signs) != n or any(c not in "+-" for c in signs):
             raise FormatError(f"row {idx} must be {n} characters of + or -")
         rows.append(tuple(1 if c == "+" else -1 for c in signs))
-    return _build(HadamardMatrix, n, tuple(rows))
+    return _build(HadamardMatrix, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

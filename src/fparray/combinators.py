@@ -146,9 +146,8 @@ def compose_columns(
     if not fpas:
         raise ValueError("need at least one ingredient array")
     n, m, lam = fpas[0].n, fpas[0].m, fpas[0].lam
-    for f in fpas[1:]:
-        if (f.n, f.m, f.lam) != (n, m, lam):
-            raise ValueError("ingredient arrays must share (n, m, lam)")
+    if any((f.m, f.lam) != (m, lam) for f in fpas):
+        raise ValueError("ingredient arrays must share (n, m, lam)")
     b = len(fpas)
     d = min(f.min_distance_claim for f in fpas)
     if (c.m, c.lam) != (b, n):
@@ -271,10 +270,8 @@ def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
     different squares at distance n-1.
     """
     n = _latin_order(squares)
-    classes = []
-    for sq in squares:
-        classes.append(replace(fpa_from_mofs([sq]), min_distance_claim=n))
-    return SeparableArray(tuple(classes), n, n - 1)
+    classes = tuple(replace(fpa_from_mofs([sq]), min_distance_claim=n) for sq in squares)
+    return SeparableArray(classes, n, n - 1)
 
 
 def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
@@ -288,9 +285,8 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     if not inputs:
         raise ValueError("need at least one separable array")
     m, lam = inputs[0].m, inputs[0].lam
-    for s in inputs[1:]:
-        if (s.m, s.lam) != (m, lam):
-            raise ValueError("inputs must share (m, lam)")
+    if any((s.m, s.lam) != (m, lam) for s in inputs):
+        raise ValueError("inputs must share (m, lam)")
     delta = min(s.delta for s in inputs)
     if sum(s.d for s in inputs) < delta:
         raise ValueError(

@@ -3,12 +3,13 @@
 Ingredient objects (frequency squares, orthogonal arrays, resolvable
 designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
-distance each classical argument guarantees.  Additive-map images share
-`gf`'s permutation-polynomial sweep with the census, so each candidate
-polynomial is evaluated once.  Orderings are pinned
-everywhere: field elements by their integer encoding, tuples
-odometer-style with the first coordinate most significant, grids
-row-major.
+distance each classical argument guarantees.  Sizes the rows fix are
+derived, not stored: a square's n is m * lam, an orthogonal array's r and
+a Hadamard matrix's n count rows, and strength is always 2.  Additive-map
+images share `gf`'s permutation-polynomial sweep with the census, so each
+candidate polynomial is evaluated once.  Orderings are pinned everywhere:
+field elements by their integer encoding, tuples odometer-style with the
+first coordinate most significant, grids row-major.
 """
 
 from __future__ import annotations
@@ -51,27 +52,29 @@ from .gf import (
 
 @dataclass(frozen=True)
 class FrequencySquare:
-    """n x n grid where every row and column holds each symbol lam times."""
+    """n x n grid, n = m * lam, where every row and column holds each symbol lam times."""
 
-    n: int
     m: int
     lam: int
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", _ints(self.cells))
-        if self.m < 1 or self.lam < 1 or self.n != self.m * self.lam:
-            raise ValueError(
-                f"parameters inconsistent: n={self.n}, m={self.m}, lam={self.lam}"
-            )
-        if len(self.cells) != self.n or any(len(r) != self.n for r in self.cells):
+        if self.m < 1 or self.lam < 1:
+            raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
+        n = self.n
+        if len(self.cells) != n or any(len(r) != n for r in self.cells):
             raise ValueError("cells must form an n x n grid")
         # rows 0..n-1, then columns as rows n..2n-1
         lines = _label_matrix([*self.cells, *zip(*self.cells)], self.m)
         bad = np.flatnonzero(~_composed(lines, self.m, self.lam))
         if bad.size:
-            what, idx = divmod(int(bad[0]), self.n)
+            what, idx = divmod(int(bad[0]), n)
             raise ValueError(f"{('row', 'column')[what]} {idx} is not {self.lam}-uniform")
+
+    @property
+    def n(self) -> int:
+        return self.m * self.lam
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "FrequencySquare":
@@ -80,7 +83,7 @@ class FrequencySquare:
         m = max(max(row) for row in grid) + 1 if n else 0
         if m < 1 or n % m:
             raise ValueError("cell values do not determine a symbol count dividing n")
-        return cls(n, m, n // m, grid)
+        return cls(m, n // m, grid)
 
 
 def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
@@ -112,16 +115,11 @@ def _latin_order(squares: Sequence[FrequencySquare]) -> int:
 
 
 def mols_from_field(q: int) -> list[FrequencySquare]:
-    """The q-1 pairwise orthogonal latin squares x, y -> a*x + y, a != 0."""
+    """The q-1 pairwise orthogonal latin squares x, y -> a*x + y, a != 0,
+    which are exactly `mofs_complete(q, 1)`."""
     if q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
-    field = field_of_order(q)
-    xs = np.arange(q, dtype=np.int32)
-    squares = []
-    for a in range(1, q):
-        cells = field.add_val(field.mul_val(a, xs)[:, None], xs)
-        squares.append(FrequencySquare(q, q, 1, cells.tolist()))
-    return squares
+    return mofs_complete(q, 1)
 
 
 # `mofs_complete` refuses more linear forms q^(2i) than this
@@ -152,7 +150,7 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     left = _linear_forms(field, vectors)
     right = _linear_forms(field, vectors[leads == 1])
     squares = [
-        FrequencySquare(n, q, n // q, field.add_val(lv[:, None], rv).tolist())
+        FrequencySquare(q, n // q, field.add_val(lv[:, None], rv).tolist())
         for lv in left
         for rv in right
     ]
@@ -188,9 +186,8 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
     if not squares:
         raise ValueError("need at least one square")
     first = squares[0]
-    for s in squares[1:]:
-        if (s.n, s.m, s.lam) != (first.n, first.m, first.lam):
-            raise ValueError("squares must share (n, m, lam)")
+    if any((s.m, s.lam) != (first.m, first.lam) for s in squares):
+        raise ValueError("squares must share (n, m, lam)")
     flat = np.stack([_flat_cells(sq) for sq in squares])
     pair = _unbalanced_pair(flat, first.m, first.lam * first.lam)
     if pair:
@@ -266,23 +263,19 @@ def fpa_from_monomial(field: FiniteField, q: int, d: int) -> FrequencyPermutatio
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """r x v array over s symbols; strength-2 uniformity is validated."""
+    """r x v array over s symbols, r = len(rows); strength-2 uniformity is validated."""
 
     v: int
-    r: int
     s: int
-    t: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _ints(self.rows))
-        if self.t != 2:
-            raise ValueError("only strength 2 is supported")
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
-        if len(self.rows) != self.r or any(len(row) != self.v for row in self.rows):
+        if any(len(row) != self.v for row in self.rows):
             raise ValueError("rows must form an r x v grid")
         if any(min(row) < 0 or max(row) >= self.s for row in self.rows):
             raise ValueError("symbol outside 0..s-1")
@@ -291,13 +284,17 @@ class OrthogonalArray:
         if pair:
             raise ValueError(f"rows {pair[0]}, {pair[1]} break strength-2 uniformity")
 
+    @property
+    def r(self) -> int:
+        return len(self.rows)
+
 
 def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
     n = _latin_order(squares)
     cells = np.arange(n * n)
     rows = itertools.chain([cells // n, cells % n], map(_flat_cells, squares))
-    return OrthogonalArray(n * n, len(squares) + 2, n, 2, [r.tolist() for r in rows])
+    return OrthogonalArray(n * n, n, [r.tolist() for r in rows])
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
@@ -417,6 +414,8 @@ def reed_solomon_generator(
 # `fpa_from_mds` checks every k-column subset only while
 # C(n, k) * k^3 stays within this.
 _MDS_SUBSET_WORK = 1_000_000
+# `hadamard_matrix` refuses orders whose matrix has more cells than this
+_HADAMARD_CELLS = 1 << 20
 
 
 def fpa_from_mds(
@@ -455,14 +454,13 @@ def fpa_from_mds(
 
 @dataclass(frozen=True)
 class HadamardMatrix:
-    """Rows of +-1 with pairwise orthogonal rows (H H^T = n I)."""
+    """n = len(rows) rows of +-1 with pairwise orthogonal rows (H H^T = n I)."""
 
-    n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _ints(self.rows))
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+        if any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
         if any(e not in (1, -1) for row in self.rows for e in row):
             raise ValueError("entries must be +1 or -1")
@@ -472,6 +470,10 @@ class HadamardMatrix:
         if bad.size:
             a, b = bad[0].tolist()
             raise ValueError(f"rows {a} and {b} are not orthogonal")
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
 
 def _hadamard_route(n: int, memo: dict[int, int | None]) -> int | None:
@@ -527,14 +529,16 @@ def _build_hadamard(n: int, memo: dict[int, int | None]) -> list[list[int]]:
 
 def hadamard_matrix(n: int) -> HadamardMatrix:
     """Deterministic construction preferring doubling, then the quadratic
-    residue route, then Kronecker products of smaller orders."""
+    residue route, then Kronecker products of smaller orders.  Orders with
+    more than _HADAMARD_CELLS cells are refused before any routing."""
     if n < 1 or (n > 2 and n % 4):
         raise ValueError(f"order {n} impossible (must be 1, 2, or a multiple of 4)")
+    if n * n > _HADAMARD_CELLS:
+        raise WorkLimitExceeded(f"order {n} needs {n}^2 cells, over the limit of {_HADAMARD_CELLS}")
     memo: dict[int, int | None] = {}
     if _hadamard_route(n, memo) is None:
         raise ValueError(f"no construction route implemented for order {n}")
-    rows = _build_hadamard(n, memo)
-    return HadamardMatrix(n, rows)
+    return HadamardMatrix(_build_hadamard(n, memo))
 
 
 def fpa_from_hadamard(H: HadamardMatrix) -> FrequencyPermutationArray:

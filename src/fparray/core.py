@@ -138,11 +138,8 @@ def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     """m rows at full distance n: row k is the blocks k, k+1, ... mod m."""
     if m < 1 or lam < 1:
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
-    n = m * lam
-    rows = [
-        [((k + j) % m) for j in range(m) for _ in range(lam)] for k in range(m)
-    ]
-    return FrequencyPermutationArray(m, lam, rows, n)
+    rows = [[(k + j) % m for j in range(m) for _ in range(lam)] for k in range(m)]
+    return FrequencyPermutationArray(m, lam, rows, m * lam)
 
 
 # One distance block holds at most this many 64-position words per

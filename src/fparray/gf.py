@@ -116,16 +116,25 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _factors(q: int) -> Iterator[tuple[int, int]]:
+    """(p, k) for each prime p dividing q >= 1, p ascending, with p^k the
+    largest power of p that divides q; one trial division, found lazily."""
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            k = 0
+            while q % f == 0:
+                q, k = q // f, k + 1
+            yield f, k
+        f += 1
+    if q > 1:
+        yield q, 1
+
+
 def _prime_power(q: int) -> tuple[int, int] | None:
     """(p, k) with q = p^k for a prime p, or None if q is no prime power."""
-    if q < 2:
-        return None
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
+    p, k = next(_factors(q), (q, 0))
+    return (p, k) if q >= 2 and p**k == q else None
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ class FiniteField:
     def primitive_element(self) -> int:
         """The smallest g with g^((q-1)/r) != 1 for every prime r | q-1."""
         p, order = self.p, self.q - 1
-        primes = [r for r in range(2, order + 1) if order % r == 0 and _prime_power(r) == (r, 1)]
+        primes = [r for r, _ in _factors(order)]
         return next(
             g for g in range(1, self.q)
             if all(

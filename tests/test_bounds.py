@@ -26,7 +26,8 @@ from fparray import (
     verify,
     FrequencyPermutationArray,
 )
-from fparray import core
+from fparray import bounds, core
+from fparray.cli import main
 from fparray.bounds import (
     _adjacency,
     _clique_search,
@@ -168,6 +169,42 @@ def test_distance_distribution_covers_the_space_up_to_n_120():
             assert sum(dist) == count_all(n, lam), (n, lam)
             assert dist[0] == 1 and dist[1] == 0
             assert min(dist) >= 0
+
+
+def test_every_count_stops_at_the_word_length_limit(monkeypatch):
+    limit = bounds._AGREEMENT_POSITIONS
+    assert limit == 256
+    # the accepted side: full spheres still hold the whole space
+    assert sum(_agreements((1,) * limit)) == math.factorial(limit)
+    assert sphere_volume(limit, 2, limit) == count_all(limit, 2)
+    assert multiset_derangements((limit // 2, limit // 2)) == 1
+    # the refused side, before any factorial is taken
+    monkeypatch.setattr(math, "factorial", None)
+    message = f"^words over {limit} positions are not counted$"
+    refusals = [
+        lambda: _agreements((1,) * (limit + 1)),
+        lambda: _agreements((2,), limit // 2 + 1),
+        lambda: multiset_derangements((1,) * (limit + 1)),
+        lambda: multiset_derangements((limit, 1)),
+        lambda: sphere_volume(limit + 1, 1, 2),
+        lambda: sphere_volume(2000, 1, 2),
+        lambda: sphere_volume(10**30, 10, 2),  # no 10^29-entry tuple is built
+        lambda: gv_lower(2000, 1, 3),
+        lambda: hamming_upper(2000, 1, 3),
+        lambda: bounds_report(2000, 1, 3),
+        lambda: bounds_report(10**30, 1, 2),
+    ]
+    for refuse in refusals:
+        with pytest.raises(WorkLimitExceeded, match=message):
+            refuse()
+
+
+def test_bounds_command_refuses_long_words_at_once(capsys):
+    assert main(["bounds", "--n", "2000", "--lambda", "1", "--d", "3"]) == 2
+    message = "error: work limit exceeded: words over 256 positions are not counted\n"
+    assert capsys.readouterr() == ("", message)
+    assert main(["bounds", "--n", "256", "--lambda", "1", "--d", "3", "--machine"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("gv=")
 
 
 # ---------------------------------------------------------------------------

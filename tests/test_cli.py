@@ -21,6 +21,7 @@ from fparray import (
     canonical_max_distance_fpa,
     fpa_steiner_848,
     hadamard_matrix,
+    mofs_complete,
     mols_from_field,
     oa_from_mols,
     separable_from_mols,
@@ -206,6 +207,41 @@ def test_oa_ingredient_roundtrip(tmp_path):
 
     assert main(["construct", "oa", "--q", "3", "--squares", str(sq_txt)]) == 2
     assert main(["construct", "oa"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, kind, header, edited, message",
+    [
+        (["construct", "fpa-from-mofs"], "fsq", "n=3 m=3 lambda=1", "n=4 m=3 lambda=1",
+         "inconsistent parameters n=4 lambda=1 m=3"),
+        (["construct", "oa"], "fsq", "n=3 m=3 lambda=1", "n=3 m=3 lambda=3",
+         "inconsistent parameters n=3 lambda=3 m=3"),
+        (["construct", "oa"], "oa", "r=4", "r=5", "header says r=5, found 4 rows"),
+        (["construct", "oa"], "oa", "r=4", "r=3", "header says r=3, found 4 rows"),
+        (["construct", "oa"], "oa", "t=2", "t=3", "only strength 2 is supported"),
+    ],
+)
+def test_header_that_disagrees_with_its_body_exits_two(
+    tmp_path, capsys, argv, kind, header, edited, message
+):
+    text = _KIND_FILES[kind]()
+    assert header in text.splitlines()[1]
+    ingredient = tmp_path / "ingredient.txt"
+    ingredient.write_text(text.replace(header, edited, 1))
+    out = tmp_path / "a.fpa"
+    flag = "--squares" if kind == "fsq" else "--oa"
+    assert main([*argv, flag, str(ingredient), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_hadamard_header_that_disagrees_with_its_body_is_refused():
+    # no command reads a Hadamard file, so the parser answers for the CLI
+    text = write_hadamard(hadamard_matrix(4))
+    for n, found in (("n=8", "header says n=8, found 4 rows"), ("n=2", "header says n=2, found 4 rows")):
+        with pytest.raises(FormatError) as info:
+            parse_hadamard(text.replace("n=4", n, 1))
+        assert str(info.value) == found
 
 
 @pytest.mark.parametrize(
@@ -665,6 +701,27 @@ def test_hadamard_format_roundtrip():
     back = parse_hadamard(text)
     assert back == H
     assert write_hadamard(back) == text
+
+
+# kind, what to write, the header the writer derives from the rows
+_DERIVED_HEADERS = [
+    ("fsq", lambda: mols_from_field(5), "n=5 m=5 lambda=1 count=4"),
+    ("fsq", lambda: mofs_complete(2, 2), "n=4 m=2 lambda=2 count=9"),
+    ("fsq", lambda: mofs_complete(3, 2), "n=9 m=3 lambda=3 count=32"),
+    ("oa", lambda: oa_from_mols(mols_from_field(4)), "v=16 r=5 s=4 t=2"),
+    ("oa", lambda: oa_from_mols(mols_from_field(5)[:2]), "v=25 r=4 s=5 t=2"),
+    ("had", lambda: hadamard_matrix(1), "n=1"),
+    ("had", lambda: hadamard_matrix(12), "n=12"),
+]
+_WRITERS = {"fsq": write_squares, "oa": write_oa, "had": write_hadamard}
+
+
+@pytest.mark.parametrize("kind, make, header", _DERIVED_HEADERS)
+def test_derived_headers_round_trip_byte_for_byte(kind, make, header):
+    write, (parse, _) = _WRITERS[kind], _KIND_PARSERS[kind]
+    text = write(make())
+    assert text.splitlines()[1] == header
+    assert write(parse(text)) == text
 
 
 def test_parsers_reject_mismatched_kinds():

@@ -1,9 +1,11 @@
 """Direct construction routes: squares, fields, arrays, designs, codes."""
 
 import collections
+import dataclasses
 import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from fparray import constructions, core, gf
 from fparray.cli import main
 from fparray.gf import LinearizedPolynomial
 from fparray import (
+    BoundsReport,
+    ExactResult,
     FrequencySquare,
     HadamardMatrix,
     OrthogonalArray,
@@ -19,6 +23,7 @@ from fparray import (
     affine_classes_from_mols,
     all_lambda_permutations,
     are_orthogonal,
+    bounds_report,
     census_permutation_polynomials,
     count_all,
     field_of_order,
@@ -55,15 +60,34 @@ from fixtures import (
 
 
 def test_frequency_square_validation():
-    FrequencySquare(2, 2, 1, ((0, 1), (1, 0)))
+    assert FrequencySquare(2, 1, ((0, 1), (1, 0))).n == 2
     with pytest.raises(ValueError):
-        FrequencySquare(2, 2, 1, ((0, 1), (0, 1)))  # column not uniform
+        FrequencySquare(2, 1, ((0, 1), (0, 1)))  # column not uniform
     with pytest.raises(ValueError):
-        FrequencySquare(2, 2, 1, ((0, 0), (1, 1)))  # row not uniform
-    with pytest.raises(ValueError):
-        FrequencySquare(3, 2, 1, ((0, 1), (1, 0)))  # n != m * lam
+        FrequencySquare(2, 1, ((0, 0), (1, 1)))  # row not uniform
+    with pytest.raises(ValueError, match="cells must form an n x n grid"):
+        FrequencySquare(3, 1, ((0, 1), (1, 0)))  # n = m * lam = 3
     with pytest.raises(ValueError):
         FrequencySquare.from_cells(((0, 1), (1, 0), (0, 1)))  # not square
+
+
+def test_records_store_no_size_their_rows_fix():
+    stored = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+        FrequencySquare, OrthogonalArray, HadamardMatrix, ExactResult, BoundsReport
+    )}
+    assert stored == {
+        "FrequencySquare": ["m", "lam", "cells"],
+        "OrthogonalArray": ["v", "s", "rows"],
+        "HadamardMatrix": ["rows"],
+        "ExactResult": ["proven", "rows"],
+        "BoundsReport": ["n", "lam", "d", "total", "gv_lower", "hamming_upper",
+                         "plotkin_upper", "trivial_upper", "exact_value", "exact_proven"],
+    }
+    sq = mofs_complete(2, 2)[0]
+    oa = oa_from_mols(mols_from_field(3))
+    assert (sq.n, oa.r, hadamard_matrix(8).n) == (4, 4, 8)
+    assert ExactResult(True, ((0, 1), (1, 0))).value == 2
+    assert bounds_report(6, 3, 4).m == 2
 
 
 def _first_bad_line(cells, m, lam):
@@ -88,10 +112,10 @@ def test_frequency_square_names_the_first_bad_line(data):
     cells = tuple(map(tuple, cells))
     expected = _first_bad_line(cells, m, lam)
     if expected is None:
-        assert FrequencySquare(n, m, lam, cells).cells == cells
+        assert FrequencySquare(m, lam, cells).cells == cells
     else:
         with pytest.raises(ValueError) as err:
-            FrequencySquare(n, m, lam, cells)
+            FrequencySquare(m, lam, cells)
         assert str(err.value) == expected
 
 
@@ -137,6 +161,15 @@ def test_full_latin_families_are_orthogonal(q):
         assert are_orthogonal(a, b)
 
 
+def test_field_latin_squares_are_a_times_x_plus_y():
+    for q in (q for q in range(3, 50) if gf._prime_power(q)):
+        field, xs = field_of_order(q), np.arange(q)
+        expected = [field.add_val(field.mul_val(a, xs)[:, None], xs).tolist() for a in range(1, q)]
+        squares = mols_from_field(q)
+        assert [list(map(list, sq.cells)) for sq in squares] == expected, q
+        assert all((sq.n, sq.m, sq.lam) == (q, q, 1) for sq in squares)
+
+
 def test_mols_rejects_bad_orders():
     with pytest.raises(ValueError):
         mols_from_field(2)
@@ -147,15 +180,15 @@ def test_mols_rejects_bad_orders():
 def test_are_orthogonal_negative_cases():
     sq = mols_from_field(3)[0]
     assert not are_orthogonal(sq, sq)
-    other = FrequencySquare(2, 2, 1, ((0, 1), (1, 0)))
+    other = FrequencySquare(2, 1, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         are_orthogonal(sq, other)
 
 
 def test_are_orthogonal_with_different_symbol_counts():
-    latin = FrequencySquare(4, 4, 1, tuple(tuple((r + c) % 4 for c in range(4)) for r in range(4)))
-    good = FrequencySquare(4, 2, 2, ((0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)))
-    bad = FrequencySquare(4, 2, 2, ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)))
+    latin = FrequencySquare(4, 1, tuple(tuple((r + c) % 4 for c in range(4)) for r in range(4)))
+    good = FrequencySquare(2, 2, ((0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)))
+    bad = FrequencySquare(2, 2, ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)))
     for freq, expected in ((good, True), (bad, False)):
         pairs = collections.Counter(
             zip(itertools.chain(*freq.cells), itertools.chain(*latin.cells))
@@ -215,20 +248,21 @@ def test_triple_agreement_on_nine_columns():
 
 def test_orthogonal_array_validation():
     rows = tuple(tuple(r) for r in THREE_ROUTE_9_6)
-    oa = OrthogonalArray(9, 4, 3, 2, rows)
+    oa = OrthogonalArray(9, 3, rows)
+    assert oa.r == 4
     assert fpa_from_oa(oa).min_distance_claim == 9 - 9 // 3
     with pytest.raises(ValueError):
-        OrthogonalArray(9, 4, 3, 3, rows)  # only strength 2 supported
-    with pytest.raises(ValueError):
-        OrthogonalArray(8, 4, 3, 2, tuple(r[:8] for r in rows))  # bad index
+        OrthogonalArray(8, 3, tuple(r[:8] for r in rows))  # bad index
+    with pytest.raises(ValueError, match="rows must form an r x v grid"):
+        OrthogonalArray(9, 3, rows[:3] + (rows[3][:8],))
     broken = (rows[0], rows[0]) + rows[2:]
     with pytest.raises(ValueError, match="rows 0, 1 break strength-2 uniformity"):
-        OrthogonalArray(9, 4, 3, 2, broken)
+        OrthogonalArray(9, 3, broken)
     with pytest.raises(ValueError, match="need s >= 1"):
-        OrthogonalArray(9, 4, 0, 2, rows)
+        OrthogonalArray(9, 0, rows)
     # the symbol range is checked before any row pair, even an unbalanced one
     with pytest.raises(ValueError, match="symbol outside 0..s-1"):
-        OrthogonalArray(9, 4, 3, 2, broken[:3] + ((3,) + rows[3][1:],))
+        OrthogonalArray(9, 3, broken[:3] + ((3,) + rows[3][1:],))
 
 
 def test_oa_rows_match_a_per_cell_oracle():
@@ -517,13 +551,35 @@ def test_sign_matrix_route_preference():
         assert hadamard_matrix(n).rows == tuple(map(tuple, constructions._paley_rows(n - 1)))
 
 
+def test_hadamard_orders_over_the_cell_limit_are_refused_before_routing(monkeypatch, capsys):
+    assert constructions._HADAMARD_CELLS == 1024 * 1024
+    H = hadamard_matrix(1024)  # the largest accepted order
+    assert H.n == 1024 and H.rows[1][:4] == (1, -1, 1, -1)
+    with mock.patch.object(constructions, "_hadamard_route", side_effect=AssertionError):
+        for n in (1028, 2048, 2**61):
+            with pytest.raises(core.WorkLimitExceeded, match=f"^order {n} needs {n}\\^2 cells"):
+                hadamard_matrix(n)
+    assert main(["construct", "hadamard", "--order", str(2**61)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: work limit exceeded: order {2**61} needs {2**61}^2 cells,"
+        " over the limit of 1048576\n"
+    )
+    # both sides of a lowered limit
+    monkeypatch.setattr(constructions, "_HADAMARD_CELLS", 144)
+    assert hadamard_matrix(12).n == 12
+    with pytest.raises(core.WorkLimitExceeded, match="^order 16 needs 16\\^2 cells"):
+        hadamard_matrix(16)
+    with pytest.raises(ValueError, match="impossible"):
+        hadamard_matrix(18)  # not a multiple of 4, refused as before
+
+
 def test_sign_matrix_validation():
     with pytest.raises(ValueError):
-        HadamardMatrix(2, ((1, 1), (1, 1)))  # rows not orthogonal
+        HadamardMatrix(((1, 1), (1, 1)))  # rows not orthogonal
     with pytest.raises(ValueError):
-        HadamardMatrix(2, ((1, 0), (1, -1)))  # entries must be +-1
-    with pytest.raises(ValueError):
-        HadamardMatrix(2, ((1, 1),))  # not square
+        HadamardMatrix(((1, 0), (1, -1)))  # entries must be +-1
+    with pytest.raises(ValueError, match="matrix must be square"):
+        HadamardMatrix(((1, 1),))  # not square
 
 
 def test_sign_matrix_names_the_first_non_orthogonal_pair():
@@ -532,7 +588,7 @@ def test_sign_matrix_names_the_first_non_orthogonal_pair():
     rows = list(hadamard_matrix(8).rows)
     rows[1], rows[3] = rows[6], rows[4]
     with pytest.raises(ValueError, match="rows 1 and 6 are not orthogonal"):
-        HadamardMatrix(8, tuple(rows))
+        HadamardMatrix(tuple(rows))
 
 
 def test_doubling_smallest_order_gives_every_balanced_word():

@@ -99,11 +99,11 @@ GATED = {
     "FrequencyPermutationArray": lambda s: FrequencyPermutationArray(
         2, 1, ((0, s), (1, 0)), 2
     ).rows,
-    "FrequencySquare": lambda s: FrequencySquare(2, 2, 1, ((0, s), (s, 0))).cells,
+    "FrequencySquare": lambda s: FrequencySquare(2, 1, ((0, s), (s, 0))).cells,
     "FrequencySquare.from_cells": lambda s: FrequencySquare.from_cells([[0, s], [s, 0]]).cells,
-    "OrthogonalArray": lambda s: OrthogonalArray(4, 2, 2, 2, ((0, 0, s, s), (0, s, 0, s))).rows,
+    "OrthogonalArray": lambda s: OrthogonalArray(4, 2, ((0, 0, s, s), (0, s, 0, s))).rows,
     "ResolvableDesign": lambda s: ResolvableDesign(2, 2, (((0, s),),)).classes[0],
-    "HadamardMatrix": lambda s: HadamardMatrix(2, ((s, s), (1, -1))).rows,
+    "HadamardMatrix": lambda s: HadamardMatrix(((s, s), (1, -1))).rows,
     "Polynomial.of": lambda s: (Polynomial.of(field_of_order(3), [0, s]).coeffs,),
     "LinearizedPolynomial.of": lambda s: (
         LinearizedPolynomial.of(field_of_order(9), 3, [s, 0]).alphas,

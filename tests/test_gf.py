@@ -192,6 +192,27 @@ def test_primitive_element_is_the_smallest_generator(q):
     assert all(order(h) < q - 1 for h in range(1, g))
 
 
+# q -> the smallest generator of GF(q)^*, as the exp/log tables read it
+PRIMITIVE_ELEMENTS = {
+    2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 4, 16: 2, 25: 6, 27: 3, 49: 9,
+    121: 15, 125: 9, 343: 22, 4096: 3, 2**16: 3, 17**4: 307, 3**12: 14,
+    999_983: 5, 2**20 - 3: 2, 2**20: 2,
+}
+
+
+@pytest.mark.parametrize("q", sorted(PRIMITIVE_ELEMENTS))
+def test_primitive_element_is_pinned(q):
+    assert field_of_order(q).primitive_element() == PRIMITIVE_ELEMENTS[q]
+
+
+def test_one_trial_division_factors_every_small_integer():
+    for q in range(1, 2000):
+        primes = [r for r in range(2, q + 1) if q % r == 0 and all(r % f for f in range(2, r))]
+        powers = [max(k for k in range(1, 12) if q % r**k == 0) for r in primes]
+        assert list(gf._factors(q)) == list(zip(primes, powers)), q
+        assert gf._prime_power(q) == ((primes[0], powers[0]) if len(primes) == 1 else None), q
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_add_formula_is_shared_by_ints_and_arrays(data):
