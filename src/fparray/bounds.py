@@ -179,7 +179,7 @@ def _bits(p: int) -> list[int]:
 
 
 def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
-    """The search's one table: open non-neighbour masks, top bit first.
+    """The search's table of open non-neighbour masks, top bit first.
 
     Word u sits at bit V-1-u of every mask, so the lowest-indexed word of
     a mask p is bit p.bit_length() - 1.  non[i] belongs to the word at bit
@@ -239,60 +239,78 @@ def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
     word (top bit) first.  state holds "best", a clique, and gains "nodes"
     and "aborted".  Each node colours its candidates class by class, top
     bit first, and branches in reverse colour order on the vertices whose
-    colour can still beat the incumbent (BBMC's k_min).  Classes below
-    k_min only decide which vertices are left: they record nothing, and
-    before each class the colouring stops once the vertices left could
-    not reach k_min with one colour each.  A colouring with one colour
+    colour can still beat the incumbent (BBMC's k_min).  The colouring
+    runs in two phases.  Classes below k_min only decide which vertices
+    are left: they record nothing, and before each class the colouring
+    stops once the vertices left could not reach k_min with one colour
+    each.  From k_min on, every vertex left is coloured and each pick goes
+    straight onto the node's branch lists.  A colouring with one colour
     per candidate means the candidates are pairwise adjacent; they are
     then taken at once.  The node that exceeds node_budget aborts.
     """
-    state["nodes"], state["aborted"] = 0, False
-
-    def branches(p: int, k_min: int) -> list[tuple[int, int]]:
-        """(vertex, colour) in colouring order, for colours >= k_min only."""
-        out, colour = [], 1
-        while p and colour + p.bit_count() > k_min:
-            avail = start = p
-            while avail:
-                i = avail.bit_length() - 1
-                avail &= non[i]
-                p ^= 1 << i
-            if colour >= k_min:
-                out += ((i, colour) for i in reversed(_bits(start ^ p)))
-            colour += 1
-        return out
-
-    # frames[k] = [candidates, branches left] of the open node whose
-    # clique is clique[:k]; each pass of the loop enters one node.
+    one = [1 << i for i in range(len(non))]  # the bit of each vertex
+    best = state["best"]
+    bound = len(best)
+    nodes, aborted = 0, False
+    # frames[k] = [candidates, vertices, colours] of the open node whose
+    # clique is clique[:k]: its branches left, the next one last.  Each
+    # pass of the loop enters one node.
     clique: list[int] = []
     frames: list[list] = []
     p = (1 << len(non)) - 1
     while True:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["aborted"] = True
-            return
+        nodes += 1
+        if nodes > node_budget:
+            aborted = True
+            break
         size = len(clique)
-        if size + p.bit_count() > len(state["best"]):
-            todo = branches(p, len(state["best"]) - size + 1)
-            if not p or (todo and todo[-1][1] == p.bit_count()):
-                state["best"] = clique + _bits(p)
-            elif todo:
-                frames.append([p, todo])
+        count = p.bit_count()
+        if size + count > bound:
+            k_min = bound - size + 1
+            q, colour = p, 1
+            while colour < k_min and colour + q.bit_count() > k_min:
+                avail = q
+                while avail:
+                    i = avail.bit_length() - 1
+                    avail &= non[i]
+                    q ^= one[i]
+                colour += 1
+            if colour >= k_min and q:
+                vertices: list[int] = []
+                colours: list[int] = []
+                while q:
+                    avail = q
+                    while avail:
+                        i = avail.bit_length() - 1
+                        avail &= non[i]
+                        q ^= one[i]
+                        vertices.append(i)
+                        colours.append(colour)
+                    colour += 1
+                if colour - 1 == count:
+                    best = clique + _bits(p)
+                    bound = len(best)
+                else:
+                    frames.append([p, vertices, colours])
+            elif not p:
+                best = list(clique)
+                bound = size
         while frames:
             depth = len(frames) - 1
             frame = frames[-1]
-            todo = frame[1]
-            if todo and depth + todo[-1][1] > len(state["best"]):
-                i = todo.pop()[0]
+            colours = frame[2]
+            if colours and depth + colours[-1] > bound:
+                colours.pop()
+                i = frame[1].pop()
                 del clique[depth:]
                 clique.append(i)
-                frame[0] ^= 1 << i
+                frame[0] ^= one[i]
                 p = frame[0] & ~non[i]
                 break
             frames.pop()
         else:
-            return
+            break
+    state["nodes"], state["aborted"], state["best"] = nodes, aborted, best
 
 
 def exact_max_size(
@@ -314,9 +332,11 @@ def exact_max_size(
     candidates, the lowest index on ties.  The search then colours each
     node's candidates class by class in index order and branches only on
     the vertices whose colour can still beat the incumbent (BBMC's k_min),
-    in reverse colour order, on an explicit stack.  Both read one table of
-    non-neighbour masks with word u at bit V-1-u, and classes below k_min
-    record nothing; see `_adjacency` and `_clique_search`.  Negative
+    in reverse colour order, on an explicit stack.  Both read the table of
+    non-neighbour masks with word u at bit V-1-u.  The colouring has two
+    phases: classes below k_min only colour and record nothing, and from
+    k_min on each pick is recorded as a branch as it is coloured; see
+    `_adjacency` and `_clique_search`.  Negative
     budgets raise ValueError.  More than vertex_budget words, or more than
     _ADJACENCY_CELLS adjacency cells, raise before any set-up; exceeding
     node_budget returns the best clique found with proven=False.

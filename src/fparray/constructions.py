@@ -122,7 +122,8 @@ def mols_from_field(q: int) -> list[FrequencySquare]:
     return mofs_complete(q, 1)
 
 
-# `mofs_complete` refuses more linear forms q^(2i) than this
+# `mofs_complete` refuses to build more cells than this: (q^i - 1)^2 / (q - 1)
+# squares of q^(2i) cells each.  GF(97) squares (903 264 cells) fit.
 _MOFS_WORK = 1_000_000
 
 
@@ -138,12 +139,14 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     """
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
+    if q >= 2:  # field_of_order refuses the rest
+        # each square has q^(2i) >= 2^(2i floor(log2 q)) cells: over budget uncomputed
+        if 2 * i * (q.bit_length() - 1) >= _MOFS_WORK.bit_length():
+            raise WorkLimitExceeded(f"squares of {q}^{2 * i} cells exceed max_work {_MOFS_WORK}")
+        cells = (q**i - 1) ** 2 // (q - 1) * q ** (2 * i)
+        if cells > _MOFS_WORK:
+            raise WorkLimitExceeded(f"{cells} cells exceed max_work {_MOFS_WORK}")
     field = field_of_order(q)
-    # q >= 2: from 2i = bit_length(_MOFS_WORK) on, over budget uncomputed
-    if 2 * i >= _MOFS_WORK.bit_length():
-        raise WorkLimitExceeded(f"{q}^{2 * i} forms exceed max_work {_MOFS_WORK}")
-    if q ** (2 * i) > _MOFS_WORK:
-        raise WorkLimitExceeded(f"{q ** (2 * i)} forms exceed max_work {_MOFS_WORK}")
     n = q**i
     vectors = _odometer(q, i)[1:]
     leads = vectors[np.arange(n - 1), (vectors != 0).argmax(axis=1)]
@@ -464,7 +467,9 @@ class HadamardMatrix:
             raise ValueError("matrix must be square")
         if any(e not in (1, -1) for row in self.rows for e in row):
             raise ValueError("entries must be +1 or -1")
-        mat = np.array(self.rows, dtype=np.int64).reshape(self.n, self.n)
+        # float64 takes the BLAS product and stays exact: each Gram entry is
+        # a sum of n terms +-1, an integer far below 2^53
+        mat = np.array(self.rows, dtype=np.float64).reshape(self.n, self.n)
         # row-major order of the upper triangle is combinations order
         bad = np.argwhere(np.triu(mat @ mat.T, 1))
         if bad.size:

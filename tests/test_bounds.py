@@ -1,5 +1,6 @@
 """Counting formulas, size bounds, and the exact clique search."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -539,6 +540,17 @@ def test_clique_search_visits_the_reference_nodes(data):
         assert set(_vertices(got["best"], size)) == set(want["best"])
 
 
+# sha256 of the witness's sorted rows, one line each, symbols joined by spaces
+_WITNESS_SHA256 = {
+    (6, 1, 5, 60_000): "43a8a573c20485330a49786659a93f69660d623dda6d58eac77156aab0e51613",
+    (6, 2, 5, 200_000): "bfa097feaafec54e001ddb3f470feac12c332ca12d7ec5b9726f7f8d6ec0f94d",
+    (8, 4, 3, 200_000): "983ce1755217c0d9e82ca425053b235217f3c52e6cc32d7e416d1f30065e71fa",
+    (9, 3, 6, 20_000): "143a100f81e64392023af08a518ef1a82a069a9ac652dbacb5182540b01da6a5",
+    (8, 2, 4, 20_000): "3ebadb3a0ca362848043df0dd671d20cd2227dfdd3a613b7f35c82930cd9a051",
+    (8, 2, 5, 20_000): "a6eae878897c2955bd4ac030efa4c470d15731dd4e42862fe7bd32cc5993e1d8",
+}
+
+
 @pytest.mark.parametrize(
     "n, lam, d, budget, nodes, best, aborted",
     [
@@ -546,6 +558,8 @@ def test_clique_search_visits_the_reference_nodes(data):
         (6, 2, 5, 200_000, 529, 3, False),
         (8, 4, 3, 200_000, 115, 14, False),
         (9, 3, 6, 20_000, 20_001, 24, True),
+        (8, 2, 4, 20_000, 20_001, 134, True),
+        (8, 2, 5, 20_000, 20_001, 36, True),
     ],
 )
 def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
@@ -559,6 +573,8 @@ def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
     assert all(
         sum(x != y for x, y in zip(a, b)) >= d for a, b in itertools.combinations(rows, 2)
     )
+    text = "".join(" ".join(map(str, row)) + "\n" for row in sorted(rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == _WITNESS_SHA256[n, lam, d, budget]
 
 
 def test_exact_proves_six_one_four_at_the_root():

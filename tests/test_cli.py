@@ -482,6 +482,18 @@ def test_huge_parameters_are_refused_by_name(capsys, argv):
     assert "Exceeds the limit" not in err
 
 
+def test_mols_cell_budget_refuses_before_any_field_work(capsys, monkeypatch):
+    # GF(997) has 994 009 forms, under the budget, but about 10^9 cells
+    def no_field(q):
+        raise AssertionError(f"GF({q}) built before the refusal")
+
+    monkeypatch.setattr("fparray.constructions.field_of_order", no_field)
+    assert main(["construct", "mols", "--q", "997"]) == 2
+    assert capsys.readouterr().err == (
+        "error: work limit exceeded: 990032964 cells exceed max_work 1000000\n"
+    )
+
+
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
     # a value table with too many zeros breaks associate_matrix's kernel cross-check
     monkeypatch.setattr(

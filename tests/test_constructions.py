@@ -120,17 +120,33 @@ def test_frequency_square_names_the_first_bad_line(data):
 
 
 def test_mofs_complete_refuses_work_over_its_budget(monkeypatch, capsys):
-    assert len(mofs_complete(3, 1)) == 2  # 9 forms, within budget
-    monkeypatch.setattr(constructions, "_MOFS_WORK", 8)
-    with pytest.raises(core.WorkLimitExceeded, match="9 forms exceed max_work 8"):
+    monkeypatch.setattr(constructions, "_MOFS_WORK", 18)
+    assert len(mofs_complete(3, 1)) == 2  # two squares of 9 cells, at the budget
+    monkeypatch.setattr(constructions, "_MOFS_WORK", 17)
+    with pytest.raises(core.WorkLimitExceeded, match="^18 cells exceed max_work 17$"):
         mofs_complete(3, 1)
     assert main(["construct", "mofs", "--q", "3", "--i", "1"]) == 2
-    assert "9 forms exceed max_work 8" in capsys.readouterr().err
+    assert "18 cells exceed max_work 17" in capsys.readouterr().err
+
+
+def test_mofs_complete_budget_counts_cells_not_forms(monkeypatch):
+    # GF(97) gives 96 squares of 97^2 cells, 903 264 in all; GF(101) has
+    # 10 201 forms, far below the budget, but 1 020 100 cells
+    assert len(mols_from_field(97)) == 96
+    with pytest.raises(core.WorkLimitExceeded, match="^1020100 cells exceed max_work 1000000$"):
+        mofs_complete(101, 1)
+    monkeypatch.setattr(constructions, "_MOFS_WORK", 2592)
+    assert len(mofs_complete(3, 2)) == 32  # 32 squares of 81 cells, at the budget
+    monkeypatch.setattr(constructions, "_MOFS_WORK", 2591)
+    with pytest.raises(core.WorkLimitExceeded, match="^2592 cells exceed max_work 2591$"):
+        mofs_complete(3, 2)
 
 
 def test_mofs_complete_refuses_huge_i_without_computing_the_power():
-    # 3^(2 * 10^6) forms could not be printed in the refusal
-    with pytest.raises(core.WorkLimitExceeded, match=r"^3\^2000000 forms exceed max_work 1000000$"):
+    # 3^(2 * 10^6) cells could not be printed in the refusal
+    with pytest.raises(
+        core.WorkLimitExceeded, match=r"^squares of 3\^2000000 cells exceed max_work 1000000$"
+    ):
         mofs_complete(3, 10**6)
 
 
