@@ -92,7 +92,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, RecursionError, MemoryError) as exc:
-        print(f"internal error: {exc or type(exc).__name__}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,7 +42,6 @@ from .gf import (
     linearized_monomial,
     linearized_subfield_kernel,
     linearized_trace,
-    matrix_rank,
 )
 
 # ---------------------------------------------------------------------------
@@ -414,9 +412,8 @@ def reed_solomon_generator(
     return field, tuple(map(tuple, rows))
 
 
-# `fpa_from_mds` checks every k-column subset only while
-# C(n, k) * k^3 stays within this.
-_MDS_SUBSET_WORK = 1_000_000
+# `fpa_from_mds` refuses arrays of more cells (n rows of q^k) than this
+_MDS_CELLS = 1 << 22
 # `hadamard_matrix` refuses orders whose matrix has more cells than this
 _HADAMARD_CELLS = 1 << 20
 
@@ -426,28 +423,31 @@ def fpa_from_mds(
 ) -> FrequencyPermutationArray:
     """One row per generator column: entries col . x over all x, odometer order.
 
-    Entries must be field elements 0..q-1.  Column pairs must be linearly
-    independent (always checked); full MDS (every k columns independent) is
-    checked exhaustively when the subset count is affordable, otherwise
-    only pairwise with a warning.
+    Needs entries in 0..q-1 and n * q^k cells at most `_MDS_CELLS`.  The rows
+    are checked as built, column x being the codeword of x: columns a, b are
+    independent iff k >= 2 and rows a, b hold each symbol pair q^(k-2) times,
+    and k columns are dependent iff a nonzero codeword vanishes on them all.
     """
     rows_in = _ints(generator)
-    if not rows_in or len({len(r) for r in rows_in}) != 1:
+    if not rows_in or not rows_in[0] or len({len(r) for r in rows_in}) != 1:
         raise ValueError("generator must be a nonempty rectangular matrix")
     _check_range(field, (e for row in rows_in for e in row))
-    k, n = len(rows_in), len(rows_in[0])
-    cols = [[rows_in[t][j] for t in range(k)] for j in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        if matrix_rank(field, [cols[a], cols[b]]) != 2:
-            raise ValueError(f"columns {a} and {b} are linearly dependent")
-    if math.comb(n, k) * k**3 <= _MDS_SUBSET_WORK:
-        for subset in itertools.combinations(range(n), k):
-            if matrix_rank(field, [cols[j] for j in subset]) != k:
-                raise ValueError(f"columns {subset} are dependent; not MDS")
-    else:
-        warnings.warn("generator too wide for the full MDS check; columns only checked pairwise")
-    q = field.q
-    rows = _linear_forms(field, np.array(cols, dtype=np.int32))
+    q, k, n = field.q, len(rows_in), len(rows_in[0])
+    # q^k >= 2^(k floor(log2 q)): over the limit uncomputed
+    if k * (q.bit_length() - 1) >= _MDS_CELLS.bit_length():
+        raise WorkLimitExceeded(f"rows of {q}^{k} cells exceed max_work {_MDS_CELLS}")
+    if n * q**k > _MDS_CELLS:
+        raise WorkLimitExceeded(f"{n * q**k} cells exceed max_work {_MDS_CELLS}")
+    rows = _linear_forms(field, np.array(rows_in, dtype=np.int32).T)
+    pair = _unbalanced_pair(rows, q, q ** (k - 2)) if k > 1 else (0, 1) if n > 1 else None
+    if pair:
+        raise ValueError(f"columns {pair[0]} and {pair[1]} are linearly dependent")
+    zero = rows[:, 1:] == 0
+    # first dependent k-set in combinations order: least first k zeros of such codewords
+    firsts = np.argsort(~zero[:, zero.sum(axis=0) >= k], axis=0, kind="stable")[:k]
+    if firsts.size:
+        least = firsts[:, np.lexsort(firsts[::-1])[0]].tolist()
+        raise ValueError(f"columns {tuple(least)} are dependent; not MDS")
     return FrequencyPermutationArray(q, q ** (k - 1), rows.tolist(), q ** (k - 1) * (q - 1))
 
 
@@ -465,7 +465,7 @@ class HadamardMatrix:
         object.__setattr__(self, "rows", _ints(self.rows))
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
-        if any(e not in (1, -1) for row in self.rows for e in row):
+        if not set(itertools.chain.from_iterable(self.rows)) <= {1, -1}:
             raise ValueError("entries must be +1 or -1")
         # float64 takes the BLAS product and stays exact: each Gram entry is
         # a sum of n terms +-1, an integer far below 2^53

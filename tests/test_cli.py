@@ -494,6 +494,20 @@ def test_mols_cell_budget_refuses_before_any_field_work(capsys, monkeypatch):
     )
 
 
+def test_mds_generator_with_many_rows_is_refused_before_any_array(tmp_path, capsys, monkeypatch):
+    # 3^20000 cells: a number too long to print, so it must not be computed
+    def no_array(field, coeffs):
+        raise AssertionError("rows built before the refusal")
+
+    monkeypatch.setattr("fparray.constructions._linear_forms", no_array)
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 2\n" * 20_000)
+    assert main(["construct", "mds", "--q", "3", "--gen", str(gen)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: work limit exceeded: rows of 3^20000 cells exceed max_work 4194304\n"
+    )
+
+
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
     # a value table with too many zeros breaks associate_matrix's kernel cross-check
     monkeypatch.setattr(
@@ -516,7 +530,11 @@ def test_resource_failures_exit_three(capsys, monkeypatch, exc):
     monkeypatch.setattr(cli, "mols_from_field", fail)
     assert main(["construct", "mols", "--q", "5"]) == 3
     err = capsys.readouterr().err
-    assert err == f"internal error: {exc or type(exc).__name__}\n"
+    # a MemoryError() carries no message, so its type names it
+    if isinstance(exc, MemoryError):
+        assert err == "internal error: MemoryError\n"
+    else:
+        assert err == "internal error: too deep\n"
     assert "Traceback" not in err
 
 

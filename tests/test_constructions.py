@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import random
 from unittest import mock
 
 import numpy as np
@@ -428,13 +429,87 @@ def test_mds_route_rejects_dependent_columns():
         fpa_from_mds(field, [[1, 2], [1, 2]])  # second column = 2 * first
     with pytest.raises(ValueError):
         fpa_from_mds(field, [[1, 2], [1]])  # ragged
+    with pytest.raises(ValueError, match="nonempty rectangular"):
+        fpa_from_mds(field, [[], []])  # no columns
 
 
-def test_mds_route_warns_when_only_pairs_are_affordable(monkeypatch):
-    monkeypatch.setattr(constructions, "_MDS_SUBSET_WORK", 0)
-    with pytest.warns(UserWarning, match="columns only checked pairwise"):
-        fpa = fpa_from_mds(field_of_order(3), GENERATOR_3_2)
-    assert fpa.rows == THREE_ROUTE_9_6
+def test_mds_route_refuses_the_wide_non_mds_generator():
+    # all 40 projective points of GF(3)^4, first nonzero entry 1: pairwise
+    # independent, but the first four span only a plane
+    points = [
+        p for p in itertools.product(range(3), repeat=4) if any(p) and next(e for e in p if e) == 1
+    ]
+    generator = [[p[t] for p in points] for t in range(4)]
+    with pytest.raises(ValueError, match=r"^columns \(0, 1, 2, 3\) are dependent; not MDS$"):
+        fpa_from_mds(field_of_order(3), generator)
+
+
+def _mds_reference(field, generator):
+    """fpa_from_mds by rank and by hand: the first dependent pair, then the
+    first dependent k-set, else the rows col . x over odometer-ordered x."""
+    k, n = len(generator), len(generator[0])
+    cols = [[row[j] for row in generator] for j in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if gf.matrix_rank(field, [cols[a], cols[b]]) != 2:
+            return f"columns {a} and {b} are linearly dependent"
+    for subset in itertools.combinations(range(n), k):
+        if gf.matrix_rank(field, [cols[j] for j in subset]) != k:
+            return f"columns {subset} are dependent; not MDS"
+    elements = range(field.q)
+    add, mul = (
+        np.array([[op(a, b) for b in elements] for a in elements])
+        for op in (field.add_val, field.mul_val)
+    )
+    points = np.array(list(itertools.product(elements, repeat=k)))
+
+    def form(col):
+        total = np.zeros(len(points), dtype=int)
+        for t in range(k):
+            total = add[total, mul[col[t], points[:, t]]]
+        return tuple(total.tolist())
+
+    return tuple(map(form, cols))
+
+
+def _mds_generators(rng):
+    """Seeded generators over q <= 9, k <= 4, n <= q + 1: Reed-Solomon, RS
+    with one entry changed, random, and random with a zero column."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in range(1, 5):
+            for n in rng.sample(range(1, q + 2), min(3, q + 1)):
+                rs = [list(row) for row in reed_solomon_generator(q, k, n)[1]] if k <= n else None
+                changed = [list(row) for row in rs] if rs else None
+                if changed:
+                    changed[rng.randrange(k)][rng.randrange(n)] = rng.randrange(q)
+                noise = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                hole, j = [row[:] for row in noise], rng.randrange(n)
+                for row in hole:
+                    row[j] = 0
+                yield from ((q, g) for g in (rs, changed, noise, hole) if g)
+
+
+def test_mds_route_matches_the_rank_reference():
+    outcomes = set()
+    for q, generator in _mds_generators(random.Random(2005)):
+        field = field_of_order(q)
+        expected = _mds_reference(field, generator)
+        try:
+            got = fpa_from_mds(field, generator).rows
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (q, generator)
+        outcomes.add("rows" if isinstance(expected, tuple) else expected.split()[-1])
+    # every branch is reached: built, dependent pair, dependent k-set
+    assert outcomes == {"rows", "dependent", "MDS"}
+
+
+def test_mds_cell_limit_admits_its_boundary(monkeypatch):
+    field = field_of_order(3)  # GENERATOR_3_2 builds 4 rows of 3^2 cells
+    monkeypatch.setattr(constructions, "_MDS_CELLS", 36)
+    assert fpa_from_mds(field, GENERATOR_3_2).rows == THREE_ROUTE_9_6
+    monkeypatch.setattr(constructions, "_MDS_CELLS", 35)
+    with pytest.raises(core.WorkLimitExceeded, match="^36 cells exceed max_work 35$"):
+        fpa_from_mds(field, GENERATOR_3_2)
 
 
 # ---------------------------------------------------------------------------
