@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     WorkLimitExceeded,
     _ints,
-    _pair_distances,
     all_lambda_permutations,
     count_all,
 )
@@ -183,27 +183,43 @@ def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
 
     Word u sits at bit V-1-u of every mask, so the lowest-indexed word of
     a mask p is bit p.bit_length() - 1.  non[i] belongs to the word at bit
-    i and holds the words closer than d to it, itself excluded.  Each
-    block of distance rows is packed straight into masks; no V x V matrix
-    is held beside them.
+    i and holds the words closer than d to it, itself excluded: those that
+    agree with it in t = n - d + 1 positions or more.  Agreements are
+    counted bit-sliced from cell[p, s], the packed words with symbol s at
+    position p.  Per block of about `core._BLOCK_CELLS` mask bytes, ge[k]
+    holds the words that agree with each block word in k or more of the
+    positions so far: O(V^2·n·min(t, d)/8) byte operations in all.
     """
-    pad = -len(words) % 8
+    mat = np.array(words, dtype=np.intp)
+    size, n = mat.shape
+    t, pad, width = n - d + 1, -size % 8, (size + 7) // 8
+    holds = mat.T[:, None] == np.arange(mat.max() + 1)[:, None]
+    # leading zero bits put word u at bit V-1-u of each row's int
+    cell = np.packbits(np.pad(holds, ((0, 0), (0, 0), (pad, 0))), axis=2, bitorder="big")
+    rows = max(1, core._BLOCK_CELLS // width)
     non: list[int] = []
-    for i, dists in _pair_distances(np.array(words, dtype=np.int16), full=True):
-        close = dists < d
-        np.fill_diagonal(close[:, i:], False)
-        packed = np.packbits(close, axis=1, bitorder="big")  # u at bit 8w-1-u
-        non.extend(int.from_bytes(row.tobytes(), "big") >> pad for row in packed)
-    non.reverse()
-    return non
+    for i in range(0, size, rows):
+        block = mat[i : i + rows]
+        ge = np.zeros((t + 1, len(block), width), dtype=np.uint8)
+        ge[0] = 0xFF
+        for p in range(n):
+            agree = cell[p, block[:, p]]
+            for k in range(min(t, p + 1), max(0, t - n + p), -1):  # k can still reach t
+                ge[k] |= ge[k - 1] & agree
+        at = np.arange(len(block))
+        ge[t, at, (pad + i + at) // 8] &= ~(0x80 >> (pad + i + at) % 8).astype(np.uint8)
+        raw = ge[t].tobytes()
+        non.extend(int.from_bytes(raw[j : j + width], "big") for j in range(0, len(raw), width))
+    return non[::-1]
 
 
 def _greedy_clique(non: Sequence[int]) -> list[int]:
     """Keep taking the candidate that keeps the most candidates.
 
     Ties go to the top bit; pairwise adjacent candidates are taken at
-    once.  lose[i] counts the candidates in non[i] and drops by the masks
-    of the candidates that leave, so each mask is unpacked at most twice.
+    once.  lose[i] counts the candidates in non[i].  After a pick, if fewer
+    candidates stay than leave, those that stay are recounted against the
+    candidate mask p; else the masks that leave are unpacked and subtracted.
     """
     size = len(non)
     width = (size + 7) // 8
@@ -216,7 +232,7 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
         return bits.sum(axis=0, dtype=np.int64)
 
     lose = np.array([x.bit_count() for x in non], dtype=np.int64)
-    inside = np.ones(size, dtype=bool)
+    inside, p = np.ones(size, dtype=bool), (1 << size) - 1
     clique: list[int] = []
     while inside.any():
         cand = np.flatnonzero(inside)[::-1]
@@ -227,8 +243,13 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
         far = tally([non[v] | 1 << v]) > 0
         gone = np.flatnonzero(inside & far)
         inside &= ~far
-        for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
-            lose -= tally([non[g] for g in gone[start : start + 64]])
+        p &= ~(non[v] | 1 << v)
+        if len(cand) < 2 * len(gone):  # fewer stay than leave
+            for c in np.flatnonzero(inside).tolist():
+                lose[c] = (p & non[c]).bit_count()
+        else:
+            for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
+                lose -= tally([non[g] for g in gone[start : start + 64]])
     return clique
 
 
@@ -332,14 +353,15 @@ def exact_max_size(
     candidates, the lowest index on ties.  The search then colours each
     node's candidates class by class in index order and branches only on
     the vertices whose colour can still beat the incumbent (BBMC's k_min),
-    in reverse colour order, on an explicit stack.  Both read the table of
-    non-neighbour masks with word u at bit V-1-u.  The colouring has two
-    phases: classes below k_min only colour and record nothing, and from
-    k_min on each pick is recorded as a branch as it is coloured; see
-    `_adjacency` and `_clique_search`.  Negative
-    budgets raise ValueError.  More than vertex_budget words, or more than
-    _ADJACENCY_CELLS adjacency cells, raise before any set-up; exceeding
-    node_budget returns the best clique found with proven=False.
+    in reverse colour order, on an explicit stack.  Both read one table,
+    the non-neighbour masks with word u at bit V-1-u, counted bit-sliced
+    from agreements with no distance matrix.  The colouring has two phases:
+    classes below k_min only colour and record nothing, and from k_min on
+    each pick is recorded as a branch as it is coloured; see `_adjacency`
+    and `_clique_search`.  Negative budgets raise ValueError.  More than
+    vertex_budget words, or more than _ADJACENCY_CELLS adjacency cells,
+    raise before any set-up; exceeding node_budget returns the best clique
+    found with proven=False.
     """
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam

@@ -425,8 +425,9 @@ def fpa_from_mds(
 
     Needs entries in 0..q-1 and n * q^k cells at most `_MDS_CELLS`.  The rows
     are checked as built, column x being the codeword of x: columns a, b are
-    independent iff k >= 2 and rows a, b hold each symbol pair q^(k-2) times,
-    and k columns are dependent iff a nonzero codeword vanishes on them all.
+    dependent iff one of them is zero or rows a, b have the same zeros (the
+    hyperplane each nonzero column vanishes on), and k columns are dependent
+    iff a nonzero codeword vanishes on them all.
     """
     rows_in = _ints(generator)
     if not rows_in or not rows_in[0] or len({len(r) for r in rows_in}) != 1:
@@ -439,10 +440,16 @@ def fpa_from_mds(
     if n * q**k > _MDS_CELLS:
         raise WorkLimitExceeded(f"{n * q**k} cells exceed max_work {_MDS_CELLS}")
     rows = _linear_forms(field, np.array(rows_in, dtype=np.int32).T)
-    pair = _unbalanced_pair(rows, q, q ** (k - 2)) if k > 1 else (0, 1) if n > 1 else None
+    zero = rows == 0
+    first: dict[bytes, int] = {}  # each zero set's first column
+    keys = map(bytes, np.packbits(zero, axis=1))
+    pairs = [(first.setdefault(key, b), b) for b, key in enumerate(keys)]
+    # a zero column z is dependent with all others: its first pair is (0, z), or (0, 1)
+    pairs += [(0, int(z) or 1) for z in np.flatnonzero(zero.all(axis=1))[:1] if n > 1]
+    pair = min((ab for ab in pairs if ab[0] < ab[1]), default=None)
     if pair:
         raise ValueError(f"columns {pair[0]} and {pair[1]} are linearly dependent")
-    zero = rows[:, 1:] == 0
+    zero = zero[:, 1:]
     # first dependent k-set in combinations order: least first k zeros of such codewords
     firsts = np.argsort(~zero[:, zero.sum(axis=0) >= k], axis=0, kind="stable")[:k]
     if firsts.size:

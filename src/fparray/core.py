@@ -174,18 +174,14 @@ def _bit_planes(mat: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _pair_distances(
-    mat: np.ndarray, *, full: bool = False
-) -> Iterator[tuple[int, np.ndarray]]:
+def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Hamming distances of each block of rows against the rows from it on.
 
     Yields (i, dists) with dists[t, u] the distance between rows i + t and
     i + u: a strip of the upper triangle whose square head (the first
     len(dists) columns) pairs the block with itself and whose tail pairs
     it with every later row, so each unordered pair is computed once;
-    `_upper` masks the head and `_pairs` splits a strip.  With full=True
-    a block runs against every row instead and dists[t, u] is the
-    distance between rows i + t and u, self pairs included.
+    `_upper` masks the head and `_pairs` splits a strip.
 
     A block ORs the XORs of every bit plane and counts the set bits per
     word.  It covers at most max(_BLOCK_CELLS, words * width) words, where
@@ -203,14 +199,14 @@ def _pair_distances(
     out = np.empty(cells, dtype=np.min_scalar_type(mat.shape[1]))
     i = 0
     while i < size:
-        width = size if full else size - i
+        width = size - i
         rows = min(size - i, max(1, _BLOCK_CELLS // (per_row * width)))
-        shape, start = (words, rows, width), size - width
+        shape = (words, rows, width)
         x = acc[: words * rows * width].reshape(shape)
         y = tmp[: words * rows * width].reshape(shape)
-        np.bitwise_xor(planes[0, :, i : i + rows, None], planes[0, :, None, start:], out=x)
+        np.bitwise_xor(planes[0, :, i : i + rows, None], planes[0, :, None, i:], out=x)
         for k in range(1, depth):
-            np.bitwise_xor(planes[k, :, i : i + rows, None], planes[k, :, None, start:], out=y)
+            np.bitwise_xor(planes[k, :, i : i + rows, None], planes[k, :, None, i:], out=y)
             x |= y
         dists = out[: rows * width].reshape(rows, width)
         if words == 1:

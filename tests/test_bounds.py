@@ -374,14 +374,15 @@ def test_exact_matches_an_unpruned_bron_kerbosch():
 def test_adjacency_bitsets_match_pairwise_distances(monkeypatch, block_cells):
     # 10 cells stream one or two rows per block, so rows fill piecewise
     monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
-    for m, lam, d in ((3, 1, 2), (4, 1, 3), (3, 2, 4), (2, 3, 4)):
+    for m, lam in ((3, 1), (4, 1), (3, 2), (2, 3), (2, 4)):
         words = list(all_lambda_permutations(m, lam))
-        want = [
-            sum(1 << u for u, b in enumerate(words)
-                if sum(x != y for x, y in zip(a, b)) >= d)
-            for a in words
-        ]
-        assert _adjacency(words, d) == _flip(want), (m, lam, d)
+        for d in range(1, m * lam + 1):
+            want = [
+                sum(1 << u for u, b in enumerate(words)
+                    if sum(x != y for x, y in zip(a, b)) >= d)
+                for a in words
+            ]
+            assert _adjacency(words, d) == _flip(want), (m, lam, d)
 
 
 def _flip(masks: list[int]) -> list[int]:
@@ -464,8 +465,12 @@ def _clique_search_reference(adj: list[int], state: dict, node_budget: int) -> N
             return
 
 
-def _max_candidates_reference(adj: list[int]) -> list[int]:
-    """The incumbent rule as a plain loop: recount every candidate each step."""
+def _max_candidates_reference(adj: list[int], steps: list | None = None) -> list[int]:
+    """The incumbent rule as a plain loop: recount every candidate each step.
+
+    steps, if given, gains (candidates that stay, candidates that leave,
+    the pick included) for each pick.
+    """
     clique: list[int] = []
     p = (1 << len(adj)) - 1
     while p:
@@ -476,6 +481,8 @@ def _max_candidates_reference(adj: list[int]) -> list[int]:
         v = cand[keeps.index(max(keeps))]
         clique.append(v)
         p &= adj[v]
+        if steps is not None:
+            steps.append((p.bit_count(), len(cand) - p.bit_count()))
     return clique
 
 
@@ -486,6 +493,27 @@ def test_incumbent_matches_the_loop_rule_on_word_spaces():
         non = _adjacency(words, d)
         got = _vertices(_greedy_clique(non), len(words))
         assert got == _max_candidates_reference(_flip(non)), d
+
+
+@pytest.mark.parametrize("n, d, recounts", [(7, 7, True), (6, 3, False)])
+def test_incumbent_updates_its_counts_from_the_smaller_side(n, d, recounts):
+    # a step recounts the candidates that stay when fewer stay than leave,
+    # and otherwise unpacks each mask that leaves once
+    unpacked: list[int] = []
+
+    class Mask(int):
+        def to_bytes(self, *args, **kwargs):
+            unpacked.append(int(self))
+            return int.to_bytes(self, *args, **kwargs)
+
+    words = list(all_lambda_permutations(n, 1))
+    non = [Mask(x) for x in _adjacency(words, d)]
+    steps: list[tuple[int, int]] = []
+    want = _max_candidates_reference(_flip(non), steps)
+    assert _vertices(_greedy_clique(non), len(words)) == want
+    assert len(unpacked) == sum(gone for stay, gone in steps if stay >= gone)
+    # every step of (7,1,7) recounts, and every step of (6,1,3) unpacks
+    assert {stay < gone for stay, gone in steps} == {recounts}
 
 
 @settings(max_examples=80, deadline=None)

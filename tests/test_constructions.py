@@ -503,6 +503,30 @@ def test_mds_route_matches_the_rank_reference():
     assert outcomes == {"rows", "dependent", "MDS"}
 
 
+def test_mds_pair_check_reads_zero_sets(monkeypatch):
+    # no symbol-pair table is built: two nonzero columns are dependent iff
+    # they vanish on the same x, and a zero column is dependent with all
+    def no_tables(*args):
+        raise AssertionError("the MDS pair check built symbol-pair tables")
+
+    monkeypatch.setattr(constructions, "_unbalanced_pair", no_tables)
+    cases = [
+        (5, [[1, 0, 1, 0], [0, 1, 1, 2]], "columns 1 and 3"),  # col 3 = 2 * col 1
+        (5, [[1, 0, 0, 4], [0, 1, 3, 0]], "columns 0 and 3"),  # (1, 2) comes later
+        (5, [[1, 0, 0], [0, 1, 0]], "columns 0 and 2"),  # a zero column
+        (3, [[0, 1, 2], [0, 2, 1]], "columns 0 and 1"),  # zero first, then 1 and 2
+        (7, [[1, 1, 2], [1, 2, 4], [1, 3, 6]], "columns 1 and 2"),  # k = 3
+    ]
+    for q, generator, pair in cases:
+        field = field_of_order(q)
+        want = f"{pair} are linearly dependent"
+        assert _mds_reference(field, generator) == want
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            fpa_from_mds(field, generator)
+    field, generator = reed_solomon_generator(5, 2, 6)
+    assert fpa_from_mds(field, generator).rows == _mds_reference(field, generator)
+
+
 def test_mds_cell_limit_admits_its_boundary(monkeypatch):
     field = field_of_order(3)  # GENERATOR_3_2 builds 4 rows of 3^2 cells
     monkeypatch.setattr(constructions, "_MDS_CELLS", 36)

@@ -446,15 +446,12 @@ def test_distance_kernel_matches_a_pairwise_oracle(size, n, symbols, cells, seed
     # a block's buffers are reused by the next one, so copy each as it comes
     with mock.patch.object(core, "_BLOCK_CELLS", cells):
         strips = [(i, d.copy()) for i, d in core._pair_distances(mat)]
-        full = [(i, d.copy()) for i, d in core._pair_distances(mat, full=True)]
         scan = core._distance_scan(mat)
     words = (n + 63) // 64
-    assert [i for i, _ in full] == list(range(0, size, max(1, cells // (words * max(1, size)))))
-    for blocks in (strips, full):
-        lengths = [len(dists) for _, dists in blocks]
-        assert [i for i, _ in blocks] == [sum(lengths[:k]) for k in range(len(lengths))]
-        assert sum(lengths) == size
-        assert all(dists.dtype == np.min_scalar_type(n) for _, dists in blocks)
+    lengths = [len(dists) for _, dists in strips]
+    assert [i for i, _ in strips] == [sum(lengths[:k]) for k in range(len(lengths))]
+    assert sum(lengths) == size
+    assert all(dists.dtype == np.min_scalar_type(n) for _, dists in strips)
     for i, dists in strips:
         assert len(dists) == min(size - i, max(1, cells // (words * (size - i))))
     seen = {}
@@ -466,7 +463,6 @@ def test_distance_kernel_matches_a_pairwise_oracle(size, n, symbols, cells, seed
         for t, u in zip(*np.nonzero(strip)):
             seen[i + t, i + u] = int(dists[t, u])
     assert seen == {(a, b): want[a][b] for a, b in itertools.combinations(range(size), 2)}
-    assert [row for _, dists in full for row in dists.tolist()] == want
     pairs = [want[i][j] for i, j in itertools.combinations(range(size), 2)]
     assert scan == ((min(pairs), max(pairs)) if pairs else (n, 0))
 
