@@ -217,39 +217,58 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
     """Keep taking the candidate that keeps the most candidates.
 
     Ties go to the top bit; pairwise adjacent candidates are taken at
-    once.  lose[i] counts the candidates in non[i].  After a pick, if fewer
-    candidates stay than leave, those that stay are recounted against the
-    candidate mask p; else the masks that leave are unpacked and subtracted.
+    once.  Slot k holds vertex cand[k], top bit first, and lose[k] counts
+    the candidates in non[cand[k]]; the slot of a vertex that left holds
+    more than V.  After a pick, if fewer candidates stay than leave, those
+    that stay are recounted against the candidate mask p into fresh
+    slots; else the slots that leave are marked and the masks that leave
+    are unpacked and subtracted.  The slots are also rebuilt once more
+    than half of them are marked, so a pick reads O(candidates left)
+    slots, never all V.
     """
     size = len(non)
     width = (size + 7) // 8
+    dead = 1 << 62  # minus at most V^2 subtractions, still more than V
 
-    def tally(masks: list[int]) -> np.ndarray:
-        """How many of the masks hold each bit."""
+    def unpack(masks: list[int]) -> np.ndarray:
+        """bits[j, u]: whether masks[j] holds bit u."""
         raw = b"".join(x.to_bytes(width, "little") for x in masks)
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-        bits = np.unpackbits(rows, axis=1, count=size, bitorder="little")
-        return bits.sum(axis=0, dtype=np.int64)
+        return np.unpackbits(rows, axis=1, count=size, bitorder="little")
 
-    lose = np.array([x.bit_count() for x in non], dtype=np.int64)
-    inside, p = np.ones(size, dtype=bool), (1 << size) - 1
+    slot = list(range(size - 1, -1, -1))  # vertex -> its slot, while a candidate
+    cand = np.arange(size - 1, -1, -1)
+    lose = np.array([x.bit_count() for x in reversed(non)], dtype=np.int64)
+
+    def fill(stay: list[int], counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh slots for the vertices in stay, top bit first."""
+        for k, u in enumerate(stay):
+            slot[u] = k
+        return np.array(stay, dtype=np.intp), np.array(counts, dtype=np.int64)
+
+    p, left = (1 << size) - 1, size
     clique: list[int] = []
-    while inside.any():
-        cand = np.flatnonzero(inside)[::-1]
-        if lose[cand].max() == 0:
-            return clique + cand.tolist()
-        v = int(cand[lose[cand].argmin()])
+    while left:
+        k = int(lose.argmin())
+        if lose[k] == 0 and np.count_nonzero(lose) == len(cand) - left:
+            return clique + cand[lose == 0].tolist()
+        v = int(cand[k])
         clique.append(v)
-        far = tally([non[v] | 1 << v]) > 0
-        gone = np.flatnonzero(inside & far)
-        inside &= ~far
-        p &= ~(non[v] | 1 << v)
-        if len(cand) < 2 * len(gone):  # fewer stay than leave
-            for c in np.flatnonzero(inside).tolist():
-                lose[c] = (p & non[c]).bit_count()
-        else:
-            for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
-                lose -= tally([non[g] for g in gone[start : start + 64]])
+        out = (non[v] | 1 << v) & p
+        p ^= out
+        left -= out.bit_count()
+        if left < out.bit_count():  # fewer stay than leave
+            stay = np.flatnonzero(unpack([p])[0])[::-1].tolist()
+            cand, lose = fill(stay, [(p & non[c]).bit_count() for c in stay])
+            continue
+        gone = _bits(out)
+        lose[[slot[g] for g in gone]] = dead
+        for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
+            bits = unpack([non[g] for g in gone[start : start + 64]])
+            lose -= np.add.reduce(bits, axis=0, dtype=np.uint8)[cand]
+        if 2 * left < len(cand):
+            keep = lose <= size
+            cand, lose = fill(cand[keep].tolist(), lose[keep].tolist())
     return clique
 
 

@@ -42,25 +42,28 @@ def juxtapose(
 
 
 def _occurrence_rank(
-    rows: Sequence[Sequence[int]], m: int, lam: int, where: str = ""
+    a: FrequencyPermutationArray, where: str = "", depth: int | None = None
 ) -> np.ndarray:
-    """rank[r, p] = s*lam + j where row r holds occurrence j (left to right)
-    of symbol s at position p.
+    """rank[r, p] = s*lam + j where row r of a (of its first depth rows)
+    holds occurrence j (left to right) of symbol s at position p.
 
     Raises ValueError naming (after the prefix `where`) the first row of the
     wrong length or the first that is not a lam-permutation over 0..m-1.
     """
-    n = m * lam
+    m, lam, n = a.m, a.lam, a.n
+    rows = a.rows[:depth]
     for idx, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"{where}row {idx} has length {len(row)}, expected {n}")
-    mat = core._label_matrix(rows, m).reshape(len(rows), n)
+    # rows past depth go unread, and may not even share a length
+    mat = a._labels if len(rows) == a.size else core._label_matrix(rows, m)
+    mat = mat.reshape(len(rows), n)
     composed = core._composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())
         raise ValueError(f"{where}row {idx} is not a {lam}-uniform word over {m} symbols")
     # a stable sort puts occurrence j of symbol s at sorted position s*lam + j
-    rank = np.empty_like(mat)
+    rank = np.empty(mat.shape, dtype=np.intp)
     order = np.argsort(mat, axis=1, kind="stable")
     np.put_along_axis(rank, order, np.arange(n), axis=1)
     return rank
@@ -80,13 +83,13 @@ def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
     if l < 1 or a.lam % l:
         raise ValueError(f"new frequency {l} must divide {a.lam}")
     lam, per = a.lam, a.lam // l
-    symbol, occ = np.divmod(_occurrence_rank(a.rows, a.m, lam), lam)
+    symbol, occ = np.divmod(_occurrence_rank(a), lam)
     base, block = symbol * per, occ // l
-    # one matrix per pattern row, interleaved source-row-major; a single
-    # size x per x n array would be freed as one large block
-    shifted = [(base + (block + k) % per).tolist() for k in range(per)]
-    rows = [row for variants in zip(*shifted) for row in variants]
-    return FrequencyPermutationArray(a.m * per, l, rows, a.min_distance_claim)
+    # rows[r, k]: source row r under pattern row k, in the output's label type
+    rows = np.empty((a.size, per, a.n), dtype=core._label_dtype(a.m * per))
+    for k in range(per):
+        rows[:, k] = base + (block + k) % per
+    return FrequencyPermutationArray(a.m * per, l, rows.reshape(-1, a.n), a.min_distance_claim)
 
 
 def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
@@ -160,28 +163,50 @@ def compose_columns(
             f"coarse distance {c.min_distance_claim} below required {b * d}"
         )
     depth = min(f.size for f in fpas)
-    coarse = _occurrence_rank(c.rows, b, n)
+    coarse = _occurrence_rank(c)
     # column i*n + t of table row j: entry t of ingredient i's row j, relabeled
     table = np.concatenate(
         [
-            _occurrence_rank(f.rows[:depth], m, lam, f"ingredient {i} ") // lam + i * m
+            _occurrence_rank(f, f"ingredient {i} ", depth) // lam + i * m
             for i, f in enumerate(fpas)
         ],
         axis=1,
     )
     # coarse rank i*n + t marks occurrence t of symbol i
-    rows = table[:, coarse].transpose(1, 0, 2).reshape(-1, b * n).tolist()
+    rows = table[:, coarse].transpose(1, 0, 2).reshape(-1, b * n)
     return FrequencyPermutationArray(b * m, lam, rows, b * d)
+
+
+# `direct_product` refuses, before building any row, an output of more
+# than this many cells: |A|·|B| rows of n_A + n_B symbols.
+_PRODUCT_CELLS = 1 << 20
 
 
 def direct_product(
     a: FrequencyPermutationArray, b: FrequencyPermutationArray
 ) -> FrequencyPermutationArray:
-    """All concatenations over disjoint symbol sets, at the weaker distance."""
+    """All concatenations over disjoint symbol sets, at the weaker distance.
+
+    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
+    """
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
-    shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
-    rows = [ra + rb for ra in a.rows for rb in shifted]
+    cells = a.size * b.size * (a.n + b.n)
+    if cells > _PRODUCT_CELLS:
+        raise core.WorkLimitExceeded(
+            f"direct product of {a.size} x {b.size} rows of {a.n + b.n} symbols "
+            f"is {cells} cells, over the limit of {_PRODUCT_CELLS}"
+        )
+    x, y = core._symbol_matrix(a), core._symbol_matrix(b)
+    if x is None or y is None:  # a row of the wrong length or out of range
+        shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
+        rows = [ra + rb for ra in a.rows for rb in shifted]
+    else:
+        rows = np.empty((len(x), len(y), a.n + b.n), dtype=core._label_dtype(a.m + b.m))
+        rows[:, :, : a.n] = x[:, None]
+        rows[:, :, a.n :] = y
+        rows[:, :, a.n :] += a.m
+        rows = rows.reshape(-1, a.n + b.n)
     return FrequencyPermutationArray(
         a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )
@@ -248,7 +273,7 @@ class SeparableArray:
         delta = d = fpa.n
         if fpa.size > 1:
             # a one-row class scans to the row width, which may be below n
-            mat = core._label_matrix(fpa.rows, fpa.m)
+            mat = fpa._labels
             d = min(d, core._distance_scan(mat)[0])
             delta = min(delta, *(
                 core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)

@@ -4,14 +4,19 @@ A lambda-permutation over m symbols is a word of length n = m * lambda in
 which every symbol 0..m-1 occurs exactly lambda times.  An array of such
 words whose rows are pairwise at Hamming distance >= d is the package's
 central object.  Rows are tuples of Python ints: every caller-supplied
-symbol passes the one gate `_ints`, which refuses non-integers.  Only the
-array carries (m, lambda), and n is always m * lambda.  Constructions
+symbol passes the one gate `_ints`, which refuses non-integers.  Rows may
+also be given as one 2-D integer numpy array.  The array reads it with one
+`tolist()` and, when every symbol lies in 0..m-1, keeps a copy of it as
+its label matrix, so a caller who writes to the numpy array later changes
+nothing the array holds.  Only the array carries (m, lambda), and n is
+always m * lambda.  Constructions
 elsewhere in the package only ever *claim* parameters; `verify`
 re-derives all of them from the raw rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -26,11 +31,19 @@ class WorkLimitExceeded(RuntimeError):
     """An exhaustive computation would exceed its declared work budget."""
 
 
+def _is_int_matrix(rows: object) -> bool:
+    """True for a 2-D numpy array of a signed or unsigned integer dtype."""
+    return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
+
+
 def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples of Python ints; a tuple row of plain ints is kept,
-    not copied.  Other rows are read through `operator.index`: numpy ints
-    and bool become plain ints, and a non-integer (1.5, 1.0, "1", None)
-    raises ValueError naming its type."""
+    not copied.  A 2-D integer numpy array is read with one `tolist()`.
+    Other rows are read through `operator.index`: numpy ints and bool
+    become plain ints, and a non-integer (1.5, 1.0, "1", None) raises
+    ValueError naming its type."""
+    if _is_int_matrix(rows):
+        return tuple(map(tuple, rows.tolist()))
     try:
         rows = tuple(map(tuple, rows))
         plain = operator.countOf(map(type, itertools.chain.from_iterable(rows)), int)
@@ -66,7 +79,9 @@ class FrequencyPermutationArray:
 
     Rows are int tuples by construction (a non-integer symbol raises
     ValueError); wrong lengths, out-of-range ints and duplicate rows are
-    still held, for `verify` to report.
+    still held, for `verify` to report.  `_labels`, the rows'
+    `_label_matrix`, is built once; it is not a field, so it takes no part
+    in ==, hash or repr.
     """
 
     m: int
@@ -75,7 +90,21 @@ class FrequencyPermutationArray:
     min_distance_claim: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _ints(self.rows))
+        given = self.rows
+        object.__setattr__(self, "rows", _ints(given))
+        # a matrix of symbols 0..m-1 is its own label matrix: keep a copy
+        if _is_int_matrix(given) and given.size and given.min() >= 0 and given.max() < self.m:
+            labels = given.astype(_label_dtype(self.m))
+            labels.flags.writeable = False
+            self.__dict__["_labels"] = labels
+
+    @functools.cached_property
+    def _labels(self) -> np.ndarray:
+        """`_label_matrix` of the rows, read-only; rows of unequal lengths
+        raise ValueError."""
+        labels = _label_matrix(self.rows, self.m)
+        labels.flags.writeable = False
+        return labels
 
     @property
     def n(self) -> int:
@@ -112,26 +141,50 @@ def count_all(n: int, lam: int) -> int:
     return math.factorial(n) // math.factorial(lam) ** m
 
 
+# all_lambda_permutations extends each prefix by a table of the words over
+# the last _TAIL positions: at most 5! = 120 of them.
+_TAIL = 5
+
+
 def all_lambda_permutations(m: int, lam: int) -> Iterator[tuple[int, ...]]:
-    """All lambda-permutations over m symbols in lexicographic order."""
+    """All lambda-permutations over m symbols in lexicographic order.
+
+    Lazy.  For lam = 1 these are `itertools.permutations(range(m))`.
+    Otherwise each prefix of all but the last _TAIL positions, in order,
+    is extended by every word over the symbols it leaves, from a table
+    built once per multiset of them.
+    """
     if m < 1 or lam < 1:
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
+    if lam == 1:
+        yield from itertools.permutations(range(m))
+        return
     n = m * lam
     counts = [lam] * m
-    word = [0] * n
+    tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(word)
+    def tails(left: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Every word with these symbol counts, in lexicographic order."""
+        if left not in tables:
+            tables[left] = [
+                (s, *word)
+                for s, c in enumerate(left)
+                if c
+                for word in tails(left[:s] + (c - 1,) + left[s + 1 :])
+            ] if any(left) else [()]
+        return tables[left]
+
+    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(prefix) + _TAIL >= n:
+            yield from map(prefix.__add__, tails(tuple(counts)))
             return
         for s in range(m):
             if counts[s]:
                 counts[s] -= 1
-                word[pos] = s
-                yield from rec(pos + 1)
+                yield from rec(prefix + (s,))
                 counts[s] += 1
 
-    yield from rec(0)
+    yield from rec(())
 
 
 def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
@@ -242,19 +295,28 @@ def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
     return lo, hi
 
 
-def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    """Rows of ints (see `_ints`) as one int64 matrix of non-negative
-    labels, distances kept.
+def _label_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned type of 16 bits or more that holds 0..m-1;
+    int64 past 2^32 symbols.  (numpy sorts 8-bit rows far slower.)"""
+    if not 1 <= m <= 1 << 32:
+        return np.dtype(np.int64)
+    return np.promote_types(np.min_scalar_type(m - 1), np.uint16)
 
-    Symbols 0..m-1 keep their value.  Any other int (negative, m or more,
-    or beyond int64) gets a fresh label from m up by first appearance, so
-    its row still fails `_composed`.
+
+def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Rows of ints (see `_ints`) as one matrix of non-negative labels,
+    distances kept.
+
+    Symbols 0..m-1 keep their value, in `_label_dtype(m)`.  Any other int
+    (negative, m or more, or beyond int64) gets a fresh label from m up by
+    first appearance, so its row still fails `_composed`; such a matrix is
+    int64.
     """
     try:
-        mat = np.array(rows, dtype=np.int64)
+        mat = np.array(rows, dtype=_label_dtype(m))
         if not (mat.size and (mat.min() < 0 or mat.max() >= m)):
             return mat
-    except OverflowError:
+    except OverflowError:  # negative, or too large for the type
         pass
     codes: dict[int, int] = {}
     fresh = max(m, 0)
@@ -263,6 +325,16 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
         return s if 0 <= s < m else codes.setdefault(s, fresh + len(codes))
 
     return np.array([[label(s) for s in row] for row in rows], dtype=np.int64)
+
+
+def _symbol_matrix(array: FrequencyPermutationArray) -> np.ndarray | None:
+    """The array's label matrix, size x n, when it holds the symbols
+    themselves: every row of length n, every symbol in 0..m-1.  Else None."""
+    n = array.n
+    if array.m < 1 or array.lam < 1 or any(len(row) != n for row in array.rows):
+        return None
+    mat = array._labels.reshape(array.size, array.n)
+    return mat if mat.max(initial=0) < array.m else None
 
 
 def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
@@ -286,7 +358,7 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    return _distance_scan(_label_matrix(array.rows, array.m))[0]
+    return _distance_scan(array._labels)[0]
 
 
 def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
@@ -350,7 +422,7 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
     rows, n = array.rows, array.n
     sized = [row for row in rows if len(row) == n]
     shapes_ok = len(sized) == len(rows)
-    mat = _label_matrix(sized, array.m)
+    mat = array._labels if shapes_ok else _label_matrix(sized, array.m)
     composed = iter(_composed(mat, array.m, array.lam).tolist())
     for idx, row in enumerate(rows):
         if len(row) != n:

@@ -495,6 +495,21 @@ def test_incumbent_matches_the_loop_rule_on_word_spaces():
         assert got == _max_candidates_reference(_flip(non)), d
 
 
+@pytest.mark.parametrize(
+    "n, d, size, digest",
+    [
+        (7, 3, 2520, "8b97bf158b2501ecd7d8afe5c0420a33b21a65963681ce61566290ddeb4786b2"),
+        (6, 3, 360, "b763cfa161aa7ef9d76c322c6186063b77f3501d178adf90ea72fb01e8ab776e"),
+    ],
+)
+def test_incumbent_pins(n, d, size, digest):
+    # the picks in order, as the greedy pass that unpacked all V bits per
+    # pick took them
+    picks = _greedy_clique(_adjacency(list(all_lambda_permutations(n, 1)), d))
+    assert len(picks) == size
+    assert hashlib.sha256(repr(picks).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n, d, recounts", [(7, 7, True), (6, 3, False)])
 def test_incumbent_updates_its_counts_from_the_smaller_side(n, d, recounts):
     # a step recounts the candidates that stay when fewer stay than leave,

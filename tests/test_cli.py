@@ -7,6 +7,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fparray import (
     FrequencyPermutationArray,
     affine_classes_from_mols,
     canonical_max_distance_fpa,
+    fpa_from_hadamard,
     fpa_steiner_848,
     hadamard_matrix,
     mofs_complete,
@@ -27,7 +29,8 @@ from fparray import (
     separable_from_mols,
     verify,
 )
-from fparray.cli import main
+from fparray import core
+from fparray.cli import formats, main
 from fparray.gf import LinearizedPolynomial
 from fparray.cli.formats import (
     FormatError,
@@ -508,6 +511,21 @@ def test_mds_generator_with_many_rows_is_refused_before_any_array(tmp_path, caps
     )
 
 
+def test_product_over_the_cell_limit_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    # the order-64 array with itself: 15 876 rows of 128 symbols
+    def no_rows(array):
+        raise AssertionError("rows built before the refusal")
+
+    h64 = tmp_path / "h64.fpa"
+    h64.write_text(write_fpa(fpa_from_hadamard(hadamard_matrix(64))))
+    monkeypatch.setattr(core, "_symbol_matrix", no_rows)
+    assert main(["transform", "product", str(h64), str(h64)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: work limit exceeded: direct product of 126 x 126 rows of 128 symbols "
+        "is 2032128 cells, over the limit of 1048576\n"
+    ))
+
+
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
     # a value table with too many zeros breaks associate_matrix's kernel cross-check
     monkeypatch.setattr(
@@ -699,6 +717,66 @@ def test_fpa_writer_matches_per_symbol_labels(offset):
     lines = write_fpa(array, offset).splitlines()
     assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
     assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=6"]
+
+
+def _fpa_text_before_bulk_writer(array, offset=0):
+    """write_fpa as it was before rows were formatted from the label
+    matrix: one row at a time, from a table of m label strings."""
+    labels = [str(s + offset) for s in range(array.m)]
+    body = []
+    for row in array.rows:
+        try:
+            if min(row, default=0) >= 0:  # a negative index would pick a label
+                body.append(" ".join([labels[s] for s in row]))
+                continue
+        except IndexError:  # a symbol m or more
+            pass
+        body.append(" ".join([str(s + offset) for s in row]))
+    header = (f"n={array.n} lambda={array.lam} m={array.m} "
+              f"d={array.min_distance_claim} size={array.size}")
+    return "\n".join(["#fpa v1", header, *body]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fpa_writer_matches_the_row_by_row_writer(data):
+    m = data.draw(st.integers(1, 12), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    base = [s for s in range(m) for _ in range(lam)]
+    rows = data.draw(st.lists(st.permutations(base), max_size=8), label="rows")
+    offset = data.draw(st.sampled_from([0, 1, -2]), label="offset")
+    line_bytes = data.draw(st.sampled_from([1, 7, 64, 1 << 16]), label="line_bytes")
+    bulk_cells = data.draw(st.sampled_from([0, 1 << 8]), label="bulk_cells")
+    array = FrequencyPermutationArray(m, lam, rows, 1)
+    text = _fpa_text_before_bulk_writer(array)
+    with mock.patch.object(formats, "_LINE_BYTES", line_bytes), \
+            mock.patch.object(formats, "_BULK_CELLS", bulk_cells):
+        parsed = parse_fpa(text)
+        assert parsed == array
+        assert write_fpa(parsed) == text
+        assert write_fpa(parsed, offset) == _fpa_text_before_bulk_writer(parsed, offset)
+        # rows the parser refuses: out of range, or of another length
+        loose = data.draw(
+            st.lists(st.lists(st.integers(-3, m + 2), min_size=len(base) - 1,
+                              max_size=len(base) + 1), max_size=4),
+            label="loose",
+        )
+        odd = FrequencyPermutationArray(m, lam, loose, 1)
+        assert write_fpa(odd, offset) == _fpa_text_before_bulk_writer(odd, offset)
+
+
+def test_fpa_parser_reads_each_token_as_int_does():
+    # the parser converts each distinct token once, with int itself
+    lines = ["0 +1 2 \u0663 4 5 6 7 8 9 1_0", "01 0 2 3 4 5 6 7 8 9 10", "1_0 9 8 7 6 5 4 3 2 +1 00"]
+    text = "#fpa v1\nn=11 lambda=1 m=11 d=1 size=3\n" + "".join(ln + "\n" for ln in lines)
+    array = parse_fpa(text)
+    assert array.rows == tuple(tuple(int(tok) for tok in ln.split()) for ln in lines)
+    assert array.rows[0] == tuple(range(11))
+    assert write_fpa(array).splitlines()[2] == "0 1 2 3 4 5 6 7 8 9 10"
+    bad = "0 1 2 3 4 5 6 7 8 9 1.5"
+    with pytest.raises(FormatError) as info:
+        parse_fpa(text.replace(lines[1], bad))
+    assert str(info.value) == f"row 1: non-integer entry in {bad!r}"
 
 
 def test_squares_format_roundtrip():

@@ -5,11 +5,12 @@ import itertools
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fparray import core
+from fparray import combinators, core
 from fparray import (
     FrequencyPermutationArray,
     SeparableArray,
@@ -302,6 +303,59 @@ def test_direct_product_squares_the_doubling_route():
     assert out.size == 22 * 22 == 484
     report = verify(out)
     assert report.valid and report.actual_min_distance == 6
+
+
+def _product_per_row(a, b):
+    return tuple(ra + tuple(s + a.m for s in rb) for ra in a.rows for rb in b.rows)
+
+
+def test_direct_product_matches_a_per_row_loop():
+    a = canonical_max_distance_fpa(3, 2)
+    b = fpa_from_hadamard(hadamard_matrix(4))
+    assert direct_product(a, b).rows == _product_per_row(a, b)
+    # rows outside 0..m-1 or of another length are concatenated as they are
+    odd = FrequencyPermutationArray(2, 1, [(0, 5), (1, -1), (1,)], 1)
+    pairs = FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], 1)
+    for x, y in ((odd, pairs), (pairs, odd), (odd, odd)):
+        assert direct_product(x, y).rows == _product_per_row(x, y)
+
+
+def test_direct_product_cell_limit_boundary():
+    a = fpa_from_hadamard(hadamard_matrix(8))  # 14 rows of 8
+    b = canonical_max_distance_fpa(2, 4)  # 2 rows of 8
+    cells = 14 * 2 * 16
+
+    def no_rows(array):
+        raise AssertionError("rows built before the refusal")
+
+    with mock.patch.object(combinators, "_PRODUCT_CELLS", cells):
+        assert direct_product(a, b).rows == _product_per_row(a, b)
+    with mock.patch.object(combinators, "_PRODUCT_CELLS", cells - 1), \
+            mock.patch.object(core, "_symbol_matrix", no_rows):
+        with pytest.raises(core.WorkLimitExceeded, match=f"is {cells} cells, over the limit"):
+            direct_product(a, b)
+    # the order-32 array with itself: 3 844 rows of 64
+    assert 62 * 62 * 64 <= combinators._PRODUCT_CELLS
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combinator_output_matrices_are_their_label_matrices(data):
+    # refine, compose_columns and direct_product hand their numpy rows to
+    # the array; what it keeps must be the label matrix of its rows
+    m = data.draw(st.integers(1, 3), label="m")
+    lam = data.draw(st.sampled_from([1, 2, 4]), label="lam")
+    a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 1)
+    b = FrequencyPermutationArray(2, lam, _draw_words(data, 2, lam), 1)
+    coarse = FrequencyPermutationArray(2, m * lam, _draw_words(data, 2, m * lam), 2)
+    outs = [refine(a, l) for l in (1, lam)]
+    outs += [compose_columns([a, a], coarse), direct_product(a, b)]
+    for out in outs:
+        want = core._label_matrix(out.rows, out.m)
+        assert out._labels.dtype == want.dtype
+        assert np.array_equal(out._labels, want)
+        same = FrequencyPermutationArray(out.m, out.lam, out.rows, out.min_distance_claim)
+        assert verify(out) == verify(same)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Core row/array model, distance scanning, and the verifier."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -128,6 +129,81 @@ def test_every_entry_point_stores_integer_types_as_ints(entry, symbol):
     assert all(type(v) is int for row in stored for v in row)
 
 
+# ---------------------------------------------------------------------------
+# rows given as one numpy matrix
+
+
+def _same_array(from_matrix, from_tuples):
+    assert from_matrix.rows == from_tuples.rows
+    assert all(type(s) is int for row in from_matrix.rows for s in row)
+    assert from_matrix == from_tuples
+    assert hash(from_matrix) == hash(from_tuples)
+    assert repr(from_matrix) == repr(from_tuples)
+    assert verify(from_matrix) == verify(from_tuples)
+    want = core._label_matrix(from_tuples.rows, from_tuples.m)
+    assert from_matrix._labels.dtype == want.dtype
+    assert np.array_equal(from_matrix._labels, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+def test_matrix_rows_match_tuple_rows(dtype):
+    rows = [row for row in all_lambda_permutations(3, 2)][::7]
+    mat = np.array(rows, dtype=dtype)
+    _same_array(FrequencyPermutationArray(3, 2, mat, 2), FrequencyPermutationArray(3, 2, rows, 2))
+    # the matrix is no field: == and replace see the four fields only
+    fields = [f.name for f in dataclasses.fields(FrequencyPermutationArray)]
+    assert fields == ["m", "lam", "rows", "min_distance_claim"]
+    assert dataclasses.replace(FrequencyPermutationArray(3, 2, mat, 2), m=4).m == 4
+
+
+@pytest.mark.parametrize(
+    "dtype, cells",
+    [
+        (np.int8, [[0, -1, 1, 0], [1, 0, -128, 1]]),  # negative symbols
+        (np.uint8, [[0, 2, 1, 0], [1, 255, 0, 1]]),  # symbols m or more
+        (np.int32, [[0, 1, 1, 0], [0, -7, 9, 0], [0, 1, 1, 0]]),  # both, and a repeat
+        (np.uint64, [[0, 2**64 - 1, 1, 1], [2**63, 0, 1, 0]]),  # past int64
+        (np.int64, np.zeros((0, 4))),  # no rows
+        (np.int64, np.zeros((3, 0))),  # rows of no symbols
+        (np.int16, [[0, 1, 0], [1, 0, 1]]),  # rows shorter than n
+    ],
+)
+def test_matrix_rows_out_of_range_match_tuple_rows(dtype, cells):
+    mat = np.array(cells, dtype=dtype)
+    rows = [tuple(int(s) for s in row) for row in mat]
+    _same_array(FrequencyPermutationArray(2, 2, mat, 1), FrequencyPermutationArray(2, 2, rows, 1))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[False, True], [True, False]]),  # bool: read symbol by symbol
+        np.array([0, 1]),
+        np.zeros((2, 1, 2), dtype=np.int64),
+        np.array(1),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+    ],
+    ids=["bool", "1-D", "3-D", "0-D", "float"],
+)
+def test_other_numpy_rows_are_read_symbol_by_symbol(rows):
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        FrequencyPermutationArray(2, 1, rows, 2)
+
+
+def test_matrix_rows_are_copied():
+    mat = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.int64)
+    fpa = FrequencyPermutationArray(2, 2, mat, 4)
+    before = verify(fpa)
+    mat[1] = mat[0]  # a duplicate row, had the array kept the caller's matrix
+    mat[0, 0] = 7
+    assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
+    assert verify(fpa) == before and before.valid
+    assert fpa._labels.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
+    with pytest.raises(ValueError):
+        fpa._labels[0, 0] = 1  # read-only
+    assert min_distance(fpa) == 4
+
+
 def test_integer_symbols_of_any_type_keep_their_value():
     rows = ((0, np.int64(1)), (True, np.uint8(0)))
     assert core._label_matrix(rows, 2).tolist() == [[0, 1], [1, 0]]
@@ -147,6 +223,28 @@ def test_count_all_matches_multinomial(n, lam, expected):
     m = n // lam
     direct = math.factorial(n) // math.factorial(lam) ** m
     assert count_all(n, lam) == direct
+
+
+def _small_spaces(most=5040):
+    """Every (m, lam) with at most `most` words, words of at most 14 symbols."""
+    return [
+        (m, lam)
+        for m in range(1, 8)
+        for lam in range(1, 15 // m + 1)
+        if count_all(m * lam, lam) <= most
+    ]
+
+
+@pytest.mark.parametrize("m,lam", _small_spaces())
+def test_enumeration_matches_sorted_distinct_permutations(m, lam):
+    base = tuple(s for s in range(m) for _ in range(lam))
+    if len(base) <= 9:
+        want = sorted(set(itertools.permutations(base)))
+    else:  # (2, 5..7) and (1, 10..14): 10! or more orderings, 2^14 words at most
+        counts = [lam] * m
+        want = [w for w in itertools.product(range(m), repeat=len(base))
+                if [w.count(s) for s in range(m)] == counts]
+    assert list(all_lambda_permutations(m, lam)) == want
 
 
 @pytest.mark.parametrize("m,lam", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 1), (3, 1)])
