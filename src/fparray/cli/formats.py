@@ -1,7 +1,11 @@
 """Line-oriented text formats for arrays and construction ingredients.
 
 Array files:  line 1 `#fpa v1`; line 2 `n=.. lambda=.. m=.. d=.. size=..`;
-then `size` rows of `n` space-separated 0-based integers.
+then `size` rows of `n` space-separated 0-based integers.  A row's entries
+are read as `int` reads them.  When every row is n tokens of ASCII digits
+separated by spaces and tabs, each short enough for the label type, the
+rows are read in bulk with numpy; any other body is read row by row.  The
+files accepted and the errors raised are the same either way.
 
 Ingredient files: line 1 `#ing v1 <fsq|oa|ard|had>`; a kind-specific
 key=value header line; then the grid body.  Blank lines separate grids
@@ -24,7 +28,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core import FrequencyPermutationArray, _composed, _label_matrix, _symbol_matrix
+from .. import core
+from ..core import (
+    FrequencyPermutationArray,
+    _composed,
+    _label_dtype,
+    _label_matrix,
+    _symbol_matrix,
+)
 from ..constructions import (
     FrequencySquare,
     HadamardMatrix,
@@ -198,25 +209,77 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     return _write("", header, []) + _lines(mat, [str(s + offset) for s in range(array.m)])
 
 
+_BULK_BYTES = b"0123456789 \t\n"
+
+
+def _bulk_matrix(lines: Sequence[str], n: int, m: int) -> np.ndarray | None:
+    """The data lines as one len(lines) x n matrix of `_label_dtype(m)`,
+    read without an `int` call per token; None unless every line holds
+    exactly n tokens, is made only of ASCII digits, spaces and tabs, and
+    every token has fewer digits than the type's largest value, so no
+    value can wrap.  Symbols m or more are kept for `_composed` to refuse.
+
+    Lines are read in blocks of about _BLOCK_CELLS tokens, each one byte
+    buffer; a block's values are allocated only once its token count
+    matches its lines.
+    """
+    dtype = _label_dtype(m)
+    digits = len(str(np.iinfo(dtype).max)) - 1  # 10**digits - 1 fits
+    step = max(1, core._BLOCK_CELLS // n)  # lines per block
+    parts = []
+    for i in range(0, len(lines), step):
+        text = "\n".join(["", *lines[i : i + step], ""])  # each line between newlines
+        if not text.isascii():
+            return None
+        raw = text.encode("ascii")
+        if raw.translate(None, _BULK_BYTES):  # a byte other than a digit or a blank
+            return None
+        code = np.frombuffer(raw, dtype=np.uint8)
+        digit = code >= ord("0")
+        ends = np.flatnonzero(digit[:-1] > digit[1:])  # each token's last digit
+        if len(ends) != n * min(step, len(lines) - i):
+            return None
+        newlines = np.flatnonzero(code == ord("\n"))
+        if (np.diff(np.searchsorted(ends, newlines)) != n).any():
+            return None
+        values = (code[ends] - ord("0")).astype(dtype)
+        going = digit[ends]  # tokens not yet read to their first digit
+        for place in range(1, digits + 1):
+            np.maximum(ends - 1, 0, out=ends)  # byte 0 is a newline, not a digit
+            going &= digit[ends]
+            if not going.any():
+                break
+            if place == digits:
+                return None
+            values += ((code[ends] - ord("0")) * going).astype(dtype) * dtype.type(10**place)
+        parts.append(values)
+    return np.concatenate(parts).reshape(len(lines), n)
+
+
 def parse_fpa(text: str) -> FrequencyPermutationArray:
     header, rest = _read(text, "", ("n", "lambda", "m", "d", "size"))
     n, lam, m = header["n"], header["lambda"], header["m"]
     _check_sizes(n, m, lam)
     body = list(filter(_is_data, rest))
+    del rest
     _count(header, "size", len(body), "rows")
-    read = _Tokens().__getitem__
-    rows: list[tuple[int, ...]] = []
+    mat = _bulk_matrix(body, n, m) if body else None
     unreadable = None
-    for idx, line in enumerate(body):
-        try:
-            rows.append(_int_row(line, n, f"row {idx}", read))
-        except FormatError as exc:
-            unreadable = exc
-            break
-    del rest, body  # free the lines, then the tuples, before the array builds its rows
-    # A badly composed row ahead of the first unreadable one is reported first.
-    mat = _label_matrix(rows, m)
-    del rows
+    if mat is None:  # the row reader: every other body, and every refusal's wording
+        read = _Tokens().__getitem__
+        rows: list[tuple[int, ...]] = []
+        for idx, line in enumerate(body):
+            try:
+                rows.append(_int_row(line, n, f"row {idx}", read))
+            except FormatError as exc:
+                unreadable = exc
+                break
+        del body  # free the lines, then the tuples, before the array builds its rows
+        # A badly composed row ahead of the first unreadable one is reported first.
+        mat = _label_matrix(rows, m)
+        del rows
+    else:
+        del body
     composed = _composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())

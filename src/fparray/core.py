@@ -414,7 +414,9 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
 
     Never raises on bad input; problems come back as `reasons` with
     valid=False.  For arrays with fewer than two rows the distance claim is
-    vacuous: actual_min_distance reports n and equidistant is True.
+    vacuous: actual_min_distance reports n and equidistant is True.  When
+    rows repeat, no pair is scanned: the minimum distance is 0, and the
+    array is equidistant only if all its rows are one row.
     """
     reasons: list[str] = []
     if array.m < 1 or array.lam < 1:
@@ -431,17 +433,21 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
             reasons.append(
                 f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
             )
-    if len(set(rows)) != len(rows):
+    distinct = len(set(rows))
+    if distinct != len(rows):
         reasons.append("rows are not pairwise distinct")
 
     actual = array.n
     equidistant = True
     profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
-        lo, hi = _distance_scan(mat)
-        actual, equidistant = lo, lo == hi
-        if not reasons:
-            profile = _pair_profile(mat, array.m)
+        if distinct < array.size:  # a repeated row is at distance 0 from its copy
+            actual, equidistant = 0, distinct == 1
+        else:
+            lo, hi = _distance_scan(mat)
+            actual, equidistant = lo, lo == hi
+            if not reasons:
+                profile = _pair_profile(mat, array.m)
 
     if actual < array.min_distance_claim:
         reasons.append(

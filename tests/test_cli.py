@@ -676,7 +676,8 @@ _ARGV_HEADS = (
 @given(head=st.sampled_from(_ARGV_HEADS), tail=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
 def test_argv_fuzz_exits_with_a_contract_code(head, tail):
     # each example runs in its own directory, holding one small array as "1"
-    # and "x", so -o writes and transform/verify reads stay inside it
+    # and "x", so -o writes and transform/verify reads stay inside it; after
+    # a success every array file there must read back as a valid array
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name in ("1", "x"):
@@ -688,10 +689,16 @@ def test_argv_fuzz_exits_with_a_contract_code(head, tail):
                     code = main(head + tail)
                 except SystemExit as exc:
                     assert exc.code in (0, 2)
+                    code = exc.code
                 else:
                     assert code in (0, 1, 2, 3)
         finally:
             os.chdir(here)
+        if code == 0:
+            for path in Path(work).iterdir():
+                text = path.read_text() if path.is_file() else ""
+                if text.startswith("#fpa v1"):
+                    assert verify(parse_fpa(text)).valid, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -402,11 +402,136 @@ def test_composition_check_matches_the_per_row_predicate(data):
         assert parsed.rows == fpa.rows
 
 
+def _parse_outcome(text):
+    """parse_fpa's array with its label dtype, or its FormatError text."""
+    try:
+        array = formats.parse_fpa(text)
+    except formats.FormatError as exc:
+        return str(exc)
+    return array, array._labels.dtype, array._labels.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bulk_reader_matches_the_row_reader(data):
+    m = data.draw(st.integers(1, 12), label="m")
+    lam = data.draw(st.integers(1, 3), label="lam")
+    n = m * lam
+
+    def spellings(s):  # ways to write s that int() reads as s
+        digits = str(s)
+        indic = "".join(chr(0x660 + int(c)) for c in digits)
+        return st.sampled_from(
+            [digits, f"{s:03d}", f"{s:020d}", f"+{s}", f"-{s}" if s == 0 else digits,
+             "_".join(digits), indic]
+        )
+
+    base = [s for s in range(m) for _ in range(lam)]
+    symbol = st.one_of(
+        st.integers(0, m - 1).map(str),
+        st.sampled_from([str(m), "65536", "9" * 20, "0" * 22, "-1", "1.0", "x"]),
+    )
+    width = st.sampled_from([w for w in (n - 1, n, n + 1) if w > 0])
+    tokens = st.one_of(
+        st.permutations(base).map(lambda word: [str(s) for s in word]),
+        st.permutations(base).flatmap(lambda word: st.tuples(*map(spellings, word))),
+        width.flatmap(lambda w: st.lists(symbol, min_size=w, max_size=w)),
+    )
+    row = st.builds(
+        lambda lead, sep, cells, trail: lead + sep.join(cells) + trail,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from([" ", " ", "  ", "\t", " \t ", "\xa0"]),
+        tokens,
+        st.sampled_from(["", "", " ", "\t", "\xa0", " # 1 2"]),
+    )
+    other = st.sampled_from(["", "  ", "\t", "# comment", "  # 0 1", "#"])
+    lines = data.draw(st.lists(st.one_of(row, row, row, other), max_size=8), label="lines")
+    body = [ln.rstrip() for ln in lines if formats._is_data(ln)]
+    text = f"#fpa v1\nn={n} lambda={lam} m={m} d=0 size={len(body)}\n" + "".join(
+        ln + "\n" for ln in lines
+    )
+    expected = per_row_parse_error(body, n, m, lam)
+    cells = data.draw(st.sampled_from([1, n, 2 * n + 1]), label="cells")
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        bulk = _parse_outcome(text)
+        with mock.patch.object(formats, "_bulk_matrix", return_value=None):
+            by_rows = _parse_outcome(text)
+        if body:  # the bodies read in bulk: n short ASCII digit tokens a line
+            plain = all(
+                set(ln) <= set("0123456789 \t")
+                and len(ln.split()) == n
+                and max(map(len, ln.split())) <= 4  # uint16 labels: 4 digits cannot wrap
+                for ln in body
+            )
+            assert (formats._bulk_matrix(body, n, m) is not None) == plain
+    assert bulk == by_rows
+    if expected is None:
+        assert bulk[0].rows == tuple(formats._int_row(ln, n, "") for ln in body)
+    else:
+        assert bulk == expected
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["0 1 1", "1 0 0 1 0"],  # n - 1 then n + 1 tokens: 2n in all
+        ["0 1 1 0 1", "1 0 0"],
+        ["0 1 1 0", "0 1", "1 0 1 0 0 1"],
+    ],
+)
+def test_bulk_reader_counts_the_tokens_of_each_line(lines):
+    text = f"#fpa v1\nn=4 lambda=2 m=2 d=0 size={len(lines)}\n" + "\n".join(lines) + "\n"
+    with mock.patch.object(core, "_BLOCK_CELLS", 1 << 16):  # every line in one block
+        assert formats._bulk_matrix(lines, 4, 2) is None
+        assert _parse_outcome(text) == per_row_parse_error(lines, 4, 2, 2)
+
+
+@pytest.mark.parametrize("m, dtype", [(2**16, np.uint16), (2**16 + 1, np.uint32)])
+def test_bulk_reader_reads_every_symbol_its_label_type_holds(m, dtype):
+    # uint16 labels take tokens of at most 4 digits in bulk, uint32 labels 9
+    row = " ".join(map(str, range(m - 1, -1, -1)))
+    text = f"#fpa v1\nn={m} lambda=1 m={m} d={m} size=1\n{row}\n"
+    parsed = formats.parse_fpa(text)
+    assert parsed.rows == (tuple(range(m - 1, -1, -1)),)
+    assert parsed._labels.dtype == dtype
+    assert (formats._bulk_matrix([row], m, m) is None) == (dtype == np.uint16)
+    wrapped = row.replace(" 0", f" {2**32}")  # a value past uint32 must not wrap to 0
+    with pytest.raises(formats.FormatError, match=f"^row 0 is not a frequency-1 word over {m} "):
+        formats.parse_fpa(text.replace(row, wrapped))
+
+
+def test_a_huge_width_with_a_short_row_is_refused_at_once():
+    text = "#fpa v1\nn=1000000000 lambda=1 m=1000000000 d=0 size=1\n0 1\n"
+    with pytest.raises(formats.FormatError) as info:
+        formats.parse_fpa(text)
+    assert str(info.value) == "row 0: expected 1000000000 entries, got 2"
+
+
 def test_verify_rejects_duplicate_rows():
     fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1), (0, 1, 0, 1)], 1)
     report = verify(fpa)
     assert not report.valid
     assert report.actual_min_distance == 0
+
+
+@pytest.mark.parametrize(
+    "rows, claim",
+    [
+        ([(0, 1, 0, 1)] * 3, 1),  # one distinct row: every pair at distance 0
+        ([(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1)], 0),
+        ([(0, 1, 1, 0), (0, 1, 7, 0), (1, 1, 0, 0), (0, 1, 7, 0)], 2),  # a bad row repeats
+    ],
+)
+def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
+    fpa = FrequencyPermutationArray(2, 2, rows, claim)
+    lo, hi = core._distance_scan(fpa._labels)  # what the scan would find
+    below = (f"minimum distance {lo} below claim {claim}",) if lo < claim else ()
+    with mock.patch.object(core, "_distance_scan", side_effect=AssertionError("scanned")):
+        report = verify(fpa)
+    assert report == core.VerificationReport(
+        valid=False, actual_min_distance=lo, size=len(rows), equidistant=lo == hi,
+        pair_profile=None, reasons=per_row_reasons(fpa) + below,
+    )
 
 
 def test_verify_rejects_inconsistent_parameters():
