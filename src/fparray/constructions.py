@@ -3,7 +3,12 @@
 Ingredient objects (frequency squares, orthogonal arrays, resolvable
 designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
-distance each classical argument guarantees.  Sizes the rows fix are
+distance each classical argument guarantees.  Squares and orthogonal
+arrays take their cells as tuples or as one integer numpy matrix and keep
+a read-only label matrix beside their tuple fields; their checks, the
+producers that build them and the converters that read them all work on
+that matrix, and strength 2 is checked by `core._unbalanced_pair`'s sort of
+pair codes.  Sizes the rows fix are
 derived, not stored: a square's n is m * lam, an orthogonal array's r and
 a Hadamard matrix's n count rows, and strength is always 2.  Additive-map
 images share `gf`'s permutation-polynomial sweep with the census, so each
@@ -24,9 +29,11 @@ import numpy as np
 from .core import (
     FrequencyPermutationArray,
     WorkLimitExceeded,
+    _BLOCK_CELLS,
     _composed,
     _distance_scan,
     _ints,
+    _kept_matrix,
     _label_matrix,
     _pair_counts,
     _unbalanced_pair,
@@ -44,28 +51,48 @@ from .gf import (
     linearized_trace,
 )
 
+
+def _read_only_labels(
+    given: object, rows: Sequence[Sequence[int]], m: int, width: int
+) -> np.ndarray:
+    """`_kept_matrix(given, m)` if that is not None, else the `_label_matrix`
+    of the int rows `given` was read into, len(rows) x width and read-only."""
+    labels = _kept_matrix(given, m)
+    if labels is None:
+        labels = _label_matrix(rows, m).reshape(len(rows), width)
+        labels.flags.writeable = False
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # frequency squares
 
 
 @dataclass(frozen=True)
 class FrequencySquare:
-    """n x n grid, n = m * lam, where every row and column holds each symbol lam times."""
+    """n x n grid, n = m * lam, where every row and column holds each symbol lam times.
+
+    `cells` may be given as a 2-D integer numpy array; it is held as int
+    tuples either way.  `_grid`, the cells' read-only label matrix, is kept
+    beside the fields, so it takes no part in ==, hash or repr.
+    """
 
     m: int
     lam: int
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", _ints(self.cells))
+        given = self.cells
+        object.__setattr__(self, "cells", _ints(given))
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
         n = self.n
         if len(self.cells) != n or any(len(r) != n for r in self.cells):
             raise ValueError("cells must form an n x n grid")
+        grid = _read_only_labels(given, self.cells, self.m, n)
+        object.__setattr__(self, "_grid", grid)
         # rows 0..n-1, then columns as rows n..2n-1
-        lines = _label_matrix([*self.cells, *zip(*self.cells)], self.m)
-        bad = np.flatnonzero(~_composed(lines, self.m, self.lam))
+        bad = np.flatnonzero(~_composed(np.concatenate([grid, grid.T]), self.m, self.lam))
         if bad.size:
             what, idx = divmod(int(bad[0]), n)
             raise ValueError(f"{('row', 'column')[what]} {idx} is not {self.lam}-uniform")
@@ -93,13 +120,15 @@ def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
 
 
 def _flat_cells(sq: FrequencySquare) -> np.ndarray:
-    return np.array(sq.cells, dtype=np.int64).ravel()
+    return sq._grid.ravel()
 
 
-def _symbol_cells(sq: FrequencySquare) -> list[tuple[int, ...]]:
-    """Per symbol, the row-major cell indices r*n + c that hold it."""
-    flat = _flat_cells(sq)
-    return [tuple(np.flatnonzero(flat == s).tolist()) for s in range(sq.m)]
+def _symbol_cells(flat: np.ndarray, m: int) -> np.ndarray:
+    """Per row of `flat` (one square's row-major cells) and per symbol
+    0..m-1, the ascending indices of the cells that hold it, as the rows of
+    one matrix; every symbol must fill the same number of cells.  One
+    stable sort per row."""
+    return np.argsort(flat, axis=-1, kind="stable").reshape(-1, flat.shape[-1] // m)
 
 
 def _latin_order(squares: Sequence[FrequencySquare]) -> int:
@@ -151,7 +180,7 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     left = _linear_forms(field, vectors)
     right = _linear_forms(field, vectors[leads == 1])
     squares = [
-        FrequencySquare(q, n // q, field.add_val(lv[:, None], rv).tolist())
+        FrequencySquare(q, n // q, field.add_val(lv[:, None], rv))
         for lv in left
         for rv in right
     ]
@@ -169,11 +198,20 @@ def _odometer(q: int, k: int) -> np.ndarray:
 
 
 def _linear_forms(field: FiniteField, coeffs: np.ndarray) -> np.ndarray:
-    """Row r, column x: coeffs[r] . x for every x in odometer order."""
-    points = _odometer(field.q, coeffs.shape[1])
-    out = np.zeros((coeffs.shape[0], points.shape[0]), dtype=np.int32)
-    for t in range(coeffs.shape[1]):
-        out = field.add_val(out, field.mul_val(coeffs[:, t, None], points[:, t]))
+    """Row r, column x: coeffs[r] . x for every x in odometer order.
+
+    One coordinate of the points at a time, added into blocks of about
+    _BLOCK_CELLS cells, so no temporary is larger than a block.
+    """
+    q, k = field.q, coeffs.shape[1]
+    codes = np.arange(q**k, dtype=np.int64)
+    out = np.zeros((coeffs.shape[0], q**k), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // len(codes))
+    for t in range(k):
+        digit = (codes // q ** (k - 1 - t) % q).astype(np.int32)
+        for i in range(0, len(out), step):
+            term = field.mul_val(coeffs[i : i + step, t, None], digit)
+            out[i : i + step] = field.add_val(out[i : i + step], term)
     return out
 
 
@@ -194,7 +232,7 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
     if pair:
         raise ValueError(f"squares {pair[0]} and {pair[1]} are not orthogonal")
     n, lam = first.n, first.lam
-    rows = [[p % n for p in cells] for sq in squares for cells in _symbol_cells(sq)]
+    rows = _symbol_cells(flat, first.m) % n
     return FrequencyPermutationArray(n, lam, rows, n * lam - lam * lam)
 
 
@@ -264,23 +302,31 @@ def fpa_from_monomial(field: FiniteField, q: int, d: int) -> FrequencyPermutatio
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """r x v array over s symbols, r = len(rows); strength-2 uniformity is validated."""
+    """r x v array over s symbols, r = len(rows); strength-2 uniformity is validated.
+
+    `rows` may be given as a 2-D integer numpy array; it is held as int
+    tuples either way.  `_mat`, the rows' read-only label matrix, is kept
+    beside the fields, so it takes no part in ==, hash or repr.
+    """
 
     v: int
     s: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _ints(self.rows))
+        given = self.rows
+        object.__setattr__(self, "rows", _ints(given))
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
         if any(len(row) != self.v for row in self.rows):
             raise ValueError("rows must form an r x v grid")
-        if any(min(row) < 0 or max(row) >= self.s for row in self.rows):
+        # symbols outside 0..s-1 get labels from s up
+        mat = _read_only_labels(given, self.rows, self.s, self.v)
+        if mat.max(initial=0) >= self.s:
             raise ValueError("symbol outside 0..s-1")
-        mat = np.array(self.rows, dtype=np.int64).reshape(self.r, self.v)
+        object.__setattr__(self, "_mat", mat)
         pair = _unbalanced_pair(mat, self.s, self.v // self.s**2)
         if pair:
             raise ValueError(f"rows {pair[0]}, {pair[1]} break strength-2 uniformity")
@@ -294,14 +340,13 @@ def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
     n = _latin_order(squares)
     cells = np.arange(n * n)
-    rows = itertools.chain([cells // n, cells % n], map(_flat_cells, squares))
-    return OrthogonalArray(n * n, n, [r.tolist() for r in rows])
+    return OrthogonalArray(n * n, n, np.stack([cells // n, cells % n, *map(_flat_cells, squares)]))
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
     """Read the r OA rows as an equidistant array at distance v - v/s."""
     lam = oa.v // oa.s
-    return FrequencyPermutationArray(oa.s, lam, oa.rows, oa.v - lam)
+    return FrequencyPermutationArray(oa.s, lam, oa._mat, oa.v - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +417,7 @@ def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDe
         [range(r * n, r * n + n) for r in range(n)],
         [range(c, n * n, n) for c in range(n)],
     ]
-    classes += map(_symbol_cells, squares)
+    classes += (_symbol_cells(_flat_cells(sq), sq.m) for sq in squares)
     lambda_d = 1 if len(squares) == n - 1 else None
     return ResolvableDesign(n * n, n, classes, lambda_d)
 
@@ -385,9 +430,8 @@ def fpa_from_ard(design: ResolvableDesign) -> FrequencyPermutationArray:
     """
     if not design.is_affine():
         raise ValueError("design is not affine; the v - k distance claim needs k^2/v-point intersections")
-    rows = design._block_index.tolist()
     m = design.v // design.k
-    return FrequencyPermutationArray(m, design.k, rows, design.v - design.k)
+    return FrequencyPermutationArray(m, design.k, design._block_index, design.v - design.k)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +494,19 @@ def fpa_from_mds(
     if pair:
         raise ValueError(f"columns {pair[0]} and {pair[1]} are linearly dependent")
     zero = zero[:, 1:]
-    # first dependent k-set in combinations order: least first k zeros of such codewords
-    firsts = np.argsort(~zero[:, zero.sum(axis=0) >= k], axis=0, kind="stable")[:k]
-    if firsts.size:
-        least = firsts[:, np.lexsort(firsts[::-1])[0]].tolist()
+    # first dependent k-set in combinations order: the least first k zeros of
+    # a nonzero codeword with k zeros or more, chosen one coordinate at a time
+    # among the codewords that tie on the coordinates chosen so far
+    cols = np.flatnonzero(zero.sum(axis=0) >= k)
+    least: list[int] = []
+    while cols.size and len(least) < k:
+        start = least[-1] + 1 if least else 0
+        nxt = start + zero[start:, cols].argmax(axis=0)
+        least.append(int(nxt.min()))
+        cols = cols[nxt == least[-1]]
+    if least:
         raise ValueError(f"columns {tuple(least)} are dependent; not MDS")
-    return FrequencyPermutationArray(q, q ** (k - 1), rows.tolist(), q ** (k - 1) * (q - 1))
+    return FrequencyPermutationArray(q, q ** (k - 1), rows, q ** (k - 1) * (q - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,18 @@ def _is_int_matrix(rows: object) -> bool:
     return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
 
 
+def _kept_matrix(given: object, m: int) -> np.ndarray | None:
+    """A read-only copy of `given` in `_label_dtype(m)` when it is a
+    nonempty 2-D integer matrix of symbols 0..m-1, else None.  Such a
+    matrix is its own label matrix; the copy keeps a caller's later writes
+    out of it."""
+    if not (_is_int_matrix(given) and given.size and given.min() >= 0 and given.max() < m):
+        return None
+    labels = given.astype(_label_dtype(m))
+    labels.flags.writeable = False
+    return labels
+
+
 def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples of Python ints; a tuple row of plain ints is kept,
     not copied.  A 2-D integer numpy array is read with one `tolist()`.
@@ -92,10 +104,8 @@ class FrequencyPermutationArray:
     def __post_init__(self) -> None:
         given = self.rows
         object.__setattr__(self, "rows", _ints(given))
-        # a matrix of symbols 0..m-1 is its own label matrix: keep a copy
-        if _is_int_matrix(given) and given.size and given.min() >= 0 and given.max() < self.m:
-            labels = given.astype(_label_dtype(self.m))
-            labels.flags.writeable = False
+        labels = _kept_matrix(given, self.m)
+        if labels is not None:
             self.__dict__["_labels"] = labels
 
     @functools.cached_property
@@ -378,12 +388,34 @@ def _unbalanced_pair(
 ) -> tuple[int, int] | None:
     """First row pair a < b whose symbol-pair table is not `want` in every
     cell, or None.  `want` is a number or an m*m table; symbols must lie
-    in 0..m-1."""
-    for a in range(mat.shape[0] - 1):
-        tables = _pair_counts(mat[a], mat[a + 1 :], m, m)
-        bad = np.flatnonzero((tables != want).any(axis=(1, 2)))
-        if bad.size:
-            return a, a + 1 + int(bad[0])
+    in 0..m-1.  Pairs come in combinations order: a ascending, then b.
+
+    A pair is balanced iff its codes x * m + y, sorted, equal the sorted
+    target: each code c repeated want (or want[c]) times.  A target whose
+    length is not v balances no pair.  The cost is one sort of v codes
+    per row pair, in the narrowest type of 16 bits or more that holds
+    m*m codes; the rows after a are coded in blocks of about _BLOCK_CELLS
+    codes, or one row when a row is longer.
+    """
+    size, v = mat.shape
+    if size < 2:
+        return None
+    counts = np.broadcast_to(want, (m, m)).ravel()
+    if counts.min(initial=0) < 0 or counts.sum() != v:
+        return 0, 1
+    target = np.repeat(np.arange(m * m), counts)
+    labels = mat.astype(_label_dtype(m * m), copy=False)
+    step = max(1, _BLOCK_CELLS // max(1, v))
+    buf = np.empty((min(step, size - 1), v), dtype=labels.dtype)
+    for a in range(size - 1):
+        head = labels[a] * m
+        for b in range(a + 1, size, step):
+            codes = buf[: min(step, size - b)]
+            np.add(labels[b : b + step], head, out=codes)
+            codes.sort(axis=1)
+            bad = np.flatnonzero((codes != target).any(axis=1))
+            if bad.size:
+                return a, b + int(bad[0])
     return None
 
 

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,73 @@ def test_frequency_square_names_the_first_bad_line(data):
         with pytest.raises(ValueError) as err:
             FrequencySquare(m, lam, cells)
         assert str(err.value) == expected
+
+
+def _same_record(from_matrix, from_tuples, field):
+    assert getattr(from_matrix, field) == getattr(from_tuples, field)
+    assert all(type(s) is int for row in getattr(from_matrix, field) for s in row)
+    assert from_matrix == from_tuples
+    assert hash(from_matrix) == hash(from_tuples)
+    assert repr(from_matrix) == repr(from_tuples)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+def test_ingredients_from_a_matrix_match_tuple_ingredients(dtype):
+    squares = mols_from_field(5)
+    for sq in squares[:2]:
+        mat = np.array(sq.cells, dtype=dtype)
+        square = FrequencySquare(sq.m, sq.lam, mat)
+        _same_record(square, FrequencySquare(sq.m, sq.lam, sq.cells), "cells")
+        mat[:] = mat[::-1, ::-1]  # a caller's later write changes nothing
+        assert square.cells == sq.cells
+        assert square._grid.tolist() == [list(row) for row in sq.cells]
+    rows = oa_from_mols(squares).rows
+    mat = np.array(rows, dtype=dtype)
+    oa = OrthogonalArray(25, 5, mat)
+    _same_record(oa, OrthogonalArray(25, 5, rows), "rows")
+    mat[1] = mat[0]
+    assert oa.rows == rows and oa._mat.tolist() == [list(row) for row in rows]
+    assert fpa_from_oa(oa) == fpa_from_oa(OrthogonalArray(25, 5, rows))
+    for kept in (square._grid, oa._mat):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1  # read-only
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mat: FrequencySquare(2, 1, mat),
+        lambda mat: OrthogonalArray(4, 2, np.concatenate([mat, mat], axis=-1)),
+    ],
+    ids=["square", "oa"],
+)
+@pytest.mark.parametrize(
+    "mat",
+    [np.array([[False, True], [True, False]]), np.zeros((2, 2, 1), dtype=np.int64)],
+    ids=["bool", "3-D"],
+)
+def test_ingredients_refuse_bool_and_3d_matrices(build, mat):
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        build(mat)
+
+
+@pytest.mark.parametrize(
+    "build, dtype, cells",
+    [
+        (lambda c: FrequencySquare(2, 1, c), np.int8, [[0, 1], [1, -1]]),
+        (lambda c: FrequencySquare(2, 1, c), np.int64, [[0, 2], [2, 0]]),
+        (lambda c: FrequencySquare(2, 1, c), np.uint64, [[0, 1], [1, 2**64 - 1]]),
+        (lambda c: OrthogonalArray(4, 2, c), np.int8, [[0, 0, 1, 1], [0, 1, 0, -1]]),
+        (lambda c: OrthogonalArray(4, 2, c), np.int64, [[0, 0, 1, 1], [0, 1, 0, 2]]),
+        (lambda c: OrthogonalArray(4, 2, c), np.uint64, [[0, 0, 1, 1], [0, 1, 0, 2**64 - 1]]),
+    ],
+)
+def test_ingredient_matrices_out_of_range_fail_like_tuples(build, dtype, cells):
+    with pytest.raises(ValueError) as want:
+        build(cells)
+    with pytest.raises(ValueError) as got:
+        build(np.array(cells, dtype=dtype))
+    assert str(got.value) == str(want.value)
 
 
 def test_mofs_complete_refuses_work_over_its_budget(monkeypatch, capsys):
@@ -442,6 +510,30 @@ def test_mds_route_refuses_the_wide_non_mds_generator():
     generator = [[p[t] for p in points] for t in range(4)]
     with pytest.raises(ValueError, match=r"^columns \(0, 1, 2, 3\) are dependent; not MDS$"):
         fpa_from_mds(field_of_order(3), generator)
+
+
+def test_mds_refusal_peak_stays_near_its_rows():
+    # the 2 047-column binary simplex generator: 16 MB of int32 rows, whose
+    # first 11 columns are dependent.  The rows are summed one coordinate at
+    # a time in blocks, and the k-set check keeps a bool zero table, so the
+    # peak is the rows plus about two bool copies of them
+    field = field_of_order(2)
+    cols = [c for c in itertools.product((0, 1), repeat=11) if any(c)]
+    generator = [[c[t] for c in cols] for t in range(11)]
+    rows_bytes = len(cols) * 2**11 * 4
+    field.mul_val(np.int32(1), np.int32(1))  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        rows = constructions._linear_forms(field, np.array(generator, dtype=np.int32).T)
+        assert rows.nbytes == rows_bytes
+        assert tracemalloc.get_traced_memory()[1] < 1.25 * rows_bytes
+        del rows
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match=r"^columns \(0, 1, .*, 10\) are dependent; not MDS$"):
+            fpa_from_mds(field, generator)
+        assert tracemalloc.get_traced_memory()[1] < 2 * rows_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def _mds_reference(field, generator):

@@ -1,5 +1,6 @@
 """Core row/array model, distance scanning, and the verifier."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -639,6 +640,82 @@ def test_pair_counts_match_a_dict_count(data):
         for a in range(mx):
             for b in range(my):
                 assert tables[t, a, b] == counts.get((a, b), 0)
+
+
+def _first_unbalanced_pair(rows, m, want):
+    """The first pair a < b, in combinations order, whose dict count of
+    symbol pairs differs from want (a number or an m x m table), or None."""
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        counts = collections.Counter(zip(rows[a], rows[b]))
+        for x in range(m):
+            for y in range(m):
+                cell = want if isinstance(want, int) else int(want[x][y])
+                if counts[(x, y)] != cell:
+                    return a, b
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unbalanced_pair_matches_a_dict_count(data):
+    m = data.draw(st.integers(1, 5), label="m")
+    mult = data.draw(st.integers(0, 2), label="mult")
+    v = mult * m * m + data.draw(st.sampled_from([0, 0, 0, 1]), label="extra")
+    # rows of a strength-2 array over v points when the points allow one
+    pool = []
+    if v == mult * m * m:
+        x, y = [j // mult // m for j in range(v)], [j // mult % m for j in range(v)]
+        pool = [x, y] + [[(a + c * b) % m for a, b in zip(x, y)] for c in range(1, m)]
+    size = data.draw(st.sampled_from(range(6)), label="size")
+    symbol = st.integers(0, m - 1)
+    rows = [
+        list(data.draw(st.sampled_from(pool), label="row"))
+        if pool and data.draw(st.sampled_from([True, True, True, False]), label="from pool")
+        else data.draw(st.lists(symbol, min_size=v, max_size=v), label="row")
+        for _ in range(size)
+    ]
+    order = data.draw(st.permutations(range(v)), label="columns")
+    rows = [[row[j] for j in order] for row in rows]
+    if rows and v and data.draw(st.sampled_from([True, False, False]), label="mutate"):
+        row = data.draw(st.integers(0, size - 1), label="mutated row")
+        rows[row][data.draw(st.integers(0, v - 1), label="cell")] = data.draw(symbol, label="to")
+    kind = data.draw(
+        st.sampled_from(["number", "table", "shifted", "first pair", "random"]), label="want"
+    )
+    if kind == "number":
+        want = data.draw(st.sampled_from([mult, mult, mult + 1, 0]), label="number")
+    elif kind == "table":
+        want = np.full((m, m), data.draw(st.sampled_from([mult, mult + 1]), label="cell"))
+    elif kind == "shifted":  # the right total, one cell negative when mult is 0
+        want = np.full((m, m), mult)
+        want.flat[0] -= 1
+        want.flat[-1] += 1
+    elif kind == "first pair" and size >= 2:
+        pair = np.array(rows[:2], dtype=np.int64).reshape(2, v)
+        want = _pair_counts(pair[0], pair[1:], m, m)[0]
+    else:
+        cells = st.lists(st.integers(-1, 3), min_size=m * m, max_size=m * m)
+        want = np.array(data.draw(cells, label="table")).reshape(m, m)
+    dtype = data.draw(st.sampled_from([np.int64, np.uint8, np.int32]), label="dtype")
+    block = data.draw(st.sampled_from([1, max(1, v), 2 * v + 1, 1 << 16]), label="block")
+    with mock.patch.object(core, "_BLOCK_CELLS", block):
+        got = core._unbalanced_pair(np.array(rows, dtype=dtype).reshape(size, v), m, want)
+    assert got == _first_unbalanced_pair(rows, m, want)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_unbalanced_pair_codes_past_16_bits(broken):
+    # m = 300: 90 000 pair codes need uint32
+    m = 300
+    assert core._label_dtype(m * m) == np.uint32
+    x, y = np.divmod(np.arange(m * m), m)
+    rows = np.stack([x, y, (x + y) % m])
+    if broken:
+        rows[2, [0, 1]] = rows[2, [1, 0]]  # rows 0 and 2 stay balanced, 1 and 2 do not
+    want = _first_unbalanced_pair(rows.tolist(), m, 1)
+    assert want == ((1, 2) if broken else None)
+    assert core._unbalanced_pair(rows, m, 1) == want
+    assert core._unbalanced_pair(rows, m, 2) == (0, 1)  # totals 180 000, not v
 
 
 # ---------------------------------------------------------------------------
