@@ -272,9 +272,9 @@ class SeparableArray:
         chunk = fpa.size // num_classes
         delta = d = fpa.n
         if fpa.size > 1:
+            d = min(d, core.min_distance(fpa))
             # a one-row class scans to the row width, which may be below n
             mat = fpa._labels
-            d = min(d, core._distance_scan(mat)[0])
             delta = min(delta, *(
                 core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)
             ))

@@ -3,18 +3,21 @@
 Ingredient objects (frequency squares, orthogonal arrays, resolvable
 designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
-distance each classical argument guarantees.  Squares and orthogonal
-arrays take their cells as tuples or as one integer numpy matrix and keep
-a read-only label matrix beside their tuple fields; their checks, the
-producers that build them and the converters that read them all work on
-that matrix, and strength 2 is checked by `core._unbalanced_pair`'s sort of
-pair codes.  Sizes the rows fix are
-derived, not stored: a square's n is m * lam, an orthogonal array's r and
-a Hadamard matrix's n count rows, and strength is always 2.  Additive-map
-images share `gf`'s permutation-polynomial sweep with the census, so each
-candidate polynomial is evaluated once.  Orderings are pinned everywhere:
-field elements by their integer encoding, tuples odometer-style with the
-first coordinate most significant, grids row-major.
+distance each classical argument guarantees.  Squares, orthogonal arrays
+and each class of a resolvable design take their cells as tuples or as
+one integer numpy matrix and read them once through `core._symbols`.
+Squares and orthogonal arrays keep its read-only matrix as `_labels`
+beside their tuple fields, and a design builds its block index from each
+class's matrix; their checks, the producers that build them and the
+converters that read them all work on those matrices, and strength 2 is
+checked by `core._unbalanced_pair`'s sort of pair codes.  Sizes the rows
+fix are derived, not stored: a square's n is m * lam, an orthogonal
+array's r and a Hadamard matrix's n count rows, and strength is always 2.
+Additive-map images share `gf`'s permutation-polynomial sweep with the
+census, so each candidate polynomial is evaluated once.  Orderings are
+pinned everywhere: field elements by their integer encoding, tuples
+odometer-style with the first coordinate most significant, grids
+row-major.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     FrequencyPermutationArray,
     WorkLimitExceeded,
-    _BLOCK_CELLS,
     _composed,
     _distance_scan,
     _ints,
-    _kept_matrix,
-    _label_matrix,
     _pair_counts,
+    _symbols,
     _unbalanced_pair,
 )
 from .gf import (
@@ -52,18 +54,6 @@ from .gf import (
 )
 
 
-def _read_only_labels(
-    given: object, rows: Sequence[Sequence[int]], m: int, width: int
-) -> np.ndarray:
-    """`_kept_matrix(given, m)` if that is not None, else the `_label_matrix`
-    of the int rows `given` was read into, len(rows) x width and read-only."""
-    labels = _kept_matrix(given, m)
-    if labels is None:
-        labels = _label_matrix(rows, m).reshape(len(rows), width)
-        labels.flags.writeable = False
-    return labels
-
-
 # ---------------------------------------------------------------------------
 # frequency squares
 
@@ -73,8 +63,9 @@ class FrequencySquare:
     """n x n grid, n = m * lam, where every row and column holds each symbol lam times.
 
     `cells` may be given as a 2-D integer numpy array; it is held as int
-    tuples either way.  `_grid`, the cells' read-only label matrix, is kept
-    beside the fields, so it takes no part in ==, hash or repr.
+    tuples either way.  `_labels`, the cells' read-only matrix from
+    `core._symbols`, is kept beside the fields, so it takes no part in ==,
+    hash or repr.
     """
 
     m: int
@@ -82,15 +73,14 @@ class FrequencySquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        given = self.cells
-        object.__setattr__(self, "cells", _ints(given))
+        cells, grid = _symbols(self.cells, self.m)
+        object.__setattr__(self, "cells", cells)
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
         n = self.n
-        if len(self.cells) != n or any(len(r) != n for r in self.cells):
+        if grid is None or grid.shape != (n, n):
             raise ValueError("cells must form an n x n grid")
-        grid = _read_only_labels(given, self.cells, self.m, n)
-        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_labels", grid)
         # rows 0..n-1, then columns as rows n..2n-1
         bad = np.flatnonzero(~_composed(np.concatenate([grid, grid.T]), self.m, self.lam))
         if bad.size:
@@ -115,12 +105,8 @@ def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
     """Superimposing must show every ordered symbol pair lam_a*lam_b times."""
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    counts = _pair_counts(_flat_cells(a), _flat_cells(b)[None], a.m, b.m)
+    counts = _pair_counts(a._labels.ravel(), b._labels.reshape(1, -1), a.m, b.m)
     return bool((counts == a.lam * b.lam).all())
-
-
-def _flat_cells(sq: FrequencySquare) -> np.ndarray:
-    return sq._grid.ravel()
 
 
 def _symbol_cells(flat: np.ndarray, m: int) -> np.ndarray:
@@ -201,12 +187,12 @@ def _linear_forms(field: FiniteField, coeffs: np.ndarray) -> np.ndarray:
     """Row r, column x: coeffs[r] . x for every x in odometer order.
 
     One coordinate of the points at a time, added into blocks of about
-    _BLOCK_CELLS cells, so no temporary is larger than a block.
+    `core._BLOCK_CELLS` cells, so no temporary is larger than a block.
     """
     q, k = field.q, coeffs.shape[1]
     codes = np.arange(q**k, dtype=np.int64)
     out = np.zeros((coeffs.shape[0], q**k), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // len(codes))
+    step = max(1, core._BLOCK_CELLS // len(codes))
     for t in range(k):
         digit = (codes // q ** (k - 1 - t) % q).astype(np.int32)
         for i in range(0, len(out), step):
@@ -227,7 +213,7 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
     first = squares[0]
     if any((s.m, s.lam) != (first.m, first.lam) for s in squares):
         raise ValueError("squares must share (n, m, lam)")
-    flat = np.stack([_flat_cells(sq) for sq in squares])
+    flat = np.stack([sq._labels.ravel() for sq in squares])
     pair = _unbalanced_pair(flat, first.m, first.lam * first.lam)
     if pair:
         raise ValueError(f"squares {pair[0]} and {pair[1]} are not orthogonal")
@@ -274,7 +260,7 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     m = q**rank
     if len(values) != m:
         raise RuntimeError(f"image used {len(values)} symbols, expected {m}")
-    return FrequencyPermutationArray(m, q ** (i - rank), labels[raw].tolist(), order - d * q**l)
+    return FrequencyPermutationArray(m, q ** (i - rank), labels[raw], order - d * q**l)
 
 
 def fpa_from_trace(
@@ -305,8 +291,9 @@ class OrthogonalArray:
     """r x v array over s symbols, r = len(rows); strength-2 uniformity is validated.
 
     `rows` may be given as a 2-D integer numpy array; it is held as int
-    tuples either way.  `_mat`, the rows' read-only label matrix, is kept
-    beside the fields, so it takes no part in ==, hash or repr.
+    tuples either way.  `_labels`, the rows' read-only matrix from
+    `core._symbols`, is kept beside the fields, so it takes no part in ==,
+    hash or repr.
     """
 
     v: int
@@ -314,19 +301,19 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        given = self.rows
-        object.__setattr__(self, "rows", _ints(given))
+        rows, mat = _symbols(self.rows, self.s)
+        object.__setattr__(self, "rows", rows)
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
-        if any(len(row) != self.v for row in self.rows):
+        if any(len(row) != self.v for row in rows):
             raise ValueError("rows must form an r x v grid")
-        # symbols outside 0..s-1 get labels from s up
-        mat = _read_only_labels(given, self.rows, self.s, self.v)
+        mat = mat.reshape(len(rows), self.v)  # an array of no rows labels as a flat ()
+        # symbols outside 0..s-1 have labels from s up
         if mat.max(initial=0) >= self.s:
             raise ValueError("symbol outside 0..s-1")
-        object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "_labels", mat)
         pair = _unbalanced_pair(mat, self.s, self.v // self.s**2)
         if pair:
             raise ValueError(f"rows {pair[0]}, {pair[1]} break strength-2 uniformity")
@@ -340,13 +327,14 @@ def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
     n = _latin_order(squares)
     cells = np.arange(n * n)
-    return OrthogonalArray(n * n, n, np.stack([cells // n, cells % n, *map(_flat_cells, squares)]))
+    flat = (sq._labels.ravel() for sq in squares)
+    return OrthogonalArray(n * n, n, np.stack([cells // n, cells % n, *flat]))
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
     """Read the r OA rows as an equidistant array at distance v - v/s."""
     lam = oa.v // oa.s
-    return FrequencyPermutationArray(oa.s, lam, oa._mat, oa.v - lam)
+    return FrequencyPermutationArray(oa.s, lam, oa._labels, oa.v - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +348,8 @@ class ResolvableDesign:
     `lambda_d` may be None for class systems (nets) that are resolvable and
     carry the affine intersection property without being a 2-design; when a
     value is declared, the every-pair count is validated against it.
+    A class may be given as one blocks x k integer numpy matrix; it is held
+    as int tuples either way.
     """
 
     v: int
@@ -368,7 +358,8 @@ class ResolvableDesign:
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(map(_ints, self.classes)))
+        read = [_symbols(cls, self.v) for cls in self.classes]
+        object.__setattr__(self, "classes", tuple(cls for cls, _ in read))
         if self.v < 1:
             raise ValueError(f"need v >= 1 points, got v={self.v}")
         if self.k < 1 or self.v % self.k:
@@ -377,15 +368,13 @@ class ResolvableDesign:
         # rows[i, p] = index of point p's block in class i
         rows = np.zeros((len(self.classes), self.v), dtype=np.int64)
         labels = np.repeat(np.arange(per_class), self.k)
-        for idx, cls in enumerate(self.classes):
+        for idx, (cls, points) in enumerate(read):
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
-            if any(len(block) != self.k for block in cls):
+            # points outside 0..v-1 have labels from v up
+            if points is None or points.shape[1] != self.k or points.max() >= self.v:
                 raise ValueError(f"class {idx} has a malformed block")
-            # points outside 0..v-1 get labels from v up
-            points = _label_matrix(cls, self.v).reshape(1, self.v)
-            if points.max() >= self.v:
-                raise ValueError(f"class {idx} has a malformed block")
+            points = points.reshape(1, self.v)
             if not _composed(points, self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")
             rows[idx, points[0]] = labels
@@ -417,7 +406,7 @@ def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDe
         [range(r * n, r * n + n) for r in range(n)],
         [range(c, n * n, n) for c in range(n)],
     ]
-    classes += (_symbol_cells(_flat_cells(sq), sq.m) for sq in squares)
+    classes += (_symbol_cells(sq._labels.ravel(), sq.m) for sq in squares)
     lambda_d = 1 if len(squares) == n - 1 else None
     return ResolvableDesign(n * n, n, classes, lambda_d)
 

@@ -4,19 +4,20 @@ A lambda-permutation over m symbols is a word of length n = m * lambda in
 which every symbol 0..m-1 occurs exactly lambda times.  An array of such
 words whose rows are pairwise at Hamming distance >= d is the package's
 central object.  Rows are tuples of Python ints: every caller-supplied
-symbol passes the one gate `_ints`, which refuses non-integers.  Rows may
-also be given as one 2-D integer numpy array.  The array reads it with one
-`tolist()` and, when every symbol lies in 0..m-1, keeps a copy of it as
-its label matrix, so a caller who writes to the numpy array later changes
-nothing the array holds.  Only the array carries (m, lambda), and n is
-always m * lambda.  Constructions
+symbol passes the one gate `_ints`, which refuses non-integers.  Every
+record that keeps a symbol matrix (arrays here, squares, orthogonal
+arrays and design classes in `constructions`) reads its rows once through
+`_symbols`, which returns the int tuples and a read-only label matrix.
+Rows given as one 2-D integer numpy array of symbols 0..m-1 are read with
+one `tolist()` and copied as that matrix, so a caller who writes to the
+numpy array later changes nothing the record holds.  Only the array
+carries (m, lambda), and n is always m * lambda.  Constructions
 elsewhere in the package only ever *claim* parameters; `verify`
 re-derives all of them from the raw rows.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -31,30 +32,13 @@ class WorkLimitExceeded(RuntimeError):
     """An exhaustive computation would exceed its declared work budget."""
 
 
-def _is_int_matrix(rows: object) -> bool:
-    """True for a 2-D numpy array of a signed or unsigned integer dtype."""
-    return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
-
-
-def _kept_matrix(given: object, m: int) -> np.ndarray | None:
-    """A read-only copy of `given` in `_label_dtype(m)` when it is a
-    nonempty 2-D integer matrix of symbols 0..m-1, else None.  Such a
-    matrix is its own label matrix; the copy keeps a caller's later writes
-    out of it."""
-    if not (_is_int_matrix(given) and given.size and given.min() >= 0 and given.max() < m):
-        return None
-    labels = given.astype(_label_dtype(m))
-    labels.flags.writeable = False
-    return labels
-
-
 def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples of Python ints; a tuple row of plain ints is kept,
     not copied.  A 2-D integer numpy array is read with one `tolist()`.
     Other rows are read through `operator.index`: numpy ints and bool
     become plain ints, and a non-integer (1.5, 1.0, "1", None) raises
     ValueError naming its type."""
-    if _is_int_matrix(rows):
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
         return tuple(map(tuple, rows.tolist()))
     try:
         rows = tuple(map(tuple, rows))
@@ -91,9 +75,9 @@ class FrequencyPermutationArray:
 
     Rows are int tuples by construction (a non-integer symbol raises
     ValueError); wrong lengths, out-of-range ints and duplicate rows are
-    still held, for `verify` to report.  `_labels`, the rows'
-    `_label_matrix`, is built once; it is not a field, so it takes no part
-    in ==, hash or repr.
+    still held, for `verify` to report.  `_labels`, the rows' matrix from
+    `_symbols` (None when rows differ in length), is kept beside the
+    fields, so it takes no part in ==, hash or repr.
     """
 
     m: int
@@ -102,19 +86,9 @@ class FrequencyPermutationArray:
     min_distance_claim: int
 
     def __post_init__(self) -> None:
-        given = self.rows
-        object.__setattr__(self, "rows", _ints(given))
-        labels = _kept_matrix(given, self.m)
-        if labels is not None:
-            self.__dict__["_labels"] = labels
-
-    @functools.cached_property
-    def _labels(self) -> np.ndarray:
-        """`_label_matrix` of the rows, read-only; rows of unequal lengths
-        raise ValueError."""
-        labels = _label_matrix(self.rows, self.m)
-        labels.flags.writeable = False
-        return labels
+        rows, labels = _symbols(self.rows, self.m)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_labels", labels)
 
     @property
     def n(self) -> int:
@@ -320,7 +294,8 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
     Symbols 0..m-1 keep their value, in `_label_dtype(m)`.  Any other int
     (negative, m or more, or beyond int64) gets a fresh label from m up by
     first appearance, so its row still fails `_composed`; such a matrix is
-    int64.
+    int64.  Past m = 2^62, whose rows are too long ever to compose, fresh
+    labels start at 2^62, so that they fit int64.
     """
     try:
         mat = np.array(rows, dtype=_label_dtype(m))
@@ -329,21 +304,44 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
     except OverflowError:  # negative, or too large for the type
         pass
     codes: dict[int, int] = {}
-    fresh = max(m, 0)
+    fresh = min(max(m, 0), 1 << 62)
 
     def label(s: int) -> int:
-        return s if 0 <= s < m else codes.setdefault(s, fresh + len(codes))
+        return s if 0 <= s < fresh else codes.setdefault(s, fresh + len(codes))
 
     return np.array([[label(s) for s in row] for row in rows], dtype=np.int64)
+
+
+def _symbols(
+    given: Iterable[Iterable[int]], m: int
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
+    """(rows, labels): `_ints(given)` and its read-only label matrix.
+
+    A nonempty 2-D integer numpy array of symbols 0..m-1 is its own label
+    matrix: labels are a copy of it in `_label_dtype(m)`, so a caller's
+    later writes change nothing.  Other rows get their `_label_matrix`, or
+    None when they differ in length.
+    """
+    rows = _ints(given)
+    if (
+        isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "iu"
+        and given.size and given.min() >= 0 and given.max() < m
+    ):
+        labels = given.astype(_label_dtype(m))
+    elif len(set(map(len, rows))) > 1:
+        return rows, None
+    else:
+        labels = _label_matrix(rows, m)
+    labels.flags.writeable = False
+    return rows, labels
 
 
 def _symbol_matrix(array: FrequencyPermutationArray) -> np.ndarray | None:
     """The array's label matrix, size x n, when it holds the symbols
     themselves: every row of length n, every symbol in 0..m-1.  Else None."""
-    n = array.n
-    if array.m < 1 or array.lam < 1 or any(len(row) != n for row in array.rows):
+    mat = array._labels
+    if array.m < 1 or array.lam < 1 or mat is None or mat.shape != (array.size, array.n):
         return None
-    mat = array._labels.reshape(array.size, array.n)
     return mat if mat.max(initial=0) < array.m else None
 
 
@@ -368,6 +366,8 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
+    if array._labels is None:
+        raise ValueError("min_distance needs rows of one length")
     return _distance_scan(array._labels)[0]
 
 
@@ -453,10 +453,10 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
     reasons: list[str] = []
     if array.m < 1 or array.lam < 1:
         reasons.append(f"parameters out of range: m={array.m}, lam={array.lam}")
-    rows, n = array.rows, array.n
-    sized = [row for row in rows if len(row) == n]
-    shapes_ok = len(sized) == len(rows)
-    mat = array._labels if shapes_ok else _label_matrix(sized, array.m)
+    rows, n, mat = array.rows, array.n, array._labels
+    shapes_ok = mat is not None and mat.shape[1:] == (n,)
+    if not shapes_ok:  # the rows of length n, for the composition check
+        mat = _label_matrix([row for row in rows if len(row) == n], array.m)
     composed = iter(_composed(mat, array.m, array.lam).tolist())
     for idx, row in enumerate(rows):
         if len(row) != n:

@@ -35,11 +35,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import core
 from .core import WorkLimitExceeded, _ints
 
 _ORDER_GUARDRAIL = 2**20
-# whole-field evaluation handles blocks of about this many images at once
-_CHUNK_CELLS = 2**16
 # a permutation-polynomial census refuses more candidate evaluations than this
 _CENSUS_WORK = 10_000_000
 
@@ -182,7 +181,7 @@ class FiniteField:
 
     def mul_val(self, a, b):
         """a * b as exp[log a + log b]."""
-        exp, log = self._tables
+        exp, log = _tables(self)
         product = exp[log[a] + log[b]]
         return int(product) if isinstance(a, int) and isinstance(b, int) else product
 
@@ -191,7 +190,7 @@ class FiniteField:
 
         A negative e inverts, so it raises ZeroDivisionError on a zero a.
         """
-        exp, log = self._tables
+        exp, log = _tables(self)
         zero = np.equal(a, 0)
         if e < 0 and zero.any():
             raise ZeroDivisionError("inverse of zero field element")
@@ -214,27 +213,28 @@ class FiniteField:
             )
         )
 
-    @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log) for the primitive element g, built on first use.
 
-        exp[i] = g^i for 0 <= i <= 2q-4 and 0 beyond; log[0] is the
-        sentinel 2q-3, so any log sum involving a zero lands in the zero
-        tail and exp[log a + log b] = a*b for every pair.
-        """
-        p, q = self.p, self.q
-        g = _coefficients(self.primitive_element(), p, self.k)
-        places = [p**j for j in range(self.k)]
-        powers, power = [], (1,)
-        for _ in range(q - 1):
-            powers.append(sum(c * w for c, w in zip(power, places)))
-            power = _pmod(_pmul(power, g, p), self.modulus, p)
-        exp = np.zeros(4 * q - 5, dtype=np.int32)
-        exp[: q - 1] = powers
-        exp[q - 1 : 2 * q - 3] = powers[: q - 2]
-        log = np.full(q, 2 * q - 3, dtype=np.int32)
-        log[powers] = np.arange(q - 1)
-        return exp, log
+@functools.lru_cache(maxsize=None)
+def _tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of a field for its primitive element g, built on first use.
+
+    exp[i] = g^i for 0 <= i <= 2q-4 and 0 beyond; log[0] is the
+    sentinel 2q-3, so any log sum involving a zero lands in the zero
+    tail and exp[log a + log b] = a*b for every pair.
+    """
+    p, q = field.p, field.q
+    g = _coefficients(field.primitive_element(), p, field.k)
+    places = [p**j for j in range(field.k)]
+    powers, power = [], (1,)
+    for _ in range(q - 1):
+        powers.append(sum(c * w for c, w in zip(power, places)))
+        power = _pmod(_pmul(power, g, p), field.modulus, p)
+    exp = np.zeros(4 * q - 5, dtype=np.int32)
+    exp[: q - 1] = powers
+    exp[q - 1 : 2 * q - 3] = powers[: q - 2]
+    log = np.full(q, 2 * q - 3, dtype=np.int32)
+    log[powers] = np.arange(q - 1)
+    return exp, log
 
 
 def _coefficients(v: int, p: int, k: int) -> tuple[int, ...]:
@@ -317,7 +317,8 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
 
     Returns an int32 array with one row per polynomial.  Horner's rule
     runs over the whole field at once, on blocks of rows of about
-    _CHUNK_CELLS images, so temporaries stay small however many rows come.
+    `core._BLOCK_CELLS` images, so temporaries stay small however many
+    rows come.
     Coefficients other than integer field elements 0..q-1 raise ValueError.
     """
     coeffs = np.asarray(coeffs)
@@ -329,7 +330,7 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
     coeffs = coeffs.astype(np.int32)
     xs = np.arange(q, dtype=np.int32)
     out = np.zeros((coeffs.shape[0], q), dtype=np.int32)
-    step = max(1, _CHUNK_CELLS // q)
+    step = max(1, core._BLOCK_CELLS // q)
     for lo in range(0, coeffs.shape[0], step):
         block = coeffs[lo : lo + step]
         acc = out[lo : lo + step]
@@ -371,7 +372,7 @@ def _permutation_polynomials(
     A degree-d candidate is encoded as v = sum(c_t * q^t) with c_d != 0, so
     the sweep v = q^d .. q^(d+1)-1 enumerates exactly the degree-d
     polynomials in increasing encoding order.  Candidates are evaluated once,
-    in blocks of about _CHUNK_CELLS images; each block yields (d, coeffs,
+    in blocks of about `core._BLOCK_CELLS` images; each block yields (d, coeffs,
     images) for its bijective rows.  Work is candidates times q
     evaluations; exceeding `_CENSUS_WORK` raises before any block.
     """
@@ -383,7 +384,7 @@ def _permutation_polynomials(
         raise WorkLimitExceeded(
             f"census of degree {max_degree} over {field} exceeds max_work {_CENSUS_WORK}"
         )
-    step = max(1, _CHUNK_CELLS // q)
+    step = max(1, core._BLOCK_CELLS // q)
     for d in range(1, max_degree + 1):
         places = q ** np.arange(d + 1, dtype=np.int64)
         for lo in range(q**d, q ** (d + 1), step):

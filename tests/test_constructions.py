@@ -138,17 +138,41 @@ def test_ingredients_from_a_matrix_match_tuple_ingredients(dtype):
         _same_record(square, FrequencySquare(sq.m, sq.lam, sq.cells), "cells")
         mat[:] = mat[::-1, ::-1]  # a caller's later write changes nothing
         assert square.cells == sq.cells
-        assert square._grid.tolist() == [list(row) for row in sq.cells]
+        assert square._labels.tolist() == [list(row) for row in sq.cells]
     rows = oa_from_mols(squares).rows
     mat = np.array(rows, dtype=dtype)
     oa = OrthogonalArray(25, 5, mat)
     _same_record(oa, OrthogonalArray(25, 5, rows), "rows")
     mat[1] = mat[0]
-    assert oa.rows == rows and oa._mat.tolist() == [list(row) for row in rows]
+    assert oa.rows == rows and oa._labels.tolist() == [list(row) for row in rows]
     assert fpa_from_oa(oa) == fpa_from_oa(OrthogonalArray(25, 5, rows))
-    for kept in (square._grid, oa._mat):
+    for kept in (square._labels, oa._labels):
         with pytest.raises(ValueError):
             kept[0, 0] = 1  # read-only
+    lines = affine_classes_from_mols(squares)
+    mats = [np.array(cls, dtype=dtype) for cls in lines.classes]
+    design = ResolvableDesign(25, 5, mats, lines.lambda_d)
+    for got in (design, ResolvableDesign(25, 5, lines.classes, lines.lambda_d)):
+        assert got.classes == lines.classes
+        assert all(type(s) is int for cls in got.classes for block in cls for s in block)
+        assert got == lines and hash(got) == hash(lines) and repr(got) == repr(lines)
+        assert np.array_equal(got._block_index, lines._block_index)
+    for mat in mats:
+        mat[:] = mat[::-1]  # a caller's later write changes nothing
+    assert design.classes == lines.classes
+    assert np.array_equal(design._block_index, lines._block_index)
+    assert fpa_from_ard(design) == fpa_from_ard(lines)
+    good = np.array(lines.classes[2], dtype=dtype)
+    stray, twice = good.copy(), good.copy()
+    stray[1, 3] = 25  # a point outside 0..v-1
+    twice[1, 3] = twice[0, 0]  # a point in two blocks
+    for bad in (stray, twice, good[:4], good[:, :4], [good[0], good[1][:4], *good[2:]]):
+        errors = []
+        for cls in (bad, [tuple(map(int, block)) for block in bad]):
+            with pytest.raises(ValueError) as err:
+                ResolvableDesign(25, 5, (*lines.classes[:2], cls, *lines.classes[3:]))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and errors[0].startswith("class 2 ")
 
 
 @pytest.mark.parametrize(
@@ -595,6 +619,19 @@ def test_mds_route_matches_the_rank_reference():
     assert outcomes == {"rows", "dependent", "MDS"}
 
 
+@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (2, 3, 3), (3, 2, 4), (5, 3, 6), (4, 2, 5)])
+def test_linear_forms_across_block_edges(q, k, n, monkeypatch):
+    # q = 2 adds by XOR; one row per block at 1 and q^k +- 1 cells, and
+    # two rows with a one-row remainder at 2 q^k + 1
+    field, generator = reed_solomon_generator(q, k, n)
+    coeffs = np.array(generator, dtype=np.int32).T
+    whole = constructions._linear_forms(field, coeffs)
+    assert tuple(map(tuple, whole.tolist())) == _mds_reference(field, generator)
+    for cells in (1, q**k - 1, q**k + 1, 2 * q**k + 1):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        assert np.array_equal(constructions._linear_forms(field, coeffs), whole), cells
+
+
 def test_mds_pair_check_reads_zero_sets(monkeypatch):
     # no symbol-pair table is built: two nonzero columns are dependent iff
     # they vanish on the same x, and a zero column is dependent with all
@@ -665,7 +702,7 @@ def test_monomial_family_gives_plain_permutations():
 )
 def test_linearized_rows_match_a_pointwise_oracle(q, i, kind, d, monkeypatch):
     # a few witnesses per chunk, so first-seen order must carry across chunks
-    monkeypatch.setattr(gf, "_CHUNK_CELLS", 3 * q**i)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * q**i)
     field = field_of_order(q**i)
     L = {
         "trace": lambda: linearized_trace(field, q, 1),

@@ -21,7 +21,9 @@ from fparray import (
     OrthogonalArray,
     Polynomial,
     ResolvableDesign,
+    SeparableArray,
     core,
+    direct_product,
     field_of_order,
     fpa_from_mds,
     matrix_rank,
@@ -319,6 +321,10 @@ def test_min_distance_handles_huge_and_negative_symbols():
     fpa = FrequencyPermutationArray(2, 2, rows, 1)
     assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
     assert verify(fpa).actual_min_distance == 1
+    # symbols 0..m-1 beyond int64: rows far too short, still held and scanned
+    fpa = FrequencyPermutationArray(2**64, 1, [[2**63, 5], [2**62, 2**63]], 1)
+    assert verify(fpa).reasons == ("row 0 has length 2", "row 1 has length 2")
+    assert min_distance(fpa) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +560,29 @@ def test_min_distance_requires_two_rows():
     fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1)], 1)
     with pytest.raises(ValueError):
         min_distance(fpa)
+
+
+def test_rows_of_unequal_lengths_are_held_and_reported():
+    # enough cells that `write_fpa` asks for the symbol matrix before its row path
+    rows = [(0, 1, 1, 0), (1, 0, 0, 1)] * 32 + [(0, 1, 1)]
+    fpa = FrequencyPermutationArray(2, 2, rows, 2)
+    assert fpa.rows == tuple(rows)
+    report = verify(fpa)
+    assert not report.valid
+    assert "row 64 has length 3" in report.reasons
+    assert "rows are not pairwise distinct" in report.reasons
+    with pytest.raises(ValueError):
+        min_distance(fpa)
+    with pytest.raises(ValueError):
+        SeparableArray.from_fpa(fpa, 1)
+    with mock.patch.object(formats, "_lines", side_effect=AssertionError("bulk writer")):
+        text = formats.write_fpa(fpa, offset=1)
+    body = [" ".join(str(s + 1) for s in row) for row in rows]
+    assert text.splitlines()[2:] == body
+    other = FrequencyPermutationArray(1, 2, [(0, 0)], 4)
+    product = direct_product(fpa, other)
+    assert product.rows == tuple(row + (2, 2) for row in rows)
+    assert product.m == 3 and product.min_distance_claim == 2
 
 
 # hypothesis: the verifier's distance agrees with a brute-force rescan

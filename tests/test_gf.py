@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fparray import WorkLimitExceeded, gf
+from fparray import WorkLimitExceeded, core, gf
 from fparray.gf import (
     LinearizedPolynomial,
     Polynomial,
@@ -282,7 +282,7 @@ def test_whole_field_evaluation_matches_horner_point_by_point(data):
     )
     matrix = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), width)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf, "_CHUNK_CELLS", chunk)  # rows per block: max(1, chunk // q)
+        mp.setattr(core, "_BLOCK_CELLS", chunk)  # rows per block: max(1, chunk // q)
         images = evaluate_whole_field(field, matrix)
     assert images.dtype == np.int32 and images.shape == (len(coeffs), q)
     for row, values in zip(coeffs, images.tolist()):
@@ -310,7 +310,7 @@ def test_whole_field_evaluation_refuses_what_it_would_misread(q, coeffs, message
 @pytest.mark.parametrize("q,max_degree", [(3, 3), (4, 2), (5, 2), (8, 1)])
 def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, monkeypatch):
     field = field_of_order(q)
-    monkeypatch.setattr(gf, "_CHUNK_CELLS", 3 * q)  # three candidates per block
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * q)  # three candidates per block
     census = census_permutation_polynomials(field, max_degree)
     expected = []
     for degree in range(1, max_degree + 1):
