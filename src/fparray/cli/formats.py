@@ -24,7 +24,7 @@ and `t` must be 2; writers read these from the records, which derive them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,21 +138,9 @@ def _count(header: dict[str, int], key: str, found: int, what: str) -> None:
         raise FormatError(f"header says {key}={header[key]}, found {found} {what}")
 
 
-class _Tokens(dict):
-    """token -> int(token), each distinct token converted once: a missing
-    token is accepted or refused exactly as `int` does."""
-
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
-        return value
-
-
-def _int_row(
-    line: str, width: int, what: str, read: Callable[[str], int] = int
-) -> tuple[int, ...]:
-    parts = line.split()
+def _int_row(line: str, width: int, what: str) -> tuple[int, ...]:
     try:
-        row = tuple(map(read, parts))
+        row = tuple(map(int, line.split()))
     except ValueError:
         raise FormatError(f"{what}: non-integer entry in {line!r}") from None
     if len(row) != width:
@@ -266,20 +254,17 @@ def parse_fpa(text: str) -> FrequencyPermutationArray:
     mat = _bulk_matrix(body, n, m) if body else None
     unreadable = None
     if mat is None:  # the row reader: every other body, and every refusal's wording
-        read = _Tokens().__getitem__
         rows: list[tuple[int, ...]] = []
         for idx, line in enumerate(body):
             try:
-                rows.append(_int_row(line, n, f"row {idx}", read))
+                rows.append(_int_row(line, n, f"row {idx}"))
             except FormatError as exc:
                 unreadable = exc
                 break
-        del body  # free the lines, then the tuples, before the array builds its rows
         # A badly composed row ahead of the first unreadable one is reported first.
         mat = _label_matrix(rows, m)
         del rows
-    else:
-        del body
+    del body  # free the lines and any tuples before the array builds its rows
     composed = _composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())

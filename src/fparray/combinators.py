@@ -6,12 +6,15 @@ below the source array's and usually grow.  All three (`refine`,
 `expand_to_pa`, which is exactly refine(a, 1), and `compose_columns`)
 read one occurrence rank and refuse, with a ValueError naming the row,
 any row that is not a lam-permutation.  Quotient and product operators
-re-verify what they claim instead of trusting the algebra.
+re-verify what they claim instead of trusting the algebra.  Both products
+build their rows with one kernel and refuse, before reading any row, an
+output over one cell limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -93,14 +96,7 @@ def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
 
 
 def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
-    """Split every symbol into lam singletons, in lam cyclic variants.
-
-    Occurrence j of symbol s becomes s*lam + ((j + shift) mod lam); each
-    source row yields lam permutation rows (shift = 0..lam-1), emitted
-    source-row-major.  This is exactly refine(a, 1).  Distance claims carry
-    over unchanged.  Raises ValueError for a row that is not a
-    lam-permutation over 0..m-1.
-    """
+    """Split every symbol into lam singletons: exactly refine(a, 1), as documented there."""
     return refine(a, 1)
 
 
@@ -177,9 +173,33 @@ def compose_columns(
     return FrequencyPermutationArray(b * m, lam, rows, b * d)
 
 
-# `direct_product` refuses, before building any row, an output of more
-# than this many cells: |A|·|B| rows of n_A + n_B symbols.
+# Both products refuse an output of more than this many cells.
 _PRODUCT_CELLS = 1 << 20
+
+
+def _check_cells(what: str, rows: int, width: int) -> None:
+    """Refuse `what` rows of width symbols over _PRODUCT_CELLS cells."""
+    cells = rows * width
+    if cells > _PRODUCT_CELLS:
+        raise core.WorkLimitExceeded(
+            f"{what} rows of {width} symbols is {cells} cells, over the limit of {_PRODUCT_CELLS}"
+        )
+
+
+def _concatenations(mats: Sequence[np.ndarray], shifts: Sequence[int], m: int) -> np.ndarray:
+    """Every concatenation of one row from each matrix, in `itertools.product`
+    order, as one matrix in `_label_dtype(m)`; the symbols of mats[i] are
+    shifted by shifts[i]."""
+    counts = [len(x) for x in mats]
+    out = np.empty((*counts, sum(x.shape[1] for x in mats)), dtype=core._label_dtype(m))
+    end = 0
+    for i, (x, shift) in enumerate(zip(mats, shifts)):
+        part = out[..., end : end + x.shape[1]]  # x's rows run along axis i
+        part[...] = x.reshape(x.shape[:1] + (1,) * (len(mats) - 1 - i) + x.shape[1:])
+        if shift:
+            part += shift
+        end += x.shape[1]
+    return out.reshape(math.prod(counts), end)
 
 
 def direct_product(
@@ -191,22 +211,13 @@ def direct_product(
     """
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
-    cells = a.size * b.size * (a.n + b.n)
-    if cells > _PRODUCT_CELLS:
-        raise core.WorkLimitExceeded(
-            f"direct product of {a.size} x {b.size} rows of {a.n + b.n} symbols "
-            f"is {cells} cells, over the limit of {_PRODUCT_CELLS}"
-        )
+    _check_cells(f"direct product of {a.size} x {b.size}", a.size * b.size, a.n + b.n)
     x, y = core._symbol_matrix(a), core._symbol_matrix(b)
     if x is None or y is None:  # a row of the wrong length or out of range
         shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
         rows = [ra + rb for ra in a.rows for rb in shifted]
     else:
-        rows = np.empty((len(x), len(y), a.n + b.n), dtype=core._label_dtype(a.m + b.m))
-        rows[:, :, : a.n] = x[:, None]
-        rows[:, :, a.n :] = y
-        rows[:, :, a.n :] += a.m
-        rows = rows.reshape(-1, a.n + b.n)
+        rows = _concatenations([x, y], (0, a.m), a.m + b.m)
     return FrequencyPermutationArray(
         a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )
@@ -221,8 +232,9 @@ class SeparableArray:
     """An array split into classes with a stronger within-class distance.
 
     delta is the declared within-class minimum, d the declared minimum over
-    the whole union.  Both are re-verified, as is row disjointness.  The
-    classes share one (m, lam), read from the first class.
+    the whole union.  `verify` checks the union once; each class then
+    needs only a distance scan against delta.  The classes share one
+    (m, lam), read from the first class.
     """
 
     classes: tuple[FrequencyPermutationArray, ...]
@@ -235,14 +247,16 @@ class SeparableArray:
         for idx, cls in enumerate(self.classes):
             if (cls.m, cls.lam) != (self.m, self.lam):
                 raise ValueError(f"class {idx} has mismatched parameters")
-            report = core.verify(replace(cls, min_distance_claim=self.delta))
-            if not report.valid:
-                raise ValueError(f"class {idx} fails at delta={self.delta}: {report.reasons}")
         rows = itertools.chain.from_iterable(cls.rows for cls in self.classes)
         union = FrequencyPermutationArray(self.m, self.lam, rows, self.d)
         report = core.verify(union)
         if not report.valid:
             raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
+        for idx, cls in enumerate(self.classes):
+            # every row has length n, and an empty or one-row class scans to n
+            lo = core._distance_scan(cls._labels.reshape(-1, self.n))[0]
+            if lo < self.delta:
+                raise ValueError(f"class {idx} fails at delta={self.delta}: minimum distance {lo}")
 
     @property
     def n(self) -> int:
@@ -279,9 +293,7 @@ class SeparableArray:
                 core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)
             ))
         classes = tuple(
-            FrequencyPermutationArray(
-                fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta
-            )
+            FrequencyPermutationArray(fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta)
             for k in range(num_classes)
         )
         return cls(classes, delta, d)
@@ -305,7 +317,8 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     For each class index j (truncated to the smallest class count), take
     all combinations of a class-j row from every input; the union over j
     keeps the within-class distance delta = min over inputs.  Requires the
-    across-class distances to add up to at least delta.
+    across-class distances to add up to at least delta.  Raises
+    WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
     """
     if not inputs:
         raise ValueError("need at least one separable array")
@@ -313,17 +326,19 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     if any((s.m, s.lam) != (m, lam) for s in inputs):
         raise ValueError("inputs must share (m, lam)")
     delta = min(s.delta for s in inputs)
-    if sum(s.d for s in inputs) < delta:
-        raise ValueError(
-            f"across-class distances sum to {sum(s.d for s in inputs)} < delta {delta}"
-        )
+    across = sum(s.d for s in inputs)
+    if across < delta:
+        raise ValueError(f"across-class distances sum to {across} < delta {delta}")
     r = min(s.num_classes for s in inputs)
-    rows = []
-    for j in range(r):
-        pools = [s.classes[j].rows for s in inputs]
-        for combo in itertools.product(*pools):
-            rows.append([sym for part in combo for sym in part])
-    out = FrequencyPermutationArray(m, lam * len(inputs), rows, delta)
+    k = len(inputs)
+    size = sum(math.prod(s.classes[j].size for s in inputs) for j in range(r))
+    _check_cells(f"class product of {size}", size, m * lam * k)
+    # an empty class's flat label matrix takes shape (0, n)
+    rows = np.concatenate([
+        _concatenations([s.classes[j]._labels.reshape(-1, s.n) for s in inputs], [0] * k, m)
+        for j in range(r)
+    ])
+    out = FrequencyPermutationArray(m, lam * k, rows, delta)
     report = core.verify(out)
     if not report.valid:
         raise RuntimeError(f"product self-check failed: {report.reasons}")

@@ -365,19 +365,18 @@ class ResolvableDesign:
         if self.k < 1 or self.v % self.k:
             raise ValueError(f"block size {self.k} must divide {self.v}")
         per_class = self.v // self.k
-        # rows[i, p] = index of point p's block in class i
-        rows = np.zeros((len(self.classes), self.v), dtype=np.int64)
-        labels = np.repeat(np.arange(per_class), self.k)
         for idx, (cls, points) in enumerate(read):
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
             # points outside 0..v-1 have labels from v up
             if points is None or points.shape[1] != self.k or points.max() >= self.v:
                 raise ValueError(f"class {idx} has a malformed block")
-            points = points.reshape(1, self.v)
-            if not _composed(points, self.v, 1)[0]:
+            if not _composed(points.reshape(1, self.v), self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")
-            rows[idx, points[0]] = labels
+        # rows[i, p] = index of point p's block in class i, once every class is checked
+        rows = np.zeros((len(self.classes), self.v), dtype=np.int64)
+        for idx, (_, points) in enumerate(read):
+            rows[idx, points] = np.arange(per_class)[:, None]
         object.__setattr__(self, "_block_index", rows)
         if self.lambda_d is not None:
             # points x, y share a block in every class where columns x, y of

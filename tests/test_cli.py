@@ -29,7 +29,7 @@ from fparray import (
     separable_from_mols,
     verify,
 )
-from fparray import core
+from fparray import combinators, core
 from fparray.cli import formats, main
 from fparray.gf import LinearizedPolynomial
 from fparray.cli.formats import (
@@ -526,6 +526,33 @@ def test_product_over_the_cell_limit_is_refused_before_any_row(tmp_path, capsys,
     ))
 
 
+def test_class_product_over_the_cell_limit_is_refused_before_any_row(
+    tmp_path, capsys, monkeypatch
+):
+    # one class each: the same 15 876 rows of 128 symbols as the direct product
+    def no_rows(*args):
+        raise AssertionError("rows built before the refusal")
+
+    h64 = tmp_path / "h64.fpa"
+    h64.write_text(write_fpa(fpa_from_hadamard(hadamard_matrix(64))))
+    monkeypatch.setattr(combinators, "_concatenations", no_rows)
+    assert main(["transform", "sep-product", str(h64), str(h64), "--classes", "1"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: work limit exceeded: class product of 15876 rows of 128 symbols "
+        "is 2032128 cells, over the limit of 1048576\n"
+    ))
+
+
+def test_design_is_checked_before_its_block_index_is_allocated(tmp_path, capsys):
+    # v = 2^40 points: the block index would be 8 TiB
+    design = tmp_path / "big.ing"
+    design.write_text("#ing v1 ard\nv=1099511627776 k=1 classes=1\n\n0\n")
+    assert main(["construct", "ard", "--design", str(design)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: class 0 has 1 blocks, expected 1099511627776\n"
+    )
+
+
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
     # a value table with too many zeros breaks associate_matrix's kernel cross-check
     monkeypatch.setattr(
@@ -773,7 +800,7 @@ def test_fpa_writer_matches_the_row_by_row_writer(data):
 
 
 def test_fpa_parser_reads_each_token_as_int_does():
-    # the parser converts each distinct token once, with int itself
+    # the row reader converts each token with int itself
     lines = ["0 +1 2 \u0663 4 5 6 7 8 9 1_0", "01 0 2 3 4 5 6 7 8 9 10", "1_0 9 8 7 6 5 4 3 2 +1 00"]
     text = "#fpa v1\nn=11 lambda=1 m=11 d=1 size=3\n" + "".join(ln + "\n" for ln in lines)
     array = parse_fpa(text)

@@ -396,6 +396,81 @@ def test_class_product_reproduces_the_48_row_listing():
     assert report.valid and report.actual_min_distance == 4
 
 
+def _class_product_loop(inputs):
+    """The class product as one Python loop over itertools.product."""
+    return tuple(
+        tuple(sym for part in combo for sym in part)
+        for j in range(min(s.num_classes for s in inputs))
+        for combo in itertools.product(*(s.classes[j].rows for s in inputs))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sep_product_matches_the_product_loop(data):
+    # 1-3 inputs of unequal class counts and sizes, empty and one-row classes
+    m, lam = data.draw(st.sampled_from([(2, 2), (3, 1), (2, 3), (3, 2)]), label="m, lam")
+    n, words = m * lam, _words(m, lam)
+    drawn = []
+    for i in range(data.draw(st.integers(1, 3), label="inputs")):
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), label=f"sizes{i}")
+        assume(sum(sizes) <= len(words))
+        rows = data.draw(st.permutations(words), label=f"rows{i}")[: sum(sizes)]
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        classes = [FrequencyPermutationArray(m, lam, rows[x:y], n) for x, y in zip(cuts, cuts[1:])]
+        delta = min(_brute_min(c.rows, n) for c in classes)
+        drawn.append((classes, delta, _brute_min(rows, n)))
+    # lowering a delta claim keeps every input valid and the product admissible
+    across = sum(d for _, _, d in drawn)
+    inputs = [SeparableArray(tuple(c), min(delta, across), d) for c, delta, d in drawn]
+    out = sep_product(inputs)
+    assert out.rows == _class_product_loop(inputs)
+    assert (out.m, out.lam) == (m, lam * len(inputs))
+    assert out.min_distance_claim == min(s.delta for s in inputs)
+    want = core._label_matrix(out.rows, m)
+    assert out._labels.dtype == want.dtype and np.array_equal(out._labels, want)
+
+
+def test_class_product_cell_limit_boundary():
+    square = separable_from_mols(mols_from_field(4)).classes[0]  # 4 rows of 4 at distance 4
+
+    def first(k):
+        return SeparableArray((FrequencyPermutationArray(4, 1, square.rows[:k], 4),), 4, 3)
+
+    def no_rows(*args):
+        raise AssertionError("rows built before the refusal")
+
+    # 3 x 1 rows of 8 symbols: 24 cells; 4 x 1 rows is one row over
+    with mock.patch.object(combinators, "_PRODUCT_CELLS", 24):
+        inputs = [first(3), first(1)]
+        assert sep_product(inputs).rows == _class_product_loop(inputs)
+        with mock.patch.object(combinators, "_concatenations", no_rows):
+            with pytest.raises(
+                core.WorkLimitExceeded,
+                match="class product of 4 rows of 8 symbols is 32 cells, over the limit of 24",
+            ):
+                sep_product([first(4), first(1)])
+
+
+def test_separable_checks_both_claims_with_one_row_and_empty_classes():
+    a = _nine_column_array()  # 4 rows of 9, pairwise at distance 6
+    one = FrequencyPermutationArray(3, 3, a.rows[:1], 9)
+    empty = FrequencyPermutationArray(3, 3, (), 9)
+    rest = FrequencyPermutationArray(3, 3, a.rows[1:], 6)
+    assert SeparableArray((one, empty, rest), 6, 6).num_classes == 3
+    # a class of fewer than two rows is at distance n
+    assert SeparableArray((one, empty), 9, 9).delta == 9
+    assert SeparableArray((empty,), 9, 9).num_classes == 1
+    with pytest.raises(ValueError, match="class 2 fails at delta=7: minimum distance 6"):
+        SeparableArray((one, empty, rest), 7, 6)
+    with pytest.raises(ValueError, match="class 0 fails at delta=10: minimum distance 9"):
+        SeparableArray((one, empty), 10, 9)
+    with pytest.raises(ValueError, match="class union fails at d=7"):
+        SeparableArray((one, empty, rest), 6, 7)
+    with pytest.raises(ValueError, match="class union fails at d=0"):
+        SeparableArray((one, one), 9, 0)  # a row in two classes
+
+
 def test_class_product_preconditions():
     full = FrequencyPermutationArray(
         2, 2, sorted(all_lambda_permutations(2, 2)), 2
