@@ -229,50 +229,46 @@ def direct_product(
 
 @dataclass(frozen=True)
 class SeparableArray:
-    """An array split into classes with a stronger within-class distance.
+    """An array whose rows fall into classes with a stronger within-class distance.
 
-    delta is the declared within-class minimum, d the declared minimum over
-    the whole union.  `verify` checks the union once; each class then
-    needs only a distance scan against delta.  The classes share one
-    (m, lam), read from the first class.
+    `array` holds every row, class after class, and claims the minimum
+    distance d over the whole union; `sizes` lists the class sizes in
+    order, and delta is the declared within-class minimum.  `verify`
+    checks the union once; each class then needs only a distance scan of
+    its slice of the label matrix against delta.
     """
 
-    classes: tuple[FrequencyPermutationArray, ...]
+    array: FrequencyPermutationArray
+    sizes: tuple[int, ...]
     delta: int
-    d: int
 
     def __post_init__(self) -> None:
-        if not self.classes:
+        (sizes,) = core._ints([self.sizes])
+        object.__setattr__(self, "sizes", sizes)
+        if not sizes:
             raise ValueError("need at least one class")
-        for idx, cls in enumerate(self.classes):
-            if (cls.m, cls.lam) != (self.m, self.lam):
-                raise ValueError(f"class {idx} has mismatched parameters")
-        rows = itertools.chain.from_iterable(cls.rows for cls in self.classes)
-        union = FrequencyPermutationArray(self.m, self.lam, rows, self.d)
-        report = core.verify(union)
+        if min(sizes) < 0 or sum(sizes) != self.array.size:
+            raise ValueError(f"class sizes {sizes} do not split {self.array.size} rows")
+        report = core.verify(self.array)
         if not report.valid:
             raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
-        for idx, cls in enumerate(self.classes):
-            # every row has length n, and an empty or one-row class scans to n
-            lo = core._distance_scan(cls._labels.reshape(-1, self.n))[0]
+        for idx, mat in enumerate(self._class_labels()):
+            lo = core._distance_scan(mat)[0]  # n for an empty or one-row class
             if lo < self.delta:
                 raise ValueError(f"class {idx} fails at delta={self.delta}: minimum distance {lo}")
 
     @property
-    def n(self) -> int:
-        return self.classes[0].n
-
-    @property
-    def m(self) -> int:
-        return self.classes[0].m
-
-    @property
-    def lam(self) -> int:
-        return self.classes[0].lam
+    def d(self) -> int:
+        return self.array.min_distance_claim
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
+
+    def _class_labels(self) -> list[np.ndarray]:
+        """Each class's rows as a view of the array's label matrix, size x n."""
+        mat = self.array._labels.reshape(-1, self.array.n)  # an empty array's is flat
+        return np.split(mat, list(itertools.accumulate(self.sizes))[:-1])
 
     @classmethod
     def from_fpa(
@@ -292,23 +288,19 @@ class SeparableArray:
             delta = min(delta, *(
                 core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)
             ))
-        classes = tuple(
-            FrequencyPermutationArray(fpa.m, fpa.lam, fpa.rows[k * chunk : (k + 1) * chunk], delta)
-            for k in range(num_classes)
-        )
-        return cls(classes, delta, d)
+        return cls(replace(fpa, min_distance_claim=d), (chunk,) * num_classes, delta)
 
 
 def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
     """r latin squares give r classes of n full-distance permutation rows.
 
-    Each class lists, per symbol, the column positions of that symbol (the
-    single-square case of fpa_from_mofs); orthogonality keeps rows from
-    different squares at distance n-1.
+    The rows are fpa_from_mofs's: per square and symbol, the column
+    positions of that symbol, so each class is at distance n; orthogonality,
+    which fpa_from_mofs checks, keeps rows from different squares at
+    distance n-1.
     """
     n = _latin_order(squares)
-    classes = tuple(replace(fpa_from_mofs([sq]), min_distance_claim=n) for sq in squares)
-    return SeparableArray(classes, n, n - 1)
+    return SeparableArray(fpa_from_mofs(squares), (n,) * len(squares), n)
 
 
 def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
@@ -318,26 +310,24 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     all combinations of a class-j row from every input; the union over j
     keeps the within-class distance delta = min over inputs.  Requires the
     across-class distances to add up to at least delta.  Raises
-    WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
+    WorkLimitExceeded, before reading any row, for more than
+    _PRODUCT_CELLS output cells.
     """
     if not inputs:
         raise ValueError("need at least one separable array")
-    m, lam = inputs[0].m, inputs[0].lam
-    if any((s.m, s.lam) != (m, lam) for s in inputs):
+    m, lam = inputs[0].array.m, inputs[0].array.lam
+    if any((s.array.m, s.array.lam) != (m, lam) for s in inputs):
         raise ValueError("inputs must share (m, lam)")
     delta = min(s.delta for s in inputs)
     across = sum(s.d for s in inputs)
     if across < delta:
         raise ValueError(f"across-class distances sum to {across} < delta {delta}")
-    r = min(s.num_classes for s in inputs)
     k = len(inputs)
-    size = sum(math.prod(s.classes[j].size for s in inputs) for j in range(r))
+    # zip stops at the smallest class count
+    size = sum(math.prod(sizes) for sizes in zip(*(s.sizes for s in inputs)))
     _check_cells(f"class product of {size}", size, m * lam * k)
-    # an empty class's flat label matrix takes shape (0, n)
-    rows = np.concatenate([
-        _concatenations([s.classes[j]._labels.reshape(-1, s.n) for s in inputs], [0] * k, m)
-        for j in range(r)
-    ])
+    classes = zip(*(s._class_labels() for s in inputs))
+    rows = np.concatenate([_concatenations(mats, [0] * k, m) for mats in classes])
     out = FrequencyPermutationArray(m, lam * k, rows, delta)
     report = core.verify(out)
     if not report.valid:

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
+from .bounds import mofs_max
 from .core import (
     FrequencyPermutationArray,
     WorkLimitExceeded,
@@ -105,7 +106,7 @@ def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
     """Superimposing must show every ordered symbol pair lam_a*lam_b times."""
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    counts = _pair_counts(a._labels.ravel(), b._labels.reshape(1, -1), a.m, b.m)
+    counts = _pair_counts(a._labels.ravel(), b._labels.ravel(), a.m, b.m)
     return bool((counts == a.lam * b.lam).all())
 
 
@@ -156,7 +157,8 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
         # each square has q^(2i) >= 2^(2i floor(log2 q)) cells: over budget uncomputed
         if 2 * i * (q.bit_length() - 1) >= _MOFS_WORK.bit_length():
             raise WorkLimitExceeded(f"squares of {q}^{2 * i} cells exceed max_work {_MOFS_WORK}")
-        cells = (q**i - 1) ** 2 // (q - 1) * q ** (2 * i)
+        count = mofs_max(q**i, q)
+        cells = count * q ** (2 * i)
         if cells > _MOFS_WORK:
             raise WorkLimitExceeded(f"{cells} cells exceed max_work {_MOFS_WORK}")
     field = field_of_order(q)
@@ -170,9 +172,8 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
         for lv in left
         for rv in right
     ]
-    expected = (q**i - 1) ** 2 // (q - 1)
-    if len(squares) != expected:
-        raise RuntimeError(f"built {len(squares)} squares, expected {expected}")
+    if len(squares) != count:
+        raise RuntimeError(f"built {len(squares)} squares, expected {count}")
     return squares
 
 

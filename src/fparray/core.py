@@ -211,33 +211,33 @@ def _bit_planes(mat: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Hamming distances of each block of rows against the rows from it on.
+def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
+    """(min, max) Hamming distance over all row pairs; (n, 0) for fewer
+    than two rows.
 
-    Yields (i, dists) with dists[t, u] the distance between rows i + t and
-    i + u: a strip of the upper triangle whose square head (the first
-    len(dists) columns) pairs the block with itself and whose tail pairs
-    it with every later row, so each unordered pair is computed once;
-    `_upper` masks the head and `_pairs` splits a strip.
-
-    A block ORs the XORs of every bit plane and counts the set bits per
-    word.  It covers at most max(_BLOCK_CELLS, words * width) words, where
-    width is the strip's, so blocks grow as strips shrink.  Counts have
-    the narrowest unsigned type that holds n.  The buffers are allocated
-    once per call: dists is overwritten by the next block.
+    Each strip is a block of rows against itself and every later row, so
+    each unordered pair is computed once.  A strip ORs the XORs of every
+    bit plane and counts the set bits per word; it covers at most
+    max(_BLOCK_CELLS, words * width) words, where width is the strip's,
+    so blocks grow as strips shrink.  Counts have the narrowest unsigned
+    type that holds n, in buffers allocated once per call.  The strip's
+    square head pairs the block with itself and is symmetric: its
+    diagonal (each row against itself) is set to n before the minimum.
     """
     planes = _bit_planes(mat)
     depth, words, size = planes.shape
+    n = mat.shape[1]
     per_row = max(1, words)
     cells = min(size * size, max(_BLOCK_CELLS // per_row, size))  # largest block
     acc = np.empty(words * cells, dtype=np.uint64)
     tmp = np.empty_like(acc) if depth > 1 else acc
     bits = np.empty(words * cells if words != 1 else 0, dtype=np.uint8)
-    out = np.empty(cells, dtype=np.min_scalar_type(mat.shape[1]))
+    out = np.empty(cells, dtype=np.min_scalar_type(n))
+    lo, hi = n, 0
     i = 0
     while i < size:
         width = size - i
-        rows = min(size - i, max(1, _BLOCK_CELLS // (per_row * width)))
+        rows = min(width, max(1, _BLOCK_CELLS // (per_row * width)))
         shape = (words, rows, width)
         x = acc[: words * rows * width].reshape(shape)
         y = tmp[: words * rows * width].reshape(shape)
@@ -252,30 +252,10 @@ def _pair_distances(mat: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
             counts = bits[: words * rows * width].reshape(shape)
             np.bitwise_count(x, out=counts)
             np.add.reduce(counts, axis=0, dtype=dists.dtype, out=dists)
-        yield i, dists
+        hi = max(hi, int(dists.max()))
+        np.fill_diagonal(dists, n)
+        lo = min(lo, int(dists.min()))
         i += rows
-
-
-def _upper(rows: int) -> np.ndarray:
-    """Mask of a strip's rows x rows head: cell (t, u) pairs row i + t with
-    the later row i + u."""
-    return np.arange(rows) > np.arange(rows)[:, None]
-
-
-def _pairs(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A strip's distances of distinct row pairs, each once: the head's
-    upper triangle (a copy) and the whole tail."""
-    rows = len(dists)
-    return dists[:, :rows][_upper(rows)], dists[:, rows:]
-
-
-def _distance_scan(mat: np.ndarray) -> tuple[int, int]:
-    """(min, max) Hamming distance over all row pairs."""
-    lo, hi = mat.shape[1], 0
-    for _, dists in _pair_distances(mat):
-        for cells in _pairs(dists):
-            lo = int(cells.min(initial=lo))
-            hi = int(cells.max(initial=hi))
     return lo, hi
 
 
@@ -371,16 +351,12 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     return _distance_scan(array._labels)[0]
 
 
-def _pair_counts(x: np.ndarray, ys: np.ndarray, mx: int, my: int) -> np.ndarray:
-    """Symbol-pair tables of row x against each row of ys.
-
-    Returns counts with counts[t, a, b] the number of positions p where
-    x[p] == a and ys[t, p] == b.  Symbols must already lie in 0..mx-1 (x)
-    and 0..my-1 (ys).
-    """
-    rows = ys.shape[0]
-    codes = (np.arange(rows)[:, None] * mx + x) * my + ys
-    return np.bincount(codes.ravel(), minlength=rows * mx * my).reshape(rows, mx, my)
+def _pair_counts(x: np.ndarray, y: np.ndarray, mx: int, my: int) -> np.ndarray:
+    """The symbol-pair table of rows x and y: counts[a, b] is the number
+    of positions p where x[p] == a and y[p] == b.  Symbols must already
+    lie in 0..mx-1 (x) and 0..my-1 (y)."""
+    codes = x.astype(np.int64) * my + y
+    return np.bincount(codes, minlength=mx * my).reshape(mx, my)
 
 
 def _unbalanced_pair(
@@ -435,7 +411,7 @@ def _pair_profile(mat: np.ndarray, m: int) -> dict[tuple[int, int], int] | None:
     npairs = size * (size - 1) // 2
     if npairs < 1 or m * m * npairs > _PROFILE_WORK:
         return None
-    table = _pair_counts(mat[0], mat[1:2], m, m)[0]
+    table = _pair_counts(mat[0], mat[1], m, m)
     if not (table == table.T).all() or _unbalanced_pair(mat, m, table) is not None:
         return None
     return {(a, b): int(table[a, b]) for a in range(m) for b in range(m)}

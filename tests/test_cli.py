@@ -376,9 +376,8 @@ def test_pad_juxtapose_product_compose(tmp_path, capsys):
 
 def test_sep_product_transform(tmp_path, capsys):
     sep = separable_from_mols(mols_from_field(4))
-    rows = [row for cls in sep.classes for row in cls.rows]
     stacked = tmp_path / "классы.fpa"
-    stacked.write_text(write_fpa(FrequencyPermutationArray(4, 1, rows, 3)))
+    stacked.write_text(write_fpa(sep.array))
 
     out = tmp_path / "prod.fpa"
     assert main(

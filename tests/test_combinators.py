@@ -1,5 +1,6 @@
 """Array-to-array transforms: padding, splitting, products, class products."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -21,6 +22,7 @@ from fparray import (
     direct_product,
     expand_to_pa,
     fpa_from_hadamard,
+    fpa_from_mofs,
     fpa_from_oa,
     hadamard_matrix,
     juxtapose,
@@ -363,9 +365,11 @@ def test_combinator_output_matrices_are_their_label_matrices(data):
 
 
 def test_separable_split_of_an_equidistant_array():
-    sep = SeparableArray.from_fpa(_nine_column_array(), 2)
-    assert sep.num_classes == 2
-    assert (sep.n, sep.m, sep.lam, sep.delta, sep.d) == (9, 3, 3, 6, 6)
+    a = _nine_column_array()
+    sep = SeparableArray.from_fpa(a, 2)
+    assert (sep.num_classes, sep.sizes) == (2, (2, 2))
+    assert sep.array.rows == a.rows
+    assert (sep.array.n, sep.array.m, sep.array.lam, sep.delta, sep.d) == (9, 3, 3, 6, 6)
     with pytest.raises(ValueError):
         SeparableArray.from_fpa(_nine_column_array(), 3)  # 3 does not split 4 rows
 
@@ -382,13 +386,15 @@ def test_separable_split_refuses_rows_shorter_than_n():
 def test_separable_rejects_an_overstated_class_distance():
     a = _nine_column_array()
     with pytest.raises(ValueError):
-        SeparableArray((a,), 7, 6)  # rows are at distance 6, not 7
+        SeparableArray(a, (4,), 7)  # rows are at distance 6, not 7
 
 
 def test_class_product_reproduces_the_48_row_listing():
-    sep = separable_from_mols(mols_from_field(4))
-    assert (sep.n, sep.m, sep.lam, sep.num_classes) == (4, 4, 1, 3)
+    squares = mols_from_field(4)
+    sep = separable_from_mols(squares)
+    assert (sep.array.n, sep.array.m, sep.array.lam, sep.sizes) == (4, 4, 1, (4, 4, 4))
     assert (sep.delta, sep.d) == (4, 3)
+    assert sep.array == fpa_from_mofs(squares)
     out = sep_product([sep, sep])
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (8, 4, 2, 4, 48)
     assert out.rows[:8] == CLASS_PRODUCT_FIRST8
@@ -396,12 +402,18 @@ def test_class_product_reproduces_the_48_row_listing():
     assert report.valid and report.actual_min_distance == 4
 
 
+def _class_rows(sep):
+    """The rows of each class, cut from the array by the class sizes."""
+    cuts = list(itertools.accumulate(sep.sizes, initial=0))
+    return [sep.array.rows[x:y] for x, y in zip(cuts, cuts[1:])]
+
+
 def _class_product_loop(inputs):
     """The class product as one Python loop over itertools.product."""
     return tuple(
         tuple(sym for part in combo for sym in part)
         for j in range(min(s.num_classes for s in inputs))
-        for combo in itertools.product(*(s.classes[j].rows for s in inputs))
+        for combo in itertools.product(*(_class_rows(s)[j] for s in inputs))
     )
 
 
@@ -417,12 +429,12 @@ def test_sep_product_matches_the_product_loop(data):
         assume(sum(sizes) <= len(words))
         rows = data.draw(st.permutations(words), label=f"rows{i}")[: sum(sizes)]
         cuts = list(itertools.accumulate(sizes, initial=0))
-        classes = [FrequencyPermutationArray(m, lam, rows[x:y], n) for x, y in zip(cuts, cuts[1:])]
-        delta = min(_brute_min(c.rows, n) for c in classes)
-        drawn.append((classes, delta, _brute_min(rows, n)))
+        delta = min(_brute_min(rows[x:y], n) for x, y in zip(cuts, cuts[1:]))
+        d = _brute_min(rows, n)
+        drawn.append((FrequencyPermutationArray(m, lam, rows, d), tuple(sizes), delta))
     # lowering a delta claim keeps every input valid and the product admissible
-    across = sum(d for _, _, d in drawn)
-    inputs = [SeparableArray(tuple(c), min(delta, across), d) for c, delta, d in drawn]
+    across = sum(a.min_distance_claim for a, _, _ in drawn)
+    inputs = [SeparableArray(a, sizes, min(delta, across)) for a, sizes, delta in drawn]
     out = sep_product(inputs)
     assert out.rows == _class_product_loop(inputs)
     assert (out.m, out.lam) == (m, lam * len(inputs))
@@ -432,10 +444,10 @@ def test_sep_product_matches_the_product_loop(data):
 
 
 def test_class_product_cell_limit_boundary():
-    square = separable_from_mols(mols_from_field(4)).classes[0]  # 4 rows of 4 at distance 4
+    square = separable_from_mols(mols_from_field(4)).array.rows[:4]  # 4 rows at distance 4
 
     def first(k):
-        return SeparableArray((FrequencyPermutationArray(4, 1, square.rows[:k], 4),), 4, 3)
+        return SeparableArray(FrequencyPermutationArray(4, 1, square[:k], 3), (k,), 4)
 
     def no_rows(*args):
         raise AssertionError("rows built before the refusal")
@@ -454,21 +466,51 @@ def test_class_product_cell_limit_boundary():
 
 def test_separable_checks_both_claims_with_one_row_and_empty_classes():
     a = _nine_column_array()  # 4 rows of 9, pairwise at distance 6
-    one = FrequencyPermutationArray(3, 3, a.rows[:1], 9)
-    empty = FrequencyPermutationArray(3, 3, (), 9)
-    rest = FrequencyPermutationArray(3, 3, a.rows[1:], 6)
-    assert SeparableArray((one, empty, rest), 6, 6).num_classes == 3
+
+    def rows(k, d):
+        return FrequencyPermutationArray(3, 3, a.rows[:k], d)
+
+    assert SeparableArray(a, (1, 0, 3), 6).num_classes == 3
     # a class of fewer than two rows is at distance n
-    assert SeparableArray((one, empty), 9, 9).delta == 9
-    assert SeparableArray((empty,), 9, 9).num_classes == 1
+    assert SeparableArray(rows(1, 9), (1, 0), 9).delta == 9
+    assert SeparableArray(rows(0, 9), (0,), 9).num_classes == 1
     with pytest.raises(ValueError, match="class 2 fails at delta=7: minimum distance 6"):
-        SeparableArray((one, empty, rest), 7, 6)
+        SeparableArray(a, (1, 0, 3), 7)
     with pytest.raises(ValueError, match="class 0 fails at delta=10: minimum distance 9"):
-        SeparableArray((one, empty), 10, 9)
+        SeparableArray(rows(1, 9), (1, 0), 10)
     with pytest.raises(ValueError, match="class union fails at d=7"):
-        SeparableArray((one, empty, rest), 6, 7)
+        SeparableArray(rows(4, 7), (1, 0, 3), 6)
+    twice = FrequencyPermutationArray(3, 3, a.rows[:1] * 2, 0)
     with pytest.raises(ValueError, match="class union fails at d=0"):
-        SeparableArray((one, one), 9, 0)  # a row in two classes
+        SeparableArray(twice, (1, 1), 9)  # a row in two classes
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((), "need at least one class"),
+        ((2, -1, 3), "class sizes"),
+        ((1, 2), "class sizes"),  # one short of the 4 rows
+        ((1, 4), "class sizes"),  # one over
+        ((1.5, 2.5), "must be integers"),
+        (4, "must be integers"),
+    ],
+)
+def test_separable_refuses_sizes_that_do_not_split_its_rows(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        SeparableArray(_nine_column_array(), sizes, 6)
+
+
+def test_separable_sizes_are_read_as_ints():
+    sep = SeparableArray(_nine_column_array(), np.array([1, 3]), 6)
+    assert sep.sizes == (1, 3) and all(type(x) is int for x in sep.sizes)
+    assert [f.name for f in dataclasses.fields(SeparableArray)] == ["array", "sizes", "delta"]
+
+
+def test_separable_from_non_orthogonal_squares_names_the_pair():
+    square = mols_from_field(5)[0]
+    with pytest.raises(ValueError, match="squares 0 and 1 are not orthogonal"):
+        separable_from_mols([square, square])
 
 
 def test_class_product_preconditions():
@@ -537,6 +579,7 @@ def test_transforms_keep_their_claims(data):
     sep = SeparableArray.from_fpa(a, k)
     chunk = a.size // k
     classes = [a.rows[i : i + chunk] for i in range(0, a.size, chunk)]
+    assert sep.array.rows == a.rows and sep.sizes == (chunk,) * k
     assert sep.d == a.min_distance_claim
     assert sep.delta == min(_brute_min(rows, a.n) for rows in classes)
 
@@ -609,7 +652,7 @@ def test_sep_product_keeps_its_claim(data):
     assume(sum(s.d for s in inputs) >= delta)
     out = sep_product(inputs)
     classes = min(s.num_classes for s in inputs)
-    size = sum(math.prod(s.classes[j].size for s in inputs) for j in range(classes))
+    size = sum(math.prod(s.sizes[j] for s in inputs) for j in range(classes))
     assert (out.m, out.lam, out.size) == (m, lam * len(inputs), size)
     assert out.min_distance_claim == delta
     assert verify(out).reasons == ()
