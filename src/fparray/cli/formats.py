@@ -2,10 +2,11 @@
 
 Array files:  line 1 `#fpa v1`; line 2 `n=.. lambda=.. m=.. d=.. size=..`;
 then `size` rows of `n` space-separated 0-based integers.  A row's entries
-are read as `int` reads them.  When every row is n tokens of ASCII digits
-separated by spaces and tabs, each short enough for the label type, the
-rows are read in bulk with numpy; any other body is read row by row.  The
-files accepted and the errors raised are the same either way.
+are read as `int` reads them.  An ASCII body of n integers a line that
+fit the label type is read in bulk by `numpy.loadtxt`; any other body,
+and any with a non-ASCII character (loadtxt reads some letters as
+digits), is read row by row.  The files accepted and the errors raised
+are the same either way.
 
 Ingredient files: line 1 `#ing v1 <fsq|oa|ard|had>`; a kind-specific
 key=value header line; then the grid body.  Blank lines separate grids
@@ -24,11 +25,11 @@ and `t` must be 2; writers read these from the records, which derive them.
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .. import core
 from ..core import (
     FrequencyPermutationArray,
     _composed,
@@ -197,51 +198,22 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     return _write("", header, []) + _lines(mat, [str(s + offset) for s in range(array.m)])
 
 
-_BULK_BYTES = b"0123456789 \t\n"
-
-
 def _bulk_matrix(lines: Sequence[str], n: int, m: int) -> np.ndarray | None:
     """The data lines as one len(lines) x n matrix of `_label_dtype(m)`,
-    read without an `int` call per token; None unless every line holds
-    exactly n tokens, is made only of ASCII digits, spaces and tabs, and
-    every token has fewer digits than the type's largest value, so no
-    value can wrap.  Symbols m or more are kept for `_composed` to refuse.
-
-    Lines are read in blocks of about _BLOCK_CELLS tokens, each one byte
-    buffer; a block's values are allocated only once its token count
-    matches its lines.
+    read by `np.loadtxt`; None unless every line is ASCII and holds n
+    integers that fit the type (symbols m or more are kept for `_composed`
+    to refuse).  `int` refuses letters that loadtxt reads as digits (to it
+    "0\u01fe1" is 4621), hence the ASCII gate.
     """
-    dtype = _label_dtype(m)
-    digits = len(str(np.iinfo(dtype).max)) - 1  # 10**digits - 1 fits
-    step = max(1, core._BLOCK_CELLS // n)  # lines per block
-    parts = []
-    for i in range(0, len(lines), step):
-        text = "\n".join(["", *lines[i : i + step], ""])  # each line between newlines
-        if not text.isascii():
-            return None
-        raw = text.encode("ascii")
-        if raw.translate(None, _BULK_BYTES):  # a byte other than a digit or a blank
-            return None
-        code = np.frombuffer(raw, dtype=np.uint8)
-        digit = code >= ord("0")
-        ends = np.flatnonzero(digit[:-1] > digit[1:])  # each token's last digit
-        if len(ends) != n * min(step, len(lines) - i):
-            return None
-        newlines = np.flatnonzero(code == ord("\n"))
-        if (np.diff(np.searchsorted(ends, newlines)) != n).any():
-            return None
-        values = (code[ends] - ord("0")).astype(dtype)
-        going = digit[ends]  # tokens not yet read to their first digit
-        for place in range(1, digits + 1):
-            np.maximum(ends - 1, 0, out=ends)  # byte 0 is a newline, not a digit
-            going &= digit[ends]
-            if not going.any():
-                break
-            if place == digits:
-                return None
-            values += ((code[ends] - ord("0")) * going).astype(dtype) * dtype.type(10**place)
-        parts.append(values)
-    return np.concatenate(parts).reshape(len(lines), n)
+    if not all(map(str.isascii, lines)):
+        return None
+    try:
+        with warnings.catch_warnings():  # older numpy warns and reads "1.0" as 1: refuse it
+            warnings.simplefilter("error", DeprecationWarning)
+            mat = np.loadtxt(lines, dtype=_label_dtype(m), ndmin=2, comments=None)
+    except ValueError:  # a token that is not an integer of the type, or a ragged line
+        return None
+    return mat if mat.shape == (len(lines), n) else None
 
 
 def parse_fpa(text: str) -> FrequencyPermutationArray:

@@ -243,7 +243,10 @@ class SeparableArray:
     delta: int
 
     def __post_init__(self) -> None:
-        (sizes,) = core._ints([self.sizes])
+        try:
+            (sizes,) = core._ints([self.sizes])
+        except ValueError:
+            raise ValueError(f"class sizes must be integers: {self.sizes!r}") from None
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("need at least one class")

@@ -197,7 +197,7 @@ def _linear_forms(field: FiniteField, coeffs: np.ndarray) -> np.ndarray:
     for t in range(k):
         digit = (codes // q ** (k - 1 - t) % q).astype(np.int32)
         for i in range(0, len(out), step):
-            term = field.mul_val(coeffs[i : i + step, t, None], digit)
+            term = field.mul_val(coeffs[i : i + step, t, None], codes[:q])[:, digit]
             out[i : i + step] = field.add_val(out[i : i + step], term)
     return out
 

@@ -492,8 +492,8 @@ def test_separable_checks_both_claims_with_one_row_and_empty_classes():
         ((2, -1, 3), "class sizes"),
         ((1, 2), "class sizes"),  # one short of the 4 rows
         ((1, 4), "class sizes"),  # one over
-        ((1.5, 2.5), "must be integers"),
-        (4, "must be integers"),
+        pytest.param((1.5, 2.5), "^class sizes must be integers", id="sizes4-must be integers"),
+        pytest.param(4, "^class sizes must be integers", id="4-must be integers"),
     ],
 )
 def test_separable_refuses_sizes_that_do_not_split_its_rows(sizes, message):

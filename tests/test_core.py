@@ -436,7 +436,7 @@ def test_bulk_reader_matches_the_row_reader(data):
     base = [s for s in range(m) for _ in range(lam)]
     symbol = st.one_of(
         st.integers(0, m - 1).map(str),
-        st.sampled_from([str(m), "65536", "9" * 20, "0" * 22, "-1", "1.0", "x"]),
+        st.sampled_from([str(m), "65536", "9" * 20, "0" * 22, "-1", "1.0", "x", "0Ǿ1", "1ǿ"]),
     )
     width = st.sampled_from([w for w in (n - 1, n, n + 1) if w > 0])
     tokens = st.one_of(
@@ -447,7 +447,7 @@ def test_bulk_reader_matches_the_row_reader(data):
     row = st.builds(
         lambda lead, sep, cells, trail: lead + sep.join(cells) + trail,
         st.sampled_from(["", " ", "\t"]),
-        st.sampled_from([" ", " ", "  ", "\t", " \t ", "\xa0"]),
+        st.sampled_from([" ", " ", "  ", "\t", " \t ", "\xa0", "Ǿ"]),
         tokens,
         st.sampled_from(["", "", " ", "\t", "\xa0", " # 1 2"]),
     )
@@ -463,11 +463,15 @@ def test_bulk_reader_matches_the_row_reader(data):
         bulk = _parse_outcome(text)
         with mock.patch.object(formats, "_bulk_matrix", return_value=None):
             by_rows = _parse_outcome(text)
-        if body:  # the bodies read in bulk: n short ASCII digit tokens a line
+        if body:  # the bodies read in bulk: ASCII, n decimal tokens a line, each fits
+            top = np.iinfo(core._label_dtype(m)).max
+
+            def fits(token):  # an optional + and zero padding are allowed
+                digits = token.removeprefix("+")
+                return digits.isdigit() and int(digits) <= top
+
             plain = all(
-                set(ln) <= set("0123456789 \t")
-                and len(ln.split()) == n
-                and max(map(len, ln.split())) <= 4  # uint16 labels: 4 digits cannot wrap
+                ln.isascii() and len(ln.split()) == n and all(map(fits, ln.split()))
                 for ln in body
             )
             assert (formats._bulk_matrix(body, n, m) is not None) == plain
@@ -488,23 +492,30 @@ def test_bulk_reader_matches_the_row_reader(data):
 )
 def test_bulk_reader_counts_the_tokens_of_each_line(lines):
     text = f"#fpa v1\nn=4 lambda=2 m=2 d=0 size={len(lines)}\n" + "\n".join(lines) + "\n"
-    with mock.patch.object(core, "_BLOCK_CELLS", 1 << 16):  # every line in one block
-        assert formats._bulk_matrix(lines, 4, 2) is None
-        assert _parse_outcome(text) == per_row_parse_error(lines, 4, 2, 2)
+    assert formats._bulk_matrix(lines, 4, 2) is None
+    assert _parse_outcome(text) == per_row_parse_error(lines, 4, 2, 2)
 
 
 @pytest.mark.parametrize("m, dtype", [(2**16, np.uint16), (2**16 + 1, np.uint32)])
 def test_bulk_reader_reads_every_symbol_its_label_type_holds(m, dtype):
-    # uint16 labels take tokens of at most 4 digits in bulk, uint32 labels 9
     row = " ".join(map(str, range(m - 1, -1, -1)))
     text = f"#fpa v1\nn={m} lambda=1 m={m} d={m} size=1\n{row}\n"
     parsed = formats.parse_fpa(text)
     assert parsed.rows == (tuple(range(m - 1, -1, -1)),)
     assert parsed._labels.dtype == dtype
-    assert (formats._bulk_matrix([row], m, m) is None) == (dtype == np.uint16)
+    assert formats._bulk_matrix([row], m, m).tolist() == [list(range(m - 1, -1, -1))]
     wrapped = row.replace(" 0", f" {2**32}")  # a value past uint32 must not wrap to 0
     with pytest.raises(formats.FormatError, match=f"^row 0 is not a frequency-1 word over {m} "):
         formats.parse_fpa(text.replace(row, wrapped))
+
+
+def test_a_letter_that_numpy_reads_as_a_digit_is_refused():
+    # np.loadtxt reads "0\u01fe1" as 4621, which completes this row; int() refuses it
+    m = 5000
+    row = " ".join("0\u01fe1" if s == 4621 else str(s) for s in range(m))
+    text = f"#fpa v1\nn={m} lambda=1 m={m} d={m} size=1\n{row}\n"
+    with pytest.raises(formats.FormatError, match="^row 0: non-integer entry in "):
+        formats.parse_fpa(text)
 
 
 def test_a_huge_width_with_a_short_row_is_refused_at_once():
