@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,16 +231,17 @@ def direct_product(
 class SeparableArray:
     """An array whose rows fall into classes with a stronger within-class distance.
 
-    `array` holds every row, class after class, and claims the minimum
-    distance d over the whole union; `sizes` lists the class sizes in
-    order, and delta is the declared within-class minimum.  `verify`
-    checks the union once; each class then needs only a distance scan of
-    its slice of the label matrix against delta.
+    `array` holds every row, class after class, and `sizes` lists the
+    class sizes in order.  Both distances are measured, once, as the
+    record checks the array: d, the minimum over the whole union, by
+    `verify`, and delta, the least within-class minimum, by one distance
+    scan of each class's slice of the label matrix.
     """
 
     array: FrequencyPermutationArray
     sizes: tuple[int, ...]
-    delta: int
+    d: int = field(init=False)
+    delta: int = field(init=False)
 
     def __post_init__(self) -> None:
         try:
@@ -254,15 +255,13 @@ class SeparableArray:
             raise ValueError(f"class sizes {sizes} do not split {self.array.size} rows")
         report = core.verify(self.array)
         if not report.valid:
-            raise ValueError(f"class union fails at d={self.d}: {report.reasons}")
-        for idx, mat in enumerate(self._class_labels()):
-            lo = core._distance_scan(mat)[0]  # n for an empty or one-row class
-            if lo < self.delta:
-                raise ValueError(f"class {idx} fails at delta={self.delta}: minimum distance {lo}")
-
-    @property
-    def d(self) -> int:
-        return self.array.min_distance_claim
+            raise ValueError(
+                f"class union fails at d={self.array.min_distance_claim}: {report.reasons}"
+            )
+        object.__setattr__(self, "d", report.actual_min_distance)
+        # n for an empty or one-row class
+        delta = min(core._distance_scan(mat)[0] for mat in self._class_labels())
+        object.__setattr__(self, "delta", delta)
 
     @property
     def num_classes(self) -> int:
@@ -277,21 +276,12 @@ class SeparableArray:
     def from_fpa(
         cls, fpa: FrequencyPermutationArray, num_classes: int
     ) -> "SeparableArray":
-        """Split rows into consecutive equal classes; distances are measured."""
+        """Split rows into consecutive equal classes; the record measures d and delta."""
         if num_classes < 1 or fpa.size % num_classes:
             raise ValueError(
                 f"{num_classes} classes do not evenly split {fpa.size} rows"
             )
-        chunk = fpa.size // num_classes
-        delta = d = fpa.n
-        if fpa.size > 1:
-            d = min(d, core.min_distance(fpa))
-            # a one-row class scans to the row width, which may be below n
-            mat = fpa._labels
-            delta = min(delta, *(
-                core._distance_scan(mat[k : k + chunk])[0] for k in range(0, fpa.size, chunk)
-            ))
-        return cls(replace(fpa, min_distance_claim=d), (chunk,) * num_classes, delta)
+        return cls(fpa, (fpa.size // num_classes,) * num_classes)
 
 
 def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
@@ -303,7 +293,7 @@ def separable_from_mols(squares: Sequence[FrequencySquare]) -> SeparableArray:
     distance n-1.
     """
     n = _latin_order(squares)
-    return SeparableArray(fpa_from_mofs(squares), (n,) * len(squares), n)
+    return SeparableArray(fpa_from_mofs(squares), (n,) * len(squares))
 
 
 def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:

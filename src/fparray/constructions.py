@@ -44,7 +44,6 @@ from .core import (
 from .gf import (
     FiniteField,
     LinearizedPolynomial,
-    _associate_matrix,
     _check_range,
     _permutation_polynomials,
     _prime_power,
@@ -230,11 +229,13 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
 def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutationArray:
     """Rows L(f(x)) over all permutation polynomials f of degree <= d.
 
-    Adding a kernel constant to f reproduces the same row, so distinct
-    rows number (permutation polynomials of degree <= d) / kernel size; the
-    construction keeps first-seen rows and checks that count.  Symbols are
-    relabeled to 0..q^rank - 1 by first appearance, scanning rows left to
-    right.
+    Both parameters are read off L's value table: lam is the kernel size
+    (the number of zeros) and m = q^i / lam is the image size.  Adding a
+    kernel constant to f reproduces the same row, so distinct rows number
+    (permutation polynomials of degree <= d) / lam; the construction keeps
+    first-seen rows and checks that count, and that the rows use m
+    symbols.  Symbols are relabeled to 0..m - 1 by first appearance,
+    scanning rows left to right.
     """
     field = L.field
     l = L.top_exponent
@@ -242,26 +243,25 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     if not 0 < d < q ** (i - l):
         raise ValueError(f"need 0 < d < {q ** (i - l)} for this map, got {d}")
     table = L.value_table()
-    _, rank, kernel_size = _associate_matrix(L, table)
+    lam = int(np.count_nonzero(table == 0))
     # each permutation polynomial's images, once; first-seen rows by their bytes
     seen: dict[bytes, None] = {}
     total = 0
     for _, _, images in _permutation_polynomials(field, d):
         total += len(images)
         seen.update(dict.fromkeys(map(bytes, table[images])))
-    expected, rem = divmod(total, kernel_size)
-    if rem or len(seen) != expected:
-        raise RuntimeError(f"row dedup gave {len(seen)} rows, expected {expected}")
+    if len(seen) * lam != total:
+        raise RuntimeError(f"row dedup gave {len(seen)} rows of {total}, kernel size {lam}")
     order = field.q
     raw = np.frombuffer(b"".join(seen), dtype=table.dtype).reshape(-1, order)
     # symbol labels by first appearance, scanning rows left to right
     values, first = np.unique(raw, return_index=True)
     labels = np.zeros(order, dtype=np.int32)
     labels[values[np.argsort(first)]] = np.arange(len(values))
-    m = q**rank
-    if len(values) != m:
+    m = order // lam
+    if len(values) * lam != order:
         raise RuntimeError(f"image used {len(values)} symbols, expected {m}")
-    return FrequencyPermutationArray(m, q ** (i - rank), labels[raw], order - d * q**l)
+    return FrequencyPermutationArray(m, lam, labels[raw], order - d * q**l)
 
 
 def fpa_from_trace(

@@ -537,13 +537,6 @@ def associate_matrix(
     The kernel size q^(i - rank) is cross-checked against a full value
     table whenever the field is small enough to afford one.
     """
-    return _associate_matrix(L, L.value_table() if L.field.q <= 2**16 else None)
-
-
-def _associate_matrix(
-    L: LinearizedPolynomial, table: np.ndarray | None
-) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """`associate_matrix`, cross-checked against the caller's value table if any."""
     field, i = L.field, L.i
     matrix = tuple(
         tuple(field.pow_val(L.alphas[(j - col) % i], L.q**col) for col in range(i))
@@ -551,8 +544,8 @@ def _associate_matrix(
     )
     rank = matrix_rank(field, matrix)
     kernel_size = L.q ** (i - rank)
-    if table is not None:
-        observed = int(np.count_nonzero(table == 0))
+    if field.q <= 2**16:
+        observed = int(np.count_nonzero(L.value_table() == 0))
         if observed != kernel_size:
             raise RuntimeError(
                 f"kernel cross-check failed: rank says {kernel_size}, table says {observed}"

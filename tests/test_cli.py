@@ -389,6 +389,27 @@ def test_sep_product_transform(tmp_path, capsys):
     assert main(["transform", "sep-product", str(stacked)]) == 2  # missing --classes
 
 
+def test_sep_product_refuses_an_input_whose_header_overstates_d(tmp_path, capsys):
+    # the order-4 MOLS rows are at distance 3; this header claims 4
+    text = write_fpa(separable_from_mols(mols_from_field(4)).array)
+    assert "n=4 lambda=1 m=4 d=3 size=12\n" in text
+    over = tmp_path / "over.fpa"
+    over.write_text(text.replace(" d=3 ", " d=4 "))
+    out = tmp_path / "prod.fpa"
+    argv = ["transform", "sep-product", str(over), str(over), "--classes", "3", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: class union fails at d=4: ('minimum distance 3 below claim 4',)\n"
+    )
+    assert not out.exists()
+    # an understated header is replaced by the measured distance, as before
+    under = tmp_path / "under.fpa"
+    under.write_text(text.replace(" d=3 ", " d=1 "))
+    argv[2:4] = [str(under), str(under)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "FPA(n=8, m=4, lambda=2, d=4, size=48)\n"
+
+
 # ---------------------------------------------------------------------------
 # bounds and search
 
@@ -553,17 +574,20 @@ def test_design_is_checked_before_its_block_index_is_allocated(tmp_path, capsys)
 
 
 def test_failed_self_check_exits_three(tmp_path, capsys, monkeypatch):
-    # a value table with too many zeros breaks associate_matrix's kernel cross-check
-    monkeypatch.setattr(
-        LinearizedPolynomial, "value_table", lambda self: np.zeros(self.field.q, dtype=np.int32)
-    )
-    out = str(tmp_path / "l")
-    argv = ["construct", "linearized", "--q", "3", "--i", "2", "--d", "1", "-o", out]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "internal error: kernel cross-check failed: rank says 3, table says 9\n"
-    assert captured.out == ""
-    assert not (tmp_path / "l").exists()
+    # A broken value table fails the row dedup self-check.  All zeros read
+    # as a kernel of all 9 elements, so the 72 permutation polynomials of
+    # degree 1 over GF(9) should give 8 distinct rows, not 1; no zero at
+    # all is no kernel, which must fail the check, not divide by zero.
+    out = tmp_path / "l"
+    argv = ["construct", "linearized", "--q", "3", "--i", "2", "--d", "1", "-o", str(out)]
+    for fill, kernel in [(0, 9), (1, 0)]:
+        table = np.full(9, fill, dtype=np.int32)
+        monkeypatch.setattr(LinearizedPolynomial, "value_table", lambda self, t=table: t)
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"internal error: row dedup gave 1 rows of 72, kernel size {kernel}\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("exc", [RecursionError("too deep"), MemoryError()])

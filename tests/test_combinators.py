@@ -368,7 +368,7 @@ def test_separable_split_of_an_equidistant_array():
     a = _nine_column_array()
     sep = SeparableArray.from_fpa(a, 2)
     assert (sep.num_classes, sep.sizes) == (2, (2, 2))
-    assert sep.array.rows == a.rows
+    assert sep.array is a
     assert (sep.array.n, sep.array.m, sep.array.lam, sep.delta, sep.d) == (9, 3, 3, 6, 6)
     with pytest.raises(ValueError):
         SeparableArray.from_fpa(_nine_column_array(), 3)  # 3 does not split 4 rows
@@ -381,12 +381,6 @@ def test_separable_split_refuses_rows_shorter_than_n():
     for k in (1, 2):
         with pytest.raises(ValueError):
             SeparableArray.from_fpa(short, k)
-
-
-def test_separable_rejects_an_overstated_class_distance():
-    a = _nine_column_array()
-    with pytest.raises(ValueError):
-        SeparableArray(a, (4,), 7)  # rows are at distance 6, not 7
 
 
 def test_class_product_reproduces_the_48_row_listing():
@@ -432,9 +426,9 @@ def test_sep_product_matches_the_product_loop(data):
         delta = min(_brute_min(rows[x:y], n) for x, y in zip(cuts, cuts[1:]))
         d = _brute_min(rows, n)
         drawn.append((FrequencyPermutationArray(m, lam, rows, d), tuple(sizes), delta))
-    # lowering a delta claim keeps every input valid and the product admissible
-    across = sum(a.min_distance_claim for a, _, _ in drawn)
-    inputs = [SeparableArray(a, sizes, min(delta, across)) for a, sizes, delta in drawn]
+    inputs = [SeparableArray(a, sizes) for a, sizes, _ in drawn]
+    assert [(s.d, s.delta) for s in inputs] == [(a.min_distance_claim, x) for a, _, x in drawn]
+    assume(sum(s.d for s in inputs) >= min(s.delta for s in inputs))
     out = sep_product(inputs)
     assert out.rows == _class_product_loop(inputs)
     assert (out.m, out.lam) == (m, lam * len(inputs))
@@ -447,7 +441,7 @@ def test_class_product_cell_limit_boundary():
     square = separable_from_mols(mols_from_field(4)).array.rows[:4]  # 4 rows at distance 4
 
     def first(k):
-        return SeparableArray(FrequencyPermutationArray(4, 1, square[:k], 3), (k,), 4)
+        return SeparableArray(FrequencyPermutationArray(4, 1, square[:k], 3), (k,))
 
     def no_rows(*args):
         raise AssertionError("rows built before the refusal")
@@ -470,19 +464,39 @@ def test_separable_checks_both_claims_with_one_row_and_empty_classes():
     def rows(k, d):
         return FrequencyPermutationArray(3, 3, a.rows[:k], d)
 
-    assert SeparableArray(a, (1, 0, 3), 6).num_classes == 3
+    sep = SeparableArray(a, (1, 0, 3))
+    assert (sep.num_classes, sep.d, sep.delta) == (3, 6, 6)
     # a class of fewer than two rows is at distance n
-    assert SeparableArray(rows(1, 9), (1, 0), 9).delta == 9
-    assert SeparableArray(rows(0, 9), (0,), 9).num_classes == 1
-    with pytest.raises(ValueError, match="class 2 fails at delta=7: minimum distance 6"):
-        SeparableArray(a, (1, 0, 3), 7)
-    with pytest.raises(ValueError, match="class 0 fails at delta=10: minimum distance 9"):
-        SeparableArray(rows(1, 9), (1, 0), 10)
+    one = SeparableArray(rows(1, 9), (1, 0))
+    assert (one.d, one.delta) == (9, 9)
+    empty = SeparableArray(rows(0, 9), (0,))
+    assert (empty.num_classes, empty.d, empty.delta) == (1, 9, 9)
+    assert SeparableArray(a, (1, 1, 2)).delta == 6
+    assert SeparableArray(a, (1, 1, 1, 1)).delta == 9  # every class is one row
     with pytest.raises(ValueError, match="class union fails at d=7"):
-        SeparableArray(rows(4, 7), (1, 0, 3), 6)
+        SeparableArray(rows(4, 7), (1, 0, 3))
     twice = FrequencyPermutationArray(3, 3, a.rows[:1] * 2, 0)
     with pytest.raises(ValueError, match="class union fails at d=0"):
-        SeparableArray(twice, (1, 1), 9)  # a row in two classes
+        SeparableArray(twice, (1, 1))  # a row in two classes
+
+
+def test_separable_measures_the_union_distance_not_the_header_claim():
+    a = FrequencyPermutationArray(3, 3, THREE_ROUTE_9_6, 1)  # rows are at distance 6
+    for sep in (SeparableArray(a, (4,)), SeparableArray.from_fpa(a, 2)):
+        assert (sep.d, sep.delta, sep.array.min_distance_claim) == (6, 6, 1)
+    overstated = FrequencyPermutationArray(3, 3, THREE_ROUTE_9_6, 7)
+    with pytest.raises(ValueError, match="class union fails at d=7: .*distance 6 below claim 7"):
+        SeparableArray.from_fpa(overstated, 2)
+
+
+def test_separable_split_scans_each_class_once_and_the_union_once():
+    # 12 rows of 4 symbols, in 3 classes: one union scan (inside verify)
+    # and one scan per class, k + 1 = 4 in all
+    a = fpa_from_mofs(mols_from_field(4))
+    with mock.patch.object(core, "_distance_scan", wraps=core._distance_scan) as scan:
+        sep = SeparableArray.from_fpa(a, 3)
+    assert scan.call_count == 4
+    assert (sep.d, sep.delta) == (3, 4)
 
 
 @pytest.mark.parametrize(
@@ -498,13 +512,14 @@ def test_separable_checks_both_claims_with_one_row_and_empty_classes():
 )
 def test_separable_refuses_sizes_that_do_not_split_its_rows(sizes, message):
     with pytest.raises(ValueError, match=message):
-        SeparableArray(_nine_column_array(), sizes, 6)
+        SeparableArray(_nine_column_array(), sizes)
 
 
 def test_separable_sizes_are_read_as_ints():
-    sep = SeparableArray(_nine_column_array(), np.array([1, 3]), 6)
+    sep = SeparableArray(_nine_column_array(), np.array([1, 3]))
     assert sep.sizes == (1, 3) and all(type(x) is int for x in sep.sizes)
-    assert [f.name for f in dataclasses.fields(SeparableArray)] == ["array", "sizes", "delta"]
+    fields = [(f.name, f.init) for f in dataclasses.fields(SeparableArray)]
+    assert fields == [("array", True), ("sizes", True), ("d", False), ("delta", False)]
 
 
 def test_separable_from_non_orthogonal_squares_names_the_pair():

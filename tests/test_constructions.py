@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from fparray import constructions, core, gf
 from fparray.cli import main
+from fparray.cli.formats import write_fpa
 from fparray.gf import LinearizedPolynomial
 from fparray import (
     BoundsReport,
@@ -24,6 +26,7 @@ from fparray import (
     ResolvableDesign,
     affine_classes_from_mols,
     all_lambda_permutations,
+    associate_matrix,
     are_orthogonal,
     bounds_report,
     census_permutation_polynomials,
@@ -717,6 +720,44 @@ def test_linearized_rows_match_a_pointwise_oracle(q, i, kind, d, monkeypatch):
     labels = {}
     expected = [tuple(labels.setdefault(v, len(labels)) for v in row) for row in raw]
     assert constructions.fpa_from_linearized(L, d).rows == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "kind,q,i,arg,d,digest",
+    [
+        # the linearized instances built by CI's console-script step
+        ("trace", 3, 2, 1, 1,
+         "685abb3e90ad87e5bebaac5caa848d572aac6cfe2ddbe0e4ee1863d985401d8c"),
+        ("subfield", 2, 4, 2, 2,
+         "7467e2b00be4bf5b540cc26e25001569686e636907bf82bc25c92c1993e7cc75"),
+        ("monomial", 2, 3, None, 1,
+         "102a26c331c94544932dcd29b7f261eb3e4e5b0f446559299e91f42dcf3369b5"),
+        # and the other two of the `construct` benchmark workload
+        ("trace", 3, 4, 1, 1,
+         "2297ed964bf27afd2c93a6f33a92ccd0288f226c521169e5b5a5c7ecb73f32a8"),
+        ("trace", 5, 2, 1, 2,
+         "9f8173817c87c158808630f6fdb10be0d2b5e0460028dfcd147f79c7474b1380"),
+    ],
+)
+def test_linearized_parameters_are_read_off_the_value_table(
+    kind, q, i, arg, d, digest, monkeypatch
+):
+    field = field_of_order(q**i)
+    L = {
+        "trace": lambda: linearized_trace(field, q, arg),
+        "subfield": lambda: linearized_subfield_kernel(field, q, arg),
+        "monomial": lambda: linearized_monomial(field, q),
+    }[kind]()
+    _, rank, _ = associate_matrix(L)  # the paper's rank, before the oracle is cut off
+
+    def no_rank(*args):
+        raise AssertionError("the construction ran a row reduction")
+
+    monkeypatch.setattr(gf, "matrix_rank", no_rank)
+    monkeypatch.setattr(gf, "associate_matrix", no_rank)
+    fpa = constructions.fpa_from_linearized(L, d)
+    assert (fpa.m, fpa.lam) == (q**rank, q ** (i - rank))
+    assert hashlib.sha256(write_fpa(fpa).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
