@@ -217,14 +217,10 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
     """Keep taking the candidate that keeps the most candidates.
 
     Ties go to the top bit; pairwise adjacent candidates are taken at
-    once.  Slot k holds vertex cand[k], top bit first, and lose[k] counts
-    the candidates in non[cand[k]]; the slot of a vertex that left holds
-    more than V.  After a pick, if fewer candidates stay than leave, those
-    that stay are recounted against the candidate mask p into fresh
-    slots; else the slots that leave are marked and the masks that leave
-    are unpacked and subtracted.  The slots are also rebuilt once more
-    than half of them are marked, so a pick reads O(candidates left)
-    slots, never all V.
+    once.  lose[u] counts the candidates in non[u]; a vertex that left
+    counts more than V.  After a pick, if fewer candidates stay than
+    leave, those that stay are recounted against the candidate mask p;
+    else the masks that leave are unpacked and subtracted, 64 at a time.
     """
     size = len(non)
     width = (size + 7) // 8
@@ -236,39 +232,27 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
         return np.unpackbits(rows, axis=1, count=size, bitorder="little")
 
-    slot = list(range(size - 1, -1, -1))  # vertex -> its slot, while a candidate
-    cand = np.arange(size - 1, -1, -1)
-    lose = np.array([x.bit_count() for x in reversed(non)], dtype=np.int64)
-
-    def fill(stay: list[int], counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh slots for the vertices in stay, top bit first."""
-        for k, u in enumerate(stay):
-            slot[u] = k
-        return np.array(stay, dtype=np.intp), np.array(counts, dtype=np.int64)
-
+    lose = np.array([x.bit_count() for x in non], dtype=np.int64)
     p, left = (1 << size) - 1, size
     clique: list[int] = []
     while left:
-        k = int(lose.argmin())
-        if lose[k] == 0 and np.count_nonzero(lose) == len(cand) - left:
-            return clique + cand[lose == 0].tolist()
-        v = int(cand[k])
+        v = size - 1 - int(lose[::-1].argmin())
+        if lose[v] == 0 and np.count_nonzero(lose) == size - left:
+            return clique + np.flatnonzero(lose == 0)[::-1].tolist()
         clique.append(v)
         out = (non[v] | 1 << v) & p
         p ^= out
         left -= out.bit_count()
         if left < out.bit_count():  # fewer stay than leave
-            stay = np.flatnonzero(unpack([p])[0])[::-1].tolist()
-            cand, lose = fill(stay, [(p & non[c]).bit_count() for c in stay])
+            stay = np.flatnonzero(unpack([p])[0])
+            lose = np.full(size, dead, dtype=np.int64)
+            lose[stay] = [(p & non[c]).bit_count() for c in stay.tolist()]
             continue
         gone = _bits(out)
-        lose[[slot[g] for g in gone]] = dead
+        lose[gone] = dead
         for start in range(0, len(gone), 64):  # 64 unpacked masks at a time
             bits = unpack([non[g] for g in gone[start : start + 64]])
-            lose -= np.add.reduce(bits, axis=0, dtype=np.uint8)[cand]
-        if 2 * left < len(cand):
-            keep = lose <= size
-            cand, lose = fill(cand[keep].tolist(), lose[keep].tolist())
+            lose -= np.add.reduce(bits, axis=0, dtype=np.uint8)
     return clique
 
 
@@ -281,12 +265,11 @@ def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
     bit first, and branches in reverse colour order on the vertices whose
     colour can still beat the incumbent (BBMC's k_min).  The colouring
     runs in two phases.  Classes below k_min only decide which vertices
-    are left: they record nothing, and before each class the colouring
-    stops once the vertices left could not reach k_min with one colour
-    each.  From k_min on, every vertex left is coloured and each pick goes
-    straight onto the node's branch lists.  A colouring with one colour
-    per candidate means the candidates are pairwise adjacent; they are
-    then taken at once.  The node that exceeds node_budget aborts.
+    are left, and record nothing.  From k_min on, every vertex left is
+    coloured and each pick goes straight onto the node's branch lists.
+    A colouring with one colour per candidate means the candidates are
+    pairwise adjacent; they are then taken at once.  The node that
+    exceeds node_budget aborts.
     """
     one = [1 << i for i in range(len(non))]  # the bit of each vertex
     best = state["best"]
@@ -308,7 +291,7 @@ def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
         if size + count > bound:
             k_min = bound - size + 1
             q, colour = p, 1
-            while colour < k_min and colour + q.bit_count() > k_min:
+            while colour < k_min and q:
                 avail = q
                 while avail:
                     i = avail.bit_length() - 1

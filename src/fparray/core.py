@@ -382,12 +382,10 @@ def _unbalanced_pair(
     target = np.repeat(np.arange(m * m), counts)
     labels = mat.astype(_label_dtype(m * m), copy=False)
     step = max(1, _BLOCK_CELLS // max(1, v))
-    buf = np.empty((min(step, size - 1), v), dtype=labels.dtype)
     for a in range(size - 1):
         head = labels[a] * m
         for b in range(a + 1, size, step):
-            codes = buf[: min(step, size - b)]
-            np.add(labels[b : b + step], head, out=codes)
+            codes = labels[b : b + step] + head
             codes.sort(axis=1)
             bad = np.flatnonzero((codes != target).any(axis=1))
             if bad.size:

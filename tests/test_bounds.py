@@ -487,12 +487,15 @@ def _max_candidates_reference(adj: list[int], steps: list | None = None) -> list
 
 
 def test_incumbent_matches_the_loop_rule_on_word_spaces():
-    # up to 455 candidates leave at one step here, over several row blocks
-    words = list(all_lambda_permutations(6, 1))
-    for d in range(2, 7):
-        non = _adjacency(words, d)
-        got = _vertices(_greedy_clique(non), len(words))
-        assert got == _max_candidates_reference(_flip(non)), d
+    # up to 455 candidates leave at one step of (6,1), over several row
+    # blocks; for lambda >= 2 the ties fall among words that are not
+    # permutations
+    for n, lam, d_min in [(6, 1, 2), (6, 2, 3), (6, 3, 3), (8, 4, 3), (9, 3, 3), (12, 6, 3)]:
+        words = list(all_lambda_permutations(n // lam, lam))
+        for d in range(d_min, n + 1):
+            non = _adjacency(words, d)
+            got = _vertices(_greedy_clique(non), len(words))
+            assert got == _max_candidates_reference(_flip(non)), (n, lam, d)
 
 
 @pytest.mark.parametrize(
@@ -591,6 +594,8 @@ _WITNESS_SHA256 = {
     (9, 3, 6, 20_000): "143a100f81e64392023af08a518ef1a82a069a9ac652dbacb5182540b01da6a5",
     (8, 2, 4, 20_000): "3ebadb3a0ca362848043df0dd671d20cd2227dfdd3a613b7f35c82930cd9a051",
     (8, 2, 5, 20_000): "a6eae878897c2955bd4ac030efa4c470d15731dd4e42862fe7bd32cc5993e1d8",
+    (8, 2, 3, 5_000): "6eff6ef211227b6505869e9f80e560747ba6007caca87bbec6dc3319390c0c8d",
+    (9, 3, 3, 20_000): "43cd07f2cb31bf7c4b37b1f07888b412ccbbaa3923f506092799b81db023ec9b",
 }
 
 
@@ -603,6 +608,8 @@ _WITNESS_SHA256 = {
         (9, 3, 6, 20_000, 20_001, 24, True),
         (8, 2, 4, 20_000, 20_001, 134, True),
         (8, 2, 5, 20_000, 20_001, 36, True),
+        (8, 2, 3, 5_000, 5_001, 662, True),
+        (9, 3, 3, 20_000, 20_001, 236, True),
     ],
 )
 def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
