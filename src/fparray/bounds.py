@@ -361,9 +361,9 @@ def exact_max_size(
     classes below k_min only colour and record nothing, and from k_min on
     each pick is recorded as a branch as it is coloured; see `_adjacency`
     and `_clique_search`.  Negative budgets raise ValueError.  More than
-    vertex_budget words, or more than _ADJACENCY_CELLS adjacency cells,
-    raise before any set-up; exceeding node_budget returns the best clique
-    found with proven=False.
+    vertex_budget words, more than _ADJACENCY_CELLS adjacency cells, or
+    words over _AGREEMENT_POSITIONS positions raise before any set-up;
+    exceeding node_budget returns the best clique found with proven=False.
     """
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
@@ -378,6 +378,8 @@ def exact_max_size(
             f"{total} vertices need {total * total} adjacency cells, "
             f"over the limit of {_ADJACENCY_CELLS}"
         )
+    if n > _AGREEMENT_POSITIONS:
+        raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
     words = list(all_lambda_permutations(m, lam))
     if len(words) == 1:
         return ExactResult(True, (words[0],))

@@ -46,7 +46,6 @@ from ..constructions import (
 
 ARRAY_MAGIC = "#fpa v1"
 INGREDIENT_MAGIC = "#ing v1"
-INGREDIENT_KINDS = ("fsq", "oa", "ard", "had")
 
 # kind tag -> what errors call its header line; the tag "" is an array file
 _HEADER_NAMES = {

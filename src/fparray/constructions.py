@@ -48,9 +48,6 @@ from .gf import (
     _permutation_polynomials,
     _prime_power,
     field_of_order,
-    linearized_monomial,
-    linearized_subfield_kernel,
-    linearized_trace,
 )
 
 
@@ -262,25 +259,6 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     if len(values) * lam != order:
         raise RuntimeError(f"image used {len(values)} symbols, expected {m}")
     return FrequencyPermutationArray(m, lam, labels[raw], order - d * q**l)
-
-
-def fpa_from_trace(
-    field: FiniteField, q: int, h: int, d: int
-) -> FrequencyPermutationArray:
-    """Convenience: the relative-trace instance of fpa_from_linearized."""
-    return fpa_from_linearized(linearized_trace(field, q, h), d)
-
-
-def fpa_from_subfield_kernel(
-    field: FiniteField, q: int, n: int, d: int
-) -> FrequencyPermutationArray:
-    """Convenience: the x^(q^n) - x instance of fpa_from_linearized."""
-    return fpa_from_linearized(linearized_subfield_kernel(field, q, n), d)
-
-
-def fpa_from_monomial(field: FiniteField, q: int, d: int) -> FrequencyPermutationArray:
-    """Convenience: the full-rank x^(q^(i-1)) instance (lam = 1)."""
-    return fpa_from_linearized(linearized_monomial(field, q), d)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +515,16 @@ def _hadamard_route(n: int, memo: dict[int, int | None]) -> int | None:
             memo[n] = 0
         elif n % 4:
             memo[n] = None
+        elif _hadamard_route(n // 2, memo) is not None:
+            memo[n] = 2
+        elif (n - 1) % 4 == 3 and _prime_power(n - 1) is not None:
+            memo[n] = -1
         else:
-            products = [
-                a for a in range(2, math.isqrt(n) + 1)
+            memo[n] = next((
+                a for a in range(3, math.isqrt(n) + 1)
                 if n % a == 0 and _hadamard_route(a, memo) is not None
                 and _hadamard_route(n // a, memo) is not None
-            ]
-            paley = (n - 1) % 4 == 3 and _prime_power(n - 1) is not None
-            # doubling first, then the quadratic residues, then other products
-            if products[:1] == [2] or not paley:
-                memo[n] = products[0] if products else None
-            else:
-                memo[n] = -1
+            ), None)
     return memo[n]
 
 

@@ -121,8 +121,8 @@ def count_all(n: int, lam: int) -> int:
     """Number of lambda-permutations of length n, exactly."""
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n >= 1, got n={n} lam={lam}")
-    m = n // lam
-    return math.factorial(n) // math.factorial(lam) ** m
+    # the j-th symbol's lam positions among the first j * lam
+    return math.prod(math.comb(j * lam, lam) for j in range(2, n // lam + 1))
 
 
 # all_lambda_permutations extends each prefix by a table of the words over

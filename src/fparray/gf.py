@@ -13,12 +13,12 @@ depends on two conventions fixed here once and for all:
 
 There is one multiplication: `mul_val` reads a*b as exp[log a + log b]
 from exp/log tables that each field fills on first use with one walk over
-the powers of its primitive element (O(q) entries); `pow_val` and
-`inv_val` read the same tables.  Polynomial arithmetic on digit tuples
-only builds fields: the irreducibility test, the primitive-element test
-and that walk.  Every element operation, `add_val`/`neg_val` with their
-one digit formula included, takes Python ints and returns an int, or
-numpy int arrays and returns an array.
+the powers of its primitive element (O(q) entries); `pow_val`,
+`inv_val` and `neg_val` (a multiply by p - 1) read the same tables.
+Polynomial arithmetic on digit tuples only builds fields: the
+irreducibility test, the primitive-element test and that walk.  Every
+element operation, `add_val` with its digit formula included, takes
+Python ints and returns an int, or numpy int arrays and returns an array.
 
 Also here: plain and linearized polynomials, the associate matrix of a
 linearized map with its rank/kernel bookkeeping, and one sweep over the
@@ -29,7 +29,6 @@ once, and both the census and the linearized construction consume it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -167,14 +166,8 @@ class FiniteField:
         return out
 
     def neg_val(self, a):
-        """-a digit by digit."""
-        if self.p == 2:
-            return a
-        p, out = self.p, 0
-        for j in range(self.k):
-            w = p**j
-            out = out + (-(a // w) % p) * w
-        return out
+        """-a as (p - 1) * a: the int p - 1 is the field element -1."""
+        return self.mul_val(self.p - 1, a)
 
     def sub_val(self, a, b):
         return self.add_val(a, self.neg_val(b))
@@ -286,22 +279,17 @@ def _check_range(field: FiniteField, values: Iterable[int]) -> None:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficients low-to-high over one field; () is the zero polynomial."""
+    """Coefficients low-to-high over one field, trailing zeros trimmed;
+    () is the zero polynomial.  Coefficients other than integer field
+    elements 0..q-1 raise ValueError."""
 
     field: FiniteField
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def of(cls, field: FiniteField, values: Sequence[int]) -> "Polynomial":
-        vals = list(_ints([values])[0])
-        _check_range(field, vals)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return cls(field, tuple(vals))
-
-    @property
-    def degree(self) -> float:
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+    def __post_init__(self) -> None:
+        coeffs = list(_ints([self.coeffs])[0])
+        _check_range(self.field, coeffs)
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -405,7 +393,7 @@ def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermP
     witnesses: list[Polynomial] = []
     for d, coeffs, _ in _permutation_polynomials(field, max_degree):
         counts[d] = counts.get(d, 0) + len(coeffs)
-        witnesses.extend(Polynomial(field, tuple(c)) for c in coeffs.tolist())
+        witnesses.extend(Polynomial(field, c) for c in coeffs.tolist())
     return PermPolyCensus(field, max_degree, counts, tuple(witnesses))
 
 
@@ -427,16 +415,13 @@ class LinearizedPolynomial:
     alphas: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alphas", _ints([self.alphas])[0])
         a = _base_exponent(self.field, self.q)
         if len(self.alphas) != self.field.k // a:
             raise ValueError(
                 f"need {self.field.k // a} coefficients, got {len(self.alphas)}"
             )
         _check_range(self.field, self.alphas)
-
-    @classmethod
-    def of(cls, field: FiniteField, q: int, values: Sequence[int]) -> "LinearizedPolynomial":
-        return cls(field, q, _ints([values])[0])
 
     @property
     def i(self) -> int:
@@ -479,7 +464,7 @@ def linearized_trace(field: FiniteField, q: int, h: int) -> LinearizedPolynomial
     if h < 1 or i % h:
         raise ValueError(f"trace subfield degree {h} must divide {i}")
     values = [1 if s % h == 0 else 0 for s in range(i)]
-    return LinearizedPolynomial.of(field, q, values)
+    return LinearizedPolynomial(field, q, values)
 
 
 def linearized_subfield_kernel(field: FiniteField, q: int, n: int) -> LinearizedPolynomial:
@@ -490,7 +475,7 @@ def linearized_subfield_kernel(field: FiniteField, q: int, n: int) -> Linearized
     values = [0] * i
     values[0] = field.neg_val(1)
     values[n] = field.add_val(values[n], 1)
-    return LinearizedPolynomial.of(field, q, values)
+    return LinearizedPolynomial(field, q, values)
 
 
 def linearized_monomial(field: FiniteField, q: int) -> LinearizedPolynomial:
@@ -498,7 +483,7 @@ def linearized_monomial(field: FiniteField, q: int) -> LinearizedPolynomial:
     i = field.k // _base_exponent(field, q)
     values = [0] * i
     values[i - 1] = 1
-    return LinearizedPolynomial.of(field, q, values)
+    return LinearizedPolynomial(field, q, values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ from fparray import (
     field_of_order,
     fpa_from_ard,
     fpa_from_hadamard,
+    fpa_from_linearized,
     fpa_from_mds,
     fpa_from_mofs,
-    fpa_from_monomial,
     fpa_from_oa,
-    fpa_from_subfield_kernel,
-    fpa_from_trace,
     fpa_steiner_848,
     affine_classes_from_mols,
     gv_lower,
@@ -124,11 +122,11 @@ def test_criterion_04_additive_map_family_sizes():
     with reported(4, "additive-map arrays of sizes 24/60/12 match the census totals"):
         cases = (
             (field_of_order(9), linearized_trace(field_of_order(9), 3, 1),
-             fpa_from_trace(field_of_order(9), 3, 1, 1), 24, 6),
+             fpa_from_linearized(linearized_trace(field_of_order(9), 3, 1), 1), 24, 6),
             (field_of_order(16), linearized_subfield_kernel(field_of_order(16), 2, 2),
-             fpa_from_subfield_kernel(field_of_order(16), 2, 2, 1), 60, 12),
+             fpa_from_linearized(linearized_subfield_kernel(field_of_order(16), 2, 2), 1), 60, 12),
             (field_of_order(4), linearized_monomial(field_of_order(4), 2),
-             fpa_from_monomial(field_of_order(4), 2, 1), 12, 2),
+             fpa_from_linearized(linearized_monomial(field_of_order(4), 2), 1), 12, 2),
         )
         for field, poly, fpa, size, dist in cases:
             _, rank, kernel = associate_matrix(poly)

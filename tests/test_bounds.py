@@ -287,6 +287,21 @@ def test_exact_refuses_huge_word_spaces_without_counting_them():
         exact_max_size(10**9, 10**8, 3, vertex_budget=10**100)
 
 
+@pytest.mark.parametrize("n", [10**10, 257])
+def test_exact_refuses_one_symbol_words_over_the_position_limit(n, monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("the search listed the words")
+
+    monkeypatch.setattr(bounds, "all_lambda_permutations", unlisted)
+    with pytest.raises(WorkLimitExceeded, match="^words over 256 positions are not counted$"):
+        exact_max_size(n, n, 3)
+
+
+def test_exact_one_symbol_space_at_the_position_limit():
+    result = exact_max_size(256, 256, 3)
+    assert (result.proven, result.rows) == (True, ((0,) * 256,))
+
+
 @pytest.mark.parametrize("n,lam", [(4, 1), (4, 2), (6, 3), (3, 3)])
 def test_vertex_budget_is_exact_at_the_word_count(n, lam):
     total = count_all(n, lam)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fparray
 from fparray import constructions, core, gf
 from fparray.cli import main
 from fparray.cli.formats import write_fpa
@@ -34,12 +35,10 @@ from fparray import (
     field_of_order,
     fpa_from_ard,
     fpa_from_hadamard,
+    fpa_from_linearized,
     fpa_from_mds,
     fpa_from_mofs,
-    fpa_from_monomial,
     fpa_from_oa,
-    fpa_from_subfield_kernel,
-    fpa_from_trace,
     fpa_steiner_848,
     hadamard_matrix,
     linearized_monomial,
@@ -674,7 +673,7 @@ def test_mds_cell_limit_admits_its_boundary(monkeypatch):
 
 def test_trace_family_size_matches_census():
     field = field_of_order(9)
-    fpa = fpa_from_trace(field, 3, 1, 1)
+    fpa = fpa_from_linearized(linearized_trace(field, 3, 1), 1)
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (9, 3, 3, 6, 24)
     census = census_permutation_polynomials(field, 1)
     assert fpa.size == census.total // 3  # kernel of the trace has 3 elements
@@ -683,7 +682,7 @@ def test_trace_family_size_matches_census():
 
 def test_subfield_kernel_family_size_matches_census():
     field = field_of_order(16)
-    fpa = fpa_from_subfield_kernel(field, 2, 2, 1)
+    fpa = fpa_from_linearized(linearized_subfield_kernel(field, 2, 2), 1)
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (16, 4, 4, 12, 60)
     census = census_permutation_polynomials(field, 1)
     assert fpa.size == census.total // 4  # kernel is the 4-element subfield
@@ -692,7 +691,7 @@ def test_subfield_kernel_family_size_matches_census():
 
 def test_monomial_family_gives_plain_permutations():
     field = field_of_order(4)
-    fpa = fpa_from_monomial(field, 2, 1)
+    fpa = fpa_from_linearized(linearized_monomial(field, 2), 1)
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (4, 4, 1, 2, 12)
     census = census_permutation_polynomials(field, 1)
     assert fpa.size == census.total  # trivial kernel, no row merging
@@ -763,9 +762,9 @@ def test_linearized_parameters_are_read_off_the_value_table(
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: fpa_from_trace(field_of_order(81), 3, 1, 1),
-        lambda: fpa_from_subfield_kernel(field_of_order(16), 2, 2, 2),
-        lambda: fpa_from_monomial(field_of_order(8), 2, 1),
+        lambda: fpa_from_linearized(linearized_trace(field_of_order(81), 3, 1), 1),
+        lambda: fpa_from_linearized(linearized_subfield_kernel(field_of_order(16), 2, 2), 2),
+        lambda: fpa_from_linearized(linearized_monomial(field_of_order(8), 2), 1),
     ],
 )
 def test_linearized_construction_builds_one_value_table(monkeypatch, build):
@@ -784,9 +783,11 @@ def test_linearized_construction_builds_one_value_table(monkeypatch, build):
 @pytest.mark.parametrize(
     "order,d,build",
     [
-        (9, 1, lambda: fpa_from_trace(field_of_order(9), 3, 1, 1)),
-        (16, 2, lambda: fpa_from_subfield_kernel(field_of_order(16), 2, 2, 2)),
-        (8, 1, lambda: fpa_from_monomial(field_of_order(8), 2, 1)),
+        (9, 1, lambda: fpa_from_linearized(linearized_trace(field_of_order(9), 3, 1), 1)),
+        (16, 2, lambda: fpa_from_linearized(
+            linearized_subfield_kernel(field_of_order(16), 2, 2), 2
+        )),
+        (8, 1, lambda: fpa_from_linearized(linearized_monomial(field_of_order(8), 2), 1)),
     ],
 )
 def test_linearized_construction_evaluates_each_candidate_once(monkeypatch, order, d, build):
@@ -808,7 +809,16 @@ def test_linearized_construction_evaluates_each_candidate_once(monkeypatch, orde
 def test_additive_map_degree_bound_is_enforced():
     field = field_of_order(9)
     with pytest.raises(ValueError):
-        fpa_from_trace(field, 3, 1, 3)  # needs d < q^(i-l) = 3
+        fpa_from_linearized(linearized_trace(field, 3, 1), 3)  # needs d < q^(i-l) = 3
+
+
+def test_package_exports_resolve_once():
+    names = fparray.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(fparray, name)] == []
+    # a linearized array is built one way: fpa_from_linearized(linearized_<kind>(...), d)
+    for name in ("fpa_from_trace", "fpa_from_subfield_kernel", "fpa_from_monomial"):
+        assert name not in names and not hasattr(fparray, name)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +844,18 @@ def test_sign_matrix_route_preference():
     # no doubling route: the quadratic residue matrix on q = n - 1
     for n in (12, 20, 28):
         assert hadamard_matrix(n).rows == tuple(map(tuple, constructions._paley_rows(n - 1)))
+
+
+def test_sign_matrix_routes_up_to_the_cell_limit():
+    memo = {}
+    routes = {n: constructions._hadamard_route(n, memo) for n in range(1, 1025)}
+    kinds = collections.Counter(
+        {0: "base", 2: "doubling", -1: "paley"}.get(r, "product")
+        for r in routes.values() if r is not None
+    )
+    assert kinds == {"doubling": 83, "paley": 65, "base": 2, "product": 2}
+    # neither has a half with a route, and 783 and 815 are no prime powers
+    assert {n: r for n, r in routes.items() if r is not None and r > 2} == {784: 28, 816: 12}
 
 
 def test_hadamard_orders_over_the_cell_limit_are_refused_before_routing(monkeypatch, capsys):

@@ -108,9 +108,10 @@ GATED = {
     "OrthogonalArray": lambda s: OrthogonalArray(4, 2, ((0, 0, s, s), (0, s, 0, s))).rows,
     "ResolvableDesign": lambda s: ResolvableDesign(2, 2, (((0, s),),)).classes[0],
     "HadamardMatrix": lambda s: HadamardMatrix(((s, s), (1, -1))).rows,
-    "Polynomial.of": lambda s: (Polynomial.of(field_of_order(3), [0, s]).coeffs,),
+    # the two polynomial records keep their ids; their constructors are the gate
+    "Polynomial.of": lambda s: (Polynomial(field_of_order(3), [0, s]).coeffs,),
     "LinearizedPolynomial.of": lambda s: (
-        LinearizedPolynomial.of(field_of_order(9), 3, [s, 0]).alphas,
+        LinearizedPolynomial(field_of_order(9), 3, [s, 0]).alphas,
     ),
     "matrix_rank": lambda s: ((matrix_rank(field_of_order(3), [[s, 0], [0, s]]),),),
     "fpa_from_mds": lambda s: fpa_from_mds(field_of_order(3), [[s, s, s], [0, s, 2]]).rows,
@@ -226,6 +227,14 @@ def test_count_all_matches_multinomial(n, lam, expected):
     m = n // lam
     direct = math.factorial(n) // math.factorial(lam) ** m
     assert count_all(n, lam) == direct
+
+
+def test_count_all_is_the_multinomial_on_a_grid():
+    for n in range(1, 80):
+        for lam in range(1, n + 1):
+            if n % lam == 0:
+                direct = math.factorial(n) // math.factorial(lam) ** (n // lam)
+                assert count_all(n, lam) == direct, (n, lam)
 
 
 def _small_spaces(most=5040):

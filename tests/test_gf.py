@@ -286,7 +286,7 @@ def test_whole_field_evaluation_matches_horner_point_by_point(data):
         images = evaluate_whole_field(field, matrix)
     assert images.dtype == np.int32 and images.shape == (len(coeffs), q)
     for row, values in zip(coeffs, images.tolist()):
-        poly = Polynomial.of(field, row)
+        poly = Polynomial(field, row)
         assert values == [poly.evaluate(x) for x in range(q)]
 
 
@@ -328,7 +328,7 @@ def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, mo
 
 def test_polynomial_evaluation_horner_matches_powers():
     field = make_field(3, 2)
-    poly = Polynomial.of(field, [2, 0, 1, 1])  # 2 + x^2 + x^3
+    poly = Polynomial(field, [2, 0, 1, 1])  # 2 + x^2 + x^3
     for x in range(9):
         expected = field.add_val(2, field.add_val(field.pow_val(x, 2), field.pow_val(x, 3)))
         assert poly.evaluate(x) == expected
@@ -339,19 +339,32 @@ def test_polynomial_evaluation_horner_matches_powers():
 def test_coefficients_outside_the_field_are_rejected(bad):
     field = make_field(3, 2)
     with pytest.raises(ValueError):
-        Polynomial.of(field, [1, bad])
+        Polynomial(field, [1, bad])
     with pytest.raises(ValueError):
-        LinearizedPolynomial.of(field, 3, [bad, 1])
+        LinearizedPolynomial(field, 3, [bad, 1])
+
+
+def test_polynomial_constructors_gate_their_coefficients():
+    gf3, gf9 = field_of_order(3), field_of_order(9)
+    with pytest.raises(ValueError, match="^symbols must be integers: "):
+        Polynomial(gf3, (1.5, 7))
+    with pytest.raises(ValueError, match="^field element 7 outside 0..2$"):
+        Polynomial(gf3, (1, 7))
+    with pytest.raises(ValueError, match="^symbols must be integers: "):
+        LinearizedPolynomial(gf9, 3, (1.5, 0))
+    image = LinearizedPolynomial(gf9, 3, (np.int64(1), 0)).evaluate(2)
+    assert type(image) is int and image == 2
+    assert Polynomial(gf3, [1, 2, 0, 0]).coeffs == (1, 2)
 
 
 def test_permutation_polynomial_detection():
     gf3 = make_field(3, 1)
-    assert is_permutation_polynomial(Polynomial.of(gf3, [0, 1]))  # x
-    assert is_permutation_polynomial(Polynomial.of(gf3, [1, 2]))  # 1 + 2x
-    assert not is_permutation_polynomial(Polynomial.of(gf3, [0, 0, 1]))  # x^2
-    assert not is_permutation_polynomial(Polynomial.of(gf3, [2]))  # constant
+    assert is_permutation_polynomial(Polynomial(gf3, [0, 1]))  # x
+    assert is_permutation_polynomial(Polynomial(gf3, [1, 2]))  # 1 + 2x
+    assert not is_permutation_polynomial(Polynomial(gf3, [0, 0, 1]))  # x^2
+    assert not is_permutation_polynomial(Polynomial(gf3, [2]))  # constant
     gf4 = make_field(2, 2)
-    assert is_permutation_polynomial(Polynomial.of(gf4, [0, 0, 1]))  # x^2
+    assert is_permutation_polynomial(Polynomial(gf4, [0, 0, 1]))  # x^2
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -461,7 +474,7 @@ def test_linearized_maps_are_additive(data):
     ]
     if not any(alphas):
         alphas[0] = 1
-    poly = LinearizedPolynomial.of(field, q, alphas)
+    poly = LinearizedPolynomial(field, q, alphas)
     a = data.draw(st.integers(0, field.q - 1), label="a")
     b = data.draw(st.integers(0, field.q - 1), label="b")
     image_of_sum = poly.evaluate(field.add_val(a, b))
@@ -489,7 +502,7 @@ def test_associate_matrix_entries_are_conjugates(data):
     field = field_of_order(q**i)
     products = _convolution_products(field)
     alphas = [data.draw(st.integers(0, field.q - 1), label=f"alpha{s}") for s in range(i)]
-    matrix, _, _ = associate_matrix(LinearizedPolynomial.of(field, q, alphas))
+    matrix, _, _ = associate_matrix(LinearizedPolynomial(field, q, alphas))
     for j, col in itertools.product(range(i), repeat=2):
         # alphas[(j - col) mod i] ** (q ** col) by repeated table-free products
         alpha = alphas[(j - col) % i]
