@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Sequence
 from ..bounds import BoundsReport, bounds_report, exact_max_size
 from ..combinators import (
     SeparableArray,
+    _check_cells,
     compose_columns,
     direct_product,
     expand_to_pa,
@@ -258,12 +260,26 @@ _TRANSFORMS = {
         None, "c", lambda ins, args: compose_columns(ins, parse_fpa(Path(args.c).read_text()))
     ),
     "product": (2, None, lambda ins, args: direct_product(*ins)),
-    "sep-product": (
-        None,
-        "classes",
-        lambda ins, args: sep_product([SeparableArray.from_fpa(a, args.classes) for a in ins]),
-    ),
+    "sep-product": (None, "classes", lambda ins, args: _sep_product(ins, args.classes)),
 }
+
+
+def _sep_product(
+    inputs: list[FrequencyPermutationArray], classes: int
+) -> FrequencyPermutationArray:
+    """sep_product of the inputs, each split into `classes` equal classes.
+
+    The output has classes * prod(size / classes) rows, so an oversized
+    product is refused from the sizes alone, before any input is split.
+    """
+    if (
+        classes >= 1
+        and all(a.size % classes == 0 for a in inputs)
+        and len({(a.m, a.lam) for a in inputs}) == 1  # else sep_product refuses them
+    ):
+        rows = classes * math.prod(a.size // classes for a in inputs)
+        _check_cells(f"class product of {rows}", rows, sum(a.n for a in inputs))
+    return sep_product([SeparableArray.from_fpa(a, classes) for a in inputs])
 
 
 def _cmd_transform(args) -> int:

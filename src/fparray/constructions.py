@@ -14,7 +14,8 @@ checked by `core._unbalanced_pair`'s sort of pair codes.  Sizes the rows
 fix are derived, not stored: a square's n is m * lam, an orthogonal
 array's r and a Hadamard matrix's n count rows, and strength is always 2.
 Additive-map images share `gf`'s permutation-polynomial sweep with the
-census, so each candidate polynomial is evaluated once.  Orderings are
+census, which evaluates each candidate with c_0 = 0 once (q^d - 1 rows)
+and gets its translates by one add per cell.  Orderings are
 pinned everywhere: field elements by their integer encoding, tuples
 odometer-style with the first coordinate most significant, grids
 row-major.

@@ -22,8 +22,10 @@ Python ints and returns an int, or numpy int arrays and returns an array.
 
 Also here: plain and linearized polynomials, the associate matrix of a
 linearized map with its rank/kernel bookkeeping, and one sweep over the
-permutation polynomials up to a given degree: it evaluates each candidate
-once, and both the census and the linearized construction consume it.
+permutation polynomials up to a given degree d: it evaluates each candidate
+with c_0 = 0 once (q^d - 1 rows), gets its q translates f + c_0 by one add
+per cell, and both the census and the linearized construction consume it.
+Its work limit still counts every candidate's q images.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from . import core
 from .core import WorkLimitExceeded, _ints
 
 _ORDER_GUARDRAIL = 2**20
-# a permutation-polynomial census refuses more candidate evaluations than this
+# a permutation-polynomial census refuses more candidate images (candidates
+# times q, translates included) than this
 _CENSUS_WORK = 10_000_000
 
 
@@ -317,12 +320,13 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
         _check_range(field, coeffs.ravel().tolist())  # names the first one out of range
     coeffs = coeffs.astype(np.int32)
     xs = np.arange(q, dtype=np.int32)
-    out = np.zeros((coeffs.shape[0], q), dtype=np.int32)
+    rows, width = coeffs.shape
+    out = np.zeros((rows, q), dtype=np.int32)
     step = max(1, core._BLOCK_CELLS // q)
-    for lo in range(0, coeffs.shape[0], step):
+    for lo in range(0, rows if width else 0, step):  # width 0: the zero polynomial
         block = coeffs[lo : lo + step]
-        acc = out[lo : lo + step]
-        for t in range(coeffs.shape[1] - 1, -1, -1):
+        acc = block[:, -1, None]  # Horner starts from the top coefficient
+        for t in range(width - 2, -1, -1):
             acc = field.add_val(field.mul_val(acc, xs), block[:, t, None])
         out[lo : lo + step] = acc
     return out
@@ -359,10 +363,14 @@ def _permutation_polynomials(
 
     A degree-d candidate is encoded as v = sum(c_t * q^t) with c_d != 0, so
     the sweep v = q^d .. q^(d+1)-1 enumerates exactly the degree-d
-    polynomials in increasing encoding order.  Candidates are evaluated once,
-    in blocks of about `core._BLOCK_CELLS` images; each block yields (d, coeffs,
-    images) for its bijective rows.  Work is candidates times q
-    evaluations; exceeding `_CENSUS_WORK` raises before any block.
+    polynomials in increasing encoding order.  Since f + c permutes the
+    field exactly when f does, only the upper parts u = v // q (c_0 = 0)
+    are evaluated, q^d - 1 rows per call; each bijective u stands for the
+    q candidates u*q + c_0, whose images are its own plus c_0, one add per
+    cell.  Blocks of upper parts expand to about `core._BLOCK_CELLS` images;
+    each yields (d, coeffs, images) for its permutation polynomials.  The
+    work limit still counts every candidate: candidates times q images over
+    `_CENSUS_WORK` raises before any block.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -372,15 +380,17 @@ def _permutation_polynomials(
         raise WorkLimitExceeded(
             f"census of degree {max_degree} over {field} exceeds max_work {_CENSUS_WORK}"
         )
-    step = max(1, core._BLOCK_CELLS // q)
+    step = max(1, core._BLOCK_CELLS // (q * q))
+    c0 = np.arange(q, dtype=np.int32)
     for d in range(1, max_degree + 1):
         places = q ** np.arange(d + 1, dtype=np.int64)
-        for lo in range(q**d, q ** (d + 1), step):
-            codes = np.arange(lo, min(lo + step, q ** (d + 1)), dtype=np.int64)
-            coeffs = codes[:, None] // places % q
-            images = evaluate_whole_field(field, coeffs)
+        for lo in range(q ** (d - 1), q**d, step):
+            upper = np.arange(lo, min(lo + step, q**d), dtype=np.int64)
+            images = evaluate_whole_field(field, upper[:, None] * q // places % q)
             hits = _bijective_rows(images)
-            yield d, coeffs[hits], images[hits]
+            codes = (upper[hits, None] * q + c0).ravel()
+            translates = field.add_val(images[hits, None, :], c0[:, None])
+            yield d, codes[:, None] // places % q, translates.reshape(-1, q)
 
 
 def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermPolyCensus:

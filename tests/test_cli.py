@@ -563,6 +563,29 @@ def test_class_product_over_the_cell_limit_is_refused_before_any_row(
     ))
 
 
+@pytest.mark.parametrize(
+    "copies,classes,rows,width",
+    [(2, "1", 15876, 128), (3, "2", 500094, 192)],
+    ids=["one class", "three inputs"],
+)
+def test_class_product_over_the_cell_limit_is_refused_before_any_split(
+    tmp_path, capsys, monkeypatch, copies, classes, rows, width
+):
+    # the row count follows from the sizes and --classes: no input is split
+    def no_split(*args):
+        raise AssertionError("input split before the refusal")
+
+    h64 = tmp_path / "h64.fpa"
+    h64.write_text(write_fpa(fpa_from_hadamard(hadamard_matrix(64))))
+    monkeypatch.setattr(combinators.SeparableArray, "from_fpa", no_split)
+    argv = ["transform", "sep-product", *[str(h64)] * copies, "--classes", classes]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: work limit exceeded: class product of {rows} rows of {width} symbols "
+        f"is {rows * width} cells, over the limit of 1048576\n"
+    ))
+
+
 def test_design_is_checked_before_its_block_index_is_allocated(tmp_path, capsys):
     # v = 2^40 points: the block index would be 8 TiB
     design = tmp_path / "big.ing"

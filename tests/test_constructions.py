@@ -790,7 +790,9 @@ def test_linearized_construction_builds_one_value_table(monkeypatch, build):
         (8, 1, lambda: fpa_from_linearized(linearized_monomial(field_of_order(8), 2), 1)),
     ],
 )
-def test_linearized_construction_evaluates_each_candidate_once(monkeypatch, order, d, build):
+def test_linearized_construction_evaluates_each_constant_free_candidate_once(
+    monkeypatch, order, d, build
+):
     rows = []
     evaluate = gf.evaluate_whole_field
 
@@ -802,8 +804,9 @@ def test_linearized_construction_evaluates_each_candidate_once(monkeypatch, orde
     for module in (gf, constructions):
         monkeypatch.setattr(module, "evaluate_whole_field", counted, raising=False)
     assert verify(build()).valid
-    # the polynomials of degree 1..d: q^(d+1) - q candidates
-    assert sum(rows) == order ** (d + 1) - order
+    # the polynomials of degree 1..d with c_0 = 0: q^d - 1 rows; their
+    # translates f + c_0 are never evaluated
+    assert sum(rows) == order**d - 1
 
 
 def test_additive_map_degree_bound_is_enforced():

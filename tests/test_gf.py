@@ -322,6 +322,23 @@ def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, mo
     assert list(census.witnesses) == expected
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_sweep_translates_match_whole_field_evaluation(q, monkeypatch):
+    # degree 3 is within the work limit at each q; two upper parts per
+    # block, so a block's translates span several hits
+    field, max_degree = field_of_order(q), 3
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * q * q)
+    counts = dict.fromkeys(range(1, max_degree + 1), 0)
+    for d, coeffs, images in gf._permutation_polynomials(field, max_degree):
+        assert coeffs.shape == (len(images), d + 1) and len(images) % q == 0
+        assert (images == evaluate_whole_field(field, coeffs)).all()
+        assert gf._bijective_rows(images).all()
+        counts[d] += len(images)
+    census = census_permutation_polynomials(field, max_degree)
+    assert census.counts == counts
+    assert all(count % q == 0 for count in census.counts.values())
+
+
 # ---------------------------------------------------------------------------
 # polynomials over a field
 
