@@ -52,7 +52,7 @@ from ..constructions import (
     oa_from_mols,
     reed_solomon_generator,
 )
-from ..core import FrequencyPermutationArray, WorkLimitExceeded, verify
+from ..core import FrequencyPermutationArray, WorkLimitExceeded, pair_profile, verify
 from ..gf import (
     field_of_order,
     linearized_monomial,
@@ -301,16 +301,16 @@ def _cmd_verify(args) -> int:
     args.lap("parse")
     report = verify(array)
     args.lap("verify")
+    profile = pair_profile(array)
+    args.lap("profile")
     print(f"valid: {_bool(report.valid)}")
     print(f"size: {report.size}")
     print(f"actual_min_distance: {report.actual_min_distance}")
     print(f"equidistant: {_bool(report.equidistant)}")
-    if report.pair_profile is None:
+    if profile is None:
         print("pair_profile: none")
     else:
-        cells = " ".join(
-            f"({a},{b})={c}" for (a, b), c in sorted(report.pair_profile.items())
-        )
+        cells = " ".join(f"({a},{b})={c}" for (a, b), c in sorted(profile.items()))
         print(f"pair_profile: {cells}")
     failures = list(report.reasons)
     if args.expect_d is not None and report.actual_min_distance != args.expect_d:

@@ -103,8 +103,8 @@ def expand_to_pa(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
 def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArray:
     """Take every symbol mod r, for arrays with a constant pair profile.
 
-    Requires verify(a) to report a pair profile whose m*m counts all equal
-    one value t; the result is equidistant at n - t*m^2/r.
+    Requires a to pass `verify` and to have a `pair_profile` whose m*m
+    counts all equal one value t; the result is equidistant at n - t*m^2/r.
     """
     if r < 1 or a.m % r:
         raise ValueError(f"modulus {r} must divide the symbol count {a.m}")
@@ -113,9 +113,10 @@ def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArra
     report = core.verify(a)
     if not report.valid:
         raise ValueError(f"input fails verification: {report.reasons}")
-    if report.pair_profile is None:
+    profile = core.pair_profile(a)
+    if profile is None:
         raise ValueError("input has no constant pair profile")
-    values = set(report.pair_profile.values())
+    values = set(profile.values())
     if len(values) != 1:
         raise ValueError("pair profile is not a single constant")
     t = values.pop()

@@ -113,7 +113,6 @@ class VerificationReport:
     actual_min_distance: int
     size: int
     equidistant: bool
-    pair_profile: dict[tuple[int, int], int] | None
     reasons: tuple[str, ...]
 
 
@@ -393,26 +392,40 @@ def _unbalanced_pair(
     return None
 
 
-# `verify` reports no pair profile when its m*m*pairs work exceeds this.
+# `pair_profile` returns None, before reading any row, when its m*m*pairs
+# work exceeds this.
 _PROFILE_WORK = 10_000_000
 
 
 def _pair_profile(mat: np.ndarray, m: int) -> dict[tuple[int, int], int] | None:
-    """Ordered symbol-pair counts, if identical across every row pair.
+    """The m*m table shared by every ordered pair of distinct rows, or None.
 
-    For rows x, y the profile counts positions where x holds symbol a and y
-    holds symbol b.  Returned only when the same m*m table arises for every
-    ordered pair of distinct rows (so it must also equal its own transpose),
-    and the m*m*pairs work stays within `_PROFILE_WORK`.
+    `mat` holds at least two rows of symbols 0..m-1.  A table shared by
+    every ordered pair must equal its own transpose; the other pairs are
+    compared with it by `_unbalanced_pair`.
     """
-    size = mat.shape[0]
-    npairs = size * (size - 1) // 2
-    if npairs < 1 or m * m * npairs > _PROFILE_WORK:
-        return None
     table = _pair_counts(mat[0], mat[1], m, m)
     if not (table == table.T).all() or _unbalanced_pair(mat, m, table) is not None:
         return None
     return {(a, b): int(table[a, b]) for a in range(m) for b in range(m)}
+
+
+def pair_profile(array: FrequencyPermutationArray) -> dict[tuple[int, int], int] | None:
+    """Ordered symbol-pair counts, if identical across every row pair.
+
+    For rows x, y the profile counts positions where x holds symbol a and y
+    holds symbol b.  It is returned only for at least two distinct rows,
+    each a lam-uniform word over m symbols, when the same m*m table arises
+    for every ordered pair of distinct rows.  An array whose m*m*pairs work
+    exceeds `_PROFILE_WORK` gets None before any row is read.
+    """
+    size, m = array.size, array.m
+    if m * m * (size * (size - 1) // 2) > _PROFILE_WORK or size < 2:
+        return None
+    mat = _symbol_matrix(array)
+    if mat is None or not _composed(mat, m, array.lam).all() or len(set(array.rows)) < size:
+        return None
+    return _pair_profile(mat, m)
 
 
 def verify(array: FrequencyPermutationArray) -> VerificationReport:
@@ -422,7 +435,8 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
     valid=False.  For arrays with fewer than two rows the distance claim is
     vacuous: actual_min_distance reports n and equidistant is True.  When
     rows repeat, no pair is scanned: the minimum distance is 0, and the
-    array is equidistant only if all its rows are one row.
+    array is equidistant only if all its rows are one row.  The symbol-pair
+    profile, a second pass over the row pairs, is left to `pair_profile`.
     """
     reasons: list[str] = []
     if array.m < 1 or array.lam < 1:
@@ -445,15 +459,12 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
 
     actual = array.n
     equidistant = True
-    profile: dict[tuple[int, int], int] | None = None
     if array.size >= 2 and shapes_ok:
         if distinct < array.size:  # a repeated row is at distance 0 from its copy
             actual, equidistant = 0, distinct == 1
         else:
             lo, hi = _distance_scan(mat)
             actual, equidistant = lo, lo == hi
-            if not reasons:
-                profile = _pair_profile(mat, array.m)
 
     if actual < array.min_distance_claim:
         reasons.append(
@@ -464,6 +475,5 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
         actual_min_distance=actual,
         size=array.size,
         equidistant=equidistant,
-        pair_profile=profile,
         reasons=tuple(reasons),
     )

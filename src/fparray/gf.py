@@ -23,9 +23,9 @@ Python ints and returns an int, or numpy int arrays and returns an array.
 Also here: plain and linearized polynomials, the associate matrix of a
 linearized map with its rank/kernel bookkeeping, and one sweep over the
 permutation polynomials up to a given degree d: it evaluates each candidate
-with c_0 = 0 once (q^d - 1 rows), gets its q translates f + c_0 by one add
-per cell, and both the census and the linearized construction consume it.
-Its work limit still counts every candidate's q images.
+with c_0 = 0 once (q^d - 1 rows), gathers its q translates f + c_0 from
+one addition table, and both the census and the linearized construction
+consume it.  Its work limit still counts every candidate's q images.
 """
 
 from __future__ import annotations
@@ -366,11 +366,12 @@ def _permutation_polynomials(
     polynomials in increasing encoding order.  Since f + c permutes the
     field exactly when f does, only the upper parts u = v // q (c_0 = 0)
     are evaluated, q^d - 1 rows per call; each bijective u stands for the
-    q candidates u*q + c_0, whose images are its own plus c_0, one add per
-    cell.  Blocks of upper parts expand to about `core._BLOCK_CELLS` images;
-    each yields (d, coeffs, images) for its permutation polynomials.  The
-    work limit still counts every candidate: candidates times q images over
-    `_CENSUS_WORK` raises before any block.
+    q candidates u*q + c_0, whose images are its own plus c_0, gathered
+    from one q x q addition table built per call.  Blocks of upper parts
+    expand to about `core._BLOCK_CELLS` images; each yields (d, coeffs,
+    images) for its permutation polynomials.  The work limit still counts
+    every candidate: candidates times q images over `_CENSUS_WORK` raises
+    before any block, and so bounds q at 215.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -382,6 +383,7 @@ def _permutation_polynomials(
         )
     step = max(1, core._BLOCK_CELLS // (q * q))
     c0 = np.arange(q, dtype=np.int32)
+    plus = field.add_val(c0[:, None], c0)  # plus[c, x] = x + c
     for d in range(1, max_degree + 1):
         places = q ** np.arange(d + 1, dtype=np.int64)
         for lo in range(q ** (d - 1), q**d, step):
@@ -389,7 +391,7 @@ def _permutation_polynomials(
             images = evaluate_whole_field(field, upper[:, None] * q // places % q)
             hits = _bijective_rows(images)
             codes = (upper[hits, None] * q + c0).ravel()
-            translates = field.add_val(images[hits, None, :], c0[:, None])
+            translates = plus[c0[:, None], images[hits, None, :]]
             yield d, codes[:, None] // places % q, translates.reshape(-1, q)
 
 

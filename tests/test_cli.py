@@ -643,6 +643,30 @@ def test_stage_log_is_silent_by_default_and_leaves_output_alone(tmp_path, capsys
         "construct steiner-848: verify",
         "construct steiner-848: write",
     ]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fparray"):
+        assert main(["verify", str(tmp_path / "s.fpa")]) == 0
+    capsys.readouterr()
+    stages = [r.getMessage().rsplit(" ", 2)[0] for r in caplog.records]
+    assert stages == ["verify: parse", "verify: verify", "verify: profile"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oa", "--q", "7"], ["ard", "--q", "5"], ["mds", "--q", "4", "--k", "2", "--n", "5"]],
+    ids=" ".join,
+)
+def test_building_never_computes_a_pair_profile(tmp_path, capsys, argv):
+    # each of these arrays has a pair profile that verify used to compute
+    out = tmp_path / "a.fpa"
+    assert main(["construct", *argv, "-o", str(out)]) == 0
+    want = out.read_bytes()
+    out.unlink()
+    fail = mock.Mock(side_effect=AssertionError("profiled"))
+    with mock.patch.object(core, "_pair_profile", fail):
+        assert main(["construct", *argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert not fail.called
 
 
 # ---------------------------------------------------------------------------

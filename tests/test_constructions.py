@@ -47,6 +47,7 @@ from fparray import (
     mofs_complete,
     mols_from_field,
     oa_from_mols,
+    pair_profile,
     reed_solomon_generator,
     verify,
 )
@@ -920,7 +921,7 @@ def test_doubling_order_twelve():
     # complementary row pairs sit at distance 12, so the array is not
     # equidistant and no single symbol-pair profile can cover all pairs
     assert not report.equidistant
-    assert report.pair_profile is None
+    assert pair_profile(fpa) is None
 
 
 def test_block_listing_on_eight_columns():

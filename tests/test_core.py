@@ -38,6 +38,7 @@ from fparray.core import (
     hamming_distance,
     is_lambda_permutation,
     min_distance,
+    pair_profile,
     verify,
 )
 from fixtures import TWO_SYMBOL_6_4
@@ -557,8 +558,9 @@ def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
         report = verify(fpa)
     assert report == core.VerificationReport(
         valid=False, actual_min_distance=lo, size=len(rows), equidistant=lo == hi,
-        pair_profile=None, reasons=per_row_reasons(fpa) + below,
+        reasons=per_row_reasons(fpa) + below,
     )
+    assert pair_profile(fpa) is None
 
 
 def test_verify_rejects_inconsistent_parameters():
@@ -759,6 +761,77 @@ def test_unbalanced_pair_codes_past_16_bits(broken):
     assert want == ((1, 2) if broken else None)
     assert core._unbalanced_pair(rows, m, 1) == want
     assert core._unbalanced_pair(rows, m, 2) == (0, 1)  # totals 180 000, not v
+
+
+def _profile_oracle(rows, m, lam):
+    """pair_profile as one Counter per ordered row pair gives it: the table
+    every pair shares, when at least two distinct lam-uniform rows over m
+    symbols stay within the work bound; else None."""
+    size = len(rows)
+    if m * m * (size * (size - 1) // 2) > core._PROFILE_WORK or size < 2:
+        return None
+    if len(set(rows)) < size or not all(is_lambda_permutation(r, m, lam) for r in rows):
+        return None
+    tables = {
+        tuple(collections.Counter(zip(x, y))[a, b] for a in range(m) for b in range(m))
+        for x, y in itertools.permutations(rows, 2)
+    }
+    if len(tables) != 1:
+        return None
+    table = tables.pop()
+    return {(a, b): table[a * m + b] for a in range(m) for b in range(m)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pair_profile_matches_a_counter_per_row_pair(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    mult = data.draw(st.integers(1, 2), label="mult")
+    # rows of a strength-2 array over mult * m * m points, each a
+    # (mult * m)-uniform word; for prime m every pair shares one table
+    x, y = zip(*(divmod(j // mult, m) for j in range(mult * m * m)))
+    lines = [tuple((a + c * b) % m for a, b in zip(x, y)) for c in range(1, m)]
+    pool = list(dict.fromkeys([x, y, *lines]))
+    if data.draw(st.booleans(), label="pool only"):
+        lam = mult * m
+        rows = data.draw(
+            st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), unique=True), label="rows"
+        )
+        # one symbol map on every row: a bijection or a merge keeps a
+        # shared table shared, but after a merge no row is lam-uniform
+        merge = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+        relabel = data.draw(st.one_of(st.permutations(range(m)), merge), label="relabel")
+        rows = [tuple(relabel[s] for s in row) for row in rows]
+    else:
+        lam = data.draw(st.sampled_from([mult * m, 1, 2]), label="lam")
+        widths = [w for w in (m * lam - 1, m * lam, m * lam + 1) if w > 0]
+        row = st.one_of(
+            st.sampled_from(pool),
+            st.sampled_from(widths).flatmap(lambda w: _rows_of_width(m, lam, w)),
+        )
+        rows = data.draw(st.lists(row, max_size=6), label="rows")
+    if rows and data.draw(st.booleans(), label="repeat"):
+        rows.append(data.draw(st.sampled_from(rows), label="repeated row"))
+    order = data.draw(st.permutations(range(len(pool[0]))), label="columns")
+    rows = [tuple(r[j] for j in order) if len(r) == len(order) else r for r in rows]
+    fpa = FrequencyPermutationArray(m, lam, rows, 0)
+    assert pair_profile(fpa) == _profile_oracle(fpa.rows, m, lam)
+
+
+def test_pair_profile_checks_its_work_bound_before_reading_a_row():
+    # m = 2: 2 236 rows are 9 994 920 units of work, 2 237 are 10 003 864
+    rows = list(itertools.islice(all_lambda_permutations(2, 7), 2237))
+    assert 4 * 2236 * 2235 // 2 <= core._PROFILE_WORK < 4 * 2237 * 2236 // 2
+    fail = mock.Mock(side_effect=AssertionError("profiled"))
+    over = FrequencyPermutationArray(2, 7, rows, 0)
+    with mock.patch.object(core, "_pair_profile", fail):
+        with mock.patch.object(core, "_composed", fail):
+            assert pair_profile(over) is None
+    assert not fail.called
+    within = FrequencyPermutationArray(2, 7, rows[:-1], 0)
+    with mock.patch.object(core, "_pair_profile", return_value={(0, 0): -1}) as kernel:
+        assert pair_profile(within) == {(0, 0): -1}
+    kernel.assert_called_once()
 
 
 # ---------------------------------------------------------------------------

@@ -322,11 +322,13 @@ def test_census_witnesses_come_in_encoding_order_across_chunks(q, max_degree, mo
     assert list(census.witnesses) == expected
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 25, 27, 81, 211])
 def test_sweep_translates_match_whole_field_evaluation(q, monkeypatch):
-    # degree 3 is within the work limit at each q; two upper parts per
-    # block, so a block's translates span several hits
-    field, max_degree = field_of_order(q), 3
+    # the highest degree up to 3 the work limit admits: 3 up to q = 25, 2 at
+    # 27, 1 at 81 and at 211, the largest prime it admits; two upper parts
+    # per block, so a block's translates span several hits
+    field = field_of_order(q)
+    max_degree = max(d for d in (1, 2, 3) if (q ** (d + 1) - q) * q <= gf._CENSUS_WORK)
     monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * q * q)
     counts = dict.fromkeys(range(1, max_degree + 1), 0)
     for d, coeffs, images in gf._permutation_polynomials(field, max_degree):
