@@ -234,6 +234,8 @@ def _cmd_construct_mds(args) -> int:
 
 
 def _cmd_construct_hadamard(args) -> int:
+    if args.one_based and not args.to_fpa:
+        raise ValueError("--one-based is a display flag for arrays; it needs --to-fpa")
     matrix = hadamard_matrix(args.order)
     if args.to_fpa:
         return _finish_array(fpa_from_hadamard(matrix), args)

@@ -191,7 +191,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     header = {"n": array.n, "lambda": array.lam, "m": array.m,
               "d": array.min_distance_claim, "size": array.size}
     mat = _symbol_matrix(array) if array.size * array.n >= _BULK_CELLS else None
-    if mat is None:  # few cells, a row of the wrong length or a symbol out of range
+    if mat is None:  # few cells or a symbol out of range
         body = [" ".join([str(s + offset) for s in row]) for row in array.rows]
         return _write("", header, body)
     return _write("", header, []) + _lines(mat, [str(s + offset) for s in range(array.m)])
@@ -243,7 +243,7 @@ def parse_fpa(text: str) -> FrequencyPermutationArray:
     if unreadable is not None:
         raise unreadable
     # every symbol is in 0..m-1, so mat is the rows as they were read
-    return FrequencyPermutationArray(m, lam, mat.reshape(header["size"], n), header["d"])
+    return FrequencyPermutationArray(m, lam, mat, header["d"])
 
 
 # ---------------------------------------------------------------------------

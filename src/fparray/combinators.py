@@ -2,13 +2,16 @@
 
 Substitution operators work on occurrence indices: the j-th appearance of
 a symbol (left to right) is what gets remapped, so distances never drop
-below the source array's and usually grow.  All three (`refine`,
-`expand_to_pa`, which is exactly refine(a, 1), and `compose_columns`)
-read one occurrence rank and refuse, with a ValueError naming the row,
-any row that is not a lam-permutation.  Quotient and product operators
-re-verify what they claim instead of trusting the algebra.  Both products
-build their rows with one kernel and refuse, before reading any row, an
-output over one cell limit.
+below the source array's and usually grow.  Every array's rows already
+have length n, so its label matrix is always size x n.  All three
+substitutions (`refine`, `expand_to_pa`, which is exactly refine(a, 1),
+and `compose_columns`) read one occurrence rank and refuse, with a
+ValueError naming the row, any row that is not a lam-permutation; the
+direct product likewise refuses an input holding a symbol outside
+0..m-1.  Quotient and product operators re-verify what they claim
+instead of trusting the algebra.  Both products build their rows with
+one kernel and refuse, before reading any row, an output over one cell
+limit.
 """
 
 from __future__ import annotations
@@ -50,17 +53,11 @@ def _occurrence_rank(
     """rank[r, p] = s*lam + j where row r of a (of its first depth rows)
     holds occurrence j (left to right) of symbol s at position p.
 
-    Raises ValueError naming (after the prefix `where`) the first row of the
-    wrong length or the first that is not a lam-permutation over 0..m-1.
+    Raises ValueError naming (after the prefix `where`) the first row that
+    is not a lam-permutation over 0..m-1; rows past depth go unread.
     """
     m, lam, n = a.m, a.lam, a.n
-    rows = a.rows[:depth]
-    for idx, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"{where}row {idx} has length {len(row)}, expected {n}")
-    # rows past depth go unread, and may not even share a length
-    mat = a._labels if len(rows) == a.size else core._label_matrix(rows, m)
-    mat = mat.reshape(len(rows), n)
+    mat = a._labels[:depth]
     composed = core._composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())
@@ -208,17 +205,16 @@ def direct_product(
 ) -> FrequencyPermutationArray:
     """All concatenations over disjoint symbol sets, at the weaker distance.
 
-    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
+    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells, and
+    ValueError for an input holding a symbol outside 0..m-1.
     """
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
     _check_cells(f"direct product of {a.size} x {b.size}", a.size * b.size, a.n + b.n)
     x, y = core._symbol_matrix(a), core._symbol_matrix(b)
-    if x is None or y is None:  # a row of the wrong length or out of range
-        shifted = [tuple(s + a.m for s in rb) for rb in b.rows]
-        rows = [ra + rb for ra in a.rows for rb in shifted]
-    else:
-        rows = _concatenations([x, y], (0, a.m), a.m + b.m)
+    if x is None or y is None:
+        raise ValueError("direct product needs every symbol of each input in 0..m-1")
+    rows = _concatenations([x, y], (0, a.m), a.m + b.m)
     return FrequencyPermutationArray(
         a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )
@@ -270,8 +266,7 @@ class SeparableArray:
 
     def _class_labels(self) -> list[np.ndarray]:
         """Each class's rows as a view of the array's label matrix, size x n."""
-        mat = self.array._labels.reshape(-1, self.array.n)  # an empty array's is flat
-        return np.split(mat, list(itertools.accumulate(self.sizes))[:-1])
+        return np.split(self.array._labels, list(itertools.accumulate(self.sizes))[:-1])
 
     @classmethod
     def from_fpa(

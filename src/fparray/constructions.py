@@ -5,7 +5,8 @@ designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
 distance each classical argument guarantees.  Squares, orthogonal arrays
 and each class of a resolvable design take their cells as tuples or as
-one integer numpy matrix and read them once through `core._symbols`.
+one integer numpy matrix and read them once through `core._symbols`,
+which gives the rows x width matrix or refuses a row of another width.
 Squares and orthogonal arrays keep its read-only matrix as `_labels`
 beside their tuple fields, and a design builds its block index from each
 class's matrix; their checks, the producers that build them and the
@@ -15,10 +16,10 @@ fix are derived, not stored: a square's n is m * lam, an orthogonal
 array's r and a Hadamard matrix's n count rows, and strength is always 2.
 Additive-map images share `gf`'s permutation-polynomial sweep with the
 census, which evaluates each candidate with c_0 = 0 once (q^d - 1 rows)
-and gets its translates by one add per cell.  Orderings are
-pinned everywhere: field elements by their integer encoding, tuples
-odometer-style with the first coordinate most significant, grids
-row-major.
+and takes its translates in one gather from a q x q addition table.
+Orderings are pinned everywhere: field elements by their integer
+encoding, tuples odometer-style with the first coordinate most
+significant, grids row-major.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ class FrequencySquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells, grid = _symbols(self.cells, self.m)
+        n = self.n
+        cells, grid = _symbols(self.cells, self.m, n)
         object.__setattr__(self, "cells", cells)
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
-        n = self.n
-        if grid is None or grid.shape != (n, n):
+        if grid is None or len(grid) != n:
             raise ValueError("cells must form an n x n grid")
         object.__setattr__(self, "_labels", grid)
         # rows 0..n-1, then columns as rows n..2n-1
@@ -281,15 +282,14 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows, mat = _symbols(self.rows, self.s)
+        rows, mat = _symbols(self.rows, self.s, self.v)
         object.__setattr__(self, "rows", rows)
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
-        if any(len(row) != self.v for row in rows):
+        if mat is None:
             raise ValueError("rows must form an r x v grid")
-        mat = mat.reshape(len(rows), self.v)  # an array of no rows labels as a flat ()
         # symbols outside 0..s-1 have labels from s up
         if mat.max(initial=0) >= self.s:
             raise ValueError("symbol outside 0..s-1")
@@ -338,7 +338,7 @@ class ResolvableDesign:
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
-        read = [_symbols(cls, self.v) for cls in self.classes]
+        read = [_symbols(cls, self.v, self.k) for cls in self.classes]
         object.__setattr__(self, "classes", tuple(cls for cls, _ in read))
         if self.v < 1:
             raise ValueError(f"need v >= 1 points, got v={self.v}")
@@ -349,7 +349,7 @@ class ResolvableDesign:
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
             # points outside 0..v-1 have labels from v up
-            if points is None or points.shape[1] != self.k or points.max() >= self.v:
+            if points is None or points.max() >= self.v:
                 raise ValueError(f"class {idx} has a malformed block")
             if not _composed(points.reshape(1, self.v), self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")

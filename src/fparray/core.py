@@ -7,11 +7,13 @@ central object.  Rows are tuples of Python ints: every caller-supplied
 symbol passes the one gate `_ints`, which refuses non-integers.  Every
 record that keeps a symbol matrix (arrays here, squares, orthogonal
 arrays and design classes in `constructions`) reads its rows once through
-`_symbols`, which returns the int tuples and a read-only label matrix.
-Rows given as one 2-D integer numpy array of symbols 0..m-1 are read with
-one `tolist()` and copied as that matrix, so a caller who writes to the
-numpy array later changes nothing the record holds.  Only the array
-carries (m, lambda), and n is always m * lambda.  Constructions
+`_symbols`, which returns the int tuples and their read-only rows x width
+label matrix.  Rows given as one 2-D integer numpy array of symbols
+0..m-1 are read with one `tolist()` and copied as that matrix, so a
+caller who writes to the numpy array later changes nothing the record
+holds.  Only the array carries (m, lambda), and n is always m * lambda:
+an array refuses m or lambda below 1 and any row whose length is not n,
+so its matrix is always size x n, also for no rows.  Constructions
 elsewhere in the package only ever *claim* parameters; `verify`
 re-derives all of them from the raw rows.
 """
@@ -73,11 +75,12 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
 class FrequencyPermutationArray:
     """Rows of lambda-permutations with a claimed pairwise minimum distance.
 
-    Rows are int tuples by construction (a non-integer symbol raises
-    ValueError); wrong lengths, out-of-range ints and duplicate rows are
-    still held, for `verify` to report.  `_labels`, the rows' matrix from
-    `_symbols` (None when rows differ in length), is kept beside the
-    fields, so it takes no part in ==, hash or repr.
+    Rows are int tuples by construction.  ValueError is raised for a
+    non-integer symbol, for m or lam below 1, and for the first row whose
+    length is not n; out-of-range ints and duplicate rows are still held,
+    for `verify` to report.  `_labels`, the rows' read-only size x n
+    matrix from `_symbols`, is kept beside the fields, so it takes no part
+    in ==, hash or repr.
     """
 
     m: int
@@ -86,7 +89,12 @@ class FrequencyPermutationArray:
     min_distance_claim: int
 
     def __post_init__(self) -> None:
-        rows, labels = _symbols(self.rows, self.m)
+        if self.m < 1 or self.lam < 1:
+            raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m} lam={self.lam}")
+        rows, labels = _symbols(self.rows, self.m, self.n)
+        if labels is None:
+            idx = next(i for i, row in enumerate(rows) if len(row) != self.n)
+            raise ValueError(f"row {idx} has length {len(rows[idx])}, expected {self.n}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_labels", labels)
 
@@ -172,7 +180,7 @@ def all_lambda_permutations(m: int, lam: int) -> Iterator[tuple[int, ...]]:
 
 def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     """m rows at full distance n: row k is the blocks k, k+1, ... mod m."""
-    if m < 1 or lam < 1:
+    if m < 1 or lam < 1:  # before m empty rows are built for lam < 1
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
     rows = [[(k + j) % m for j in range(m) for _ in range(lam)] for k in range(m)]
     return FrequencyPermutationArray(m, lam, rows, m * lam)
@@ -292,14 +300,14 @@ def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
 
 
 def _symbols(
-    given: Iterable[Iterable[int]], m: int
+    given: Iterable[Iterable[int]], m: int, width: int
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
-    """(rows, labels): `_ints(given)` and its read-only label matrix.
+    """(rows, labels): `_ints(given)` and its read-only rows x width label
+    matrix, or labels None when a row's length is not width.
 
     A nonempty 2-D integer numpy array of symbols 0..m-1 is its own label
     matrix: labels are a copy of it in `_label_dtype(m)`, so a caller's
-    later writes change nothing.  Other rows get their `_label_matrix`, or
-    None when they differ in length.
+    later writes change nothing.  Other rows get their `_label_matrix`.
     """
     rows = _ints(given)
     if (
@@ -307,20 +315,20 @@ def _symbols(
         and given.size and given.min() >= 0 and given.max() < m
     ):
         labels = given.astype(_label_dtype(m))
-    elif len(set(map(len, rows))) > 1:
+    elif set(map(len, rows)) - {width}:
         return rows, None
     else:
-        labels = _label_matrix(rows, m)
+        labels = _label_matrix(rows, m).reshape(len(rows), width)
+    if labels.shape[1] != width:  # a numpy matrix of another width
+        return rows, None
     labels.flags.writeable = False
     return rows, labels
 
 
 def _symbol_matrix(array: FrequencyPermutationArray) -> np.ndarray | None:
-    """The array's label matrix, size x n, when it holds the symbols
-    themselves: every row of length n, every symbol in 0..m-1.  Else None."""
+    """The array's label matrix when it holds the symbols themselves, every
+    one in 0..m-1.  Else None."""
     mat = array._labels
-    if array.m < 1 or array.lam < 1 or mat is None or mat.shape != (array.size, array.n):
-        return None
     return mat if mat.max(initial=0) < array.m else None
 
 
@@ -329,9 +337,9 @@ def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
 
     A row qualifies iff, sorted, it equals the sorted base word 0^lam 1^lam ...
     Rows are sorted in blocks of about _BLOCK_CELLS symbols, so the sorted
-    copy stays small next to the matrix.
+    copy stays small next to the matrix.  m and lam must be at least 1.
     """
-    if m < 1 or lam < 1 or mat.shape[1:] != (m * lam,):
+    if mat.shape[1:] != (m * lam,):
         return np.zeros(len(mat), dtype=bool)
     base = np.repeat(np.arange(m), lam)
     ok = np.empty(len(mat), dtype=bool)
@@ -345,8 +353,6 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    if array._labels is None:
-        raise ValueError("min_distance needs rows of one length")
     return _distance_scan(array._labels)[0]
 
 
@@ -431,35 +437,27 @@ def pair_profile(array: FrequencyPermutationArray) -> dict[tuple[int, int], int]
 def verify(array: FrequencyPermutationArray) -> VerificationReport:
     """Re-derive composition, distinctness, and distances from the raw rows.
 
-    Never raises on bad input; problems come back as `reasons` with
+    Never raises: the array already holds rows of length n for m, lam >= 1,
+    and every other problem (a row that is not a lam-uniform word, a
+    repeated row, a distance below the claim) comes back as `reasons` with
     valid=False.  For arrays with fewer than two rows the distance claim is
     vacuous: actual_min_distance reports n and equidistant is True.  When
     rows repeat, no pair is scanned: the minimum distance is 0, and the
     array is equidistant only if all its rows are one row.  The symbol-pair
     profile, a second pass over the row pairs, is left to `pair_profile`.
     """
-    reasons: list[str] = []
-    if array.m < 1 or array.lam < 1:
-        reasons.append(f"parameters out of range: m={array.m}, lam={array.lam}")
-    rows, n, mat = array.rows, array.n, array._labels
-    shapes_ok = mat is not None and mat.shape[1:] == (n,)
-    if not shapes_ok:  # the rows of length n, for the composition check
-        mat = _label_matrix([row for row in rows if len(row) == n], array.m)
-    composed = iter(_composed(mat, array.m, array.lam).tolist())
-    for idx, row in enumerate(rows):
-        if len(row) != n:
-            reasons.append(f"row {idx} has length {len(row)}")
-        elif not next(composed):
-            reasons.append(
-                f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
-            )
+    rows, mat = array.rows, array._labels
+    reasons = [
+        f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
+        for idx in np.flatnonzero(~_composed(mat, array.m, array.lam)).tolist()
+    ]
     distinct = len(set(rows))
     if distinct != len(rows):
         reasons.append("rows are not pairwise distinct")
 
     actual = array.n
     equidistant = True
-    if array.size >= 2 and shapes_ok:
+    if array.size >= 2:
         if distinct < array.size:  # a repeated row is at distance 0 from its copy
             actual, equidistant = 0, distinct == 1
         else:

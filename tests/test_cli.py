@@ -313,6 +313,19 @@ def test_hadamard_modes(tmp_path, capsys):
     assert main(["construct", "hadamard", "--order", "6"]) == 2
 
 
+def test_hadamard_one_based_needs_the_array(tmp_path, capsys):
+    # the flag shifts array symbols; a matrix file or listing has none
+    out = tmp_path / "h.txt"
+    for tail in ([], ["-o", str(out)]):
+        assert main(["construct", "hadamard", "--order", "4", "--one-based", *tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --one-based is a display flag for arrays; it needs --to-fpa\n"
+    assert not out.exists()
+    assert main(["construct", "hadamard", "--order", "4", "--to-fpa", "--one-based"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "1 2 1 2"
+
+
 def test_mofs_pipeline(tmp_path, capsys):
     sq = tmp_path / "sq.txt"
     f = tmp_path / "f.fpa"
@@ -798,6 +811,67 @@ def test_argv_fuzz_exits_with_a_contract_code(head, tail):
                     assert verify(parse_fpa(text)).valid, path.name
 
 
+# one small valid file per ingredient route: (argv, with F for the file, text)
+_INGREDIENT_SEEDS = [
+    ("construct fpa-from-mofs --squares F", write_squares(mols_from_field(3))),
+    ("construct fpa-from-mofs --squares F", write_squares(mofs_complete(2, 2))),
+    ("construct oa --squares F", write_squares(mols_from_field(3))),
+    ("construct oa --oa F", write_oa(oa_from_mols(mols_from_field(3)))),
+    ("construct ard --design F", write_design(affine_classes_from_mols(mols_from_field(3)))),
+    ("construct mds --q 3 --gen F", "# generator rows\n\n1 0 1 2\n0 1 1 1\n"),
+]
+_FILE_TOKENS = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.sampled_from(["", "x", "#", "1.5", "+1", "01", "1_0", "٣", str(2**70)]),
+)
+# (kind, line, word, token): replace one word (a key=value word keeps its
+# key), drop or repeat a line, or insert the token as a line of its own
+_FILE_EDITS = st.tuples(
+    st.sampled_from(["word", "drop", "repeat", "insert"]),
+    st.integers(0, 40),
+    st.integers(0, 20),
+    _FILE_TOKENS,
+)
+
+
+def _edit_file(text, edits):
+    lines = text.split("\n")
+    for kind, i, j, token in edits:
+        i %= len(lines)
+        if kind == "word":
+            words = lines[i].split(" ")
+            key = words[j % len(words)].partition("=")
+            words[j % len(words)] = key[0] + "=" + token if key[1] else token
+            lines[i] = " ".join(words)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "insert":
+            lines.insert(i, token)
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.sampled_from(_INGREDIENT_SEEDS), edits=st.lists(_FILE_EDITS, max_size=4))
+def test_ingredient_file_fuzz_exits_with_a_contract_code(seed, edits):
+    # an edited squares, OA, design or generator file exits 0-3 with
+    # one-line errors, and what an exit 0 writes reads back as a valid array
+    argv, text = seed
+    with tempfile.TemporaryDirectory() as work:
+        source, out = Path(work, "in.txt"), Path(work, "out.fpa")
+        source.write_text(_edit_file(text, edits))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv.replace("F", str(source)).split() + ["-o", str(out)])
+        assert code in (0, 1, 2, 3)
+        prefixes = ("error: ", "internal error: ", "verification failed: ")
+        assert all(line.startswith(prefixes) for line in err.getvalue().splitlines())
+        assert (code == 0) == out.exists()
+        if code == 0:
+            assert verify(parse_fpa(out.read_text())).valid
+
+
 # ---------------------------------------------------------------------------
 # on-disk format round trips (library level)
 
@@ -859,14 +933,20 @@ def test_fpa_writer_matches_the_row_by_row_writer(data):
         assert parsed == array
         assert write_fpa(parsed) == text
         assert write_fpa(parsed, offset) == _fpa_text_before_bulk_writer(parsed, offset)
-        # rows the parser refuses: out of range, or of another length
+        # rows the parser refuses: out of range, which the array holds
         loose = data.draw(
-            st.lists(st.lists(st.integers(-3, m + 2), min_size=len(base) - 1,
-                              max_size=len(base) + 1), max_size=4),
+            st.lists(st.lists(st.integers(-3, m + 2), min_size=len(base),
+                              max_size=len(base)), max_size=4),
             label="loose",
         )
         odd = FrequencyPermutationArray(m, lam, loose, 1)
         assert write_fpa(odd, offset) == _fpa_text_before_bulk_writer(odd, offset)
+        # or of another length, which the array refuses
+        width = data.draw(st.sampled_from([len(base) - 1, len(base) + 1]), label="width")
+        with pytest.raises(
+            ValueError, match=f"^row {len(loose)} has length {width}, expected {len(base)}$"
+        ):
+            FrequencyPermutationArray(m, lam, loose + [[0] * width], 1)
 
 
 def test_fpa_parser_reads_each_token_as_int_does():

@@ -204,6 +204,10 @@ def _bad_substitutions(bad):
     "bad", [(0, -1, 1, 0), (0, 2, 1, 1), (0, 0, 0, 1), (0, 1, 1), (0, 2**70, 1, 1)]
 )
 def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
+    if len(bad) != 4:  # refused as the array is built, before any substitution
+        with pytest.raises(ValueError, match=f"^row 1 has length {len(bad)}, expected 4$"):
+            FrequencyPermutationArray(2, 2, [(0, 1, 1, 0), bad], 2)
+        return
     # a negative symbol once wrapped to the last occurrence count and a
     # symbol >= m raised IndexError
     for name, substitute in _bad_substitutions(bad).items():
@@ -315,11 +319,16 @@ def test_direct_product_matches_a_per_row_loop():
     a = canonical_max_distance_fpa(3, 2)
     b = fpa_from_hadamard(hadamard_matrix(4))
     assert direct_product(a, b).rows == _product_per_row(a, b)
-    # rows outside 0..m-1 or of another length are concatenated as they are
-    odd = FrequencyPermutationArray(2, 1, [(0, 5), (1, -1), (1,)], 1)
+    # in-range rows that are not lam-permutations are concatenated as they are
+    flat = FrequencyPermutationArray(2, 1, [(0, 0), (1, 1), (0, 1)], 1)
     pairs = FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], 1)
-    for x, y in ((odd, pairs), (pairs, odd), (odd, odd)):
+    for x, y in ((flat, pairs), (pairs, flat), (flat, flat)):
         assert direct_product(x, y).rows == _product_per_row(x, y)
+    # a symbol outside 0..m-1 in either input is refused
+    odd = FrequencyPermutationArray(2, 1, [(0, 5), (1, -1)], 1)
+    for x, y in ((odd, pairs), (pairs, odd), (odd, odd), (odd, flat)):
+        with pytest.raises(ValueError, match="^direct product needs every symbol"):
+            direct_product(x, y)
 
 
 def test_direct_product_cell_limit_boundary():
@@ -353,7 +362,7 @@ def test_combinator_output_matrices_are_their_label_matrices(data):
     outs = [refine(a, l) for l in (1, lam)]
     outs += [compose_columns([a, a], coarse), direct_product(a, b)]
     for out in outs:
-        want = core._label_matrix(out.rows, out.m)
+        want = core._label_matrix(out.rows, out.m).reshape(out.size, out.n)
         assert out._labels.dtype == want.dtype
         assert np.array_equal(out._labels, want)
         same = FrequencyPermutationArray(out.m, out.lam, out.rows, out.min_distance_claim)
@@ -375,12 +384,10 @@ def test_separable_split_of_an_equidistant_array():
 
 
 def test_separable_split_refuses_rows_shorter_than_n():
-    # n = 300 needs uint16 counts, but distances are counted over the
-    # 4-symbol rows as given; the split must still refuse them
-    short = FrequencyPermutationArray(300, 1, ((0, 1, 2, 3), (1, 0, 3, 2)), 1)
-    for k in (1, 2):
-        with pytest.raises(ValueError):
-            SeparableArray.from_fpa(short, k)
+    # n = 300 needs uint16 counts, but the rows hold 4 symbols; the array
+    # refuses them before any split could count distances over them
+    with pytest.raises(ValueError, match="^row 0 has length 4, expected 300$"):
+        FrequencyPermutationArray(300, 1, ((0, 1, 2, 3), (1, 0, 3, 2)), 1)
 
 
 def test_class_product_reproduces_the_48_row_listing():
@@ -433,7 +440,7 @@ def test_sep_product_matches_the_product_loop(data):
     assert out.rows == _class_product_loop(inputs)
     assert (out.m, out.lam) == (m, lam * len(inputs))
     assert out.min_distance_claim == min(s.delta for s in inputs)
-    want = core._label_matrix(out.rows, m)
+    want = core._label_matrix(out.rows, m).reshape(out.size, out.n)
     assert out._labels.dtype == want.dtype and np.array_equal(out._labels, want)
 
 

@@ -146,6 +146,7 @@ def _same_array(from_matrix, from_tuples):
     assert repr(from_matrix) == repr(from_tuples)
     assert verify(from_matrix) == verify(from_tuples)
     want = core._label_matrix(from_tuples.rows, from_tuples.m)
+    want = want.reshape(from_tuples.size, from_tuples.n)  # no rows label as a flat ()
     assert from_matrix._labels.dtype == want.dtype
     assert np.array_equal(from_matrix._labels, want)
 
@@ -158,7 +159,7 @@ def test_matrix_rows_match_tuple_rows(dtype):
     # the matrix is no field: == and replace see the four fields only
     fields = [f.name for f in dataclasses.fields(FrequencyPermutationArray)]
     assert fields == ["m", "lam", "rows", "min_distance_claim"]
-    assert dataclasses.replace(FrequencyPermutationArray(3, 2, mat, 2), m=4).m == 4
+    assert dataclasses.replace(FrequencyPermutationArray(3, 2, mat, 2), m=6, lam=1).m == 6
 
 
 @pytest.mark.parametrize(
@@ -170,13 +171,22 @@ def test_matrix_rows_match_tuple_rows(dtype):
         (np.uint64, [[0, 2**64 - 1, 1, 1], [2**63, 0, 1, 0]]),  # past int64
         (np.int64, np.zeros((0, 4))),  # no rows
         (np.int64, np.zeros((3, 0))),  # rows of no symbols
-        (np.int16, [[0, 1, 0], [1, 0, 1]]),  # rows shorter than n
+        (np.int16, [[0, 1, 0], [1, 0, 1]]),  # rows of odd width
     ],
 )
 def test_matrix_rows_out_of_range_match_tuple_rows(dtype, cells):
     mat = np.array(cells, dtype=dtype)
     rows = [tuple(int(s) for s in row) for row in mat]
-    _same_array(FrequencyPermutationArray(2, 2, mat, 1), FrequencyPermutationArray(2, 2, rows, 1))
+    width = mat.shape[1]
+    if not width:  # no (m, lam) has n = 0: both are refused alike
+        for given in (mat, rows):
+            with pytest.raises(ValueError, match="^row 0 has length 0, expected 4$"):
+                FrequencyPermutationArray(2, 2, given, 1)
+        return
+    m, lam = (2, width // 2) if width % 2 == 0 else (width, 1)
+    _same_array(
+        FrequencyPermutationArray(m, lam, mat, 1), FrequencyPermutationArray(m, lam, rows, 1)
+    )
 
 
 @pytest.mark.parametrize(
@@ -207,6 +217,38 @@ def test_matrix_rows_are_copied():
     with pytest.raises(ValueError):
         fpa._labels[0, 0] = 1  # read-only
     assert min_distance(fpa) == 4
+
+
+def test_every_record_matrix_is_rows_by_width():
+    # no rows give a (0, width) matrix, from a list or from a numpy matrix
+    records = [
+        (FrequencyPermutationArray(3, 2, [], 1), (0, 6)),
+        (FrequencyPermutationArray(3, 2, np.zeros((0, 6), dtype=np.int64), 1), (0, 6)),
+        (formats.parse_fpa("#fpa v1\nn=6 lambda=2 m=3 d=1 size=0\n"), (0, 6)),
+        (canonical_max_distance_fpa(3, 2), (3, 6)),
+        (FrequencyPermutationArray(2, 1, [[0, 5], [-1, 1]], 1), (2, 2)),
+        (FrequencySquare(2, 1, np.array([[0, 1], [1, 0]])), (2, 2)),
+        (OrthogonalArray(4, 2, []), (0, 4)),
+        (OrthogonalArray(4, 2, [[0, 0, 1, 1], [0, 1, 0, 1]]), (2, 4)),
+    ]
+    for record, shape in records:
+        assert record._labels.shape == shape
+        assert not record._labels.flags.writeable
+    design = ResolvableDesign(4, 2, [[[0, 1], [2, 3]], np.array([[0, 2], [1, 3]])])
+    assert design._block_index.shape == (2, 4)
+    assert ResolvableDesign(4, 2, [])._block_index.shape == (0, 4)
+    # a numpy matrix one column short or long is refused by each record
+    for width in (5, 7):
+        with pytest.raises(ValueError, match=f"^row 0 has length {width}, expected 6$"):
+            FrequencyPermutationArray(3, 2, np.zeros((2, width), dtype=np.int64), 1)
+    for width in (3, 5):
+        with pytest.raises(ValueError, match="^rows must form an r x v grid$"):
+            OrthogonalArray(4, 2, np.zeros((2, width), dtype=np.int64))
+        with pytest.raises(ValueError, match="^cells must form an n x n grid$"):
+            FrequencySquare(2, 2, np.zeros((4, width), dtype=np.int64))
+    for width in (1, 3):
+        with pytest.raises(ValueError, match="^class 0 has a malformed block$"):
+            ResolvableDesign(4, 2, [np.zeros((2, width), dtype=np.int64)])
 
 
 def test_integer_symbols_of_any_type_keep_their_value():
@@ -331,10 +373,9 @@ def test_min_distance_handles_huge_and_negative_symbols():
     fpa = FrequencyPermutationArray(2, 2, rows, 1)
     assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
     assert verify(fpa).actual_min_distance == 1
-    # symbols 0..m-1 beyond int64: rows far too short, still held and scanned
-    fpa = FrequencyPermutationArray(2**64, 1, [[2**63, 5], [2**62, 2**63]], 1)
-    assert verify(fpa).reasons == ("row 0 has length 2", "row 1 has length 2")
-    assert min_distance(fpa) == 2
+    # symbols 0..m-1 beyond int64: rows far too short, refused as the array is built
+    with pytest.raises(ValueError, match=f"^row 0 has length 2, expected {2**64}$"):
+        FrequencyPermutationArray(2**64, 1, [[2**63, 5], [2**62, 2**63]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +399,23 @@ def _rows_of_width(m, lam, width):
     return st.one_of(st.permutations([s for s in range(m) for _ in range(lam)]), loose)
 
 
+def array_of_width_n_rows(m, lam, rows):
+    """The array of the rows of length n = m * lam, once the array of all
+    the rows, if one has another length, is seen to refuse the first such."""
+    n = m * lam
+    wrong = [(idx, len(row)) for idx, row in enumerate(rows) if len(row) != n]
+    if wrong:
+        idx, length = wrong[0]
+        with pytest.raises(ValueError, match=f"^row {idx} has length {length}, expected {n}$"):
+            FrequencyPermutationArray(m, lam, rows, 0)
+    return FrequencyPermutationArray(m, lam, [row for row in rows if len(row) == n], 0)
+
+
 def per_row_reasons(fpa):
     """verify's row reasons as a loop over is_lambda_permutation gives them."""
     reasons = []
     for idx, row in enumerate(fpa.rows):
-        if len(row) != fpa.n:
-            reasons.append(f"row {idx} has length {len(row)}")
-        elif not is_lambda_permutation(row, fpa.m, fpa.lam):
+        if not is_lambda_permutation(row, fpa.m, fpa.lam):
             reasons.append(f"row {idx} is not a {fpa.lam}-uniform word over {fpa.m} symbols")
     if len(set(fpa.rows)) != len(fpa.rows):
         reasons.append("rows are not pairwise distinct")
@@ -401,7 +452,7 @@ def test_composition_check_matches_the_per_row_predicate(data):
         st.lists(st.sampled_from(widths).flatmap(lambda w: _rows_of_width(m, lam, w)), max_size=6),
         label="ragged",
     )
-    fpa = FrequencyPermutationArray(m, lam, ragged, 0)
+    fpa = array_of_width_n_rows(m, lam, ragged)
     assert verify(fpa).reasons == per_row_reasons(fpa)
 
     junk = data.draw(st.lists(st.integers(0, 4), min_size=len(ragged), max_size=len(ragged)))
@@ -416,7 +467,7 @@ def test_composition_check_matches_the_per_row_predicate(data):
         assert str(exc) == expected
     else:
         assert expected is None
-        assert parsed.rows == fpa.rows
+        assert parsed.rows == tuple(map(tuple, ragged))
 
 
 def _parse_outcome(text):
@@ -564,10 +615,12 @@ def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
 
 
 def test_verify_rejects_inconsistent_parameters():
-    fpa = FrequencyPermutationArray(2, 2, [(0, 1, 0, 1), (0, 1, 0, 1, 1)], 1)
-    report = verify(fpa)
-    assert not report.valid
-    assert "row 1 has length 5" in report.reasons
+    # the array refuses what verify once reported
+    with pytest.raises(ValueError, match="^row 1 has length 5, expected 4$"):
+        FrequencyPermutationArray(2, 2, [(0, 1, 0, 1), (0, 1, 0, 1, 1)], 1)
+    for m, lam in ((0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError, match=f"^need m >= 1 and lam >= 1, got m={m} lam={lam}$"):
+            FrequencyPermutationArray(m, lam, [], 0)
 
 
 def test_verify_single_row_is_vacuous():
@@ -584,27 +637,31 @@ def test_min_distance_requires_two_rows():
         min_distance(fpa)
 
 
-def test_rows_of_unequal_lengths_are_held_and_reported():
+def test_a_short_row_is_refused_and_an_out_of_range_row_is_held():
+    rows = [(0, 1, 1, 0), (1, 0, 0, 1)] * 32
+    with pytest.raises(ValueError, match="^row 64 has length 3, expected 4$"):
+        FrequencyPermutationArray(2, 2, rows + [(0, 1, 1)], 2)
     # enough cells that `write_fpa` asks for the symbol matrix before its row path
-    rows = [(0, 1, 1, 0), (1, 0, 0, 1)] * 32 + [(0, 1, 1)]
+    rows.append((0, 1, 1, 2))
     fpa = FrequencyPermutationArray(2, 2, rows, 2)
     assert fpa.rows == tuple(rows)
     report = verify(fpa)
     assert not report.valid
-    assert "row 64 has length 3" in report.reasons
-    assert "rows are not pairwise distinct" in report.reasons
-    with pytest.raises(ValueError):
-        min_distance(fpa)
-    with pytest.raises(ValueError):
+    assert report.reasons == (
+        "row 64 is not a 2-uniform word over 2 symbols",
+        "rows are not pairwise distinct",
+        "minimum distance 0 below claim 2",
+    )
+    assert min_distance(fpa) == 0
+    with pytest.raises(ValueError, match="^class union fails"):
         SeparableArray.from_fpa(fpa, 1)
     with mock.patch.object(formats, "_lines", side_effect=AssertionError("bulk writer")):
         text = formats.write_fpa(fpa, offset=1)
     body = [" ".join(str(s + 1) for s in row) for row in rows]
     assert text.splitlines()[2:] == body
     other = FrequencyPermutationArray(1, 2, [(0, 0)], 4)
-    product = direct_product(fpa, other)
-    assert product.rows == tuple(row + (2, 2) for row in rows)
-    assert product.m == 3 and product.min_distance_claim == 2
+    with pytest.raises(ValueError, match="symbol of each input in 0..m-1"):
+        direct_product(fpa, other)
 
 
 # hypothesis: the verifier's distance agrees with a brute-force rescan
@@ -814,7 +871,7 @@ def test_pair_profile_matches_a_counter_per_row_pair(data):
         rows.append(data.draw(st.sampled_from(rows), label="repeated row"))
     order = data.draw(st.permutations(range(len(pool[0]))), label="columns")
     rows = [tuple(r[j] for j in order) if len(r) == len(order) else r for r in rows]
-    fpa = FrequencyPermutationArray(m, lam, rows, 0)
+    fpa = array_of_width_n_rows(m, lam, rows)
     assert pair_profile(fpa) == _profile_oracle(fpa.rows, m, lam)
 
 
