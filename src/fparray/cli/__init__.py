@@ -181,11 +181,15 @@ def _cmd_construct_fpa_from_mofs(args) -> int:
 
 
 def _cmd_construct_linearized(args) -> int:
+    if args.h is not None and args.kind != "trace":
+        raise ValueError("--h is a trace step; it needs --kind trace")
+    if args.subfield_n is not None and args.kind != "subfield":
+        raise ValueError("--subfield-n is a subfield degree; it needs --kind subfield")
     # GF(q^i) as GF(p^(a*i)), so a huge i meets the guardrail before q^i is computed
     base = field_of_order(args.q)
     field = make_field(base.p, base.k * args.i)
     if args.kind == "trace":
-        poly = linearized_trace(field, args.q, args.h)
+        poly = linearized_trace(field, args.q, 1 if args.h is None else args.h)
     elif args.kind == "subfield":
         if args.subfield_n is None:
             raise ValueError("--kind subfield requires --subfield-n")
@@ -223,6 +227,8 @@ def _cmd_construct_ard(args) -> int:
 
 def _cmd_construct_mds(args) -> int:
     if _one_source(args, "gen", "k") == "gen":
+        if args.n is not None:
+            raise ValueError("--n is a Reed-Solomon length; it needs --k")
         field = field_of_order(args.q)
         generator = parse_generator(Path(args.gen).read_text())
         if not generator:
@@ -445,7 +451,7 @@ def _add_linearized(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True, help="base field order (prime power)")
     p.add_argument("--i", type=int, required=True, help="extension degree over the base")
     p.add_argument("--kind", choices=("trace", "subfield", "monomial"), default="trace")
-    p.add_argument("--h", type=int, default=1, help="trace step (kind=trace)")
+    p.add_argument("--h", type=int, default=None, help="trace step (kind=trace; default 1)")
     p.add_argument("--subfield-n", type=int, default=None, help="subfield degree (kind=subfield)")
     p.add_argument("--d", type=int, required=True, help="distance parameter")
     _add_out(p)

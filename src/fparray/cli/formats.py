@@ -6,7 +6,9 @@ are read as `int` reads them.  An ASCII body of n integers a line that
 fit the label type is read in bulk by `numpy.loadtxt`; any other body,
 and any with a non-ASCII character (loadtxt reads some letters as
 digits), is read row by row.  The files accepted and the errors raised
-are the same either way.
+are the same either way: the first row that is not a frequency-lambda
+word over 0..m-1, a row with a symbol outside that range included, is
+refused ahead of any later row that cannot be read.
 
 Ingredient files: line 1 `#ing v1 <fsq|oa|ard|had>`; a kind-specific
 key=value header line; then the grid body.  Blank lines separate grids
@@ -35,7 +37,6 @@ from ..core import (
     _composed,
     _label_dtype,
     _label_matrix,
-    _symbol_matrix,
 )
 from ..constructions import (
     FrequencySquare,
@@ -190,11 +191,11 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     """Canonical text for an array; offset shifts printed symbols only."""
     header = {"n": array.n, "lambda": array.lam, "m": array.m,
               "d": array.min_distance_claim, "size": array.size}
-    mat = _symbol_matrix(array) if array.size * array.n >= _BULK_CELLS else None
-    if mat is None:  # few cells or a symbol out of range
+    if array.size * array.n < _BULK_CELLS:
         body = [" ".join([str(s + offset) for s in row]) for row in array.rows]
         return _write("", header, body)
-    return _write("", header, []) + _lines(mat, [str(s + offset) for s in range(array.m)])
+    labels = [str(s + offset) for s in range(array.m)]
+    return _write("", header, []) + _lines(array._labels, labels)
 
 
 def _bulk_matrix(lines: Sequence[str], n: int, m: int) -> np.ndarray | None:
@@ -232,8 +233,11 @@ def parse_fpa(text: str) -> FrequencyPermutationArray:
             except FormatError as exc:
                 unreadable = exc
                 break
-        # A badly composed row ahead of the first unreadable one is reported first.
+        # A badly composed row ahead of the first unreadable one is reported
+        # first; a symbol outside 0..m-1 reads as -1, which no composed row holds.
         mat = _label_matrix(rows, m)
+        if mat is None:
+            mat = np.array([[s if 0 <= s < m else -1 for s in row] for row in rows])
         del rows
     del body  # free the lines and any tuples before the array builds its rows
     composed = _composed(mat, m, lam)

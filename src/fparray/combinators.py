@@ -3,15 +3,14 @@
 Substitution operators work on occurrence indices: the j-th appearance of
 a symbol (left to right) is what gets remapped, so distances never drop
 below the source array's and usually grow.  Every array's rows already
-have length n, so its label matrix is always size x n.  All three
-substitutions (`refine`, `expand_to_pa`, which is exactly refine(a, 1),
-and `compose_columns`) read one occurrence rank and refuse, with a
-ValueError naming the row, any row that is not a lam-permutation; the
-direct product likewise refuses an input holding a symbol outside
-0..m-1.  Quotient and product operators re-verify what they claim
-instead of trusting the algebra.  Both products build their rows with
-one kernel and refuse, before reading any row, an output over one cell
-limit.
+have length n and hold symbols 0..m-1, so its label matrix is always the
+size x n matrix of its symbols.  All three substitutions (`refine`,
+`expand_to_pa`, which is exactly refine(a, 1), and `compose_columns`)
+read one occurrence rank and refuse, with a ValueError naming the row,
+any row that is not a lam-permutation.  Quotient and product operators
+re-verify what they claim instead of trusting the algebra.  Both
+products build their rows with one kernel and refuse, before reading any
+row, an output over one cell limit.
 """
 
 from __future__ import annotations
@@ -205,16 +204,12 @@ def direct_product(
 ) -> FrequencyPermutationArray:
     """All concatenations over disjoint symbol sets, at the weaker distance.
 
-    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells, and
-    ValueError for an input holding a symbol outside 0..m-1.
+    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
     """
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
     _check_cells(f"direct product of {a.size} x {b.size}", a.size * b.size, a.n + b.n)
-    x, y = core._symbol_matrix(a), core._symbol_matrix(b)
-    if x is None or y is None:
-        raise ValueError("direct product needs every symbol of each input in 0..m-1")
-    rows = _concatenations([x, y], (0, a.m), a.m + b.m)
+    rows = _concatenations([a._labels, b._labels], (0, a.m), a.m + b.m)
     return FrequencyPermutationArray(
         a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )

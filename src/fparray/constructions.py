@@ -6,10 +6,12 @@ construction time; the fpa_from_* converters then only have to claim the
 distance each classical argument guarantees.  Squares, orthogonal arrays
 and each class of a resolvable design take their cells as tuples or as
 one integer numpy matrix and read them once through `core._symbols`,
-which gives the rows x width matrix or refuses a row of another width.
-Squares and orthogonal arrays keep its read-only matrix as `_labels`
-beside their tuple fields, and a design builds its block index from each
-class's matrix; their checks, the producers that build them and the
+after their parameters are checked; it gives the rows x width matrix of
+symbols, or none for a row of another width or a symbol outside the
+ingredient's range (0..m-1, 0..s-1, 0..v-1), which the ingredient then
+refuses.  Squares and orthogonal arrays keep its read-only matrix as
+`_labels` beside their tuple fields, and a design builds its block index
+from each class's matrix; their checks, the producers that build them and the
 converters that read them all work on those matrices, and strength 2 is
 checked by `core._unbalanced_pair`'s sort of pair codes.  Sizes the rows
 fix are derived, not stored: a square's n is m * lam, an orthogonal
@@ -42,6 +44,7 @@ from .core import (
     _pair_counts,
     _symbols,
     _unbalanced_pair,
+    is_lambda_permutation,
 )
 from .gf import (
     FiniteField,
@@ -72,13 +75,16 @@ class FrequencySquare:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.m < 1 or self.lam < 1:
+            raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
         n = self.n
         cells, grid = _symbols(self.cells, self.m, n)
         object.__setattr__(self, "cells", cells)
-        if self.m < 1 or self.lam < 1:
-            raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
-        if grid is None or len(grid) != n:
+        if len(cells) != n or grid is None and any(len(row) != n for row in cells):
             raise ValueError("cells must form an n x n grid")
+        if grid is None:  # a symbol out of range: some row is not uniform, and rows come first
+            idx = [is_lambda_permutation(r, self.m, self.lam) for r in cells].index(False)
+            raise ValueError(f"row {idx} is not {self.lam}-uniform")
         object.__setattr__(self, "_labels", grid)
         # rows 0..n-1, then columns as rows n..2n-1
         bad = np.flatnonzero(~_composed(np.concatenate([grid, grid.T]), self.m, self.lam))
@@ -94,7 +100,7 @@ class FrequencySquare:
     def from_cells(cls, cells: Sequence[Sequence[int]]) -> "FrequencySquare":
         grid = _ints(cells)
         n = len(grid)
-        m = max(max(row) for row in grid) + 1 if n else 0
+        m = max(itertools.chain.from_iterable(grid), default=-1) + 1
         if m < 1 or n % m:
             raise ValueError("cell values do not determine a symbol count dividing n")
         return cls(m, n // m, grid)
@@ -282,17 +288,15 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows, mat = _symbols(self.rows, self.s, self.v)
-        object.__setattr__(self, "rows", rows)
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
+        rows, mat = _symbols(self.rows, self.s, self.v)
+        object.__setattr__(self, "rows", rows)
         if mat is None:
-            raise ValueError("rows must form an r x v grid")
-        # symbols outside 0..s-1 have labels from s up
-        if mat.max(initial=0) >= self.s:
-            raise ValueError("symbol outside 0..s-1")
+            grid = all(len(row) == self.v for row in rows)
+            raise ValueError("symbol outside 0..s-1" if grid else "rows must form an r x v grid")
         object.__setattr__(self, "_labels", mat)
         pair = _unbalanced_pair(mat, self.s, self.v // self.s**2)
         if pair:
@@ -338,18 +342,17 @@ class ResolvableDesign:
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
-        read = [_symbols(cls, self.v, self.k) for cls in self.classes]
-        object.__setattr__(self, "classes", tuple(cls for cls, _ in read))
         if self.v < 1:
             raise ValueError(f"need v >= 1 points, got v={self.v}")
         if self.k < 1 or self.v % self.k:
             raise ValueError(f"block size {self.k} must divide {self.v}")
+        read = [_symbols(cls, self.v, self.k) for cls in self.classes]
+        object.__setattr__(self, "classes", tuple(cls for cls, _ in read))
         per_class = self.v // self.k
         for idx, (cls, points) in enumerate(read):
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
-            # points outside 0..v-1 have labels from v up
-            if points is None or points.max() >= self.v:
+            if points is None:  # a block of another size, or a point outside 0..v-1
                 raise ValueError(f"class {idx} has a malformed block")
             if not _composed(points.reshape(1, self.v), self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")

@@ -8,12 +8,14 @@ symbol passes the one gate `_ints`, which refuses non-integers.  Every
 record that keeps a symbol matrix (arrays here, squares, orthogonal
 arrays and design classes in `constructions`) reads its rows once through
 `_symbols`, which returns the int tuples and their read-only rows x width
-label matrix.  Rows given as one 2-D integer numpy array of symbols
-0..m-1 are read with one `tolist()` and copied as that matrix, so a
-caller who writes to the numpy array later changes nothing the record
-holds.  Only the array carries (m, lambda), and n is always m * lambda:
-an array refuses m or lambda below 1 and any row whose length is not n,
-so its matrix is always size x n, also for no rows.  Constructions
+matrix of symbols, or no matrix when a row has another width or holds a
+symbol outside 0..m-1.  Rows given as one 2-D integer numpy array are
+read with one `tolist()` and copied as that matrix, so a caller who
+writes to the numpy array later changes nothing the record holds.  Only
+the array carries (m, lambda), and n is always m * lambda: an array
+refuses m or lambda below 1, any row whose length is not n and any
+symbol outside 0..m-1, so its matrix is always size x n, also for no
+rows, and holds the symbols themselves.  Constructions
 elsewhere in the package only ever *claim* parameters; `verify`
 re-derives all of them from the raw rows.
 """
@@ -76,9 +78,10 @@ class FrequencyPermutationArray:
     """Rows of lambda-permutations with a claimed pairwise minimum distance.
 
     Rows are int tuples by construction.  ValueError is raised for a
-    non-integer symbol, for m or lam below 1, and for the first row whose
-    length is not n; out-of-range ints and duplicate rows are still held,
-    for `verify` to report.  `_labels`, the rows' read-only size x n
+    non-integer symbol, for m or lam below 1, for the first row whose
+    length is not n, and then for the first row holding a symbol outside
+    0..m-1; rows that are not lam-uniform and duplicate rows are still
+    held, for `verify` to report.  `_labels`, the rows' read-only size x n
     matrix from `_symbols`, is kept beside the fields, so it takes no part
     in ==, hash or repr.
     """
@@ -92,9 +95,12 @@ class FrequencyPermutationArray:
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m} lam={self.lam}")
         rows, labels = _symbols(self.rows, self.m, self.n)
-        if labels is None:
-            idx = next(i for i, row in enumerate(rows) if len(row) != self.n)
-            raise ValueError(f"row {idx} has length {len(rows[idx])}, expected {self.n}")
+        if labels is None:  # a row of another length, else a symbol out of range
+            for idx, row in enumerate(rows):
+                if len(row) != self.n:
+                    raise ValueError(f"row {idx} has length {len(row)}, expected {self.n}")
+            idx, s = next((i, s) for i, row in enumerate(rows) for s in row if not 0 <= s < self.m)
+            raise ValueError(f"row {idx} holds symbol {s}, outside 0..{self.m - 1}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_labels", labels)
 
@@ -274,66 +280,44 @@ def _label_dtype(m: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(m - 1), np.uint16)
 
 
-def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    """Rows of ints (see `_ints`) as one matrix of non-negative labels,
-    distances kept.
-
-    Symbols 0..m-1 keep their value, in `_label_dtype(m)`.  Any other int
-    (negative, m or more, or beyond int64) gets a fresh label from m up by
-    first appearance, so its row still fails `_composed`; such a matrix is
-    int64.  Past m = 2^62, whose rows are too long ever to compose, fresh
-    labels start at 2^62, so that they fit int64.
-    """
+def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray | None:
+    """Rows of ints (see `_ints`) as one matrix of their symbols in
+    `_label_dtype(m)`, or None when a symbol lies outside 0..m-1."""
     try:
         mat = np.array(rows, dtype=_label_dtype(m))
-        if not (mat.size and (mat.min() < 0 or mat.max() >= m)):
-            return mat
     except OverflowError:  # negative, or too large for the type
-        pass
-    codes: dict[int, int] = {}
-    fresh = min(max(m, 0), 1 << 62)
-
-    def label(s: int) -> int:
-        return s if 0 <= s < fresh else codes.setdefault(s, fresh + len(codes))
-
-    return np.array([[label(s) for s in row] for row in rows], dtype=np.int64)
+        return None
+    return None if mat.size and (mat.min() < 0 or mat.max() >= m) else mat
 
 
 def _symbols(
     given: Iterable[Iterable[int]], m: int, width: int
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
-    """(rows, labels): `_ints(given)` and its read-only rows x width label
-    matrix, or labels None when a row's length is not width.
+    """(rows, labels): `_ints(given)` and its read-only rows x width matrix
+    of symbols in `_label_dtype(m)`, or labels None when a row's length is
+    not width or a symbol lies outside 0..m-1.
 
-    A nonempty 2-D integer numpy array of symbols 0..m-1 is its own label
-    matrix: labels are a copy of it in `_label_dtype(m)`, so a caller's
-    later writes change nothing.  Other rows get their `_label_matrix`.
+    A 2-D integer numpy array is range-checked by its min and max and
+    copied in that type, so a caller's later writes change nothing.  Other
+    rows get their `_label_matrix`.
     """
     rows = _ints(given)
-    if (
-        isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "iu"
-        and given.size and given.min() >= 0 and given.max() < m
-    ):
-        labels = given.astype(_label_dtype(m))
-    elif set(map(len, rows)) - {width}:
-        return rows, None
+    if isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "iu":
+        if len(given) and given.shape[1] != width:
+            return rows, None
+        in_range = not given.size or (given.min() >= 0 and given.max() < m)
+        labels = given.astype(_label_dtype(m)) if in_range else None
     else:
-        labels = _label_matrix(rows, m).reshape(len(rows), width)
-    if labels.shape[1] != width:  # a numpy matrix of another width
+        labels = None if set(map(len, rows)) - {width} else _label_matrix(rows, m)
+    if labels is None:
         return rows, None
+    labels = labels.reshape(len(rows), width)
     labels.flags.writeable = False
     return rows, labels
 
 
-def _symbol_matrix(array: FrequencyPermutationArray) -> np.ndarray | None:
-    """The array's label matrix when it holds the symbols themselves, every
-    one in 0..m-1.  Else None."""
-    mat = array._labels
-    return mat if mat.max(initial=0) < array.m else None
-
-
 def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
-    """Row mask of `is_lambda_permutation` over a `_label_matrix` of width n.
+    """Row mask of `is_lambda_permutation` over a matrix of width n.
 
     A row qualifies iff, sorted, it equals the sorted base word 0^lam 1^lam ...
     Rows are sorted in blocks of about _BLOCK_CELLS symbols, so the sorted
@@ -428,8 +412,8 @@ def pair_profile(array: FrequencyPermutationArray) -> dict[tuple[int, int], int]
     size, m = array.size, array.m
     if m * m * (size * (size - 1) // 2) > _PROFILE_WORK or size < 2:
         return None
-    mat = _symbol_matrix(array)
-    if mat is None or not _composed(mat, m, array.lam).all() or len(set(array.rows)) < size:
+    mat = array._labels
+    if not _composed(mat, m, array.lam).all() or len(set(array.rows)) < size:
         return None
     return _pair_profile(mat, m)
 
@@ -437,8 +421,8 @@ def pair_profile(array: FrequencyPermutationArray) -> dict[tuple[int, int], int]
 def verify(array: FrequencyPermutationArray) -> VerificationReport:
     """Re-derive composition, distinctness, and distances from the raw rows.
 
-    Never raises: the array already holds rows of length n for m, lam >= 1,
-    and every other problem (a row that is not a lam-uniform word, a
+    Never raises: the array already holds rows of length n over 0..m-1 for
+    m, lam >= 1, and every other problem (a row that is not a lam-uniform word, a
     repeated row, a distance below the claim) comes back as `reasons` with
     valid=False.  For arrays with fewer than two rows the distance claim is
     vacuous: actual_min_distance reports n and equidistant is True.  When

@@ -326,6 +326,56 @@ def test_hadamard_one_based_needs_the_array(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2] == "1 2 1 2"
 
 
+def _refused_without_output(argv, message, out, capsys):
+    """argv, alone and with -o out, exits 2 with the one error line and no file."""
+    for tail in ([], ["-o", str(out)]):
+        assert main([*argv, *tail]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def _stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_mds_length_needs_the_reed_solomon_route(tmp_path, capsys):
+    # --n sets the Reed-Solomon length; a generator file fixes its own
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 1 1\n0 1 2\n")
+    base = ["construct", "mds", "--q", "3", "--gen", str(gen)]
+    _refused_without_output(
+        [*base, "--n", "3"], "--n is a Reed-Solomon length; it needs --k", tmp_path / "f", capsys
+    )
+    assert _stdout_of(base, capsys) == _stdout_of(
+        ["construct", "mds", "--q", "3", "--k", "2", "--n", "3"], capsys
+    )
+
+
+def test_linearized_subfield_degree_needs_the_subfield_kind(tmp_path, capsys):
+    base = ["construct", "linearized", "--q", "2", "--i", "4", "--d", "2"]
+    for kind in ([], ["--kind", "trace"], ["--kind", "monomial"]):
+        _refused_without_output(
+            [*base, *kind, "--subfield-n", "2"],
+            "--subfield-n is a subfield degree; it needs --kind subfield", tmp_path / "f", capsys,
+        )
+    subfield = _stdout_of([*base, "--kind", "subfield", "--subfield-n", "2"], capsys)
+    assert subfield.startswith("#fpa v1\nn=16 lambda=4 m=4 d=8 size=120\n")
+
+
+def test_linearized_trace_step_needs_the_trace_kind(tmp_path, capsys):
+    base = ["construct", "linearized", "--q", "3", "--i", "2", "--d", "1"]
+    for kind in (["--kind", "subfield", "--subfield-n", "1"], ["--kind", "monomial"]):
+        _refused_without_output(
+            [*base, *kind, "--h", "1"], "--h is a trace step; it needs --kind trace",
+            tmp_path / "f", capsys,
+        )
+    # the trace kind is the default, and --h 1 is its default step
+    trace = _stdout_of(base, capsys)
+    for given in (["--h", "1"], ["--kind", "trace"], ["--kind", "trace", "--h", "1"]):
+        assert _stdout_of([*base, *given], capsys) == trace
+
+
 def test_mofs_pipeline(tmp_path, capsys):
     sq = tmp_path / "sq.txt"
     f = tmp_path / "f.fpa"
@@ -546,12 +596,12 @@ def test_mds_generator_with_many_rows_is_refused_before_any_array(tmp_path, caps
 
 def test_product_over_the_cell_limit_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
     # the order-64 array with itself: 15 876 rows of 128 symbols
-    def no_rows(array):
+    def no_rows(*args):
         raise AssertionError("rows built before the refusal")
 
     h64 = tmp_path / "h64.fpa"
     h64.write_text(write_fpa(fpa_from_hadamard(hadamard_matrix(64))))
-    monkeypatch.setattr(core, "_symbol_matrix", no_rows)
+    monkeypatch.setattr(combinators, "_concatenations", no_rows)
     assert main(["transform", "product", str(h64), str(h64)]) == 2
     assert capsys.readouterr() == ("", (
         "error: work limit exceeded: direct product of 126 x 126 rows of 128 symbols "
@@ -887,29 +937,28 @@ def test_fpa_format_roundtrip():
 
 @pytest.mark.parametrize("offset", [0, 1, -2])
 def test_fpa_writer_matches_per_symbol_labels(offset):
-    # in-range rows take labels from a table; rows with a symbol outside
-    # 0..m-1 (negative ones included) must print each symbol as it is
-    rows = [(0, 1, 2, 2, 1, 0), (2, 2, 1, 1, 0, 0), (0, -1, 2, 2, 1, 0),
-            (-3, 1, 2, 2, 1, 0), (0, 1, 3, 2, 1, 0), (7, 1, 2, 2, 1, 2**70)]
+    # rows, composed or not, print each symbol plus the offset, from the
+    # bulk writer's label table or row by row; a row with a symbol outside
+    # 0..m-1 (negative ones included) is refused when the array is built
+    rows = [(0, 1, 2, 2, 1, 0), (2, 2, 1, 1, 0, 0), (0, 0, 0, 2, 2, 2), (1, 1, 1, 1, 1, 1)]
     array = FrequencyPermutationArray(3, 2, rows, 1)
-    lines = write_fpa(array, offset).splitlines()
-    assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
-    assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=6"]
+    for bulk_cells in (0, 1 << 8):
+        with mock.patch.object(formats, "_BULK_CELLS", bulk_cells):
+            lines = write_fpa(array, offset).splitlines()
+        assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
+        assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=4"]
+    for bad in [(0, -1, 2, 2, 1, 0), (-3, 1, 2, 2, 1, 0), (0, 1, 3, 2, 1, 0),
+                (7, 1, 2, 2, 1, 2**70)]:
+        symbol = next(s for s in bad if not 0 <= s < 3)
+        with pytest.raises(ValueError, match=f"^row 4 holds symbol {symbol}, outside 0..2$"):
+            FrequencyPermutationArray(3, 2, [*rows, bad], 1)
 
 
 def _fpa_text_before_bulk_writer(array, offset=0):
     """write_fpa as it was before rows were formatted from the label
     matrix: one row at a time, from a table of m label strings."""
     labels = [str(s + offset) for s in range(array.m)]
-    body = []
-    for row in array.rows:
-        try:
-            if min(row, default=0) >= 0:  # a negative index would pick a label
-                body.append(" ".join([labels[s] for s in row]))
-                continue
-        except IndexError:  # a symbol m or more
-            pass
-        body.append(" ".join([str(s + offset) for s in row]))
+    body = [" ".join([labels[s] for s in row]) for row in array.rows]
     header = (f"n={array.n} lambda={array.lam} m={array.m} "
               f"d={array.min_distance_claim} size={array.size}")
     return "\n".join(["#fpa v1", header, *body]) + "\n"
@@ -933,15 +982,21 @@ def test_fpa_writer_matches_the_row_by_row_writer(data):
         assert parsed == array
         assert write_fpa(parsed) == text
         assert write_fpa(parsed, offset) == _fpa_text_before_bulk_writer(parsed, offset)
-        # rows the parser refuses: out of range, which the array holds
+        # rows the parser refuses: not lam-uniform, which the array holds,
+        # or out of range, which the array refuses
         loose = data.draw(
             st.lists(st.lists(st.integers(-3, m + 2), min_size=len(base),
                               max_size=len(base)), max_size=4),
             label="loose",
         )
-        odd = FrequencyPermutationArray(m, lam, loose, 1)
+        stray = [(i, s) for i, row in enumerate(loose) for s in row if not 0 <= s < m]
+        if stray:
+            (i, s), *_ = stray
+            with pytest.raises(ValueError, match=f"^row {i} holds symbol {s}, outside 0..{m - 1}$"):
+                FrequencyPermutationArray(m, lam, loose, 1)
+        odd = FrequencyPermutationArray(m, lam, [[s % m for s in row] for row in loose], 1)
         assert write_fpa(odd, offset) == _fpa_text_before_bulk_writer(odd, offset)
-        # or of another length, which the array refuses
+        # or of another length, which the array refuses ahead of any range
         width = data.draw(st.sampled_from([len(base) - 1, len(base) + 1]), label="width")
         with pytest.raises(
             ValueError, match=f"^row {len(loose)} has length {width}, expected {len(base)}$"

@@ -204,12 +204,17 @@ def _bad_substitutions(bad):
     "bad", [(0, -1, 1, 0), (0, 2, 1, 1), (0, 0, 0, 1), (0, 1, 1), (0, 2**70, 1, 1)]
 )
 def test_expand_refuses_rows_that_are_not_lambda_permutations(bad):
-    if len(bad) != 4:  # refused as the array is built, before any substitution
-        with pytest.raises(ValueError, match=f"^row 1 has length {len(bad)}, expected 4$"):
+    # a row of another length or with a symbol outside 0..m-1 is refused as
+    # the array is built, before any substitution; a negative symbol once
+    # wrapped to the last occurrence count and a symbol >= m raised IndexError
+    stray = [s for s in bad if not 0 <= s < 2]
+    if len(bad) != 4 or stray:
+        why = f"has length {len(bad)}, expected 4" if len(bad) != 4 else (
+            f"holds symbol {stray[0]}, outside 0..1"
+        )
+        with pytest.raises(ValueError, match=f"^row 1 {why}$"):
             FrequencyPermutationArray(2, 2, [(0, 1, 1, 0), bad], 2)
         return
-    # a negative symbol once wrapped to the last occurrence count and a
-    # symbol >= m raised IndexError
     for name, substitute in _bad_substitutions(bad).items():
         with pytest.raises(ValueError, match="row 1 "):
             substitute()
@@ -324,11 +329,10 @@ def test_direct_product_matches_a_per_row_loop():
     pairs = FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], 1)
     for x, y in ((flat, pairs), (pairs, flat), (flat, flat)):
         assert direct_product(x, y).rows == _product_per_row(x, y)
-    # a symbol outside 0..m-1 in either input is refused
-    odd = FrequencyPermutationArray(2, 1, [(0, 5), (1, -1)], 1)
-    for x, y in ((odd, pairs), (pairs, odd), (odd, odd), (odd, flat)):
-        with pytest.raises(ValueError, match="^direct product needs every symbol"):
-            direct_product(x, y)
+    # an input with a symbol outside 0..m-1 is refused before any product
+    for rows, symbol in (([(0, 5), (1, -1)], 5), ([(0, 1), (1, -1)], -1)):
+        with pytest.raises(ValueError, match=f"holds symbol {symbol}, outside 0..1$"):
+            FrequencyPermutationArray(2, 1, rows, 1)
 
 
 def test_direct_product_cell_limit_boundary():
@@ -336,13 +340,13 @@ def test_direct_product_cell_limit_boundary():
     b = canonical_max_distance_fpa(2, 4)  # 2 rows of 8
     cells = 14 * 2 * 16
 
-    def no_rows(array):
+    def no_rows(*args):
         raise AssertionError("rows built before the refusal")
 
     with mock.patch.object(combinators, "_PRODUCT_CELLS", cells):
         assert direct_product(a, b).rows == _product_per_row(a, b)
     with mock.patch.object(combinators, "_PRODUCT_CELLS", cells - 1), \
-            mock.patch.object(core, "_symbol_matrix", no_rows):
+            mock.patch.object(combinators, "_concatenations", no_rows):
         with pytest.raises(core.WorkLimitExceeded, match=f"is {cells} cells, over the limit"):
             direct_product(a, b)
     # the order-32 array with itself: 3 844 rows of 64

@@ -76,6 +76,30 @@ def test_frequency_square_validation():
         FrequencySquare.from_cells(((0, 1), (1, 0), (0, 1)))  # not square
 
 
+def test_square_from_empty_rows_names_no_symbol_count():
+    for cells in ([[], []], [[]], []):
+        with pytest.raises(ValueError) as info:
+            FrequencySquare.from_cells(cells)
+        assert str(info.value) == "cell values do not determine a symbol count dividing n"
+
+
+def test_ingredients_check_their_parameters_before_any_cell():
+    read = mock.Mock(side_effect=AssertionError("cells read"))
+    refused = {
+        "need m >= 1 and lam >= 1, got m=0, lam=1": lambda: FrequencySquare(0, 1, [[1.5]]),
+        "need s >= 1 and v >= 1, got s=0, v=4": lambda: OrthogonalArray(4, 0, [["x"]]),
+        "index v/s^t = 8/9 is not integral": lambda: OrthogonalArray(8, 3, [["x"]]),
+        "need v >= 1 points, got v=0": lambda: ResolvableDesign(0, 1, [[["x"]]]),
+        "block size 3 must divide 4": lambda: ResolvableDesign(4, 3, [[["x"]]]),
+    }
+    with mock.patch.object(constructions, "_symbols", read):
+        for message, build in refused.items():
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+    assert not read.called
+
+
 def test_records_store_no_size_their_rows_fix():
     stored = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
         FrequencySquare, OrthogonalArray, HadamardMatrix, ExactResult, BoundsReport

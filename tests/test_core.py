@@ -165,10 +165,10 @@ def test_matrix_rows_match_tuple_rows(dtype):
 @pytest.mark.parametrize(
     "dtype, cells",
     [
-        (np.int8, [[0, -1, 1, 0], [1, 0, -128, 1]]),  # negative symbols
-        (np.uint8, [[0, 2, 1, 0], [1, 255, 0, 1]]),  # symbols m or more
+        (np.int8, [[0, 1, 1, 0], [0, -1, 1, 0], [1, 0, -128, 1]]),  # negative symbols
+        (np.uint8, [[1, 0, 0, 1], [0, 2, 1, 0], [1, 255, 0, 1]]),  # symbols m or more
         (np.int32, [[0, 1, 1, 0], [0, -7, 9, 0], [0, 1, 1, 0]]),  # both, and a repeat
-        (np.uint64, [[0, 2**64 - 1, 1, 1], [2**63, 0, 1, 0]]),  # past int64
+        (np.uint64, [[0, 0, 1, 1], [0, 2**64 - 1, 1, 1], [2**63, 0, 1, 0]]),  # past int64
         (np.int64, np.zeros((0, 4))),  # no rows
         (np.int64, np.zeros((3, 0))),  # rows of no symbols
         (np.int16, [[0, 1, 0], [1, 0, 1]]),  # rows of odd width
@@ -184,8 +184,18 @@ def test_matrix_rows_out_of_range_match_tuple_rows(dtype, cells):
                 FrequencyPermutationArray(2, 2, given, 1)
         return
     m, lam = (2, width // 2) if width % 2 == 0 else (width, 1)
+    # the first row with a symbol outside 0..m-1, and its first such symbol,
+    # refuse the matrix and its tuples alike
+    stray = [(i, s) for i, row in enumerate(rows) for s in row if not 0 <= s < m]
+    if stray:
+        (i, s), *_ = stray
+        for given in (mat, rows):
+            with pytest.raises(ValueError, match=f"^row {i} holds symbol {s}, outside 0..{m - 1}$"):
+                FrequencyPermutationArray(m, lam, given, 1)
+    held = [all(0 <= s < m for s in row) for row in rows]
     _same_array(
-        FrequencyPermutationArray(m, lam, mat, 1), FrequencyPermutationArray(m, lam, rows, 1)
+        FrequencyPermutationArray(m, lam, mat[held], 1),
+        FrequencyPermutationArray(m, lam, [row for row, ok in zip(rows, held) if ok], 1),
     )
 
 
@@ -226,7 +236,7 @@ def test_every_record_matrix_is_rows_by_width():
         (FrequencyPermutationArray(3, 2, np.zeros((0, 6), dtype=np.int64), 1), (0, 6)),
         (formats.parse_fpa("#fpa v1\nn=6 lambda=2 m=3 d=1 size=0\n"), (0, 6)),
         (canonical_max_distance_fpa(3, 2), (3, 6)),
-        (FrequencyPermutationArray(2, 1, [[0, 5], [-1, 1]], 1), (2, 2)),
+        (FrequencyPermutationArray(2, 1, [[0, 0], [1, 1]], 1), (2, 2)),
         (FrequencySquare(2, 1, np.array([[0, 1], [1, 0]])), (2, 2)),
         (OrthogonalArray(4, 2, []), (0, 4)),
         (OrthogonalArray(4, 2, [[0, 0, 1, 1], [0, 1, 0, 1]]), (2, 4)),
@@ -249,6 +259,36 @@ def test_every_record_matrix_is_rows_by_width():
     for width in (1, 3):
         with pytest.raises(ValueError, match="^class 0 has a malformed block$"):
             ResolvableDesign(4, 2, [np.zeros((2, width), dtype=np.int64)])
+    # so is a symbol outside 0..m-1, which no record holds
+    with pytest.raises(ValueError, match="^row 0 holds symbol 5, outside 0..1$"):
+        FrequencyPermutationArray(2, 1, [[0, 5], [-1, 1]], 1)
+
+
+@pytest.mark.parametrize("m", [3, 127, 255])
+def test_symbols_past_the_range_are_refused_alike_before_any_pair(m):
+    top = tuple(range(m))  # holds m - 1, which is accepted
+    dtypes = [np.int8, np.uint8, np.int32, np.int64, np.uint64]
+    for given in [[top, top[::-1]]] + [
+        np.array([top, top[::-1]], dtype=dtype) for dtype in dtypes if np.iinfo(dtype).max >= m - 1
+    ]:
+        assert FrequencyPermutationArray(m, 1, given, 1).rows == (top, top[::-1])
+    work = mock.Mock(side_effect=AssertionError("pair or distance work"))
+    for symbol in (m, -1, 2**63, 2**70):
+        row = (top[0], symbol, *top[2:])
+        givens = [[top, row]] + [
+            np.array([top, row], dtype=dtype) for dtype in dtypes
+            if np.iinfo(dtype).min <= symbol <= np.iinfo(dtype).max
+            and np.iinfo(dtype).max >= m - 1
+        ]
+        with mock.patch.multiple(
+            core, _distance_scan=work, _bit_planes=work, _unbalanced_pair=work,
+            _pair_counts=work, _composed=work,
+        ):
+            for given in givens:
+                with pytest.raises(ValueError) as info:
+                    FrequencyPermutationArray(m, 1, given, 1)
+                assert str(info.value) == f"row 1 holds symbol {symbol}, outside 0..{m - 1}"
+    assert not work.called
 
 
 def test_integer_symbols_of_any_type_keep_their_value():
@@ -354,23 +394,32 @@ def test_verify_rejects_bad_composition():
 
 
 def test_verify_reports_symbols_beyond_int64():
-    huge = verify(FrequencyPermutationArray(2, 1, [[0, 2**70], [0, 1]], 1))
-    small = verify(FrequencyPermutationArray(2, 1, [[0, 7], [0, 1]], 1))
-    assert huge == small
-    assert not huge.valid
-    assert huge.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
-    assert huge.actual_min_distance == 1
+    # a symbol past int64 is refused as the array is built, as one just past m is
+    for symbol in (2**70, 7):
+        with pytest.raises(ValueError, match=f"^row 0 holds symbol {symbol}, outside 0..1$"):
+            FrequencyPermutationArray(2, 1, [[0, symbol], [0, 1]], 1)
+    report = verify(FrequencyPermutationArray(2, 1, [[0, 0], [0, 1]], 1))
+    assert not report.valid
+    assert report.reasons == ("row 0 is not a 1-uniform word over 2 symbols",)
+    assert report.actual_min_distance == 1
 
 
 def test_min_distance_handles_huge_and_negative_symbols():
-    assert min_distance(FrequencyPermutationArray(2, 1, [[0, 2**70], [0, 1]], 1)) == 1
     rows = [
         [0, 2**70, -3, 5],
         [0, 1, -3, 5],
         [2**70, 0, 5, -3],
         [-(2**80), 2**70, -3, 0],
     ]
-    fpa = FrequencyPermutationArray(2, 2, rows, 1)
+    # each row is refused by its first symbol outside 0..1, before any distance
+    with mock.patch.object(core, "_distance_scan", side_effect=AssertionError("scanned")):
+        for row in rows:
+            symbol = next(s for s in row if not 0 <= s < 2)
+            with pytest.raises(ValueError, match=f"^row 1 holds symbol {symbol}, outside 0..1$"):
+                FrequencyPermutationArray(2, 2, [[0, 1, 1, 0], row], 1)
+    # rows over 0..1 in the same pattern: rows 0 and 1 differ in one position
+    held = [[0, 1, 0, 1], [0, 0, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
+    fpa = FrequencyPermutationArray(2, 2, held, 1)
     assert min_distance(fpa) == brute_min_distance(fpa.rows) == 1
     assert verify(fpa).actual_min_distance == 1
     # symbols 0..m-1 beyond int64: rows far too short, refused as the array is built
@@ -399,16 +448,24 @@ def _rows_of_width(m, lam, width):
     return st.one_of(st.permutations([s for s in range(m) for _ in range(lam)]), loose)
 
 
-def array_of_width_n_rows(m, lam, rows):
-    """The array of the rows of length n = m * lam, once the array of all
-    the rows, if one has another length, is seen to refuse the first such."""
+def array_of_held_rows(m, lam, rows):
+    """The array of the rows of length n = m * lam with every symbol in
+    0..m-1, once the array of all the rows is seen to refuse the first row
+    of another length, and the array of the rows of length n the first row
+    with a symbol outside 0..m-1, naming that symbol."""
     n = m * lam
     wrong = [(idx, len(row)) for idx, row in enumerate(rows) if len(row) != n]
     if wrong:
         idx, length = wrong[0]
         with pytest.raises(ValueError, match=f"^row {idx} has length {length}, expected {n}$"):
             FrequencyPermutationArray(m, lam, rows, 0)
-    return FrequencyPermutationArray(m, lam, [row for row in rows if len(row) == n], 0)
+    rows = [row for row in rows if len(row) == n]
+    stray = [(idx, s) for idx, row in enumerate(rows) for s in row if not 0 <= s < m]
+    if stray:
+        idx, s = stray[0]
+        with pytest.raises(ValueError, match=f"^row {idx} holds symbol {s}, outside 0..{m - 1}$"):
+            FrequencyPermutationArray(m, lam, rows, 0)
+    return FrequencyPermutationArray(m, lam, [r for r in rows if all(0 <= s < m for s in r)], 0)
 
 
 def per_row_reasons(fpa):
@@ -444,15 +501,18 @@ def test_composition_check_matches_the_per_row_predicate(data):
     width = data.draw(st.sampled_from(widths), label="width")
     rows = data.draw(st.lists(_rows_of_width(m, lam, width), max_size=6), label="rows")
     cells = data.draw(st.sampled_from([1, width, 2 * width + 1, 1 << 16]), label="cells")
+    # rows with a symbol outside 0..m-1 get no label matrix; the rest are composed
+    held = [row for row in rows if all(0 <= s < m for s in row)]
+    assert (core._label_matrix(rows, m) is None) == (len(held) < len(rows))
     with mock.patch.object(core, "_BLOCK_CELLS", cells):
-        mask = core._composed(core._label_matrix(rows, m), m, lam)
-    assert mask.tolist() == [is_lambda_permutation(row, m, lam) for row in rows]
+        mask = core._composed(core._label_matrix(held, m), m, lam)
+    assert mask.tolist() == [is_lambda_permutation(row, m, lam) for row in held]
 
     ragged = data.draw(
         st.lists(st.sampled_from(widths).flatmap(lambda w: _rows_of_width(m, lam, w)), max_size=6),
         label="ragged",
     )
-    fpa = array_of_width_n_rows(m, lam, ragged)
+    fpa = array_of_held_rows(m, lam, ragged)
     assert verify(fpa).reasons == per_row_reasons(fpa)
 
     junk = data.draw(st.lists(st.integers(0, 4), min_size=len(ragged), max_size=len(ragged)))
@@ -598,7 +658,7 @@ def test_verify_rejects_duplicate_rows():
     [
         ([(0, 1, 0, 1)] * 3, 1),  # one distinct row: every pair at distance 0
         ([(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1)], 0),
-        ([(0, 1, 1, 0), (0, 1, 7, 0), (1, 1, 0, 0), (0, 1, 7, 0)], 2),  # a bad row repeats
+        ([(0, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 0), (0, 1, 1, 1)], 2),  # a bad row repeats
     ],
 )
 def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
@@ -612,6 +672,10 @@ def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
         reasons=per_row_reasons(fpa) + below,
     )
     assert pair_profile(fpa) is None
+    # the last row with symbol m instead is refused before any pair is scanned
+    with mock.patch.object(core, "_distance_scan", side_effect=AssertionError("scanned")):
+        with pytest.raises(ValueError, match=f"^row {len(rows) - 1} holds symbol 2, outside 0..1$"):
+            FrequencyPermutationArray(2, 2, [*rows[:-1], (2, *rows[-1][1:])], claim)
 
 
 def test_verify_rejects_inconsistent_parameters():
@@ -637,12 +701,17 @@ def test_min_distance_requires_two_rows():
         min_distance(fpa)
 
 
-def test_a_short_row_is_refused_and_an_out_of_range_row_is_held():
+def test_a_short_row_and_an_out_of_range_row_are_refused():
     rows = [(0, 1, 1, 0), (1, 0, 0, 1)] * 32
     with pytest.raises(ValueError, match="^row 64 has length 3, expected 4$"):
         FrequencyPermutationArray(2, 2, rows + [(0, 1, 1)], 2)
-    # enough cells that `write_fpa` asks for the symbol matrix before its row path
-    rows.append((0, 1, 1, 2))
+    # a short row is named ahead of an earlier row out of range
+    with pytest.raises(ValueError, match="^row 65 has length 3, expected 4$"):
+        FrequencyPermutationArray(2, 2, rows + [(0, 1, 1, 2), (0, 1, 1)], 2)
+    with pytest.raises(ValueError, match="^row 64 holds symbol 2, outside 0..1$"):
+        FrequencyPermutationArray(2, 2, rows + [(0, 1, 1, 2)], 2)
+    # a row in range that is not 2-uniform is held and reported
+    rows.append((0, 1, 1, 1))
     fpa = FrequencyPermutationArray(2, 2, rows, 2)
     assert fpa.rows == tuple(rows)
     report = verify(fpa)
@@ -655,13 +724,11 @@ def test_a_short_row_is_refused_and_an_out_of_range_row_is_held():
     assert min_distance(fpa) == 0
     with pytest.raises(ValueError, match="^class union fails"):
         SeparableArray.from_fpa(fpa, 1)
-    with mock.patch.object(formats, "_lines", side_effect=AssertionError("bulk writer")):
-        text = formats.write_fpa(fpa, offset=1)
+    text = formats.write_fpa(fpa, offset=1)
     body = [" ".join(str(s + 1) for s in row) for row in rows]
     assert text.splitlines()[2:] == body
     other = FrequencyPermutationArray(1, 2, [(0, 0)], 4)
-    with pytest.raises(ValueError, match="symbol of each input in 0..m-1"):
-        direct_product(fpa, other)
+    assert direct_product(fpa, other).rows == tuple(row + (2, 2) for row in rows)
 
 
 # hypothesis: the verifier's distance agrees with a brute-force rescan
@@ -871,7 +938,7 @@ def test_pair_profile_matches_a_counter_per_row_pair(data):
         rows.append(data.draw(st.sampled_from(rows), label="repeated row"))
     order = data.draw(st.permutations(range(len(pool[0]))), label="columns")
     rows = [tuple(r[j] for j in order) if len(r) == len(order) else r for r in rows]
-    fpa = array_of_width_n_rows(m, lam, rows)
+    fpa = array_of_held_rows(m, lam, rows)
     assert pair_profile(fpa) == _profile_oracle(fpa.rows, m, lam)
 
 
