@@ -23,6 +23,7 @@ import numpy as np
 from . import core
 from .core import (
     WorkLimitExceeded,
+    _index,
     _ints,
     all_lambda_permutations,
     count_all,
@@ -90,6 +91,7 @@ def sphere_volume(n: int, lam: int, r: int) -> int:
     centre does not matter: the words with at least n - r agreements,
     from `_agreements` in O(n^2) integer operations.
     """
+    n, lam, r = _index(n, "n"), _index(lam, "lam"), _index(r, "r")
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
     if not 0 <= r <= n:
@@ -131,12 +133,16 @@ def trivial_upper(n: int, lam: int, d: int) -> int:
 
 def mofs_max(n: int, m: int) -> int:
     """Cap on mutually orthogonal frequency squares: (n-1)^2/(m-1)."""
+    n, m = _index(n, "n"), _index(m, "m")
     if m < 2 or n < 2 or n % m:
         raise ValueError(f"need m >= 2 dividing n >= 2, got n={n} m={m}")
     return (n - 1) ** 2 // (m - 1)
 
 
 def _check_nd(n: int, lam: int, d: int, **budgets: int) -> None:
+    """Refuse a non-integer or out-of-range n, lam, d or budget."""
+    for name, value in (("n", n), ("lam", lam), ("d", d), *budgets.items()):
+        _index(value, name)
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n, got n={n} lam={lam}")
     if not 1 <= d <= n:
@@ -368,7 +374,7 @@ def exact_max_size(
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
     # count_all is a product of n/lam - 1 terms C(a, lam) >= 2^lam, so >= 2^(n - lam)
-    total = count_all(n, lam) if n - lam < vertex_budget.bit_length() else None
+    total = count_all(n, lam) if n - lam < int(vertex_budget).bit_length() else None
     if total is None or total > vertex_budget:
         raise WorkLimitExceeded(
             f"(n={n}, lambda={lam}) has more vertices than vertex_budget {vertex_budget}"

@@ -23,6 +23,9 @@ accept extra blank and comment lines but reject unknown keys, shape
 mismatches, and rows that are not uniform-frequency words, with a
 `FormatError`.  Header counts must match the body, n must be m * lambda
 and `t` must be 2; writers read these from the records, which derive them.
+A record's symbols are its read-only matrix: the writers print its
+`tolist()` rows (an array's large body through `_lines`), and
+`parse_fpa` hands the matrix it reads straight to the array.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ..core import (
     FrequencyPermutationArray,
     _composed,
     _label_dtype,
-    _label_matrix,
+    _symbols,
 )
 from ..constructions import (
     FrequencySquare,
@@ -192,10 +195,10 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     header = {"n": array.n, "lambda": array.lam, "m": array.m,
               "d": array.min_distance_claim, "size": array.size}
     if array.size * array.n < _BULK_CELLS:
-        body = [" ".join([str(s + offset) for s in row]) for row in array.rows]
+        body = [" ".join([str(s + offset) for s in row]) for row in array.rows.tolist()]
         return _write("", header, body)
     labels = [str(s + offset) for s in range(array.m)]
-    return _write("", header, []) + _lines(array._labels, labels)
+    return _write("", header, []) + _lines(array.rows, labels)
 
 
 def _bulk_matrix(lines: Sequence[str], n: int, m: int) -> np.ndarray | None:
@@ -235,7 +238,7 @@ def parse_fpa(text: str) -> FrequencyPermutationArray:
                 break
         # A badly composed row ahead of the first unreadable one is reported
         # first; a symbol outside 0..m-1 reads as -1, which no composed row holds.
-        mat = _label_matrix(rows, m)
+        mat = _symbols(rows, m, n)
         if mat is None:
             mat = np.array([[s if 0 <= s < m else -1 for s in row] for row in rows])
         del rows
@@ -263,7 +266,7 @@ def write_squares(squares: Sequence[FrequencySquare]) -> str:
     body = []
     for sq in squares:
         body.append("")
-        body.extend(" ".join(str(c) for c in row) for row in sq.cells)
+        body.extend(" ".join(str(c) for c in row) for row in sq.cells.tolist())
     header = {"n": first.n, "m": first.m, "lambda": first.lam, "count": len(squares)}
     return _write("fsq", header, body)
 
@@ -287,7 +290,7 @@ def parse_squares(text: str) -> list[FrequencySquare]:
 
 
 def write_oa(oa: OrthogonalArray) -> str:
-    body = [" ".join(str(c) for c in row) for row in oa.rows]
+    body = [" ".join(str(c) for c in row) for row in oa.rows.tolist()]
     return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": 2}, body)
 
 
@@ -307,7 +310,7 @@ def parse_oa(text: str) -> OrthogonalArray:
 
 def write_design(design: ResolvableDesign) -> str:
     body = []
-    for cls in design.classes:
+    for cls in design.classes.tolist():
         body.append("")
         body.extend(" ".join(str(p) for p in block) for block in cls)
     header = {"v": design.v, "k": design.k, "classes": len(design.classes),

@@ -2,15 +2,15 @@
 
 Substitution operators work on occurrence indices: the j-th appearance of
 a symbol (left to right) is what gets remapped, so distances never drop
-below the source array's and usually grow.  Every array's rows already
-have length n and hold symbols 0..m-1, so its label matrix is always the
-size x n matrix of its symbols.  All three substitutions (`refine`,
-`expand_to_pa`, which is exactly refine(a, 1), and `compose_columns`)
-read one occurrence rank and refuse, with a ValueError naming the row,
-any row that is not a lam-permutation.  Quotient and product operators
-re-verify what they claim instead of trusting the algebra.  Both
-products build their rows with one kernel and refuse, before reading any
-row, an output over one cell limit.
+below the source array's and usually grow.  Every array's rows are its
+read-only size x n matrix of symbols 0..m-1, and every operator here
+reads and builds such matrices, with no loop over rows or symbols.  All
+three substitutions (`refine`, `expand_to_pa`, which is exactly
+refine(a, 1), and `compose_columns`) read one occurrence rank and refuse,
+with a ValueError naming the row, any row that is not a lam-permutation.
+Quotient and product operators re-verify what they claim instead of
+trusting the algebra.  Both products build their rows with one kernel and
+refuse, before reading any row, an output over one cell limit.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .constructions import FrequencySquare, _latin_order, fpa_from_mofs
 
 def pad(a: FrequencyPermutationArray) -> FrequencyPermutationArray:
     """Append lam copies of a brand-new symbol to every row."""
-    tail = (a.m,) * a.lam
-    rows = [row + tail for row in a.rows]
+    tail = np.full((a.size, a.lam), a.m, dtype=core._label_dtype(a.m + 1))
+    rows = np.concatenate([a.rows, tail], axis=1)
     return FrequencyPermutationArray(a.m + 1, a.lam, rows, a.min_distance_claim)
 
 
@@ -40,7 +40,7 @@ def juxtapose(
     """Concatenate rows pairwise by index, up to the shorter array."""
     if a.m != b.m:
         raise ValueError(f"symbol counts differ: {a.m} vs {b.m}")
-    rows = [x + y for x, y in zip(a.rows, b.rows)]
+    rows = np.concatenate([a.rows[: b.size], b.rows[: a.size]], axis=1)
     return FrequencyPermutationArray(
         a.m, a.lam + b.lam, rows, a.min_distance_claim + b.min_distance_claim
     )
@@ -56,7 +56,7 @@ def _occurrence_rank(
     is not a lam-permutation over 0..m-1; rows past depth go unread.
     """
     m, lam, n = a.m, a.lam, a.n
-    mat = a._labels[:depth]
+    mat = a.rows[:depth]
     composed = core._composed(mat, m, lam)
     if not composed.all():
         idx = int(composed.argmin())
@@ -117,7 +117,7 @@ def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArra
         raise ValueError("pair profile is not a single constant")
     t = values.pop()
     claim = a.n - t * a.m * a.m // r
-    rows = [[s % r for s in row] for row in a.rows]
+    rows = a.rows % r
     out = FrequencyPermutationArray(r, a.n // r, rows, claim)
     check = core.verify(out)
     if not check.valid:
@@ -209,7 +209,7 @@ def direct_product(
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
     _check_cells(f"direct product of {a.size} x {b.size}", a.size * b.size, a.n + b.n)
-    rows = _concatenations([a._labels, b._labels], (0, a.m), a.m + b.m)
+    rows = _concatenations([a.rows, b.rows], (0, a.m), a.m + b.m)
     return FrequencyPermutationArray(
         a.m + b.m, a.lam, rows, min(a.min_distance_claim, b.min_distance_claim)
     )
@@ -227,7 +227,7 @@ class SeparableArray:
     class sizes in order.  Both distances are measured, once, as the
     record checks the array: d, the minimum over the whole union, by
     `verify`, and delta, the least within-class minimum, by one distance
-    scan of each class's slice of the label matrix.
+    scan of each class's slice of the array's rows.
     """
 
     array: FrequencyPermutationArray
@@ -252,16 +252,16 @@ class SeparableArray:
             )
         object.__setattr__(self, "d", report.actual_min_distance)
         # n for an empty or one-row class
-        delta = min(core._distance_scan(mat)[0] for mat in self._class_labels())
+        delta = min(core._distance_scan(mat)[0] for mat in self._class_rows())
         object.__setattr__(self, "delta", delta)
 
     @property
     def num_classes(self) -> int:
         return len(self.sizes)
 
-    def _class_labels(self) -> list[np.ndarray]:
-        """Each class's rows as a view of the array's label matrix, size x n."""
-        return np.split(self.array._labels, list(itertools.accumulate(self.sizes))[:-1])
+    def _class_rows(self) -> list[np.ndarray]:
+        """Each class's rows as a view of the array's rows, size x n."""
+        return np.split(self.array.rows, list(itertools.accumulate(self.sizes))[:-1])
 
     @classmethod
     def from_fpa(
@@ -310,7 +310,7 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     # zip stops at the smallest class count
     size = sum(math.prod(sizes) for sizes in zip(*(s.sizes for s in inputs)))
     _check_cells(f"class product of {size}", size, m * lam * k)
-    classes = zip(*(s._class_labels() for s in inputs))
+    classes = zip(*(s._class_rows() for s in inputs))
     rows = np.concatenate([_concatenations(mats, [0] * k, m) for mats in classes])
     out = FrequencyPermutationArray(m, lam * k, rows, delta)
     report = core.verify(out)

@@ -4,15 +4,16 @@ Ingredient objects (frequency squares, orthogonal arrays, resolvable
 designs, Hadamard matrices) validate their own defining properties at
 construction time; the fpa_from_* converters then only have to claim the
 distance each classical argument guarantees.  Squares, orthogonal arrays
-and each class of a resolvable design take their cells as tuples or as
-one integer numpy matrix and read them once through `core._symbols`,
-after their parameters are checked; it gives the rows x width matrix of
-symbols, or none for a row of another width or a symbol outside the
-ingredient's range (0..m-1, 0..s-1, 0..v-1), which the ingredient then
-refuses.  Squares and orthogonal arrays keep its read-only matrix as
-`_labels` beside their tuple fields, and a design builds its block index
-from each class's matrix; their checks, the producers that build them and the
-converters that read them all work on those matrices, and strength 2 is
+and each class of a resolvable design take their cells as rows of ints
+or as one integer numpy matrix and read them once through
+`core._symbols`, after their parameters are checked; it gives the read-only
+rows x width matrix of symbols, or none for a row of another width or a
+symbol outside the ingredient's range (0..m-1, 0..s-1, 0..v-1), which the
+ingredient then refuses.  That matrix is the field itself: a square's
+`cells`, an orthogonal array's `rows`, and a design's `classes`, one
+classes x (v/k) x k array from which the design derives its block index.
+Their checks, the producers that build them and the converters that read
+them all work on those matrices, and strength 2 is
 checked by `core._unbalanced_pair`'s sort of pair codes.  Sizes the rows
 fix are derived, not stored: a square's n is m * lam, an orthogonal
 array's r and a Hadamard matrix's n count rows, and strength is always 2.
@@ -41,8 +42,11 @@ from .core import (
     _composed,
     _distance_scan,
     _ints,
+    _label_dtype,
     _pair_counts,
+    _read,
     _symbols,
+    _SymbolRecord,
     _unbalanced_pair,
     is_lambda_permutation,
 )
@@ -60,32 +64,31 @@ from .gf import (
 # frequency squares
 
 
-@dataclass(frozen=True)
-class FrequencySquare:
+@dataclass(frozen=True, eq=False)
+class FrequencySquare(_SymbolRecord):
     """n x n grid, n = m * lam, where every row and column holds each symbol lam times.
 
-    `cells` may be given as a 2-D integer numpy array; it is held as int
-    tuples either way.  `_labels`, the cells' read-only matrix from
-    `core._symbols`, is kept beside the fields, so it takes no part in ==,
-    hash or repr.
+    `cells` is the read-only n x n matrix from `core._symbols`; it may be
+    given as rows of ints or as a 2-D integer numpy array.
     """
 
     m: int
     lam: int
-    cells: tuple[tuple[int, ...], ...]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
+        self._set_ints("m", "lam")
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m}, lam={self.lam}")
         n = self.n
-        cells, grid = _symbols(self.cells, self.m, n)
-        object.__setattr__(self, "cells", cells)
+        cells = _read(self.cells)
+        grid = _symbols(cells, self.m, n)
         if len(cells) != n or grid is None and any(len(row) != n for row in cells):
             raise ValueError("cells must form an n x n grid")
         if grid is None:  # a symbol out of range: some row is not uniform, and rows come first
             idx = [is_lambda_permutation(r, self.m, self.lam) for r in cells].index(False)
             raise ValueError(f"row {idx} is not {self.lam}-uniform")
-        object.__setattr__(self, "_labels", grid)
+        object.__setattr__(self, "cells", grid)
         # rows 0..n-1, then columns as rows n..2n-1
         bad = np.flatnonzero(~_composed(np.concatenate([grid, grid.T]), self.m, self.lam))
         if bad.size:
@@ -110,7 +113,7 @@ def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
     """Superimposing must show every ordered symbol pair lam_a*lam_b times."""
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    counts = _pair_counts(a._labels.ravel(), b._labels.ravel(), a.m, b.m)
+    counts = _pair_counts(a.cells.ravel(), b.cells.ravel(), a.m, b.m)
     return bool((counts == a.lam * b.lam).all())
 
 
@@ -218,7 +221,7 @@ def fpa_from_mofs(squares: Sequence[FrequencySquare]) -> FrequencyPermutationArr
     first = squares[0]
     if any((s.m, s.lam) != (first.m, first.lam) for s in squares):
         raise ValueError("squares must share (n, m, lam)")
-    flat = np.stack([sq._labels.ravel() for sq in squares])
+    flat = np.stack([sq.cells.ravel() for sq in squares])
     pair = _unbalanced_pair(flat, first.m, first.lam * first.lam)
     if pair:
         raise ValueError(f"squares {pair[0]} and {pair[1]} are not orthogonal")
@@ -273,31 +276,30 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
 # orthogonal arrays
 
 
-@dataclass(frozen=True)
-class OrthogonalArray:
+@dataclass(frozen=True, eq=False)
+class OrthogonalArray(_SymbolRecord):
     """r x v array over s symbols, r = len(rows); strength-2 uniformity is validated.
 
-    `rows` may be given as a 2-D integer numpy array; it is held as int
-    tuples either way.  `_labels`, the rows' read-only matrix from
-    `core._symbols`, is kept beside the fields, so it takes no part in ==,
-    hash or repr.
+    `rows` is the read-only r x v matrix from `core._symbols`; it may be
+    given as rows of ints or as a 2-D integer numpy array.
     """
 
     v: int
     s: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
+        self._set_ints("v", "s")
         if self.s < 1 or self.v < 1:
             raise ValueError(f"need s >= 1 and v >= 1, got s={self.s}, v={self.v}")
         if self.v % self.s**2:
             raise ValueError(f"index v/s^t = {self.v}/{self.s ** 2} is not integral")
-        rows, mat = _symbols(self.rows, self.s, self.v)
-        object.__setattr__(self, "rows", rows)
+        rows = _read(self.rows)
+        mat = _symbols(rows, self.s, self.v)
         if mat is None:
             grid = all(len(row) == self.v for row in rows)
             raise ValueError("symbol outside 0..s-1" if grid else "rows must form an r x v grid")
-        object.__setattr__(self, "_labels", mat)
+        object.__setattr__(self, "rows", mat)
         pair = _unbalanced_pair(mat, self.s, self.v // self.s**2)
         if pair:
             raise ValueError(f"rows {pair[0]}, {pair[1]} break strength-2 uniformity")
@@ -311,55 +313,62 @@ def oa_from_mols(squares: Sequence[FrequencySquare]) -> OrthogonalArray:
     """OA[n^2, m+2, n, 2]: cell row index, cell column index, one row per square."""
     n = _latin_order(squares)
     cells = np.arange(n * n)
-    flat = (sq._labels.ravel() for sq in squares)
+    flat = (sq.cells.ravel() for sq in squares)
     return OrthogonalArray(n * n, n, np.stack([cells // n, cells % n, *flat]))
 
 
 def fpa_from_oa(oa: OrthogonalArray) -> FrequencyPermutationArray:
     """Read the r OA rows as an equidistant array at distance v - v/s."""
     lam = oa.v // oa.s
-    return FrequencyPermutationArray(oa.s, lam, oa._labels, oa.v - lam)
+    return FrequencyPermutationArray(oa.s, lam, oa.rows, oa.v - lam)
 
 
 # ---------------------------------------------------------------------------
 # resolvable designs
 
 
-@dataclass(frozen=True)
-class ResolvableDesign:
+@dataclass(frozen=True, eq=False)
+class ResolvableDesign(_SymbolRecord):
     """Parallel classes of k-subsets of 0..v-1; pair balance optional.
 
     `lambda_d` may be None for class systems (nets) that are resolvable and
     carry the affine intersection property without being a 2-design; when a
     value is declared, the every-pair count is validated against it.
-    A class may be given as one blocks x k integer numpy matrix; it is held
-    as int tuples either way.
+    `classes` is one read-only classes x (v/k) x k array; each class may be
+    given as rows of ints or as a blocks x k integer numpy matrix, and is
+    read and checked on its own before the next.
     """
 
     v: int
     k: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    classes: np.ndarray
     lambda_d: int | None = None
 
     def __post_init__(self) -> None:
+        self._set_ints("v", "k")
+        if self.lambda_d is not None:
+            self._set_ints("lambda_d")
         if self.v < 1:
             raise ValueError(f"need v >= 1 points, got v={self.v}")
         if self.k < 1 or self.v % self.k:
             raise ValueError(f"block size {self.k} must divide {self.v}")
-        read = [_symbols(cls, self.v, self.k) for cls in self.classes]
-        object.__setattr__(self, "classes", tuple(cls for cls, _ in read))
         per_class = self.v // self.k
-        for idx, (cls, points) in enumerate(read):
+        blocks = []
+        for idx, cls in enumerate(list(map(_read, self.classes))):
             if len(cls) != per_class:
                 raise ValueError(f"class {idx} has {len(cls)} blocks, expected {per_class}")
+            points = _symbols(cls, self.v, self.k)
             if points is None:  # a block of another size, or a point outside 0..v-1
                 raise ValueError(f"class {idx} has a malformed block")
             if not _composed(points.reshape(1, self.v), self.v, 1)[0]:
                 raise ValueError(f"class {idx} does not partition the points")
-        # rows[i, p] = index of point p's block in class i, once every class is checked
-        rows = np.zeros((len(self.classes), self.v), dtype=np.int64)
-        for idx, (_, points) in enumerate(read):
-            rows[idx, points] = np.arange(per_class)[:, None]
+            blocks.append(points)
+        classes = np.array(blocks, dtype=_label_dtype(self.v)).reshape(-1, per_class, self.k)
+        classes.flags.writeable = False
+        object.__setattr__(self, "classes", classes)
+        # rows[i, p] = index of point p's block in class i
+        rows = np.zeros((len(classes), self.v), dtype=np.int64)
+        rows[np.arange(len(classes))[:, None, None], classes] = np.arange(per_class)[:, None]
         object.__setattr__(self, "_block_index", rows)
         if self.lambda_d is not None:
             # points x, y share a block in every class where columns x, y of
@@ -367,9 +376,9 @@ class ResolvableDesign:
             # when k = 1, so a covering count outside 1..classes is rejected
             # outright; that also keeps `apart` in range of the unsigned counts.
             cols = np.ascontiguousarray(rows.T)
-            apart = len(self.classes) - self.lambda_d
+            apart = len(classes) - self.lambda_d
             if self.v >= 2 and (
-                not 0 <= apart < len(self.classes) or _distance_scan(cols) != (apart, apart)
+                not 0 <= apart < len(classes) or _distance_scan(cols) != (apart, apart)
             ):
                 raise ValueError(f"point pairs are not covered exactly {self.lambda_d} times")
 
@@ -384,11 +393,8 @@ class ResolvableDesign:
 def affine_classes_from_mols(squares: Sequence[FrequencySquare]) -> ResolvableDesign:
     """Row class, column class, and one class per latin square, on n^2 points."""
     n = _latin_order(squares)
-    classes = [
-        [range(r * n, r * n + n) for r in range(n)],
-        [range(c, n * n, n) for c in range(n)],
-    ]
-    classes += (_symbol_cells(sq._labels.ravel(), sq.m) for sq in squares)
+    grid = np.arange(n * n).reshape(n, n)
+    classes = [grid, grid.T, *(_symbol_cells(sq.cells.ravel(), sq.m) for sq in squares)]
     lambda_d = 1 if len(squares) == n - 1 else None
     return ResolvableDesign(n * n, n, classes, lambda_d)
 
@@ -582,11 +588,9 @@ def fpa_from_hadamard(H: HadamardMatrix) -> FrequencyPermutationArray:
     """
     if H.n < 2 or H.n % 2:
         raise ValueError(f"order {H.n} has no balanced rows")
-    signs = H.rows[0]
-    grid = [[e * s for e, s in zip(row, signs)] for row in H.rows[1:]]
-    rows = [[0 if e == 1 else 1 for e in row] for row in grid]
-    rows += [[1 - e for e in row] for row in rows[: H.n - 1]]
-    return FrequencyPermutationArray(2, H.n // 2, rows, H.n // 2)
+    mat = np.array(H.rows)
+    flips = mat[1:] != mat[0]  # each entry times the first row's sign, +1 -> 0 and -1 -> 1
+    return FrequencyPermutationArray(2, H.n // 2, np.concatenate([flips, ~flips]), H.n // 2)
 
 
 # ---------------------------------------------------------------------------

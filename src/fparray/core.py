@@ -3,21 +3,20 @@
 A lambda-permutation over m symbols is a word of length n = m * lambda in
 which every symbol 0..m-1 occurs exactly lambda times.  An array of such
 words whose rows are pairwise at Hamming distance >= d is the package's
-central object.  Rows are tuples of Python ints: every caller-supplied
-symbol passes the one gate `_ints`, which refuses non-integers.  Every
-record that keeps a symbol matrix (arrays here, squares, orthogonal
-arrays and design classes in `constructions`) reads its rows once through
-`_symbols`, which returns the int tuples and their read-only rows x width
-matrix of symbols, or no matrix when a row has another width or holds a
-symbol outside 0..m-1.  Rows given as one 2-D integer numpy array are
-read with one `tolist()` and copied as that matrix, so a caller who
-writes to the numpy array later changes nothing the record holds.  Only
-the array carries (m, lambda), and n is always m * lambda: an array
-refuses m or lambda below 1, any row whose length is not n and any
-symbol outside 0..m-1, so its matrix is always size x n, also for no
-rows, and holds the symbols themselves.  Constructions
-elsewhere in the package only ever *claim* parameters; `verify`
-re-derives all of them from the raw rows.
+central object.  Its rows are one read-only size x n integer matrix,
+and it keeps nothing beside it.  Every record that holds symbols (arrays
+here, squares, orthogonal arrays and design classes in `constructions`)
+reads them once through `_symbols`, which gives that matrix, in
+`_label_dtype(m)`, or None when a row has another width or holds a symbol
+outside 0..m-1.  A 2-D integer or bool numpy array is copied as it is, so
+a caller who writes to it later changes nothing the record holds; other
+rows pass the one gate `_ints`, which refuses non-integers.  The records
+compare and hash by value through `_SymbolRecord`.  Only the array
+carries (m, lambda), and n is always m * lambda: an array refuses m or
+lambda below 1, any row whose length is not n and any symbol outside
+0..m-1, so its matrix is always size x n, also for no rows, and holds
+the symbols themselves.  Constructions elsewhere in the package only
+ever *claim* parameters; `verify` re-derives all of them from the rows.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,21 +36,41 @@ class WorkLimitExceeded(RuntimeError):
 
 
 def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as tuples of Python ints; a tuple row of plain ints is kept,
-    not copied.  A 2-D integer numpy array is read with one `tolist()`.
-    Other rows are read through `operator.index`: numpy ints and bool
-    become plain ints, and a non-integer (1.5, 1.0, "1", None) raises
-    ValueError naming its type."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
-        return tuple(map(tuple, rows.tolist()))
+    """The rows as tuples of Python ints, each symbol read through
+    `operator.index`: numpy ints and bool become plain ints, and a
+    non-integer (1.5, 1.0, "1", None) raises ValueError naming its type."""
     try:
-        rows = tuple(map(tuple, rows))
-        plain = operator.countOf(map(type, itertools.chain.from_iterable(rows)), int)
-        if plain == sum(map(len, rows)):
-            return rows
         return tuple(tuple(map(operator.index, row)) for row in rows)
     except TypeError as exc:
         raise ValueError(f"symbols must be integers: {exc}") from None
+
+
+def _index(value: int, name: str) -> int:
+    """`operator.index(value)`, or a ValueError naming `name` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+class _SymbolRecord:
+    """== and hash by value for the frozen dataclasses (eq=False) that hold
+    a read-only symbol matrix, which counts by its shape and contents;
+    nothing is kept for them between calls.  The dataclass repr shows it."""
+
+    def _set_ints(self, *names: str) -> None:
+        for name in names:
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
@@ -73,36 +92,36 @@ def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class FrequencyPermutationArray:
+@dataclass(frozen=True, eq=False)
+class FrequencyPermutationArray(_SymbolRecord):
     """Rows of lambda-permutations with a claimed pairwise minimum distance.
 
-    Rows are int tuples by construction.  ValueError is raised for a
-    non-integer symbol, for m or lam below 1, for the first row whose
-    length is not n, and then for the first row holding a symbol outside
-    0..m-1; rows that are not lam-uniform and duplicate rows are still
-    held, for `verify` to report.  `_labels`, the rows' read-only size x n
-    matrix from `_symbols`, is kept beside the fields, so it takes no part
-    in ==, hash or repr.
+    `rows` is the read-only size x n matrix from `_symbols`, whatever the
+    rows were given as.  ValueError is raised for a non-integer m, lam or
+    claim, for a non-integer symbol, for m or lam below 1, for the first
+    row whose length is not n, and then for the first row holding a symbol
+    outside 0..m-1; rows that are not lam-uniform and duplicate rows are
+    still held, for `verify` to report.
     """
 
     m: int
     lam: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
     min_distance_claim: int
 
     def __post_init__(self) -> None:
+        self._set_ints("m", "lam", "min_distance_claim")
         if self.m < 1 or self.lam < 1:
             raise ValueError(f"need m >= 1 and lam >= 1, got m={self.m} lam={self.lam}")
-        rows, labels = _symbols(self.rows, self.m, self.n)
-        if labels is None:  # a row of another length, else a symbol out of range
+        rows = _read(self.rows)
+        mat = _symbols(rows, self.m, self.n)
+        if mat is None:  # a row of another length, else a symbol out of range
             for idx, row in enumerate(rows):
                 if len(row) != self.n:
                     raise ValueError(f"row {idx} has length {len(row)}, expected {self.n}")
             idx, s = next((i, s) for i, row in enumerate(rows) for s in row if not 0 <= s < self.m)
-            raise ValueError(f"row {idx} holds symbol {s}, outside 0..{self.m - 1}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_labels", labels)
+            raise ValueError(f"row {idx} holds symbol {int(s)}, outside 0..{self.m - 1}")
+        object.__setattr__(self, "rows", mat)
 
     @property
     def n(self) -> int:
@@ -132,6 +151,7 @@ class VerificationReport:
 
 def count_all(n: int, lam: int) -> int:
     """Number of lambda-permutations of length n, exactly."""
+    n, lam = _index(n, "n"), _index(lam, "lam")
     if n < 1 or lam < 1 or n % lam:
         raise ValueError(f"need lam >= 1 dividing n >= 1, got n={n} lam={lam}")
     # the j-th symbol's lam positions among the first j * lam
@@ -280,40 +300,37 @@ def _label_dtype(m: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(m - 1), np.uint16)
 
 
-def _label_matrix(rows: Sequence[Sequence[int]], m: int) -> np.ndarray | None:
-    """Rows of ints (see `_ints`) as one matrix of their symbols in
-    `_label_dtype(m)`, or None when a symbol lies outside 0..m-1."""
-    try:
-        mat = np.array(rows, dtype=_label_dtype(m))
-    except OverflowError:  # negative, or too large for the type
-        return None
-    return None if mat.size and (mat.min() < 0 or mat.max() >= m) else mat
+def _read(given: Iterable[Iterable[int]]) -> np.ndarray | tuple[tuple[int, ...], ...]:
+    """A 2-D integer or bool numpy array as it is; other rows through `_ints`."""
+    if isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "biu":
+        return given
+    return _ints(given)
 
 
 def _symbols(
-    given: Iterable[Iterable[int]], m: int, width: int
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
-    """(rows, labels): `_ints(given)` and its read-only rows x width matrix
-    of symbols in `_label_dtype(m)`, or labels None when a row's length is
-    not width or a symbol lies outside 0..m-1.
+    rows: np.ndarray | Sequence[Sequence[int]], m: int, width: int
+) -> np.ndarray | None:
+    """The read-only, C-ordered rows x width matrix of `rows` (from `_read`)
+    in `_label_dtype(m)`, or None when a row's length is not width or a
+    symbol lies outside 0..m-1.
 
-    A 2-D integer numpy array is range-checked by its min and max and
-    copied in that type, so a caller's later writes change nothing.  Other
-    rows get their `_label_matrix`.
+    The range is checked by the min and max before the cast, and the
+    matrix is always a copy, so a caller's later writes change nothing.
     """
-    rows = _ints(given)
-    if isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "iu":
-        if len(given) and given.shape[1] != width:
-            return rows, None
-        in_range = not given.size or (given.min() >= 0 and given.max() < m)
-        labels = given.astype(_label_dtype(m)) if in_range else None
-    else:
-        labels = None if set(map(len, rows)) - {width} else _label_matrix(rows, m)
-    if labels is None:
-        return rows, None
-    labels = labels.reshape(len(rows), width)
-    labels.flags.writeable = False
-    return rows, labels
+    if not isinstance(rows, np.ndarray):
+        if any(len(row) != width for row in rows):
+            return None
+        try:
+            rows = np.array(rows, dtype=_label_dtype(m)).reshape(len(rows), width)
+        except OverflowError:  # negative, or too large for the type
+            return None
+    if len(rows) and rows.shape[1] != width:
+        return None
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        return None
+    mat = rows.astype(_label_dtype(m), order="C").reshape(len(rows), width)
+    mat.flags.writeable = False
+    return mat
 
 
 def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
@@ -323,7 +340,7 @@ def _composed(mat: np.ndarray, m: int, lam: int) -> np.ndarray:
     Rows are sorted in blocks of about _BLOCK_CELLS symbols, so the sorted
     copy stays small next to the matrix.  m and lam must be at least 1.
     """
-    if mat.shape[1:] != (m * lam,):
+    if mat.shape[1:] != (m * lam,) or not len(mat):
         return np.zeros(len(mat), dtype=bool)
     base = np.repeat(np.arange(m), lam)
     ok = np.empty(len(mat), dtype=bool)
@@ -337,7 +354,7 @@ def min_distance(array: FrequencyPermutationArray) -> int:
     """Smallest pairwise Hamming distance; needs at least two rows."""
     if array.size < 2:
         raise ValueError("min_distance needs at least two rows")
-    return _distance_scan(array._labels)[0]
+    return _distance_scan(array.rows)[0]
 
 
 def _pair_counts(x: np.ndarray, y: np.ndarray, mx: int, my: int) -> np.ndarray:
@@ -412,8 +429,8 @@ def pair_profile(array: FrequencyPermutationArray) -> dict[tuple[int, int], int]
     size, m = array.size, array.m
     if m * m * (size * (size - 1) // 2) > _PROFILE_WORK or size < 2:
         return None
-    mat = array._labels
-    if not _composed(mat, m, array.lam).all() or len(set(array.rows)) < size:
+    mat = array.rows
+    if not _composed(mat, m, array.lam).all() or len(set(map(bytes, mat))) < size:
         return None
     return _pair_profile(mat, m)
 
@@ -430,13 +447,13 @@ def verify(array: FrequencyPermutationArray) -> VerificationReport:
     array is equidistant only if all its rows are one row.  The symbol-pair
     profile, a second pass over the row pairs, is left to `pair_profile`.
     """
-    rows, mat = array.rows, array._labels
+    mat = array.rows
     reasons = [
         f"row {idx} is not a {array.lam}-uniform word over {array.m} symbols"
         for idx in np.flatnonzero(~_composed(mat, array.m, array.lam)).tolist()
     ]
-    distinct = len(set(rows))
-    if distinct != len(rows):
+    distinct = len(set(map(bytes, mat)))  # rows are C-ordered
+    if distinct != array.size:
         reasons.append("rows are not pairwise distinct")
 
     actual = array.n

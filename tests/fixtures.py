@@ -7,9 +7,16 @@ constants byte-for-byte; none of them are derived from the code under
 test.  `partitions` is a plain generator the counting tests enumerate
 their inputs with, and `derangements_bruteforce` and
 `sphere_volume_bruteforce` are the counting formulas' enumeration oracles.
+`tuples` reads a record's symbol matrix as the int tuples the listings
+here are pinned as.
 """
 
 from fparray import all_lambda_permutations, hamming_distance
+
+
+def tuples(mat):
+    """A record's symbol matrix as a tuple of int tuples."""
+    return tuple(map(tuple, mat.tolist()))
 
 # 4 x 6 binary array over two symbols at frequency 3; every pair of rows
 # is at Hamming distance exactly 4.

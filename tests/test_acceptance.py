@@ -57,6 +57,7 @@ from fixtures import (
     derangements_bruteforce,
     partitions,
     sphere_volume_bruteforce,
+    tuples,
 )
 
 
@@ -96,7 +97,7 @@ def test_criterion_02_triple_agreement():
             fpa_from_mds(field_of_order(3), GENERATOR_3_2),
         )
         for fpa in routes:
-            assert fpa.rows == THREE_ROUTE_9_6
+            assert tuples(fpa.rows) == THREE_ROUTE_9_6
             report = verify(fpa)
             assert report.valid and report.equidistant
             assert report.actual_min_distance == 6
@@ -169,7 +170,7 @@ def test_criterion_06_class_product_listing():
         sep = separable_from_mols(mols_from_field(4))
         out = sep_product([sep, sep])
         assert (out.n, out.m, out.lam, out.size) == (8, 4, 2, 48)
-        assert out.rows[:8] == CLASS_PRODUCT_FIRST8
+        assert tuples(out.rows[:8]) == CLASS_PRODUCT_FIRST8
         report = verify(out)
         assert report.valid and report.actual_min_distance >= 4
 
@@ -182,7 +183,7 @@ def test_criterion_07_doubling_block_listing_and_exact_14():
 
         steiner = fpa_steiner_848()
         assert (steiner.n, steiner.m, steiner.lam, steiner.size) == (8, 2, 4, 14)
-        assert steiner.rows[0] == ROTATION_8_FIRST == (1, 0, 1, 1, 0, 0, 0, 1)
+        assert tuples(steiner.rows)[0] == ROTATION_8_FIRST == (1, 0, 1, 1, 0, 0, 0, 1)
         assert verify(steiner).valid
 
         start = time.perf_counter()

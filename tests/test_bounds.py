@@ -236,6 +236,36 @@ def test_bound_input_validation():
             fn(6, 3, 7)  # d out of range
 
 
+# Each integer parameter of the bounds, with a call that is valid at `good`
+INTEGER_PARAMETERS = [
+    ("count_all", "n", lambda x: count_all(x, 2), 4),
+    ("count_all", "lam", lambda x: count_all(4, x), 2),
+    ("sphere_volume", "n", lambda x: sphere_volume(x, 2, 1), 4),
+    ("sphere_volume", "lam", lambda x: sphere_volume(4, x, 1), 2),
+    ("sphere_volume", "r", lambda x: sphere_volume(4, 2, x), 1),
+    ("mofs_max", "n", lambda x: mofs_max(x, 2), 4),
+    ("mofs_max", "m", lambda x: mofs_max(4, x), 2),
+    ("plotkin_upper", "d", lambda x: plotkin_upper(4, 2, x), 3),
+    ("gv_lower", "n", lambda x: gv_lower(x, 2, 3), 4),
+    ("bounds_report", "lam", lambda x: bounds_report(4, x, 3), 2),
+    ("exact_max_size", "vertex_budget", lambda x: exact_max_size(4, 2, 3, x), 2000),
+    ("exact_max_size", "node_budget", lambda x: exact_max_size(4, 2, 3, 2000, x), 100),
+]
+
+
+@pytest.mark.parametrize(
+    "call, good", [(call, good) for _, _, call, good in INTEGER_PARAMETERS],
+    ids=[f"{fn}-{name}" for fn, name, _, _ in INTEGER_PARAMETERS],
+)
+def test_bound_parameters_must_be_integers(call, good, request):
+    name = request.node.callspec.id.split("-")[1]
+    for bad in (float(good), good + 0.5, str(good), None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    # numpy ints give the same answer as plain ints
+    assert call(np.int64(good)) == call(np.int16(good)) == call(good)
+
+
 def test_mofs_family_ceiling():
     assert mofs_max(4, 2) == 9
     assert mofs_max(3, 3) == 2

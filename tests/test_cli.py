@@ -930,7 +930,7 @@ def test_fpa_format_roundtrip():
     array = fpa_steiner_848()
     text = write_fpa(array)
     back = parse_fpa(text)
-    assert back.rows == array.rows
+    assert back.rows.tolist() == array.rows.tolist()
     assert (back.n, back.m, back.lam, back.min_distance_claim) == (8, 2, 4, 4)
     assert write_fpa(back) == text
 
@@ -1009,8 +1009,8 @@ def test_fpa_parser_reads_each_token_as_int_does():
     lines = ["0 +1 2 \u0663 4 5 6 7 8 9 1_0", "01 0 2 3 4 5 6 7 8 9 10", "1_0 9 8 7 6 5 4 3 2 +1 00"]
     text = "#fpa v1\nn=11 lambda=1 m=11 d=1 size=3\n" + "".join(ln + "\n" for ln in lines)
     array = parse_fpa(text)
-    assert array.rows == tuple(tuple(int(tok) for tok in ln.split()) for ln in lines)
-    assert array.rows[0] == tuple(range(11))
+    assert array.rows.tolist() == [[int(tok) for tok in ln.split()] for ln in lines]
+    assert array.rows[0].tolist() == list(range(11))
     assert write_fpa(array).splitlines()[2] == "0 1 2 3 4 5 6 7 8 9 10"
     bad = "0 1 2 3 4 5 6 7 8 9 1.5"
     with pytest.raises(FormatError) as info:
@@ -1022,7 +1022,7 @@ def test_squares_format_roundtrip():
     squares = mols_from_field(4)
     text = write_squares(squares)
     back = parse_squares(text)
-    assert [sq.cells for sq in back] == [sq.cells for sq in squares]
+    assert [sq.cells.tolist() for sq in back] == [sq.cells.tolist() for sq in squares]
     assert write_squares(back) == text
 
 
@@ -1097,7 +1097,7 @@ def test_parsers_reject_mismatched_kinds():
 def test_array_magic_line_verdicts(first, error):
     text = write_fpa(fpa_steiner_848()).replace("#fpa v1", first, 1)
     if error is None:
-        assert parse_fpa(text).rows == fpa_steiner_848().rows
+        assert parse_fpa(text).rows.tolist() == fpa_steiner_848().rows.tolist()
     else:
         with pytest.raises(FormatError) as info:
             parse_fpa(text)

@@ -41,6 +41,7 @@ from fixtures import (
     FULL_SPLIT_DISPLAY,
     HALF_SPLIT_DISPLAY,
     THREE_ROUTE_9_6,
+    tuples,
 )
 
 
@@ -59,7 +60,7 @@ def _four_doubled_rows() -> FrequencyPermutationArray:
 def test_pad_appends_a_fresh_symbol():
     out = pad(_nine_column_array())
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (12, 4, 3, 6, 4)
-    assert all(row[9:] == (3, 3, 3) for row in out.rows)
+    assert all(row[9:] == (3, 3, 3) for row in tuples(out.rows))
     assert verify(out).valid
 
 
@@ -87,7 +88,7 @@ def test_refine_reproduces_the_half_split_display():
     assert verify(out).valid
     # the displayed rows are the unshifted substitution of each source row,
     # printed 1-based; each source row contributes lam/l = 2 output rows
-    unshifted = out.rows[0::2]
+    unshifted = tuples(out.rows[0::2])
     expected = tuple(tuple(e - 1 for e in row) for row in HALF_SPLIT_DISPLAY)
     assert unshifted == expected
 
@@ -96,14 +97,14 @@ def test_expand_reproduces_the_full_split_display():
     out = expand_to_pa(_four_doubled_rows())
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (12, 12, 1, 6, 24)
     assert verify(out).valid
-    unshifted = out.rows[0::6]
+    unshifted = tuples(out.rows[0::6])
     expected = tuple(tuple(e - 1 for e in row) for row in FULL_SPLIT_DISPLAY)
     assert unshifted == expected
 
 
 def test_refine_identity_and_expand_agreement():
     a = _nine_column_array()
-    assert refine(a, a.lam).rows == a.rows
+    assert np.array_equal(refine(a, a.lam).rows, a.rows)
     assert refine(a, 1) == expand_to_pa(a)
 
 
@@ -121,9 +122,9 @@ def _refine_per_symbol(a, l):
     """refine as a per-symbol loop: the canonical max-distance array over
     lam/l symbols, applied row by row to occurrence indices."""
     per = a.lam // l
-    patterns = canonical_max_distance_fpa(per, l).rows
+    patterns = tuples(canonical_max_distance_fpa(per, l).rows)
     rows = []
-    for row in a.rows:
+    for row in tuples(a.rows):
         occ = _occurrence_indices(row, a.m)
         for pattern in patterns:
             rows.append(tuple(s * per + pattern[j] for s, j in zip(row, occ)))
@@ -142,7 +143,7 @@ def test_expand_matches_a_per_symbol_loop(data):
     lam = data.draw(st.integers(1, 4), label="lam")
     a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 1)
     out = expand_to_pa(a)
-    assert out.rows == _refine_per_symbol(a, 1)
+    assert tuples(out.rows) == _refine_per_symbol(a, 1)
     assert (out.m, out.lam, out.min_distance_claim) == (m * lam, 1, 1)
 
 
@@ -154,7 +155,7 @@ def test_refine_matches_a_per_symbol_loop(data):
     a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 2)
     for l in (f for f in range(1, lam + 1) if lam % f == 0):
         out = refine(a, l)
-        assert out.rows == _refine_per_symbol(a, l)
+        assert tuples(out.rows) == _refine_per_symbol(a, l)
         assert (out.m, out.lam, out.min_distance_claim) == (m * lam // l, l, 2)
 
 
@@ -162,10 +163,10 @@ def _compose_per_symbol(fpas, c):
     """compose_columns as a per-symbol loop over the coarse rows."""
     m, depth = fpas[0].m, min(f.size for f in fpas)
     rows = []
-    for crow in c.rows:
+    for crow in tuples(c.rows):
         occ = _occurrence_indices(crow, len(fpas))
         for j in range(depth):
-            rows.append(tuple(fpas[i].rows[j][t] + i * m for i, t in zip(crow, occ)))
+            rows.append(tuple(int(fpas[i].rows[j, t]) + i * m for i, t in zip(crow, occ)))
     return tuple(rows)
 
 
@@ -181,7 +182,7 @@ def test_compose_columns_matches_a_per_symbol_loop(data):
     ]
     coarse = FrequencyPermutationArray(b, m * lam, _draw_words(data, b, m * lam), b)
     out = compose_columns(fpas, coarse)
-    assert out.rows == _compose_per_symbol(fpas, coarse)
+    assert tuples(out.rows) == _compose_per_symbol(fpas, coarse)
     assert (out.m, out.lam, out.min_distance_claim) == (b * m, lam, b)
 
 
@@ -317,18 +318,18 @@ def test_direct_product_squares_the_doubling_route():
 
 
 def _product_per_row(a, b):
-    return tuple(ra + tuple(s + a.m for s in rb) for ra in a.rows for rb in b.rows)
+    return tuple(ra + tuple(s + a.m for s in rb) for ra in tuples(a.rows) for rb in tuples(b.rows))
 
 
 def test_direct_product_matches_a_per_row_loop():
     a = canonical_max_distance_fpa(3, 2)
     b = fpa_from_hadamard(hadamard_matrix(4))
-    assert direct_product(a, b).rows == _product_per_row(a, b)
+    assert tuples(direct_product(a, b).rows) == _product_per_row(a, b)
     # in-range rows that are not lam-permutations are concatenated as they are
     flat = FrequencyPermutationArray(2, 1, [(0, 0), (1, 1), (0, 1)], 1)
     pairs = FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], 1)
     for x, y in ((flat, pairs), (pairs, flat), (flat, flat)):
-        assert direct_product(x, y).rows == _product_per_row(x, y)
+        assert tuples(direct_product(x, y).rows) == _product_per_row(x, y)
     # an input with a symbol outside 0..m-1 is refused before any product
     for rows, symbol in (([(0, 5), (1, -1)], 5), ([(0, 1), (1, -1)], -1)):
         with pytest.raises(ValueError, match=f"holds symbol {symbol}, outside 0..1$"):
@@ -344,7 +345,7 @@ def test_direct_product_cell_limit_boundary():
         raise AssertionError("rows built before the refusal")
 
     with mock.patch.object(combinators, "_PRODUCT_CELLS", cells):
-        assert direct_product(a, b).rows == _product_per_row(a, b)
+        assert tuples(direct_product(a, b).rows) == _product_per_row(a, b)
     with mock.patch.object(combinators, "_PRODUCT_CELLS", cells - 1), \
             mock.patch.object(combinators, "_concatenations", no_rows):
         with pytest.raises(core.WorkLimitExceeded, match=f"is {cells} cells, over the limit"):
@@ -357,7 +358,8 @@ def test_direct_product_cell_limit_boundary():
 @given(data=st.data())
 def test_combinator_output_matrices_are_their_label_matrices(data):
     # refine, compose_columns and direct_product hand their numpy rows to
-    # the array; what it keeps must be the label matrix of its rows
+    # the array; what it keeps must be the label matrix the same rows as
+    # tuples give
     m = data.draw(st.integers(1, 3), label="m")
     lam = data.draw(st.sampled_from([1, 2, 4]), label="lam")
     a = FrequencyPermutationArray(m, lam, _draw_words(data, m, lam), 1)
@@ -366,11 +368,10 @@ def test_combinator_output_matrices_are_their_label_matrices(data):
     outs = [refine(a, l) for l in (1, lam)]
     outs += [compose_columns([a, a], coarse), direct_product(a, b)]
     for out in outs:
-        want = core._label_matrix(out.rows, out.m).reshape(out.size, out.n)
-        assert out._labels.dtype == want.dtype
-        assert np.array_equal(out._labels, want)
-        same = FrequencyPermutationArray(out.m, out.lam, out.rows, out.min_distance_claim)
-        assert verify(out) == verify(same)
+        same = FrequencyPermutationArray(out.m, out.lam, tuples(out.rows), out.min_distance_claim)
+        assert out.rows.dtype == same.rows.dtype == core._label_dtype(out.m)
+        assert out.rows.shape == (out.size, out.n) and not out.rows.flags.writeable
+        assert out == same and verify(out) == verify(same)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def test_class_product_reproduces_the_48_row_listing():
     assert sep.array == fpa_from_mofs(squares)
     out = sep_product([sep, sep])
     assert (out.n, out.m, out.lam, out.min_distance_claim, out.size) == (8, 4, 2, 4, 48)
-    assert out.rows[:8] == CLASS_PRODUCT_FIRST8
+    assert tuples(out.rows[:8]) == CLASS_PRODUCT_FIRST8
     report = verify(out)
     assert report.valid and report.actual_min_distance == 4
 
@@ -410,7 +411,7 @@ def test_class_product_reproduces_the_48_row_listing():
 def _class_rows(sep):
     """The rows of each class, cut from the array by the class sizes."""
     cuts = list(itertools.accumulate(sep.sizes, initial=0))
-    return [sep.array.rows[x:y] for x, y in zip(cuts, cuts[1:])]
+    return [tuples(sep.array.rows[x:y]) for x, y in zip(cuts, cuts[1:])]
 
 
 def _class_product_loop(inputs):
@@ -441,11 +442,10 @@ def test_sep_product_matches_the_product_loop(data):
     assert [(s.d, s.delta) for s in inputs] == [(a.min_distance_claim, x) for a, _, x in drawn]
     assume(sum(s.d for s in inputs) >= min(s.delta for s in inputs))
     out = sep_product(inputs)
-    assert out.rows == _class_product_loop(inputs)
+    assert tuples(out.rows) == _class_product_loop(inputs)
     assert (out.m, out.lam) == (m, lam * len(inputs))
     assert out.min_distance_claim == min(s.delta for s in inputs)
-    want = core._label_matrix(out.rows, m).reshape(out.size, out.n)
-    assert out._labels.dtype == want.dtype and np.array_equal(out._labels, want)
+    assert out.rows.dtype == core._label_dtype(m) and out.rows.shape == (out.size, out.n)
 
 
 def test_class_product_cell_limit_boundary():
@@ -460,7 +460,7 @@ def test_class_product_cell_limit_boundary():
     # 3 x 1 rows of 8 symbols: 24 cells; 4 x 1 rows is one row over
     with mock.patch.object(combinators, "_PRODUCT_CELLS", 24):
         inputs = [first(3), first(1)]
-        assert sep_product(inputs).rows == _class_product_loop(inputs)
+        assert tuples(sep_product(inputs).rows) == _class_product_loop(inputs)
         with mock.patch.object(combinators, "_concatenations", no_rows):
             with pytest.raises(
                 core.WorkLimitExceeded,
@@ -486,7 +486,7 @@ def test_separable_checks_both_claims_with_one_row_and_empty_classes():
     assert SeparableArray(a, (1, 1, 1, 1)).delta == 9  # every class is one row
     with pytest.raises(ValueError, match="class union fails at d=7"):
         SeparableArray(rows(4, 7), (1, 0, 3))
-    twice = FrequencyPermutationArray(3, 3, a.rows[:1] * 2, 0)
+    twice = FrequencyPermutationArray(3, 3, tuples(a.rows[:1]) * 2, 0)
     with pytest.raises(ValueError, match="class union fails at d=0"):
         SeparableArray(twice, (1, 1))  # a row in two classes
 
@@ -605,7 +605,7 @@ def test_transforms_keep_their_claims(data):
     sep = SeparableArray.from_fpa(a, k)
     chunk = a.size // k
     classes = [a.rows[i : i + chunk] for i in range(0, a.size, chunk)]
-    assert sep.array.rows == a.rows and sep.sizes == (chunk,) * k
+    assert np.array_equal(sep.array.rows, a.rows) and sep.sizes == (chunk,) * k
     assert sep.d == a.min_distance_claim
     assert sep.delta == min(_brute_min(rows, a.n) for rows in classes)
 
@@ -631,7 +631,7 @@ def test_separable_distances_match_the_oracle_across_kernel_blocks(data):
 def test_reduce_mod_keeps_its_claim(data):
     # strength-2 rows have the all-ones pair profile, under any relabelling
     q = data.draw(st.sampled_from([3, 4, 5, 8, 9]), label="q")
-    rows = fpa_from_oa(oa_from_mols(mols_from_field(q))).rows
+    rows = tuples(fpa_from_oa(oa_from_mols(mols_from_field(q))).rows)
     picked = data.draw(st.lists(st.sampled_from(rows), min_size=2, unique=True), label="rows")
     relabel = data.draw(st.permutations(range(q)), label="relabel")
     columns = data.draw(st.permutations(range(q * q)), label="columns")
@@ -652,7 +652,7 @@ def test_compose_columns_keeps_its_claim(data):
     lam = data.draw(st.integers(1, 2), label="lam")
     fpas = [_draw_array(data, m, lam, f"ingredient{i}") for i in range(b)]
     # coarse rows at full distance b*n stay so under a column permutation
-    full = canonical_max_distance_fpa(b, m * lam).rows
+    full = tuples(canonical_max_distance_fpa(b, m * lam).rows)
     picked = data.draw(st.lists(st.sampled_from(full), min_size=1, unique=True), label="coarse")
     columns = data.draw(st.permutations(range(b * m * lam)), label="columns")
     coarse = FrequencyPermutationArray(

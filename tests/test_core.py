@@ -24,8 +24,11 @@ from fparray import (
     SeparableArray,
     core,
     direct_product,
+    expand_to_pa,
     field_of_order,
+    fpa_from_hadamard,
     fpa_from_mds,
+    hadamard_matrix,
     matrix_rank,
 )
 from fparray.cli import formats
@@ -41,7 +44,7 @@ from fparray.core import (
     pair_profile,
     verify,
 )
-from fixtures import TWO_SYMBOL_6_4
+from fixtures import TWO_SYMBOL_6_4, tuples
 
 
 def brute_min_distance(rows):
@@ -81,8 +84,8 @@ def test_constructor_normalises_to_int_tuples():
     fpa = FrequencyPermutationArray(
         2, 2, [[0, 1, 1, 0], np.array([1, 0, 0, 1], dtype=np.int16)], 4
     )
-    assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
-    assert all(type(s) is int for row in fpa.rows for s in row)
+    assert fpa.rows.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
+    assert fpa.rows.dtype == core._label_dtype(2) and not fpa.rows.flags.writeable
     assert (fpa.n, fpa.size) == (4, 2)
 
 
@@ -99,7 +102,8 @@ def test_non_integer_symbols_are_never_truncated(symbol):
 
 
 # Every entry point that takes integers from a caller, fed the symbol s
-# where a valid input holds a 1; each returns the integers it stored.
+# where a valid input holds a 1; each returns the integers it stored, as
+# a read-only label matrix or as int tuples.
 GATED = {
     "FrequencyPermutationArray": lambda s: FrequencyPermutationArray(
         2, 1, ((0, s), (1, 0)), 2
@@ -130,8 +134,53 @@ def test_every_entry_point_refuses_non_integer_symbols(entry, symbol):
 @pytest.mark.parametrize("entry", sorted(GATED))
 def test_every_entry_point_stores_integer_types_as_ints(entry, symbol):
     stored = GATED[entry](symbol)
-    assert stored == GATED[entry](1)
+    if isinstance(stored, np.ndarray):  # every matrix here holds symbols below 4
+        assert stored.dtype == core._label_dtype(4) and not stored.flags.writeable
+        stored = stored.tolist()
+    else:
+        stored = [list(row) for row in stored]
+    assert stored == np.asarray(GATED[entry](1)).tolist()
     assert all(type(v) is int for row in stored for v in row)
+
+
+# Each integer parameter of the four symbol records, with a record that is
+# valid at `good`
+RECORD_PARAMETERS = [
+    ("array", "m", lambda x: FrequencyPermutationArray(x, 1, [(0, 1), (1, 0)], 2), 2),
+    ("array", "lam", lambda x: FrequencyPermutationArray(2, x, [(0, 1), (1, 0)], 2), 1),
+    (
+        "array", "min_distance_claim",
+        lambda x: FrequencyPermutationArray(2, 1, [(0, 1), (1, 0)], x), 2,
+    ),
+    ("square", "m", lambda x: FrequencySquare(x, 1, [(0, 1), (1, 0)]), 2),
+    ("square", "lam", lambda x: FrequencySquare(2, x, [(0, 1), (1, 0)]), 1),
+    ("oa", "v", lambda x: OrthogonalArray(x, 2, [(0, 0, 1, 1), (0, 1, 0, 1)]), 4),
+    ("oa", "s", lambda x: OrthogonalArray(4, x, [(0, 0, 1, 1), (0, 1, 0, 1)]), 2),
+    ("design", "v", lambda x: ResolvableDesign(x, 2, [[(0, 1)]]), 2),
+    ("design", "k", lambda x: ResolvableDesign(2, x, [[(0, 1)]]), 2),
+    (
+        "design", "lambda_d",
+        lambda x: ResolvableDesign(4, 2, [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]], x),
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, good", [(name, build, good) for _, name, build, good in RECORD_PARAMETERS],
+    ids=[f"{record}-{name}" for record, name, _, _ in RECORD_PARAMETERS],
+)
+def test_record_parameters_must_be_integers(name, build, good):
+    for bad in (float(good), good + 0.5, str(good), Fraction(good), [good]):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build(bad)
+    if name != "lambda_d":  # lambda_d=None declares no pair cover
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
+            build(None)
+    # numpy ints, and True for 1, are stored as the plain int
+    for value in (np.int64(good), np.uint8(good), *([True] if good == 1 else [])):
+        record = build(value)
+        assert record == build(good) and type(getattr(record, name)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +188,15 @@ def test_every_entry_point_stores_integer_types_as_ints(entry, symbol):
 
 
 def _same_array(from_matrix, from_tuples):
-    assert from_matrix.rows == from_tuples.rows
-    assert all(type(s) is int for row in from_matrix.rows for s in row)
+    assert from_matrix.rows.tolist() == from_tuples.rows.tolist()
     assert from_matrix == from_tuples
     assert hash(from_matrix) == hash(from_tuples)
     assert repr(from_matrix) == repr(from_tuples)
     assert verify(from_matrix) == verify(from_tuples)
-    want = core._label_matrix(from_tuples.rows, from_tuples.m)
-    want = want.reshape(from_tuples.size, from_tuples.n)  # no rows label as a flat ()
-    assert from_matrix._labels.dtype == want.dtype
-    assert np.array_equal(from_matrix._labels, want)
+    for array in (from_matrix, from_tuples):
+        assert array.rows.shape == (from_tuples.size, from_tuples.n)  # also for no rows
+        assert array.rows.dtype == core._label_dtype(from_tuples.m)
+        assert not array.rows.flags.writeable
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
@@ -156,7 +204,7 @@ def test_matrix_rows_match_tuple_rows(dtype):
     rows = [row for row in all_lambda_permutations(3, 2)][::7]
     mat = np.array(rows, dtype=dtype)
     _same_array(FrequencyPermutationArray(3, 2, mat, 2), FrequencyPermutationArray(3, 2, rows, 2))
-    # the matrix is no field: == and replace see the four fields only
+    # the matrix is the rows field: == and replace see the four fields
     fields = [f.name for f in dataclasses.fields(FrequencyPermutationArray)]
     assert fields == ["m", "lam", "rows", "min_distance_claim"]
     assert dataclasses.replace(FrequencyPermutationArray(3, 2, mat, 2), m=6, lam=1).m == 6
@@ -202,17 +250,62 @@ def test_matrix_rows_out_of_range_match_tuple_rows(dtype, cells):
 @pytest.mark.parametrize(
     "rows",
     [
-        np.array([[False, True], [True, False]]),  # bool: read symbol by symbol
         np.array([0, 1]),
         np.zeros((2, 1, 2), dtype=np.int64),
         np.array(1),
         np.array([[0.0, 1.0], [1.0, 0.0]]),
     ],
-    ids=["bool", "1-D", "3-D", "0-D", "float"],
+    ids=["1-D", "3-D", "0-D", "float"],
 )
 def test_other_numpy_rows_are_read_symbol_by_symbol(rows):
     with pytest.raises(ValueError, match="symbols must be integers"):
         FrequencyPermutationArray(2, 1, rows, 2)
+
+
+@pytest.mark.parametrize(
+    "build, bools",
+    [
+        (lambda rows: FrequencyPermutationArray(2, 1, rows, 2), [[False, True], [True, False]]),
+        (lambda rows: FrequencySquare(2, 1, rows), [[False, True], [True, False]]),
+        (lambda rows: OrthogonalArray(4, 2, rows), [[False, False, True, True], [False, True] * 2]),
+        (lambda rows: ResolvableDesign(2, 2, [rows]), [[False, True]]),
+    ],
+    ids=["array", "square", "oa", "design"],
+)
+def test_numpy_bool_matrices_are_read_like_bool_symbols(build, bools):
+    ints = [[int(b) for b in row] for row in bools]
+    assert build(np.array(bools)) == build(bools) == build(ints)
+    with pytest.raises(ValueError, match="^row 0 holds symbol 1, outside 0..0$"):
+        FrequencyPermutationArray(1, 2, np.array([[False, True]]), 0)
+
+
+def test_an_array_built_from_a_matrix_makes_no_per_row_objects():
+    # 4 032 rows of 64 symbols in int64: 2.06 MB.  The array keeps them as
+    # one uint16 label matrix (0.52 MB) and nothing per row.
+    source = expand_to_pa(fpa_from_hadamard(hadamard_matrix(64)))
+    mat = source.rows.astype(np.int64)
+    assert mat.shape == (4032, 64) and mat.nbytes == 2_064_384
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        array = FrequencyPermutationArray(source.m, source.lam, mat, source.min_distance_claim)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < mat.nbytes
+    assert array == source and array.rows.nbytes == mat.nbytes // 4
+
+
+def test_rows_given_as_a_generator_are_read_once():
+    # the refusal names the row from the rows already read
+    rows = [(0, 1), (1, 0)]
+    assert FrequencyPermutationArray(2, 1, iter(rows), 2).rows.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="^row 1 holds symbol 5, outside 0..1$"):
+        FrequencyPermutationArray(2, 1, iter([(0, 1), (1, 5)]), 2)
+    with pytest.raises(ValueError, match="^row 1 has length 1, expected 2$"):
+        FrequencyPermutationArray(2, 1, iter([(0, 1), (1,)]), 2)
+    design = ResolvableDesign(4, 2, iter([[(0, 1), (2, 3)], iter([(0, 2), (1, 3)])]))
+    assert design.classes.tolist() == [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
 
 
 def test_matrix_rows_are_copied():
@@ -221,11 +314,10 @@ def test_matrix_rows_are_copied():
     before = verify(fpa)
     mat[1] = mat[0]  # a duplicate row, had the array kept the caller's matrix
     mat[0, 0] = 7
-    assert fpa.rows == ((0, 1, 1, 0), (1, 0, 0, 1))
+    assert fpa.rows.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
     assert verify(fpa) == before and before.valid
-    assert fpa._labels.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
     with pytest.raises(ValueError):
-        fpa._labels[0, 0] = 1  # read-only
+        fpa.rows[0, 0] = 1  # read-only
     assert min_distance(fpa) == 4
 
 
@@ -242,10 +334,13 @@ def test_every_record_matrix_is_rows_by_width():
         (OrthogonalArray(4, 2, [[0, 0, 1, 1], [0, 1, 0, 1]]), (2, 4)),
     ]
     for record, shape in records:
-        assert record._labels.shape == shape
-        assert not record._labels.flags.writeable
+        matrix = record.cells if isinstance(record, FrequencySquare) else record.rows
+        assert matrix.shape == shape
+        assert not matrix.flags.writeable
     design = ResolvableDesign(4, 2, [[[0, 1], [2, 3]], np.array([[0, 2], [1, 3]])])
+    assert design.classes.shape == (2, 2, 2) and not design.classes.flags.writeable
     assert design._block_index.shape == (2, 4)
+    assert ResolvableDesign(4, 2, []).classes.shape == (0, 2, 2)
     assert ResolvableDesign(4, 2, [])._block_index.shape == (0, 4)
     # a numpy matrix one column short or long is refused by each record
     for width in (5, 7):
@@ -271,7 +366,7 @@ def test_symbols_past_the_range_are_refused_alike_before_any_pair(m):
     for given in [[top, top[::-1]]] + [
         np.array([top, top[::-1]], dtype=dtype) for dtype in dtypes if np.iinfo(dtype).max >= m - 1
     ]:
-        assert FrequencyPermutationArray(m, 1, given, 1).rows == (top, top[::-1])
+        assert tuples(FrequencyPermutationArray(m, 1, given, 1).rows) == (top, top[::-1])
     work = mock.Mock(side_effect=AssertionError("pair or distance work"))
     for symbol in (m, -1, 2**63, 2**70):
         row = (top[0], symbol, *top[2:])
@@ -293,7 +388,7 @@ def test_symbols_past_the_range_are_refused_alike_before_any_pair(m):
 
 def test_integer_symbols_of_any_type_keep_their_value():
     rows = ((0, np.int64(1)), (True, np.uint8(0)))
-    assert core._label_matrix(rows, 2).tolist() == [[0, 1], [1, 0]]
+    assert core._symbols(core._read(rows), 2, 2).tolist() == [[0, 1], [1, 0]]
     assert verify(FrequencyPermutationArray(2, 1, rows, 2)).valid
 
 
@@ -471,10 +566,11 @@ def array_of_held_rows(m, lam, rows):
 def per_row_reasons(fpa):
     """verify's row reasons as a loop over is_lambda_permutation gives them."""
     reasons = []
-    for idx, row in enumerate(fpa.rows):
+    rows = tuples(fpa.rows)
+    for idx, row in enumerate(rows):
         if not is_lambda_permutation(row, fpa.m, fpa.lam):
             reasons.append(f"row {idx} is not a {fpa.lam}-uniform word over {fpa.m} symbols")
-    if len(set(fpa.rows)) != len(fpa.rows):
+    if len(set(rows)) != len(rows):
         reasons.append("rows are not pairwise distinct")
     return tuple(reasons)
 
@@ -503,9 +599,9 @@ def test_composition_check_matches_the_per_row_predicate(data):
     cells = data.draw(st.sampled_from([1, width, 2 * width + 1, 1 << 16]), label="cells")
     # rows with a symbol outside 0..m-1 get no label matrix; the rest are composed
     held = [row for row in rows if all(0 <= s < m for s in row)]
-    assert (core._label_matrix(rows, m) is None) == (len(held) < len(rows))
+    assert (core._symbols(rows, m, width) is None) == (len(held) < len(rows))
     with mock.patch.object(core, "_BLOCK_CELLS", cells):
-        mask = core._composed(core._label_matrix(held, m), m, lam)
+        mask = core._composed(core._symbols(held, m, width), m, lam)
     assert mask.tolist() == [is_lambda_permutation(row, m, lam) for row in held]
 
     ragged = data.draw(
@@ -527,7 +623,7 @@ def test_composition_check_matches_the_per_row_predicate(data):
         assert str(exc) == expected
     else:
         assert expected is None
-        assert parsed.rows == tuple(map(tuple, ragged))
+        assert tuples(parsed.rows) == tuple(map(tuple, ragged))
 
 
 def _parse_outcome(text):
@@ -536,7 +632,7 @@ def _parse_outcome(text):
         array = formats.parse_fpa(text)
     except formats.FormatError as exc:
         return str(exc)
-    return array, array._labels.dtype, array._labels.tolist()
+    return array, array.rows.dtype, array.rows.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -598,7 +694,7 @@ def test_bulk_reader_matches_the_row_reader(data):
             assert (formats._bulk_matrix(body, n, m) is not None) == plain
     assert bulk == by_rows
     if expected is None:
-        assert bulk[0].rows == tuple(formats._int_row(ln, n, "") for ln in body)
+        assert tuples(bulk[0].rows) == tuple(formats._int_row(ln, n, "") for ln in body)
     else:
         assert bulk == expected
 
@@ -622,8 +718,8 @@ def test_bulk_reader_reads_every_symbol_its_label_type_holds(m, dtype):
     row = " ".join(map(str, range(m - 1, -1, -1)))
     text = f"#fpa v1\nn={m} lambda=1 m={m} d={m} size=1\n{row}\n"
     parsed = formats.parse_fpa(text)
-    assert parsed.rows == (tuple(range(m - 1, -1, -1)),)
-    assert parsed._labels.dtype == dtype
+    assert parsed.rows.tolist() == [list(range(m - 1, -1, -1))]
+    assert parsed.rows.dtype == dtype
     assert formats._bulk_matrix([row], m, m).tolist() == [list(range(m - 1, -1, -1))]
     wrapped = row.replace(" 0", f" {2**32}")  # a value past uint32 must not wrap to 0
     with pytest.raises(formats.FormatError, match=f"^row 0 is not a frequency-1 word over {m} "):
@@ -663,7 +759,7 @@ def test_verify_rejects_duplicate_rows():
 )
 def test_verify_skips_the_pair_scan_when_rows_repeat(rows, claim):
     fpa = FrequencyPermutationArray(2, 2, rows, claim)
-    lo, hi = core._distance_scan(fpa._labels)  # what the scan would find
+    lo, hi = core._distance_scan(fpa.rows)  # what the scan would find
     below = (f"minimum distance {lo} below claim {claim}",) if lo < claim else ()
     with mock.patch.object(core, "_distance_scan", side_effect=AssertionError("scanned")):
         report = verify(fpa)
@@ -713,7 +809,7 @@ def test_a_short_row_and_an_out_of_range_row_are_refused():
     # a row in range that is not 2-uniform is held and reported
     rows.append((0, 1, 1, 1))
     fpa = FrequencyPermutationArray(2, 2, rows, 2)
-    assert fpa.rows == tuple(rows)
+    assert tuples(fpa.rows) == tuple(rows)
     report = verify(fpa)
     assert not report.valid
     assert report.reasons == (
@@ -728,7 +824,7 @@ def test_a_short_row_and_an_out_of_range_row_are_refused():
     body = [" ".join(str(s + 1) for s in row) for row in rows]
     assert text.splitlines()[2:] == body
     other = FrequencyPermutationArray(1, 2, [(0, 0)], 4)
-    assert direct_product(fpa, other).rows == tuple(row + (2, 2) for row in rows)
+    assert tuples(direct_product(fpa, other).rows) == tuple(row + (2, 2) for row in rows)
 
 
 # hypothesis: the verifier's distance agrees with a brute-force rescan
@@ -939,7 +1035,7 @@ def test_pair_profile_matches_a_counter_per_row_pair(data):
     order = data.draw(st.permutations(range(len(pool[0]))), label="columns")
     rows = [tuple(r[j] for j in order) if len(r) == len(order) else r for r in rows]
     fpa = array_of_held_rows(m, lam, rows)
-    assert pair_profile(fpa) == _profile_oracle(fpa.rows, m, lam)
+    assert pair_profile(fpa) == _profile_oracle(tuples(fpa.rows), m, lam)
 
 
 def test_pair_profile_checks_its_work_bound_before_reading_a_row():
