@@ -9,7 +9,8 @@ its tail sums over the word space, where every type appears lambda times.
 It refuses words longer than `_AGREEMENT_POSITIONS` before any arithmetic,
 and so every count does.
 `exact_max_size` is the independent oracle: a deterministic
-branch-and-bound maximum-clique search over the whole word space.
+branch-and-bound maximum-clique search over the word space, listed once
+as one matrix; its witness is an array of that matrix's rows.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import (
-    WorkLimitExceeded,
-    _index,
-    _ints,
-    all_lambda_permutations,
-    count_all,
-)
+from .core import WorkLimitExceeded, _index, _ints, all_lambda_permutations, count_all
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +153,14 @@ def _check_nd(n: int, lam: int, d: int, **budgets: int) -> None:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of the clique search; the rows witness value = len(rows)."""
+    """Outcome of the clique search; `array`, claiming d, witnesses value."""
 
     proven: bool
-    rows: tuple[tuple[int, ...], ...]
+    array: core.FrequencyPermutationArray
 
     @property
     def value(self) -> int:
-        return len(self.rows)
+        return self.array.size
 
 
 # The search refuses word spaces whose V x V adjacency has more cells than
@@ -184,7 +179,7 @@ def _bits(p: int) -> list[int]:
     return out
 
 
-def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
+def _adjacency(words: np.ndarray | Sequence[Sequence[int]], d: int) -> list[int]:
     """The search's table of open non-neighbour masks, top bit first.
 
     Word u sits at bit V-1-u of every mask, so the lowest-indexed word of
@@ -196,7 +191,7 @@ def _adjacency(words: list[tuple[int, ...]], d: int) -> list[int]:
     holds the words that agree with each block word in k or more of the
     positions so far: O(V^2·n·min(t, d)/8) byte operations in all.
     """
-    mat = np.array(words, dtype=np.intp)
+    mat = np.asarray(words, dtype=np.intp)
     size, n = mat.shape
     t, pad, width = n - d + 1, -size % 8, (size + 7) // 8
     holds = mat.T[:, None] == np.arange(mat.max() + 1)[:, None]
@@ -352,10 +347,10 @@ def exact_max_size(
     """Maximum array size, proven by exhausting the word space.
 
     Vertices are all lambda-permutations in lexicographic order, edges join
-    words at distance >= d; the answer is the maximum clique.  Position
-    permutations act transitively on the words and keep distances, so all
-    vertices have one degree, and the lexicographic order is kept as the
-    branching order (a degree sort would leave it unchanged).
+    words at distance >= d; the answer is the maximum clique, an array of
+    its words in that order claiming d.  Position permutations act
+    transitively on the words and keep distances, so all vertices have one
+    degree: a degree sort would keep the lexicographic branching order.
 
     The first incumbent keeps taking the candidate that keeps the most
     candidates, the lowest index on ties.  The search then colours each
@@ -386,16 +381,15 @@ def exact_max_size(
         )
     if n > _AGREEMENT_POSITIONS:
         raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
-    words = list(all_lambda_permutations(m, lam))
-    if len(words) == 1:
-        return ExactResult(True, (words[0],))
-
-    non = _adjacency(words, d)
+    words = np.array(list(all_lambda_permutations(m, lam)), dtype=np.intp)
     # bench/tracing.py reads the node count from this local after the call
-    state = {"best": _greedy_clique(non)}
-    _clique_search(non, state, node_budget)
-    rows = tuple(sorted(words[-1 - i] for i in state["best"]))
-    return ExactResult(not state["aborted"], rows)
+    state = {"best": [0], "aborted": False}
+    if len(words) > 1:
+        non = _adjacency(words, d)
+        state["best"] = _greedy_clique(non)
+        _clique_search(non, state, node_budget)
+    rows = words[np.sort(len(words) - 1 - np.array(state["best"], dtype=np.intp))]
+    return ExactResult(not state["aborted"], core.FrequencyPermutationArray(m, lam, rows, d))
 
 
 # ---------------------------------------------------------------------------

@@ -380,8 +380,7 @@ def _cmd_search(args) -> int:
     print(f"M(n={args.n}, lambda={args.lam}, d={args.d}) = {result.value} ({status})")
     if args.out is None:
         return 0
-    witness = FrequencyPermutationArray(args.n // args.lam, args.lam, result.rows, args.d)
-    return _finish_array(witness, args)
+    return _finish_array(result.array, args)
 
 
 # ---------------------------------------------------------------------------

@@ -35,18 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import (
-    FrequencyPermutationArray,
-    _composed,
-    _label_dtype,
-    _symbols,
-)
-from ..constructions import (
-    FrequencySquare,
-    HadamardMatrix,
-    OrthogonalArray,
-    ResolvableDesign,
-)
+from ..core import FrequencyPermutationArray, _composed, _label_dtype, _symbols
+from ..constructions import FrequencySquare, HadamardMatrix, OrthogonalArray, ResolvableDesign
 
 ARRAY_MAGIC = "#fpa v1"
 INGREDIENT_MAGIC = "#ing v1"
@@ -334,7 +324,7 @@ def parse_design(text: str) -> ResolvableDesign:
 
 
 def write_hadamard(matrix: HadamardMatrix) -> str:
-    body = ["".join("+" if c == 1 else "-" for c in row) for row in matrix.rows]
+    body = ["".join("+" if c == 1 else "-" for c in row) for row in matrix.rows.tolist()]
     return _write("had", {"n": matrix.n}, body)
 
 

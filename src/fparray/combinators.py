@@ -79,6 +79,7 @@ def refine(a: FrequencyPermutationArray, l: int) -> FrequencyPermutationArray:
     over unchanged.  Raises ValueError for a row that is not a
     lam-permutation over 0..m-1.
     """
+    l = core._index(l, "l")
     if l < 1 or a.lam % l:
         raise ValueError(f"new frequency {l} must divide {a.lam}")
     lam, per = a.lam, a.lam // l
@@ -268,6 +269,7 @@ class SeparableArray:
         cls, fpa: FrequencyPermutationArray, num_classes: int
     ) -> "SeparableArray":
         """Split rows into consecutive equal classes; the record measures d and delta."""
+        num_classes = core._index(num_classes, "num_classes")
         if num_classes < 1 or fpa.size % num_classes:
             raise ValueError(
                 f"{num_classes} classes do not evenly split {fpa.size} rows"

@@ -13,10 +13,11 @@ ingredient then refuses.  That matrix is the field itself: a square's
 `cells`, an orthogonal array's `rows`, and a design's `classes`, one
 classes x (v/k) x k array from which the design derives its block index.
 Their checks, the producers that build them and the converters that read
-them all work on those matrices, and strength 2 is
-checked by `core._unbalanced_pair`'s sort of pair codes.  Sizes the rows
-fix are derived, not stored: a square's n is m * lam, an orthogonal
-array's r and a Hadamard matrix's n count rows, and strength is always 2.
+them all work on those matrices, and strength 2 is checked by
+`core._unbalanced_pair`'s sort of pair codes.  A Hadamard matrix's rows
+are one read-only int8 matrix too, built by `np.kron` on product routes.
+Sizes the rows fix are derived, not stored: a square's n is m * lam, an
+orthogonal array's r and a Hadamard matrix's n count rows, strength is 2.
 Additive-map images share `gf`'s permutation-polynomial sweep with the
 census, which evaluates each candidate with c_0 = 0 once (q^d - 1 rows)
 and takes its translates in one gather from a q x q addition table.
@@ -41,6 +42,7 @@ from .core import (
     WorkLimitExceeded,
     _composed,
     _distance_scan,
+    _index,
     _ints,
     _label_dtype,
     _pair_counts,
@@ -138,7 +140,7 @@ def _latin_order(squares: Sequence[FrequencySquare]) -> int:
 def mols_from_field(q: int) -> list[FrequencySquare]:
     """The q-1 pairwise orthogonal latin squares x, y -> a*x + y, a != 0,
     which are exactly `mofs_complete(q, 1)`."""
-    if q < 3:
+    if _index(q, "q") < 3:  # mofs_complete reads q through _index again
         raise ValueError(f"need a prime power q >= 3, got {q}")
     return mofs_complete(q, 1)
 
@@ -158,6 +160,7 @@ def mofs_complete(q: int, i: int) -> list[FrequencySquare]:
     than their transposes).  Rows are indexed by the first variable block,
     columns by the second, both odometer-ordered.
     """
+    q, i = _index(q, "q"), _index(i, "i")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     if q >= 2:  # field_of_order refuses the rest
@@ -245,7 +248,7 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     symbols.  Symbols are relabeled to 0..m - 1 by first appearance,
     scanning rows left to right.
     """
-    field = L.field
+    d, field = _index(d, "d"), L.field
     l = L.top_exponent
     q, i = L.q, L.i
     if not 0 < d < q ** (i - l):
@@ -420,6 +423,7 @@ def reed_solomon_generator(
 ) -> tuple[FiniteField, tuple[tuple[int, ...], ...]]:
     """Vandermonde generator on the first n evaluation points; n = q+1 adds
     the column (0, ..., 0, 1)."""
+    q, k, n = _index(q, "q"), _index(k, "k"), _index(n, "n")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n > q + 1:
@@ -490,23 +494,27 @@ def fpa_from_mds(
 # Hadamard matrices
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
-    """n = len(rows) rows of +-1 with pairwise orthogonal rows (H H^T = n I)."""
+@dataclass(frozen=True, eq=False)
+class HadamardMatrix(_SymbolRecord):
+    """n = len(rows) rows of +-1 with pairwise orthogonal rows (H H^T = n I), held
+    as a read-only int8 matrix; given as rows of ints or a 2-D integer numpy array."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _ints(self.rows))
-        if any(len(r) != self.n for r in self.rows):
+        rows = _read(self.rows)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        if not set(itertools.chain.from_iterable(self.rows)) <= {1, -1}:
+        mat = np.asarray(rows).reshape(n, n)  # floats or objects past int64, never +-1
+        if not (np.abs(mat) == 1).all():
             raise ValueError("entries must be +1 or -1")
+        object.__setattr__(self, "rows", mat.astype(np.int8))  # a copy, made read-only
+        self.rows.flags.writeable = False
         # float64 takes the BLAS product and stays exact: each Gram entry is
         # a sum of n terms +-1, an integer far below 2^53
-        mat = np.array(self.rows, dtype=np.float64).reshape(self.n, self.n)
-        # row-major order of the upper triangle is combinations order
-        bad = np.argwhere(np.triu(mat @ mat.T, 1))
+        signs = mat.astype(np.float64)
+        bad = np.argwhere(np.triu(signs @ signs.T, 1))  # row-major: combinations order
         if bad.size:
             a, b = bad[0].tolist()
             raise ValueError(f"rows {a} and {b} are not orthogonal")
@@ -538,37 +546,37 @@ def _hadamard_route(n: int, memo: dict[int, int | None]) -> int | None:
     return memo[n]
 
 
-def _paley_rows(q: int) -> list[list[int]]:
+def _paley_rows(q: int) -> np.ndarray:
     field = field_of_order(q)
     xs = np.arange(q, dtype=np.int32)
     # quadratic character: 0 at 0, 1 on nonzero squares, -1 elsewhere
-    chi = np.full(q, -1, dtype=np.int64)
+    chi = np.full(q, -1, dtype=np.int8)
     chi[field.mul_val(xs, xs)] = 1
     chi[0] = 0
-    rows = np.zeros((q + 1, q + 1), dtype=np.int64)
+    rows = np.zeros((q + 1, q + 1), dtype=np.int8)
     rows[0, 1:] = 1
     rows[1:, 0] = -1
     rows[1:, 1:] = chi[field.sub_val(xs[:, None], xs)]
-    rows += np.eye(q + 1, dtype=np.int64)
+    rows += np.eye(q + 1, dtype=np.int8)
     # rows with a leading -1 flip so the matrix comes out normalized
     rows[rows[:, 0] == -1] *= -1
-    return rows.tolist()
+    return rows
 
 
-def _build_hadamard(n: int, memo: dict[int, int | None]) -> list[list[int]]:
+def _build_hadamard(n: int, memo: dict[int, int | None]) -> np.ndarray:
     route = _hadamard_route(n, memo)
     if route == 0:
-        return [[1]] if n == 1 else [[1, 1], [1, -1]]
+        return np.array([[1]] if n == 1 else [[1, 1], [1, -1]], dtype=np.int8)
     if route == -1:
         return _paley_rows(n - 1)
-    left, right = _build_hadamard(route, memo), _build_hadamard(n // route, memo)
-    return [[x * y for x in la for y in rb] for la in left for rb in right]
+    return np.kron(_build_hadamard(route, memo), _build_hadamard(n // route, memo))
 
 
 def hadamard_matrix(n: int) -> HadamardMatrix:
     """Deterministic construction preferring doubling, then the quadratic
     residue route, then Kronecker products of smaller orders.  Orders with
     more than _HADAMARD_CELLS cells are refused before any routing."""
+    n = _index(n, "n")
     if n < 1 or (n > 2 and n % 4):
         raise ValueError(f"order {n} impossible (must be 1, 2, or a multiple of 4)")
     if n * n > _HADAMARD_CELLS:
@@ -588,8 +596,7 @@ def fpa_from_hadamard(H: HadamardMatrix) -> FrequencyPermutationArray:
     """
     if H.n < 2 or H.n % 2:
         raise ValueError(f"order {H.n} has no balanced rows")
-    mat = np.array(H.rows)
-    flips = mat[1:] != mat[0]  # each entry times the first row's sign, +1 -> 0 and -1 -> 1
+    flips = H.rows[1:] != H.rows[0]  # each entry times the first row's sign, +1 -> 0 and -1 -> 1
     return FrequencyPermutationArray(2, H.n // 2, np.concatenate([flips, ~flips]), H.n // 2)
 
 

@@ -37,9 +37,11 @@ class WorkLimitExceeded(RuntimeError):
 
 def _ints(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples of Python ints, each symbol read through
-    `operator.index`: numpy ints and bool become plain ints, and a
-    non-integer (1.5, 1.0, "1", None) raises ValueError naming its type."""
+    `operator.index`: numpy ints and bool become plain ints (a numpy row
+    through `tolist`, as numpy bools have no index), and a non-integer
+    (1.5, 1.0, "1", None) raises ValueError naming its type."""
     try:
+        rows = (row.tolist() if isinstance(row, np.ndarray) else row for row in rows)
         return tuple(tuple(map(operator.index, row)) for row in rows)
     except TypeError as exc:
         raise ValueError(f"symbols must be integers: {exc}") from None
@@ -171,6 +173,7 @@ def all_lambda_permutations(m: int, lam: int) -> Iterator[tuple[int, ...]]:
     is extended by every word over the symbols it leaves, from a table
     built once per multiset of them.
     """
+    m, lam = _index(m, "m"), _index(lam, "lam")
     if m < 1 or lam < 1:
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
     if lam == 1:
@@ -206,6 +209,7 @@ def all_lambda_permutations(m: int, lam: int) -> Iterator[tuple[int, ...]]:
 
 def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:
     """m rows at full distance n: row k is the blocks k, k+1, ... mod m."""
+    m, lam = _index(m, "m"), _index(lam, "lam")
     if m < 1 or lam < 1:  # before m empty rows are built for lam < 1
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
     rows = [[(k + j) % m for j in range(m) for _ in range(lam)] for k in range(m)]

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import core
-from .core import WorkLimitExceeded, _ints
+from .core import WorkLimitExceeded, _index, _ints
 
 _ORDER_GUARDRAIL = 2**20
 # a permutation-polynomial census refuses more candidate images (candidates
@@ -238,9 +238,13 @@ def _coefficients(v: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(v // p**j % p for j in range(k))
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
     """GF(p^k) with the deterministic modulus, cached; checked against the guardrail first."""
+    return _make_field(_index(p, "p"), _index(k, "k"))  # before the cache, which keys 2.0 as 2
+
+
+@functools.lru_cache(maxsize=None)
+def _make_field(p: int, k: int) -> FiniteField:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     if p > _ORDER_GUARDRAIL or (
@@ -472,7 +476,7 @@ def _base_exponent(field: FiniteField, q: int) -> int:
 
 def linearized_trace(field: FiniteField, q: int, h: int) -> LinearizedPolynomial:
     """Relative trace onto the subfield of order q^h as a linearized map."""
-    i = field.k // _base_exponent(field, q)
+    h, i = _index(h, "h"), field.k // _base_exponent(field, q)
     if h < 1 or i % h:
         raise ValueError(f"trace subfield degree {h} must divide {i}")
     values = [1 if s % h == 0 else 0 for s in range(i)]
@@ -481,7 +485,7 @@ def linearized_trace(field: FiniteField, q: int, h: int) -> LinearizedPolynomial
 
 def linearized_subfield_kernel(field: FiniteField, q: int, n: int) -> LinearizedPolynomial:
     """The map x^(q^n) - x, whose kernel is the order-q^n subfield."""
-    i = field.k // _base_exponent(field, q)
+    n, i = _index(n, "n"), field.k // _base_exponent(field, q)
     if not 0 < n < i or i % n:
         raise ValueError(f"subfield exponent {n} must properly divide {i}")
     values = [0] * i

@@ -41,6 +41,7 @@ from fixtures import (
     derangements_bruteforce,
     partitions,
     sphere_volume_bruteforce,
+    tuples,
 )
 
 # ---------------------------------------------------------------------------
@@ -288,17 +289,37 @@ def test_exact_small_anchor_values():
 
 def test_exact_witness_is_a_valid_array():
     result = exact_max_size(6, 3, 4)
-    assert len(result.rows) == result.value
-    assert result.rows == tuple(sorted(result.rows))
-    fpa = FrequencyPermutationArray(2, 3, result.rows, 4)
+    assert result.array.size == result.value
+    rows = tuples(result.array.rows)
+    assert rows == tuple(sorted(rows))
+    fpa = FrequencyPermutationArray(2, 3, result.array.rows, 4)
+    assert fpa == result.array
     report = verify(fpa)
     assert report.valid and report.actual_min_distance >= 4
+
+
+@pytest.mark.parametrize(
+    "n, lam, d, budget",
+    [(4, 1, 3, 200_000), (6, 2, 4, 200_000), (6, 1, 5, 50), (6, 1, 5, 60_000), (7, 7, 3, 0)],
+)
+def test_exact_witness_rows_are_distinct_words_in_lexicographic_order(n, lam, d, budget):
+    result = exact_max_size(n, lam, d, node_budget=budget)
+    array = result.array
+    assert (array.m, array.lam, array.min_distance_claim) == (n // lam, lam, d)
+    assert array.rows.shape == (result.value, n) and not array.rows.flags.writeable
+    rows = tuples(array.rows)
+    # strictly increasing: lexicographic and distinct
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert set(rows) <= set(all_lambda_permutations(n // lam, lam))
+    report = verify(array)
+    assert report.valid and report.actual_min_distance >= d
 
 
 def test_exact_single_vertex_space():
     result = exact_max_size(2, 2, 2)
     assert (result.value, result.proven) == (1, True)
-    assert result.rows == ((0, 0),)
+    assert tuples(result.array.rows) == ((0, 0),)
+    assert (result.array.m, result.array.lam, result.array.min_distance_claim) == (1, 2, 2)
 
 
 def test_exact_respects_the_vertex_budget():
@@ -329,7 +350,7 @@ def test_exact_refuses_one_symbol_words_over_the_position_limit(n, monkeypatch):
 
 def test_exact_one_symbol_space_at_the_position_limit():
     result = exact_max_size(256, 256, 3)
-    assert (result.proven, result.rows) == (True, ((0,) * 256,))
+    assert (result.proven, tuples(result.array.rows)) == (True, ((0,) * 256,))
 
 
 @pytest.mark.parametrize("n,lam", [(4, 1), (4, 2), (6, 3), (3, 3)])
@@ -355,8 +376,8 @@ def test_exact_node_budget_degrades_to_unproven():
     result = exact_max_size(6, 1, 5, node_budget=50)
     assert not result.proven
     assert result.value >= 2  # incumbent from the greedy pass survives
-    fpa = FrequencyPermutationArray(6, 1, result.rows, 5)
-    assert verify(fpa).valid
+    fpa = FrequencyPermutationArray(6, 1, result.array.rows, 5)
+    assert fpa == result.array and verify(fpa).valid
 
 
 def test_exact_search_is_deterministic():
@@ -409,8 +430,8 @@ def test_exact_matches_an_unpruned_bron_kerbosch():
         result = exact_max_size(n, lam, d)
         assert result.proven, (n, lam, d)
         assert result.value == _bron_kerbosch_max(adj), (n, lam, d)
-        fpa = FrequencyPermutationArray(m, lam, result.rows, d)
-        assert verify(fpa).valid and fpa.size == result.value, (n, lam, d)
+        fpa = FrequencyPermutationArray(m, lam, result.array.rows, d)
+        assert fpa == result.array and verify(fpa).valid and fpa.size == result.value, (n, lam, d)
         checked += 1
     assert checked == 19  # (2,1), (3,1), (4,1), (4,2) and (6,3) at every d
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -101,6 +102,53 @@ def test_ingredients_check_their_parameters_before_any_cell():
     assert not read.called
 
 
+# Each integer parameter of a builder, with a call that is valid at `good`
+BUILDER_PARAMETERS = [
+    ("mols_from_field", "q", lambda x: mols_from_field(x), 3),
+    ("mofs_complete", "q", lambda x: mofs_complete(x, 1), 3),
+    ("mofs_complete", "i", lambda x: mofs_complete(2, x), 2),
+    ("all_lambda_permutations", "m", lambda x: list(all_lambda_permutations(x, 1)), 3),
+    ("all_lambda_permutations", "lam", lambda x: list(all_lambda_permutations(2, x)), 2),
+    ("canonical_max_distance_fpa", "m", lambda x: fparray.canonical_max_distance_fpa(x, 1), 3),
+    ("canonical_max_distance_fpa", "lam", lambda x: fparray.canonical_max_distance_fpa(2, x), 2),
+    ("refine", "l", lambda x: fparray.refine(fparray.canonical_max_distance_fpa(2, 4), x), 2),
+    (
+        "fpa_from_linearized", "d",
+        lambda x: fpa_from_linearized(linearized_trace(field_of_order(9), 3, 1), x), 1,
+    ),
+    (
+        "SeparableArray.from_fpa", "num_classes",
+        lambda x: fparray.SeparableArray.from_fpa(fparray.canonical_max_distance_fpa(2, 2), x), 2,
+    ),
+    ("hadamard_matrix", "n", lambda x: hadamard_matrix(x), 4),
+    ("reed_solomon_generator", "q", lambda x: reed_solomon_generator(x, 2, 4), 4),
+    ("reed_solomon_generator", "k", lambda x: reed_solomon_generator(4, x, 4), 2),
+    ("reed_solomon_generator", "n", lambda x: reed_solomon_generator(4, 2, x), 4),
+    ("linearized_trace", "h", lambda x: linearized_trace(field_of_order(9), 3, x), 1),
+    (
+        "linearized_subfield_kernel", "n",
+        lambda x: linearized_subfield_kernel(field_of_order(16), 2, x), 2,
+    ),
+    ("make_field", "p", lambda x: gf.make_field(x, 2), 2),
+    ("make_field", "k", lambda x: gf.make_field(2, x), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, good", [(name, build, good) for _, name, build, good in BUILDER_PARAMETERS],
+    ids=[f"{builder}-{name}" for builder, name, _, _ in BUILDER_PARAMETERS],
+)
+def test_builder_parameters_must_be_integers(name, build, good):
+    # built first, so make_field's cache already holds the field a float
+    # would hash to
+    want = build(good)
+    for bad in (float(good), good + 0.5, str(good), None, [good]):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build(bad)
+    for value in (np.int64(good), np.uint8(good)):
+        assert build(value) == want
+
+
 def test_records_store_no_size_their_rows_fix():
     stored = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
         FrequencySquare, OrthogonalArray, HadamardMatrix, ExactResult, BoundsReport
@@ -109,14 +157,14 @@ def test_records_store_no_size_their_rows_fix():
         "FrequencySquare": ["m", "lam", "cells"],
         "OrthogonalArray": ["v", "s", "rows"],
         "HadamardMatrix": ["rows"],
-        "ExactResult": ["proven", "rows"],
+        "ExactResult": ["proven", "array"],
         "BoundsReport": ["n", "lam", "d", "total", "gv_lower", "hamming_upper",
                          "plotkin_upper", "trivial_upper", "exact_value", "exact_proven"],
     }
     sq = mofs_complete(2, 2)[0]
     oa = oa_from_mols(mols_from_field(3))
     assert (sq.n, oa.r, hadamard_matrix(8).n) == (4, 4, 8)
-    assert ExactResult(True, ((0, 1), (1, 0))).value == 2
+    assert ExactResult(True, core.FrequencyPermutationArray(2, 1, ((0, 1), (1, 0)), 2)).value == 2
     assert bounds_report(6, 3, 4).m == 2
 
 
@@ -868,12 +916,50 @@ def test_sign_matrix_orders():
 def test_sign_matrix_route_preference():
     # doubling wins over the quadratic residues (7, 23 and 31 are 3 mod 4)
     for n in (8, 24, 32):
-        half = hadamard_matrix(n // 2).rows
-        doubled = [r + r for r in half] + [r + tuple(-e for e in r) for r in half]
-        assert hadamard_matrix(n).rows == tuple(doubled)
+        half = hadamard_matrix(n // 2).rows.tolist()
+        doubled = [r + r for r in half] + [r + [-e for e in r] for r in half]
+        assert hadamard_matrix(n).rows.tolist() == doubled
     # no doubling route: the quadratic residue matrix on q = n - 1
     for n in (12, 20, 28):
-        assert hadamard_matrix(n).rows == tuple(map(tuple, constructions._paley_rows(n - 1)))
+        assert hadamard_matrix(n).rows.tolist() == constructions._paley_rows(n - 1).tolist()
+
+
+def _list_hadamard(n, memo, built):
+    """Order n as lists, each product by the list Kronecker rule
+    [[x * y for x in a for y in b] for a in left for b in right]."""
+    if n not in built:
+        route = constructions._hadamard_route(n, memo)
+        if route == 0:
+            built[n] = [[1]] if n == 1 else [[1, 1], [1, -1]]
+        elif route == -1:
+            built[n] = constructions._paley_rows(n - 1).tolist()
+        else:
+            left, right = _list_hadamard(route, memo, built), _list_hadamard(n // route, memo, built)
+            built[n] = [[x * y for x in a for y in b] for a in left for b in right]
+    return built[n]
+
+
+def test_sign_matrices_match_the_list_kronecker_product():
+    memo, built = {}, {}
+    orders = [n for n in range(1, 257) if constructions._hadamard_route(n, memo) is not None]
+    assert len(orders) == 48
+    for n in orders + [784, 816]:  # the two product routes
+        H = hadamard_matrix(n)
+        assert H.rows.dtype == np.int8 and not H.rows.flags.writeable
+        assert H.rows.tolist() == _list_hadamard(n, memo, built), n
+
+
+def test_sign_matrix_from_a_numpy_matrix_equals_the_one_from_tuples():
+    rows = hadamard_matrix(12).rows.tolist()
+    mat = np.array(rows, dtype=np.int64)
+    a, b = HadamardMatrix(mat), HadamardMatrix(tuple(map(tuple, rows)))
+    assert a == b and hash(a) == hash(b)
+    assert a.rows.dtype == np.int8 and not a.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.rows[0, 0] = -1
+    mat[0, 0] = -1  # the caller's matrix, written after the build
+    assert a.rows.tolist() == rows and a == b and hash(a) == hash(b)
+    assert a != HadamardMatrix(-np.array(rows))  # -H is a different sign matrix
 
 
 def test_sign_matrix_routes_up_to_the_cell_limit():
@@ -891,7 +977,7 @@ def test_sign_matrix_routes_up_to_the_cell_limit():
 def test_hadamard_orders_over_the_cell_limit_are_refused_before_routing(monkeypatch, capsys):
     assert constructions._HADAMARD_CELLS == 1024 * 1024
     H = hadamard_matrix(1024)  # the largest accepted order
-    assert H.n == 1024 and H.rows[1][:4] == (1, -1, 1, -1)
+    assert H.n == 1024 and H.rows[1, :4].tolist() == [1, -1, 1, -1]
     with mock.patch.object(constructions, "_hadamard_route", side_effect=AssertionError):
         for n in (1028, 2048, 2**61):
             with pytest.raises(core.WorkLimitExceeded, match=f"^order {n} needs {n}\\^2 cells"):
@@ -911,21 +997,30 @@ def test_hadamard_orders_over_the_cell_limit_are_refused_before_routing(monkeypa
 
 
 def test_sign_matrix_validation():
-    with pytest.raises(ValueError):
-        HadamardMatrix(((1, 1), (1, 1)))  # rows not orthogonal
-    with pytest.raises(ValueError):
-        HadamardMatrix(((1, 0), (1, -1)))  # entries must be +-1
-    with pytest.raises(ValueError, match="matrix must be square"):
-        HadamardMatrix(((1, 1),))  # not square
+    # each refusal, and the first that applies when several do
+    refused = {
+        "rows 0 and 1 are not orthogonal": [((1, 1), (1, 1)), np.ones((2, 2), dtype=np.int64)],
+        "entries must be +1 or -1": [
+            ((1, 0), (1, -1)), ((1, 0), (1, 1)), ((1, 2**64), (1, -1)), ((1, -2**63 - 1), (1, 1)),
+            np.array([[1, 2**64 - 1], [1, 1]], dtype=np.uint64),
+            np.array([[1, 257], [1, -1]], dtype=np.int64),  # 257 is 1 in int8
+        ],
+        "matrix must be square": [((1, 1),), ((1, 5),), np.ones((2, 3), dtype=np.int8)],
+    }
+    for message, cases in refused.items():
+        for rows in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                HadamardMatrix(rows)
 
 
 def test_sign_matrix_names_the_first_non_orthogonal_pair():
     # rows 1 and 3 copy rows 6 and 4, so exactly the pairs (1, 6) and
     # (3, 4) fail: (1, 6) comes first pair by pair, (3, 4) column by column
-    rows = list(hadamard_matrix(8).rows)
+    rows = hadamard_matrix(8).rows.tolist()
     rows[1], rows[3] = rows[6], rows[4]
-    with pytest.raises(ValueError, match="rows 1 and 6 are not orthogonal"):
-        HadamardMatrix(tuple(rows))
+    for given in (rows, np.array(rows)):
+        with pytest.raises(ValueError, match="rows 1 and 6 are not orthogonal"):
+            HadamardMatrix(given)
 
 
 def test_doubling_smallest_order_gives_every_balanced_word():

@@ -108,6 +108,10 @@ GATED = {
     "FrequencyPermutationArray": lambda s: FrequencyPermutationArray(
         2, 1, ((0, s), (1, 0)), 2
     ).rows,
+    # row 1 is a 1-D numpy bool array, whose scalars have no __index__
+    "FrequencyPermutationArray.bool_row": lambda s: FrequencyPermutationArray(
+        2, 1, ((0, s), np.array([True, False])), 2
+    ).rows,
     "FrequencySquare": lambda s: FrequencySquare(2, 1, ((0, s), (s, 0))).cells,
     "FrequencySquare.from_cells": lambda s: FrequencySquare.from_cells([[0, s], [s, 0]]).cells,
     "OrthogonalArray": lambda s: OrthogonalArray(4, 2, ((0, 0, s, s), (0, s, 0, s))).rows,
@@ -134,8 +138,9 @@ def test_every_entry_point_refuses_non_integer_symbols(entry, symbol):
 @pytest.mark.parametrize("entry", sorted(GATED))
 def test_every_entry_point_stores_integer_types_as_ints(entry, symbol):
     stored = GATED[entry](symbol)
-    if isinstance(stored, np.ndarray):  # every matrix here holds symbols below 4
-        assert stored.dtype == core._label_dtype(4) and not stored.flags.writeable
+    if isinstance(stored, np.ndarray):  # every matrix here holds symbols below 4, or signs
+        want = np.int8 if entry == "HadamardMatrix" else core._label_dtype(4)
+        assert stored.dtype == want and not stored.flags.writeable
         stored = stored.tolist()
     else:
         stored = [list(row) for row in stored]
@@ -274,7 +279,8 @@ def test_other_numpy_rows_are_read_symbol_by_symbol(rows):
 )
 def test_numpy_bool_matrices_are_read_like_bool_symbols(build, bools):
     ints = [[int(b) for b in row] for row in bools]
-    assert build(np.array(bools)) == build(bools) == build(ints)
+    bool_rows = [np.array(row) for row in bools]  # 1-D bool arrays pass `_ints`
+    assert build(np.array(bools)) == build(bools) == build(ints) == build(bool_rows)
     with pytest.raises(ValueError, match="^row 0 holds symbol 1, outside 0..0$"):
         FrequencyPermutationArray(1, 2, np.array([[False, True]]), 0)
 
