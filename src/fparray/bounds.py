@@ -15,6 +15,7 @@ as one matrix; its witness is an array of that matrix's rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -257,31 +258,45 @@ def _greedy_clique(non: Sequence[int]) -> list[int]:
     return clique
 
 
-def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
+def _masks(non: list[int]) -> list[int]:
+    """Rewrite `_adjacency`'s table in place as `_clique_search`'s, and return it.
+
+    With V vertices and full = (1 << V) - 1, vertex u's mask becomes
+    non[u] << V | full ^ 1 << u: ANDed into a colour class packed as
+    avail << V | q, it keeps avail's non-neighbours of u and drops u from q.
+    """
+    size, full = len(non), (1 << len(non)) - 1
+    for u, x in enumerate(non):
+        non[u] = x << size | full ^ 1 << u
+    return non
+
+
+def _clique_search(masks: list[int], state: dict, node_budget: int) -> None:
     """Branch and bound from the incumbent in state, updating state.
 
-    non is `_adjacency`'s table; vertices are its bits, lowest-indexed
-    word (top bit) first.  state holds "best", a clique, and gains "nodes"
-    and "aborted".  Each node colours its candidates class by class, top
-    bit first, and branches in reverse colour order on the vertices whose
-    colour can still beat the incumbent (BBMC's k_min).  The colouring
-    runs in two phases.  Classes below k_min only decide which vertices
-    are left, and record nothing.  From k_min on, every vertex left is
-    coloured and each pick goes straight onto the node's branch lists.
-    A colouring with one colour per candidate means the candidates are
-    pairwise adjacent; they are then taken at once.  The node that
-    exceeds node_budget aborts.
+    masks is `_masks`' table; vertex u is bit u, lowest-indexed word (top
+    bit) first.  state holds "best", a clique, and gains "nodes" and
+    "aborted".  Each node colours its candidates class by class, top bit
+    first, on q = avail << V | q: one AND with at[q.bit_length()], the mask
+    of avail's top vertex, colours it, and the class ends once q <= full.
+    It branches in reverse colour order on the vertices whose colour can
+    still beat the incumbent (BBMC's k_min).  Classes below k_min only
+    decide which vertices are left; from k_min on, each pick goes straight
+    onto the node's branch lists, as its bit length V + u + 1.  Candidates
+    that take one colour each are pairwise adjacent and are taken at once.
+    The node that exceeds node_budget aborts.
     """
-    one = [1 << i for i in range(len(non))]  # the bit of each vertex
+    shift = len(masks)
+    full = p = (1 << shift) - 1
+    at = [0] * (shift + 1) + masks  # the mask of u at V + u + 1
     best = state["best"]
     bound = len(best)
     nodes, aborted = 0, False
-    # frames[k] = [candidates, vertices, colours] of the open node whose
+    # frames[k] = [candidates, picks, colours] of the open node whose
     # clique is clique[:k]: its branches left, the next one last.  Each
     # pass of the loop enters one node.
     clique: list[int] = []
     frames: list[list] = []
-    p = (1 << len(non)) - 1
     while True:
         nodes += 1
         if nodes > node_budget:
@@ -293,29 +308,26 @@ def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
             k_min = bound - size + 1
             q, colour = p, 1
             while colour < k_min and q:
-                avail = q
-                while avail:
-                    i = avail.bit_length() - 1
-                    avail &= non[i]
-                    q ^= one[i]
+                q |= q << shift
+                while q > full:
+                    q &= at[q.bit_length()]
                 colour += 1
             if colour >= k_min and q:
-                vertices: list[int] = []
+                picks: list[int] = []  # bit lengths
                 colours: list[int] = []
                 while q:
-                    avail = q
-                    while avail:
-                        i = avail.bit_length() - 1
-                        avail &= non[i]
-                        q ^= one[i]
-                        vertices.append(i)
+                    q |= q << shift
+                    while q > full:
+                        b = q.bit_length()
+                        q &= at[b]
+                        picks.append(b)
                         colours.append(colour)
                     colour += 1
                 if colour - 1 == count:
                     best = clique + _bits(p)
                     bound = len(best)
                 else:
-                    frames.append([p, vertices, colours])
+                    frames.append([p, picks, colours])
             elif not p:
                 best = list(clique)
                 bound = size
@@ -325,11 +337,11 @@ def _clique_search(non: Sequence[int], state: dict, node_budget: int) -> None:
             colours = frame[2]
             if colours and depth + colours[-1] > bound:
                 colours.pop()
-                i = frame[1].pop()
+                b = frame[1].pop()
                 del clique[depth:]
-                clique.append(i)
-                frame[0] ^= one[i]
-                p = frame[0] & ~non[i]
+                clique.append(b - shift - 1)
+                frame[0] &= at[b]
+                p = frame[0] & ~(at[b] >> shift)
                 break
             frames.pop()
         else:
@@ -358,13 +370,14 @@ def exact_max_size(
     the vertices whose colour can still beat the incumbent (BBMC's k_min),
     in reverse colour order, on an explicit stack.  Both read one table,
     the non-neighbour masks with word u at bit V-1-u, counted bit-sliced
-    from agreements with no distance matrix.  The colouring has two phases:
-    classes below k_min only colour and record nothing, and from k_min on
-    each pick is recorded as a branch as it is coloured; see `_adjacency`
-    and `_clique_search`.  Negative budgets raise ValueError.  More than
-    vertex_budget words, more than _ADJACENCY_CELLS adjacency cells, or
-    words over _AGREEMENT_POSITIONS positions raise before any set-up;
-    exceeding node_budget returns the best clique found with proven=False.
+    from agreements with no distance matrix; `_masks` rewrites it in place
+    for the search, so that a colouring step is one AND.  Classes below
+    k_min only colour, and from k_min on each pick is recorded as a branch
+    as it is coloured; see `_adjacency` and `_clique_search`.  Negative
+    budgets raise ValueError.  More than vertex_budget words, more than
+    _ADJACENCY_CELLS adjacency cells, or words over _AGREEMENT_POSITIONS
+    positions raise before any set-up; exceeding node_budget returns the
+    best clique found with proven=False.
     """
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
@@ -381,13 +394,14 @@ def exact_max_size(
         )
     if n > _AGREEMENT_POSITIONS:
         raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
-    words = np.array(list(all_lambda_permutations(m, lam)), dtype=np.intp)
+    flat = itertools.chain.from_iterable(all_lambda_permutations(m, lam))
+    words = np.fromiter(flat, np.intp, total * n).reshape(total, n)
     # bench/tracing.py reads the node count from this local after the call
     state = {"best": [0], "aborted": False}
     if len(words) > 1:
         non = _adjacency(words, d)
         state["best"] = _greedy_clique(non)
-        _clique_search(non, state, node_budget)
+        _clique_search(_masks(non), state, node_budget)
     rows = words[np.sort(len(words) - 1 - np.array(state["best"], dtype=np.intp))]
     return ExactResult(not state["aborted"], core.FrequencyPermutationArray(m, lam, rows, d))
 

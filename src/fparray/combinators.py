@@ -103,6 +103,7 @@ def reduce_mod(a: FrequencyPermutationArray, r: int) -> FrequencyPermutationArra
     Requires a to pass `verify` and to have a `pair_profile` whose m*m
     counts all equal one value t; the result is equidistant at n - t*m^2/r.
     """
+    r = core._index(r, "r")
     if r < 1 or a.m % r:
         raise ValueError(f"modulus {r} must divide the symbol count {a.m}")
     if r == 1 and a.size > 1:

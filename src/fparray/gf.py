@@ -264,6 +264,7 @@ def _make_field(p: int, k: int) -> FiniteField:
 
 def field_of_order(q: int) -> FiniteField:
     """GF(q) for a prime power q, factored deterministically below the guardrail."""
+    q = _index(q, "q")
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     if q > _ORDER_GUARDRAIL:
@@ -405,6 +406,7 @@ def census_permutation_polynomials(field: FiniteField, max_degree: int) -> PermP
     Witnesses come in encoding order (see `_permutation_polynomials`);
     over the work budget it raises without a partial census.
     """
+    max_degree = _index(max_degree, "max_degree")
     counts: dict[int, int] = {}
     witnesses: list[Polynomial] = []
     for d, coeffs, _ in _permutation_polynomials(field, max_degree):
@@ -431,6 +433,7 @@ class LinearizedPolynomial:
     alphas: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", _index(self.q, "q"))
         object.__setattr__(self, "alphas", _ints([self.alphas])[0])
         a = _base_exponent(self.field, self.q)
         if len(self.alphas) != self.field.k // a:
@@ -468,7 +471,7 @@ class LinearizedPolynomial:
 
 def _base_exponent(field: FiniteField, q: int) -> int:
     """a with q = p^a, for a dividing the field's extension degree."""
-    factors = _prime_power(q)
+    factors = _prime_power(_index(q, "q"))
     if factors is None or factors[0] != field.p or field.k % factors[1]:
         raise ValueError(f"base {q} is not a power of {field.p} dividing the extension")
     return factors[1]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from fparray.bounds import (
     _clique_search,
     _agreements,
     _greedy_clique,
+    _masks,
 )
 from fixtures import (
     DERANGEMENTS,
@@ -621,7 +623,7 @@ def test_clique_search_matches_bron_kerbosch_on_random_graphs(data):
     assert all(b in adj[a] for a, b in itertools.combinations(greedy, 2))
     for incumbent in ([], greedy):
         state = {"best": _vertices(incumbent, size)}
-        _clique_search(non, state, node_budget=10**6)
+        _clique_search(_masks(list(non)), state, node_budget=10**6)
         assert not state["aborted"]
         best = _vertices(state["best"], size)
         assert len(best) == want
@@ -646,7 +648,7 @@ def test_clique_search_visits_the_reference_nodes(data):
         want = {"best": list(incumbent)}
         _clique_search_reference(bitsets, want, budget)
         got = {"best": _vertices(incumbent, size)}
-        _clique_search(non, got, budget)
+        _clique_search(_masks(list(non)), got, budget)
         assert got["nodes"] == want["nodes"]
         assert got["aborted"] == want["aborted"]
         assert set(_vertices(got["best"], size)) == set(want["best"])
@@ -683,7 +685,7 @@ def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
     words = list(all_lambda_permutations(n // lam, lam))
     non = _adjacency(words, d)
     state = {"best": _greedy_clique(non)}
-    _clique_search(non, state, budget)
+    _clique_search(_masks(list(non)), state, budget)
     assert (state["nodes"], len(state["best"]), state["aborted"]) == (nodes, best, aborted)
     rows = [words[v] for v in _vertices(state["best"], len(words))]
     assert all(
@@ -691,6 +693,26 @@ def test_word_space_search_pins(n, lam, d, budget, nodes, best, aborted):
     )
     text = "".join(" ".join(map(str, row)) + "\n" for row in sorted(rows))
     assert hashlib.sha256(text.encode()).hexdigest() == _WITNESS_SHA256[n, lam, d, budget]
+
+
+def test_masks_pack_non_neighbours_over_the_other_vertices():
+    # vertices 0 and 2 are the only non-adjacent pair; full = 0b111
+    non = [0b100, 0b000, 0b001]
+    assert _masks(non) is non
+    assert non == [0b100_110, 0b000_101, 0b001_011]
+
+
+def test_search_of_the_largest_word_space_keeps_one_table():
+    # 5 040 masks of 10 080 bits take 6.4 MB; a second table beside them
+    # (the non-neighbour masks, or one bit per vertex) would pass 8 MB
+    tracemalloc.start()
+    try:
+        result = exact_max_size(7, 1, 7, vertex_budget=6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.proven) == (7, True)
+    assert peak < 8_000_000
 
 
 def test_exact_proves_six_one_four_at_the_root():

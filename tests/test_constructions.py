@@ -131,6 +131,17 @@ BUILDER_PARAMETERS = [
     ),
     ("make_field", "p", lambda x: gf.make_field(x, 2), 2),
     ("make_field", "k", lambda x: gf.make_field(2, x), 2),
+    ("field_of_order", "q", lambda x: field_of_order(x), 9),
+    ("LinearizedPolynomial", "q", lambda x: LinearizedPolynomial(field_of_order(9), x, [1, 0]), 3),
+    ("linearized_monomial", "q", lambda x: linearized_monomial(field_of_order(9), x), 3),
+    (
+        "reduce_mod", "r",
+        lambda x: fparray.reduce_mod(fpa_from_oa(oa_from_mols(mols_from_field(4))), x), 2,
+    ),
+    (
+        "census_permutation_polynomials", "max_degree",
+        lambda x: census_permutation_polynomials(field_of_order(5), x), 3,
+    ),
 ]
 
 
