@@ -41,7 +41,6 @@ from .constructions import (
     OrthogonalArray,
     ResolvableDesign,
     affine_classes_from_mols,
-    are_orthogonal,
     fpa_from_ard,
     fpa_from_hadamard,
     fpa_from_linearized,
@@ -62,7 +61,6 @@ from .core import (
     all_lambda_permutations,
     canonical_max_distance_fpa,
     count_all,
-    hamming_distance,
     is_lambda_permutation,
     min_distance,
     pair_profile,
@@ -77,7 +75,6 @@ from .gf import (
     census_permutation_polynomials,
     evaluate_whole_field,
     field_of_order,
-    is_permutation_polynomial,
     linearized_monomial,
     linearized_subfield_kernel,
     linearized_trace,

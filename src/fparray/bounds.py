@@ -15,7 +15,6 @@ as one matrix; its witness is an array of that matrix's rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,15 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import WorkLimitExceeded, _index, _ints, all_lambda_permutations, count_all
+from .core import _AGREEMENT_POSITIONS, WorkLimitExceeded, _index, _ints
+from .core import all_lambda_permutations, count_all
 
 
 # ---------------------------------------------------------------------------
 # agreement counts: multiset derangements and sphere volumes
-
-# `_agreements` refuses multisets of more elements than this: its big-integer
-# work grows faster than n^3, and a bounds report at n = 512 takes seconds
-_AGREEMENT_POSITIONS = 256
 
 
 def _agreements(counts: Sequence[int], repeat: int = 1) -> list[int]:
@@ -358,8 +354,8 @@ def exact_max_size(
 ) -> ExactResult:
     """Maximum array size, proven by exhausting the word space.
 
-    Vertices are all lambda-permutations in lexicographic order, edges join
-    words at distance >= d; the answer is the maximum clique, an array of
+    Vertices are the rows of `all_lambda_permutations(m, lam)`, all words
+    in lexicographic order, and edges join words at distance >= d; the answer is the maximum clique, an array of
     its words in that order claiming d.  Position permutations act
     transitively on the words and keep distances, so all vertices have one
     degree: a degree sort would keep the lexicographic branching order.
@@ -374,10 +370,11 @@ def exact_max_size(
     for the search, so that a colouring step is one AND.  Classes below
     k_min only colour, and from k_min on each pick is recorded as a branch
     as it is coloured; see `_adjacency` and `_clique_search`.  Negative
-    budgets raise ValueError.  More than vertex_budget words, more than
-    _ADJACENCY_CELLS adjacency cells, or words over _AGREEMENT_POSITIONS
-    positions raise before any set-up; exceeding node_budget returns the
-    best clique found with proven=False.
+    budgets raise ValueError.  More than vertex_budget words or more than
+    _ADJACENCY_CELLS adjacency cells raise before any set-up, and then the
+    listing refuses words over _AGREEMENT_POSITIONS positions before it
+    builds any; exceeding node_budget returns the best clique found with
+    proven=False.
     """
     _check_nd(n, lam, d, vertex_budget=vertex_budget, node_budget=node_budget)
     m = n // lam
@@ -392,10 +389,7 @@ def exact_max_size(
             f"{total} vertices need {total * total} adjacency cells, "
             f"over the limit of {_ADJACENCY_CELLS}"
         )
-    if n > _AGREEMENT_POSITIONS:
-        raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
-    flat = itertools.chain.from_iterable(all_lambda_permutations(m, lam))
-    words = np.fromiter(flat, np.intp, total * n).reshape(total, n)
+    words = all_lambda_permutations(m, lam)
     # bench/tracing.py reads the node count from this local after the call
     state = {"best": [0], "aborted": False}
     if len(words) > 1:

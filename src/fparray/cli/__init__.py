@@ -27,7 +27,6 @@ from typing import Sequence
 from ..bounds import BoundsReport, bounds_report, exact_max_size
 from ..combinators import (
     SeparableArray,
-    _check_cells,
     compose_columns,
     direct_product,
     expand_to_pa,
@@ -53,6 +52,7 @@ from ..constructions import (
     reed_solomon_generator,
 )
 from ..core import FrequencyPermutationArray, WorkLimitExceeded, pair_profile, verify
+from ..core import _check_cells
 from ..gf import (
     field_of_order,
     linearized_monomial,

@@ -328,20 +328,6 @@ def write_hadamard(matrix: HadamardMatrix) -> str:
     return _write("had", {"n": matrix.n}, body)
 
 
-def parse_hadamard(text: str) -> HadamardMatrix:
-    header, rest = _read(text, "had", ("n",))
-    n = header["n"]
-    body = list(filter(_is_data, rest))
-    _count(header, "n", len(body), "rows")
-    rows = []
-    for idx, ln in enumerate(body):
-        signs = ln.strip()
-        if len(signs) != n or any(c not in "+-" for c in signs):
-            raise FormatError(f"row {idx} must be {n} characters of + or -")
-        rows.append(tuple(1 if c == "+" else -1 for c in signs))
-    return _build(HadamardMatrix, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # MDS generator files
 

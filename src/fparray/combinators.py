@@ -10,7 +10,8 @@ refine(a, 1), and `compose_columns`) read one occurrence rank and refuse,
 with a ValueError naming the row, any row that is not a lam-permutation.
 Quotient and product operators re-verify what they claim instead of
 trusting the algebra.  Both products build their rows with one kernel and
-refuse, before reading any row, an output over one cell limit.
+refuse, before reading any row, an output over the package's one cell
+limit, `core._check_cells`, which also bounds the word listing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import FrequencyPermutationArray
+from .core import FrequencyPermutationArray, _check_cells
 from .constructions import FrequencySquare, _latin_order, fpa_from_mofs
 
 
@@ -172,19 +173,6 @@ def compose_columns(
     return FrequencyPermutationArray(b * m, lam, rows, b * d)
 
 
-# Both products refuse an output of more than this many cells.
-_PRODUCT_CELLS = 1 << 20
-
-
-def _check_cells(what: str, rows: int, width: int) -> None:
-    """Refuse `what` rows of width symbols over _PRODUCT_CELLS cells."""
-    cells = rows * width
-    if cells > _PRODUCT_CELLS:
-        raise core.WorkLimitExceeded(
-            f"{what} rows of {width} symbols is {cells} cells, over the limit of {_PRODUCT_CELLS}"
-        )
-
-
 def _concatenations(mats: Sequence[np.ndarray], shifts: Sequence[int], m: int) -> np.ndarray:
     """Every concatenation of one row from each matrix, in `itertools.product`
     order, as one matrix in `_label_dtype(m)`; the symbols of mats[i] are
@@ -206,7 +194,7 @@ def direct_product(
 ) -> FrequencyPermutationArray:
     """All concatenations over disjoint symbol sets, at the weaker distance.
 
-    Raises WorkLimitExceeded for more than _PRODUCT_CELLS output cells.
+    Raises WorkLimitExceeded for more than core._PRODUCT_CELLS output cells.
     """
     if a.lam != b.lam:
         raise ValueError(f"frequencies differ: {a.lam} vs {b.lam}")
@@ -298,7 +286,7 @@ def sep_product(inputs: Sequence[SeparableArray]) -> FrequencyPermutationArray:
     keeps the within-class distance delta = min over inputs.  Requires the
     across-class distances to add up to at least delta.  Raises
     WorkLimitExceeded, before reading any row, for more than
-    _PRODUCT_CELLS output cells.
+    core._PRODUCT_CELLS output cells.
     """
     if not inputs:
         raise ValueError("need at least one separable array")

@@ -45,7 +45,6 @@ from .core import (
     _index,
     _ints,
     _label_dtype,
-    _pair_counts,
     _read,
     _symbols,
     _SymbolRecord,
@@ -109,14 +108,6 @@ class FrequencySquare(_SymbolRecord):
         if m < 1 or n % m:
             raise ValueError("cell values do not determine a symbol count dividing n")
         return cls(m, n // m, grid)
-
-
-def are_orthogonal(a: FrequencySquare, b: FrequencySquare) -> bool:
-    """Superimposing must show every ordered symbol pair lam_a*lam_b times."""
-    if a.n != b.n:
-        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    counts = _pair_counts(a.cells.ravel(), b.cells.ravel(), a.m, b.m)
-    return bool((counts == a.lam * b.lam).all())
 
 
 def _symbol_cells(flat: np.ndarray, m: int) -> np.ndarray:

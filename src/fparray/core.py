@@ -21,12 +21,11 @@ ever *claim* parameters; `verify` re-derives all of them from the rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,13 +84,6 @@ def is_lambda_permutation(symbols: Sequence[int], m: int, lam: int) -> bool:
             return False
         counts[s] += 1
     return all(c == lam for c in counts)
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of positions where the two words differ."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,51 +152,58 @@ def count_all(n: int, lam: int) -> int:
     return math.prod(math.comb(j * lam, lam) for j in range(2, n // lam + 1))
 
 
-# all_lambda_permutations extends each prefix by a table of the words over
-# the last _TAIL positions: at most 5! = 120 of them.
-_TAIL = 5
+# Words over this many positions are neither listed here nor counted by
+# `bounds._agreements`, whose big-integer work grows faster than n^3: a
+# bounds report at n = 512 takes seconds.
+_AGREEMENT_POSITIONS = 256
+
+# The word listing and both products in `combinators` refuse an output of
+# more than this many cells.
+_PRODUCT_CELLS = 1 << 20
 
 
-def all_lambda_permutations(m: int, lam: int) -> Iterator[tuple[int, ...]]:
-    """All lambda-permutations over m symbols in lexicographic order.
+def _check_cells(what: str, rows: int, width: int) -> None:
+    """Refuse `what` rows of width symbols over _PRODUCT_CELLS cells."""
+    cells = rows * width
+    if cells > _PRODUCT_CELLS:
+        raise WorkLimitExceeded(
+            f"{what} rows of {width} symbols is {cells} cells, over the limit of {_PRODUCT_CELLS}"
+        )
 
-    Lazy.  For lam = 1 these are `itertools.permutations(range(m))`.
-    Otherwise each prefix of all but the last _TAIL positions, in order,
-    is extended by every word over the symbols it leaves, from a table
-    built once per multiset of them.
+
+def all_lambda_permutations(m: int, lam: int) -> np.ndarray:
+    """All lambda-permutations over m symbols in lexicographic order, as one
+    read-only, C-ordered size x n matrix in `_label_dtype(m)`.
+
+    Position by position, every prefix is extended by each symbol it has
+    left: `np.nonzero` on the prefixes' symbol counts gives prefixes, then
+    symbols, in ascending order.  Each word is then read back through its
+    chain of prefixes.  Words over _AGREEMENT_POSITIONS positions, then
+    listings over _PRODUCT_CELLS cells, are refused before any is built.
     """
     m, lam = _index(m, "m"), _index(lam, "lam")
     if m < 1 or lam < 1:
         raise ValueError(f"need m >= 1 and lam >= 1, got m={m} lam={lam}")
-    if lam == 1:
-        yield from itertools.permutations(range(m))
-        return
     n = m * lam
-    counts = [lam] * m
-    tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def tails(left: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Every word with these symbol counts, in lexicographic order."""
-        if left not in tables:
-            tables[left] = [
-                (s, *word)
-                for s, c in enumerate(left)
-                if c
-                for word in tails(left[:s] + (c - 1,) + left[s + 1 :])
-            ] if any(left) else [()]
-        return tables[left]
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) + _TAIL >= n:
-            yield from map(prefix.__add__, tails(tuple(counts)))
-            return
-        for s in range(m):
-            if counts[s]:
-                counts[s] -= 1
-                yield from rec(prefix + (s,))
-                counts[s] += 1
-
-    yield from rec(())
+    if n > _AGREEMENT_POSITIONS:
+        raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
+    total = count_all(n, lam)
+    _check_cells(f"listing of {total}", total, n)
+    left = np.full((1, m), lam, dtype=np.int16)
+    links = []  # per position: each prefix's parent prefix and last symbol
+    for _ in range(n):
+        parent, symbol = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(parent)), symbol] -= 1
+        links.append((parent, symbol))
+    words = np.empty((len(left), n), dtype=_label_dtype(m))
+    at = np.arange(len(left))
+    for p in range(n - 1, -1, -1):
+        parent, symbol = links[p]
+        words[:, p] = symbol[at]
+        at = parent[at]
+    words.flags.writeable = False
+    return words
 
 
 def canonical_max_distance_fpa(m: int, lam: int) -> FrequencyPermutationArray:

@@ -315,9 +315,12 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
     runs over the whole field at once, on blocks of rows of about
     `core._BLOCK_CELLS` images, so temporaries stay small however many
     rows come.
-    Coefficients other than integer field elements 0..q-1 raise ValueError.
+    Coefficients that are not a 2-D matrix, or other than integer field
+    elements 0..q-1, raise ValueError.
     """
     coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2:
+        raise ValueError(f"coeffs must be 2-D, a row per polynomial, got shape {coeffs.shape}")
     q = field.q
     if coeffs.size and coeffs.dtype.kind not in "iu":
         raise ValueError(f"symbols must be integers: coefficients have dtype {coeffs.dtype}")
@@ -340,11 +343,6 @@ def evaluate_whole_field(field: FiniteField, coeffs) -> np.ndarray:
 def _bijective_rows(images: np.ndarray) -> np.ndarray:
     """Per row of whole-field images, whether it lists every element once."""
     return (np.sort(images, axis=1) == np.arange(images.shape[1])).all(axis=1)
-
-
-def is_permutation_polynomial(f: Polynomial) -> bool:
-    """True iff f hits every field element exactly once."""
-    return bool(_bijective_rows(evaluate_whole_field(f.field, [f.coeffs or (0,)]))[0])
 
 
 @dataclass(frozen=True)

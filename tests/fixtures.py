@@ -8,15 +8,66 @@ test.  `partitions` is a plain generator the counting tests enumerate
 their inputs with, and `derangements_bruteforce` and
 `sphere_volume_bruteforce` are the counting formulas' enumeration oracles.
 `tuples` reads a record's symbol matrix as the int tuples the listings
-here are pinned as.
+here are pinned as.  `hamming_distance`, `are_orthogonal`,
+`is_permutation_polynomial` and `parse_hadamard` are small oracles that no
+command, construction or bound calls, so they live here and not in the
+package.
 """
 
-from fparray import all_lambda_permutations, hamming_distance
+from collections import Counter
+
+from fparray import all_lambda_permutations
+from fparray.cli.formats import FormatError, _build, _count, _is_data, _read
+from fparray.constructions import HadamardMatrix
 
 
 def tuples(mat):
     """A record's symbol matrix as a tuple of int tuples."""
     return tuple(map(tuple, mat.tolist()))
+
+
+class Unbuilt:
+    """Stands in for a module's numpy: any use means an array was built."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called before the refusal")
+
+
+def hamming_distance(a, b):
+    """Number of positions where the two words differ."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return sum(x != y for x, y in zip(a, b))
+
+
+def are_orthogonal(a, b):
+    """Whether superimposing two squares shows every ordered symbol pair
+    lam_a * lam_b times."""
+    if a.n != b.n:
+        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
+    pairs = Counter(zip(a.cells.ravel().tolist(), b.cells.ravel().tolist()))
+    return len(pairs) == a.m * b.m and set(pairs.values()) == {a.lam * b.lam}
+
+
+def is_permutation_polynomial(f):
+    """Whether f hits every field element exactly once, point by point."""
+    q = f.field.q
+    return sorted(f.evaluate(x) for x in range(q)) == list(range(q))
+
+
+def parse_hadamard(text):
+    """The Hadamard matrix of a `had` ingredient file, whose rows are + and -."""
+    header, rest = _read(text, "had", ("n",))
+    n = header["n"]
+    body = list(filter(_is_data, rest))
+    _count(header, "n", len(body), "rows")
+    rows = []
+    for idx, ln in enumerate(body):
+        signs = ln.strip()
+        if len(signs) != n or any(c not in "+-" for c in signs):
+            raise FormatError(f"row {idx} must be {n} characters of + or -")
+        rows.append(tuple(1 if c == "+" else -1 for c in signs))
+    return _build(HadamardMatrix, tuple(rows))
 
 # 4 x 6 binary array over two symbols at frequency 3; every pair of rows
 # is at Hamming distance exactly 4.
@@ -134,7 +185,7 @@ def sphere_volume_bruteforce(n, lam, r):
     m = n // lam
     centre = tuple(s for s in range(m) for _ in range(lam))
     return sum(
-        1 for w in all_lambda_permutations(m, lam) if hamming_distance(w, centre) <= r
+        1 for w in tuples(all_lambda_permutations(m, lam)) if hamming_distance(w, centre) <= r
     )
 
 

@@ -32,11 +32,11 @@ from fparray import (
 from fparray import combinators, core
 from fparray.cli import formats, main
 from fparray.gf import LinearizedPolynomial
+from fixtures import parse_hadamard
 from fparray.cli.formats import (
     FormatError,
     parse_design,
     parse_fpa,
-    parse_hadamard,
     parse_oa,
     parse_squares,
     write_design,

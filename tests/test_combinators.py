@@ -344,14 +344,14 @@ def test_direct_product_cell_limit_boundary():
     def no_rows(*args):
         raise AssertionError("rows built before the refusal")
 
-    with mock.patch.object(combinators, "_PRODUCT_CELLS", cells):
+    with mock.patch.object(core, "_PRODUCT_CELLS", cells):
         assert tuples(direct_product(a, b).rows) == _product_per_row(a, b)
-    with mock.patch.object(combinators, "_PRODUCT_CELLS", cells - 1), \
+    with mock.patch.object(core, "_PRODUCT_CELLS", cells - 1), \
             mock.patch.object(combinators, "_concatenations", no_rows):
         with pytest.raises(core.WorkLimitExceeded, match=f"is {cells} cells, over the limit"):
             direct_product(a, b)
     # the order-32 array with itself: 3 844 rows of 64
-    assert 62 * 62 * 64 <= combinators._PRODUCT_CELLS
+    assert 62 * 62 * 64 <= core._PRODUCT_CELLS
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,7 +458,7 @@ def test_class_product_cell_limit_boundary():
         raise AssertionError("rows built before the refusal")
 
     # 3 x 1 rows of 8 symbols: 24 cells; 4 x 1 rows is one row over
-    with mock.patch.object(combinators, "_PRODUCT_CELLS", 24):
+    with mock.patch.object(core, "_PRODUCT_CELLS", 24):
         inputs = [first(3), first(1)]
         assert tuples(sep_product(inputs).rows) == _class_product_loop(inputs)
         with mock.patch.object(combinators, "_concatenations", no_rows):
@@ -541,7 +541,7 @@ def test_separable_from_non_orthogonal_squares_names_the_pair():
 
 def test_class_product_preconditions():
     full = FrequencyPermutationArray(
-        2, 2, sorted(all_lambda_permutations(2, 2)), 2
+        2, 2, sorted(tuples(all_lambda_permutations(2, 2))), 2
     )
     assert full.size == count_all(4, 2)
     singletons = SeparableArray.from_fpa(full, full.size)
@@ -562,7 +562,7 @@ def test_class_product_preconditions():
 
 @functools.lru_cache(maxsize=None)
 def _words(m, lam):
-    return list(all_lambda_permutations(m, lam))
+    return list(tuples(all_lambda_permutations(m, lam)))
 
 
 def _brute_min(rows, n):

@@ -29,7 +29,6 @@ from fparray import (
     affine_classes_from_mols,
     all_lambda_permutations,
     associate_matrix,
-    are_orthogonal,
     bounds_report,
     census_permutation_polynomials,
     count_all,
@@ -59,6 +58,7 @@ from fixtures import (
     LATIN_4,
     ROTATION_8_FIRST,
     THREE_ROUTE_9_6,
+    are_orthogonal,
     tuples,
 )
 
@@ -107,8 +107,8 @@ BUILDER_PARAMETERS = [
     ("mols_from_field", "q", lambda x: mols_from_field(x), 3),
     ("mofs_complete", "q", lambda x: mofs_complete(x, 1), 3),
     ("mofs_complete", "i", lambda x: mofs_complete(2, x), 2),
-    ("all_lambda_permutations", "m", lambda x: list(all_lambda_permutations(x, 1)), 3),
-    ("all_lambda_permutations", "lam", lambda x: list(all_lambda_permutations(2, x)), 2),
+    ("all_lambda_permutations", "m", lambda x: list(tuples(all_lambda_permutations(x, 1))), 3),
+    ("all_lambda_permutations", "lam", lambda x: list(tuples(all_lambda_permutations(2, x))), 2),
     ("canonical_max_distance_fpa", "m", lambda x: fparray.canonical_max_distance_fpa(x, 1), 3),
     ("canonical_max_distance_fpa", "lam", lambda x: fparray.canonical_max_distance_fpa(2, x), 2),
     ("refine", "l", lambda x: fparray.refine(fparray.canonical_max_distance_fpa(2, 4), x), 2),
@@ -1038,7 +1038,7 @@ def test_doubling_smallest_order_gives_every_balanced_word():
     fpa = fpa_from_hadamard(hadamard_matrix(4))
     assert (fpa.n, fpa.m, fpa.lam, fpa.min_distance_claim, fpa.size) == (4, 2, 2, 2, 6)
     assert fpa.size == count_all(4, 2)
-    assert set(tuples(fpa.rows)) == set(all_lambda_permutations(2, 2))
+    assert set(tuples(fpa.rows)) == set(tuples(all_lambda_permutations(2, 2)))
     assert verify(fpa).valid
 
 

@@ -34,17 +34,17 @@ from fparray import (
 from fparray.cli import formats
 from fparray.core import (
     FrequencyPermutationArray,
+    WorkLimitExceeded,
     _pair_counts,
     all_lambda_permutations,
     canonical_max_distance_fpa,
     count_all,
-    hamming_distance,
     is_lambda_permutation,
     min_distance,
     pair_profile,
     verify,
 )
-from fixtures import TWO_SYMBOL_6_4, tuples
+from fixtures import TWO_SYMBOL_6_4, Unbuilt, hamming_distance, tuples
 
 
 def brute_min_distance(rows):
@@ -206,7 +206,7 @@ def _same_array(from_matrix, from_tuples):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
 def test_matrix_rows_match_tuple_rows(dtype):
-    rows = [row for row in all_lambda_permutations(3, 2)][::7]
+    rows = [row for row in tuples(all_lambda_permutations(3, 2))][::7]
     mat = np.array(rows, dtype=dtype)
     _same_array(FrequencyPermutationArray(3, 2, mat, 2), FrequencyPermutationArray(3, 2, rows, 2))
     # the matrix is the rows field: == and replace see the four fields
@@ -440,17 +440,47 @@ def test_enumeration_matches_sorted_distinct_permutations(m, lam):
         counts = [lam] * m
         want = [w for w in itertools.product(range(m), repeat=len(base))
                 if [w.count(s) for s in range(m)] == counts]
-    assert list(all_lambda_permutations(m, lam)) == want
+    assert list(tuples(all_lambda_permutations(m, lam))) == want
 
 
 @pytest.mark.parametrize("m,lam", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 1), (3, 1)])
 def test_enumeration_is_complete_sorted_and_valid(m, lam):
-    words = list(all_lambda_permutations(m, lam))
+    words = list(tuples(all_lambda_permutations(m, lam)))
     assert len(words) == count_all(m * lam, lam)
     assert words == sorted(words)
     assert len(set(words)) == len(words)
     assert all(is_lambda_permutation(w, m, lam) for w in words)
     assert words[0] == tuple(s for s in range(m) for _ in range(lam))
+
+
+@pytest.mark.parametrize("m,lam", [(2, 600), (1, 1200), (1, 257)])
+def test_enumeration_refuses_words_over_the_position_limit(m, lam):
+    # (2, 600) and (1, 1200) overflowed the stack of a recursive listing
+    with mock.patch.object(core, "np", Unbuilt()):
+        with pytest.raises(WorkLimitExceeded, match="^words over 256 positions are not counted$"):
+            all_lambda_permutations(m, lam)
+
+
+@pytest.mark.parametrize("m,lam", [(7, 1), (2, 7), (4, 2)])
+def test_enumeration_cell_limit_boundary(m, lam):
+    cells = count_all(m * lam, lam) * m * lam
+    with mock.patch.object(core, "_PRODUCT_CELLS", cells):
+        assert len(all_lambda_permutations(m, lam)) == count_all(m * lam, lam)
+    over = f"^listing of {cells // (m * lam)} rows of {m * lam} symbols is {cells} cells, "
+    with mock.patch.object(core, "_PRODUCT_CELLS", cells - 1), \
+            mock.patch.object(core, "np", Unbuilt()):
+        with pytest.raises(WorkLimitExceeded, match=f"{over}over the limit of {cells - 1}$"):
+            all_lambda_permutations(m, lam)
+
+
+@pytest.mark.parametrize("m,lam", [(1, 256), (2, 9), (8, 1), (3, 2)])
+def test_enumeration_is_one_read_only_label_matrix(m, lam):
+    words = all_lambda_permutations(m, lam)
+    assert isinstance(words, np.ndarray) and words.shape == (count_all(m * lam, lam), m * lam)
+    assert words.dtype == core._label_dtype(m)
+    assert words.flags.c_contiguous and not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +871,7 @@ def test_a_short_row_and_an_out_of_range_row_are_refused():
 def test_verify_distance_matches_bruteforce(data):
     m = data.draw(st.integers(2, 3), label="m")
     lam = data.draw(st.integers(1, 2), label="lam")
-    words = list(all_lambda_permutations(m, lam))
+    words = list(tuples(all_lambda_permutations(m, lam)))
     size = data.draw(st.integers(2, min(6, len(words))), label="size")
     subset = data.draw(
         st.lists(st.sampled_from(words), min_size=size, max_size=size, unique=True),
@@ -864,7 +894,9 @@ def test_verify_distance_matches_bruteforce(data):
 
 @functools.lru_cache(maxsize=None)
 def _words(m, lam):
-    return list(all_lambda_permutations(m, lam))
+    # (4, 3) is 369 600 words of 12 symbols, over the listing's cell limit
+    with mock.patch.object(core, "_PRODUCT_CELLS", 12 * 369_600):
+        return list(tuples(all_lambda_permutations(m, lam)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1046,7 +1078,7 @@ def test_pair_profile_matches_a_counter_per_row_pair(data):
 
 def test_pair_profile_checks_its_work_bound_before_reading_a_row():
     # m = 2: 2 236 rows are 9 994 920 units of work, 2 237 are 10 003 864
-    rows = list(itertools.islice(all_lambda_permutations(2, 7), 2237))
+    rows = list(itertools.islice(tuples(all_lambda_permutations(2, 7)), 2237))
     assert 4 * 2236 * 2235 // 2 <= core._PROFILE_WORK < 4 * 2237 * 2236 // 2
     fail = mock.Mock(side_effect=AssertionError("profiled"))
     over = FrequencyPermutationArray(2, 7, rows, 0)

@@ -17,14 +17,13 @@ from fparray.gf import (
     census_permutation_polynomials,
     evaluate_whole_field,
     field_of_order,
-    is_permutation_polynomial,
     linearized_monomial,
     linearized_subfield_kernel,
     linearized_trace,
     make_field,
     matrix_rank,
 )
-from fixtures import FIELD_MODULI
+from fixtures import FIELD_MODULI, is_permutation_polynomial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
 
@@ -305,6 +304,24 @@ def test_whole_field_evaluation_refuses_what_it_would_misread(q, coeffs, message
     # these evaluated as [[0, 1]], [[0, 2]], [[0, 2]] and images [0, 3, 1, 2]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evaluate_whole_field(field_of_order(q), coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs,shape", [([1, 2], "(2,)"), ([], "(0,)"), ([[[1]]], "(1, 1, 1)")],
+    ids=["one polynomial as a row", "empty list", "3-D"],
+)
+def test_whole_field_evaluation_refuses_coefficients_that_are_not_2d(coeffs, shape, monkeypatch):
+    # these failed on unpacking the shape, after the range checks
+    field = field_of_order(3)
+
+    def no_arithmetic(*args):
+        raise AssertionError("field arithmetic before the refusal")
+
+    monkeypatch.setattr(field, "mul_val", no_arithmetic)
+    monkeypatch.setattr(field, "add_val", no_arithmetic)
+    message = f"coeffs must be 2-D, a row per polynomial, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_whole_field(field, coeffs)
 
 
 @pytest.mark.parametrize("q,max_degree", [(3, 3), (4, 2), (5, 2), (8, 1)])
