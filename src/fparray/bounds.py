@@ -355,8 +355,9 @@ def exact_max_size(
     """Maximum array size, proven by exhausting the word space.
 
     Vertices are the rows of `all_lambda_permutations(m, lam)`, all words
-    in lexicographic order, and edges join words at distance >= d; the answer is the maximum clique, an array of
-    its words in that order claiming d.  Position permutations act
+    in lexicographic order, and edges join words at distance >= d; the
+    answer is the maximum clique, an array of its words in that order
+    claiming d.  Position permutations act
     transitively on the words and keep distances, so all vertices have one
     degree: a degree sort would keep the lexicographic branching order.
 

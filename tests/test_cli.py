@@ -32,7 +32,6 @@ from fparray import (
 from fparray import combinators, core
 from fparray.cli import formats, main
 from fparray.gf import LinearizedPolynomial
-from fixtures import parse_hadamard
 from fparray.cli.formats import (
     FormatError,
     parse_design,
@@ -45,6 +44,7 @@ from fparray.cli.formats import (
     write_oa,
     write_squares,
 )
+from fixtures import parse_hadamard
 
 # ---------------------------------------------------------------------------
 # construct: files, summaries, stream conventions

@@ -107,8 +107,8 @@ BUILDER_PARAMETERS = [
     ("mols_from_field", "q", lambda x: mols_from_field(x), 3),
     ("mofs_complete", "q", lambda x: mofs_complete(x, 1), 3),
     ("mofs_complete", "i", lambda x: mofs_complete(2, x), 2),
-    ("all_lambda_permutations", "m", lambda x: list(tuples(all_lambda_permutations(x, 1))), 3),
-    ("all_lambda_permutations", "lam", lambda x: list(tuples(all_lambda_permutations(2, x))), 2),
+    ("all_lambda_permutations", "m", lambda x: tuples(all_lambda_permutations(x, 1)), 3),
+    ("all_lambda_permutations", "lam", lambda x: tuples(all_lambda_permutations(2, x)), 2),
     ("canonical_max_distance_fpa", "m", lambda x: fparray.canonical_max_distance_fpa(x, 1), 3),
     ("canonical_max_distance_fpa", "lam", lambda x: fparray.canonical_max_distance_fpa(2, x), 2),
     ("refine", "l", lambda x: fparray.refine(fparray.canonical_max_distance_fpa(2, 4), x), 2),

@@ -206,7 +206,7 @@ def _same_array(from_matrix, from_tuples):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
 def test_matrix_rows_match_tuple_rows(dtype):
-    rows = [row for row in tuples(all_lambda_permutations(3, 2))][::7]
+    rows = list(tuples(all_lambda_permutations(3, 2)))[::7]
     mat = np.array(rows, dtype=dtype)
     _same_array(FrequencyPermutationArray(3, 2, mat, 2), FrequencyPermutationArray(3, 2, rows, 2))
     # the matrix is the rows field: == and replace see the four fields
