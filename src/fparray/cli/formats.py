@@ -23,9 +23,9 @@ accept extra blank and comment lines but reject unknown keys, shape
 mismatches, and rows that are not uniform-frequency words, with a
 `FormatError`.  Header counts must match the body, n must be m * lambda
 and `t` must be 2; writers read these from the records, which derive them.
-A record's symbols are its read-only matrix: the writers print its
-`tolist()` rows (an array's large body through `_lines`), and
-`parse_fpa` hands the matrix it reads straight to the array.
+A record's symbols are its read-only matrix: one formatter, `_lines`,
+writes every body from it through a label table, and `parse_fpa` hands
+the matrix it reads straight to the array.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import core
 from ..core import FrequencyPermutationArray, _composed, _label_dtype, _symbols
 from ..constructions import FrequencySquare, HadamardMatrix, OrthogonalArray, ResolvableDesign
 
@@ -115,11 +116,11 @@ def _read(
     return header, lines[head + 1 :]
 
 
-def _write(kind: str, header: dict[str, int | None], body: Sequence[str]) -> str:
-    """Magic line, header line (None values left out), body lines."""
+def _write(kind: str, header: dict[str, int | None]) -> str:
+    """Magic line and header line (None values left out), each with its newline."""
     magic = f"{INGREDIENT_MAGIC} {kind}" if kind else ARRAY_MAGIC
     keys = " ".join(f"{key}={value}" for key, value in header.items() if value is not None)
-    return "\n".join([magic, keys, *body]) + "\n"
+    return f"{magic}\n{keys}\n"
 
 
 def _check_sizes(n: int, m: int, lam: int) -> None:
@@ -154,29 +155,23 @@ def _build(make, *fields, where: str = ""):
 # array files
 
 
-# `_lines` formats about this many bytes of cells at a time.  Arrays of
-# fewer than _BULK_CELLS symbols are joined row by row, which is as fast
-# there (18 against 20 us for 18 rows of 6 on a 2-vCPU host) and loads
-# none of the numpy kernels `_lines` calls.
-_LINE_BYTES = 1 << 16
-_BULK_CELLS = 1 << 8
-
-
-def _lines(mat: np.ndarray, labels: Sequence[str]) -> str:
-    """Row r of mat as labels[s] for its entries s, space-separated, one
-    line each with its newline.  mat must have at least one column."""
-    codes = [label.encode("ascii") + b" " for label in labels]
-    # table[s]: label s and its space, then zero bytes up to the widest
-    table = np.zeros((len(codes), max(map(len, codes))), dtype=np.uint8)
-    for s, code in enumerate(codes):
-        table[s, : len(code)] = np.frombuffer(code, dtype=np.uint8)
-    step = max(1, _LINE_BYTES // (mat.shape[1] * table.shape[1]))  # rows at a time
+def _lines(mat: np.ndarray, labels: Sequence, sep: str = " ") -> str:
+    """Row r of mat as str(labels[s]) for its entries s joined by sep, one line each
+    with its newline, about `core._BLOCK_CELLS` bytes of cells at a time, from
+    one label table; a 3-D mat's blocks of rows each follow a blank line."""
+    codes = np.array([f"{sep}{label}".encode("ascii") for label in labels])
+    table = codes.view(np.uint8).reshape(len(codes), -1)  # row s: sep and label s, zero-padded
+    width = mat.shape[-1] * table.shape[1]  # bytes of a row's cells
+    step = max(1, core._BLOCK_CELLS // max(1, width))  # rows at a time
     out = []
-    for i in range(0, len(mat), step):
-        cells = np.take(table, mat[i : i + step], axis=0)  # rows x n x width bytes
-        ends = cells[:, -1]
-        ends[ends == ord(" ")] = ord("\n")  # a row's last space ends its line
-        out.append(str(cells[cells != 0], "ascii"))
+    for group in mat if mat.ndim == 3 else mat[None]:
+        out.append("\n" * (mat.ndim - 2))
+        for i in range(0, len(group), step):
+            rows = group[i : i + step]
+            line = np.full((len(rows), width + 1), ord("\n"), dtype=np.uint8)
+            line[:, :-1] = np.take(table, rows, axis=0).reshape(len(rows), width)
+            line[:, : len(sep)] = 0  # a line starts after its first sep
+            out.append(str(line[line != 0], "ascii"))
     return "".join(out)
 
 
@@ -184,11 +179,7 @@ def write_fpa(array: FrequencyPermutationArray, offset: int = 0) -> str:
     """Canonical text for an array; offset shifts printed symbols only."""
     header = {"n": array.n, "lambda": array.lam, "m": array.m,
               "d": array.min_distance_claim, "size": array.size}
-    if array.size * array.n < _BULK_CELLS:
-        body = [" ".join([str(s + offset) for s in row]) for row in array.rows.tolist()]
-        return _write("", header, body)
-    labels = [str(s + offset) for s in range(array.m)]
-    return _write("", header, []) + _lines(array.rows, labels)
+    return _write("", header) + _lines(array.rows, range(offset, offset + array.m))
 
 
 def _bulk_matrix(lines: Sequence[str], n: int, m: int) -> np.ndarray | None:
@@ -253,12 +244,8 @@ def write_squares(squares: Sequence[FrequencySquare]) -> str:
     first = squares[0]
     if any((sq.m, sq.lam) != (first.m, first.lam) for sq in squares):
         raise FormatError("squares in one file must share n, m, lambda")
-    body = []
-    for sq in squares:
-        body.append("")
-        body.extend(" ".join(str(c) for c in row) for row in sq.cells.tolist())
     header = {"n": first.n, "m": first.m, "lambda": first.lam, "count": len(squares)}
-    return _write("fsq", header, body)
+    return _write("fsq", header) + _lines(np.stack([sq.cells for sq in squares]), range(first.m))
 
 
 def parse_squares(text: str) -> list[FrequencySquare]:
@@ -280,8 +267,7 @@ def parse_squares(text: str) -> list[FrequencySquare]:
 
 
 def write_oa(oa: OrthogonalArray) -> str:
-    body = [" ".join(str(c) for c in row) for row in oa.rows.tolist()]
-    return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": 2}, body)
+    return _write("oa", {"v": oa.v, "r": oa.r, "s": oa.s, "t": 2}) + _lines(oa.rows, range(oa.s))
 
 
 def parse_oa(text: str) -> OrthogonalArray:
@@ -299,13 +285,9 @@ def parse_oa(text: str) -> OrthogonalArray:
 
 
 def write_design(design: ResolvableDesign) -> str:
-    body = []
-    for cls in design.classes.tolist():
-        body.append("")
-        body.extend(" ".join(str(p) for p in block) for block in cls)
     header = {"v": design.v, "k": design.k, "classes": len(design.classes),
               "lambda_d": design.lambda_d}
-    return _write("ard", header, body)
+    return _write("ard", header) + _lines(design.classes, range(design.v))
 
 
 def parse_design(text: str) -> ResolvableDesign:
@@ -324,8 +306,7 @@ def parse_design(text: str) -> ResolvableDesign:
 
 
 def write_hadamard(matrix: HadamardMatrix) -> str:
-    body = ["".join("+" if c == 1 else "-" for c in row) for row in matrix.rows.tolist()]
-    return _write("had", {"n": matrix.n}, body)
+    return _write("had", {"n": matrix.n}) + _lines(matrix.rows < 0, ["+", "-"], sep="")
 
 
 # ---------------------------------------------------------------------------

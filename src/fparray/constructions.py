@@ -244,12 +244,13 @@ def fpa_from_linearized(L: LinearizedPolynomial, d: int) -> FrequencyPermutation
     q, i = L.q, L.i
     if not 0 < d < q ** (i - l):
         raise ValueError(f"need 0 < d < {q ** (i - l)} for this map, got {d}")
+    sweep = _permutation_polynomials(field, d)  # an oversized census is refused first
     table = L.value_table()
     lam = int(np.count_nonzero(table == 0))
     # each permutation polynomial's images, once; first-seen rows by their bytes
     seen: dict[bytes, None] = {}
     total = 0
-    for _, _, images in _permutation_polynomials(field, d):
+    for _, _, images in sweep:
         total += len(images)
         seen.update(dict.fromkeys(map(bytes, table[images])))
     if len(seen) * lam != total:

@@ -187,6 +187,11 @@ def all_lambda_permutations(m: int, lam: int) -> np.ndarray:
     n = m * lam
     if n > _AGREEMENT_POSITIONS:
         raise WorkLimitExceeded(f"words over {_AGREEMENT_POSITIONS} positions are not counted")
+    # count_all is a product of m - 1 terms C(a, lam) >= 2^lam, so >= 2^(n - lam)
+    if n - lam >= _PRODUCT_CELLS.bit_length():
+        raise WorkLimitExceeded(
+            f"listing of (m={m}, lambda={lam}) is over the limit of {_PRODUCT_CELLS} cells"
+        )
     total = count_all(n, lam)
     _check_cells(f"listing of {total}", total, n)
     left = np.full((1, m), lam, dtype=np.int16)

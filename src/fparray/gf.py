@@ -374,7 +374,7 @@ def _permutation_polynomials(
     expand to about `core._BLOCK_CELLS` images; each yields (d, coeffs,
     images) for its permutation polynomials.  The work limit still counts
     every candidate: candidates times q images over `_CENSUS_WORK` raises
-    before any block, and so bounds q at 215.
+    on the call, before any block or field table, and so bounds q at 215.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -384,6 +384,11 @@ def _permutation_polynomials(
         raise WorkLimitExceeded(
             f"census of degree {max_degree} over {field} exceeds max_work {_CENSUS_WORK}"
         )
+    return _sweep(field, max_degree)
+
+
+def _sweep(field: FiniteField, max_degree: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    q = field.q
     step = max(1, core._BLOCK_CELLS // (q * q))
     c0 = np.arange(q, dtype=np.int32)
     plus = field.add_val(c0[:, None], c0)  # plus[c, x] = x + c
@@ -490,7 +495,7 @@ def linearized_subfield_kernel(field: FiniteField, q: int, n: int) -> Linearized
     if not 0 < n < i or i % n:
         raise ValueError(f"subfield exponent {n} must properly divide {i}")
     values = [0] * i
-    values[0] = field.neg_val(1)
+    values[0] = field.p - 1  # the element -1, read without the field's tables
     values[n] = field.add_val(values[n], 1)
     return LinearizedPolynomial(field, q, values)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import logging
 import os
@@ -18,6 +19,10 @@ import fparray.cli as cli
 
 from fparray import (
     FrequencyPermutationArray,
+    FrequencySquare,
+    HadamardMatrix,
+    OrthogonalArray,
+    ResolvableDesign,
     affine_classes_from_mols,
     canonical_max_distance_fpa,
     fpa_from_hadamard,
@@ -937,16 +942,14 @@ def test_fpa_format_roundtrip():
 
 @pytest.mark.parametrize("offset", [0, 1, -2])
 def test_fpa_writer_matches_per_symbol_labels(offset):
-    # rows, composed or not, print each symbol plus the offset, from the
-    # bulk writer's label table or row by row; a row with a symbol outside
-    # 0..m-1 (negative ones included) is refused when the array is built
+    # rows, composed or not, print each symbol plus the offset from the
+    # writer's label table; a row with a symbol outside 0..m-1 (negative
+    # ones included) is refused when the array is built
     rows = [(0, 1, 2, 2, 1, 0), (2, 2, 1, 1, 0, 0), (0, 0, 0, 2, 2, 2), (1, 1, 1, 1, 1, 1)]
     array = FrequencyPermutationArray(3, 2, rows, 1)
-    for bulk_cells in (0, 1 << 8):
-        with mock.patch.object(formats, "_BULK_CELLS", bulk_cells):
-            lines = write_fpa(array, offset).splitlines()
-        assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
-        assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=4"]
+    lines = write_fpa(array, offset).splitlines()
+    assert lines[2:] == [" ".join(str(s + offset) for s in row) for row in rows]
+    assert lines[:2] == ["#fpa v1", "n=6 lambda=2 m=3 d=1 size=4"]
     for bad in [(0, -1, 2, 2, 1, 0), (-3, 1, 2, 2, 1, 0), (0, 1, 3, 2, 1, 0),
                 (7, 1, 2, 2, 1, 2**70)]:
         symbol = next(s for s in bad if not 0 <= s < 3)
@@ -972,12 +975,10 @@ def test_fpa_writer_matches_the_row_by_row_writer(data):
     base = [s for s in range(m) for _ in range(lam)]
     rows = data.draw(st.lists(st.permutations(base), max_size=8), label="rows")
     offset = data.draw(st.sampled_from([0, 1, -2]), label="offset")
-    line_bytes = data.draw(st.sampled_from([1, 7, 64, 1 << 16]), label="line_bytes")
-    bulk_cells = data.draw(st.sampled_from([0, 1 << 8]), label="bulk_cells")
+    block_cells = data.draw(st.sampled_from([1, 7, 64, 1 << 16]), label="block_cells")
     array = FrequencyPermutationArray(m, lam, rows, 1)
     text = _fpa_text_before_bulk_writer(array)
-    with mock.patch.object(formats, "_LINE_BYTES", line_bytes), \
-            mock.patch.object(formats, "_BULK_CELLS", bulk_cells):
+    with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
         parsed = parse_fpa(text)
         assert parsed == array
         assert write_fpa(parsed) == text
@@ -1048,6 +1049,74 @@ def test_hadamard_format_roundtrip():
     back = parse_hadamard(text)
     assert back == H
     assert write_hadamard(back) == text
+
+
+def _ingredient_text_before_one_writer(record):
+    """The ingredient writers as they were before every body came from one
+    formatter: a `join` per row of the record's `tolist()` rows."""
+    body = []
+    if isinstance(record, OrthogonalArray):
+        kind, header = "oa", {"v": record.v, "r": record.r, "s": record.s, "t": 2}
+        body = [" ".join(str(c) for c in row) for row in record.rows.tolist()]
+    elif isinstance(record, HadamardMatrix):
+        kind, header = "had", {"n": record.n}
+        body = ["".join("+" if c == 1 else "-" for c in row) for row in record.rows.tolist()]
+    elif isinstance(record, ResolvableDesign):
+        kind, header = "ard", {"v": record.v, "k": record.k, "classes": len(record.classes),
+                               "lambda_d": record.lambda_d}
+        for cls in record.classes.tolist():
+            body.append("")
+            body.extend(" ".join(str(p) for p in block) for block in cls)
+    else:
+        first = record[0]
+        kind, header = "fsq", {"n": first.n, "m": first.m, "lambda": first.lam,
+                               "count": len(record)}
+        for sq in record:
+            body.append("")
+            body.extend(" ".join(str(c) for c in row) for row in sq.cells.tolist())
+    keys = " ".join(f"{key}={value}" for key, value in header.items() if value is not None)
+    return "\n".join([f"#ing v1 {kind}", keys, *body]) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _square_set(q, i):
+    return mols_from_field(q) if i == 1 else mofs_complete(q, i)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_ingredients(q):
+    return oa_from_mols(mols_from_field(q)), affine_classes_from_mols(mols_from_field(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ingredient_writers_match_the_row_by_row_writers(data):
+    # drawn squares, OAs, designs and Hadamard matrices, with labels of up to
+    # three digits, an OA with no rows, a design with lambda_d=None and
+    # Hadamard matrices of order 1 and 0; a small block makes rows span blocks
+    squares = _square_set(*data.draw(
+        st.sampled_from([(3, 1), (5, 1), (11, 1), (2, 2), (3, 2)]), label="squares"
+    ))
+    relabel = np.array(data.draw(st.permutations(range(squares[0].m)), label="relabel"))
+    chosen = data.draw(st.lists(st.sampled_from(squares), min_size=1, max_size=4), label="chosen")
+    records = [[FrequencySquare(sq.m, sq.lam, relabel[sq.cells]) for sq in chosen]]
+    oa, design = _field_ingredients(data.draw(st.sampled_from([3, 4, 11]), label="q"))
+    keep = data.draw(st.lists(st.sampled_from(range(oa.r)), unique=True), label="oa rows")
+    records += [oa, OrthogonalArray(oa.v, oa.s, oa.rows[sorted(keep)]),
+                OrthogonalArray(oa.v, oa.s, oa.rows[:0])]
+    keep = data.draw(st.lists(st.sampled_from(range(len(design.classes))), unique=True),
+                     label="classes")
+    records += [design, ResolvableDesign(design.v, design.k, design.classes[sorted(keep)])]
+    for order in (data.draw(st.sampled_from([2, 4, 8, 12, 20]), label="order"), 1):
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=order, max_size=order))
+        records.append(HadamardMatrix(hadamard_matrix(order).rows * np.array(signs)))
+    records.append(HadamardMatrix([]))
+    block_cells = data.draw(st.sampled_from([1, 7, 64, 1 << 16]), label="block_cells")
+    writers = {list: write_squares, OrthogonalArray: write_oa,
+               ResolvableDesign: write_design, HadamardMatrix: write_hadamard}
+    with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
+        for record in records:
+            assert writers[type(record)](record) == _ingredient_text_before_one_writer(record)
 
 
 # kind, what to write, the header the writer derives from the rows

@@ -866,6 +866,25 @@ def test_linearized_construction_builds_one_value_table(monkeypatch, build):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["trace", "subfield", "monomial"])
+def test_linearized_census_limit_refuses_before_any_field_table(kind, monkeypatch):
+    # GF(2^20)'s exp/log tables took 25-31 s to build ahead of this refusal
+    field = gf.make_field(2, 20)
+
+    def no_tables(field):
+        raise AssertionError("a field table was built")
+
+    monkeypatch.setattr(gf, "_tables", no_tables)
+    L = {
+        "trace": lambda: linearized_trace(field, 2, 1),
+        "subfield": lambda: linearized_subfield_kernel(field, 2, 10),
+        "monomial": lambda: linearized_monomial(field, 2),
+    }[kind]()
+    over = r"^census of degree 1 over GF\(2\^20\) exceeds max_work 10000000$"
+    with pytest.raises(core.WorkLimitExceeded, match=over):
+        fpa_from_linearized(L, 1)
+
+
 @pytest.mark.parametrize(
     "order,d,build",
     [

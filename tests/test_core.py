@@ -2,7 +2,6 @@
 
 import collections
 import dataclasses
-import functools
 import itertools
 import math
 import tracemalloc
@@ -473,6 +472,16 @@ def test_enumeration_cell_limit_boundary(m, lam):
             all_lambda_permutations(m, lam)
 
 
+@pytest.mark.parametrize("m,lam", [(256, 1), (128, 2)])
+def test_enumeration_refuses_a_huge_listing_in_one_short_line(m, lam):
+    # the word count has over 500 digits: the refusal names (m, lambda), not the count
+    with mock.patch.object(core, "np", Unbuilt()):
+        with pytest.raises(WorkLimitExceeded) as info:
+            all_lambda_permutations(m, lam)
+    assert str(info.value) == f"listing of (m={m}, lambda={lam}) is over the limit of 1048576 cells"
+    assert len(str(info.value)) < 120
+
+
 @pytest.mark.parametrize("m,lam", [(1, 256), (2, 9), (8, 1), (3, 2)])
 def test_enumeration_is_one_read_only_label_matrix(m, lam):
     words = all_lambda_permutations(m, lam)
@@ -892,22 +901,15 @@ def test_verify_distance_matches_bruteforce(data):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _words(m, lam):
-    # (4, 3) is 369 600 words of 12 symbols, over the listing's cell limit
-    with mock.patch.object(core, "_PRODUCT_CELLS", 12 * 369_600):
-        return list(tuples(all_lambda_permutations(m, lam)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_distance_is_a_metric_on_rows(data):
     m = data.draw(st.integers(2, 4), label="m")
     lam = data.draw(st.integers(1, 3), label="lam")
-    words = _words(m, lam)
-    a = data.draw(st.sampled_from(words), label="a")
-    b = data.draw(st.sampled_from(words), label="b")
-    c = data.draw(st.sampled_from(words), label="c")
+    words = st.permutations([s for s in range(m) for _ in range(lam)]).map(tuple)
+    a = data.draw(words, label="a")
+    b = data.draw(words, label="b")
+    c = data.draw(words, label="c")
     assert hamming_distance(a, b) == hamming_distance(b, a)
     assert (hamming_distance(a, b) == 0) == (a == b)
     assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
